@@ -14,11 +14,10 @@ import argparse
 import numpy as np
 
 from nilmbench.data import POWER_ACTIVE, mains_total
-from nilmbench.disaggregate import disaggregate_co, disaggregate_fhmm
 from nilmbench.metrics import evaluate
+from nilmbench.pipeline import algorithms
 from nilmbench.preprocess import train_test_split
 from nilmbench.synth import default_benchmark_spec, generate
-from nilmbench.training import train_co, train_fhmm
 
 
 def nep_for(seed: int) -> dict[str, float]:
@@ -26,10 +25,7 @@ def nep_for(seed: int) -> dict[str, float]:
     train_b, test_b = train_test_split(ds.buildings[1], 0.5)
     aggregate = mains_total(test_b)
     out = {}
-    for name, trainer, decoder in (
-        ("co", train_co, disaggregate_co),
-        ("fhmm", train_fhmm, disaggregate_fhmm),
-    ):
+    for name, (trainer, decoder, _) in algorithms().items():
         model = trainer(train_b, POWER_ACTIVE, 2)
         report = evaluate(decoder(model, aggregate), test_b)
         out[name] = float(

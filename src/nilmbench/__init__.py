@@ -15,7 +15,6 @@ from .data import (
 from .diagnostics import DiagnosticReport, detect_gaps, diagnose, dropout_rate, uptime
 from .disaggregate import (
     Predictions,
-    build_product_hmm,
     disaggregate_co,
     disaggregate_fhmm,
     predictions_to_power,

@@ -20,19 +20,19 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import io as nio
 from .data import Measurement, mains_total
 from .diagnostics import diagnose
-from .disaggregate import disaggregate_co, disaggregate_fhmm
 from .metrics import evaluate
 from .pipeline import (
+    VALID_ALGORITHMS,
     ConfigError,
     RunConfig,
     StageFailure,
+    algorithms,
     predictions_from_dataset,
     predictions_to_dataset,
     preprocess_building,
@@ -41,22 +41,18 @@ from .pipeline import (
 from .preprocess import train_test_split, intersect_with_mains, is_aligned
 from .stats import (
     DEFAULT_ON_THRESHOLD_W,
+    correlate_daily,
     power_histogram,
     proportion_energy_submetered,
     top_k_appliances,
 )
 from .synth import SynthSpec, default_benchmark_spec, generate
-from .training import train_co, train_fhmm
 
 EXIT_OK = 0
 EXIT_STAGE_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 
 DATA_DIR_ENV = "NILM_DATA_DIR"
-
-
-def _default_input(value: str | None) -> str | None:
-    return value if value else os.environ.get(DATA_DIR_ENV)
 
 
 def _apply_overrides(raw: dict, overrides: list[str]) -> dict:
@@ -105,8 +101,6 @@ def cmd_synth(args) -> int:
     if args.spec:
         spec = SynthSpec.from_json_text(Path(args.spec).read_text(encoding="utf-8"))
         if args.seed is not None:
-            from dataclasses import replace
-
             spec = replace(spec, seed=args.seed)
     else:
         spec = default_benchmark_spec(seed=args.seed if args.seed is not None else 42)
@@ -154,8 +148,6 @@ def cmd_stats(args) -> int:
         if args.correlate not in b.appliances:
             raise ConfigError(f"--correlate: no appliance {args.correlate!r}")
         external = nio.load_daily_series_csv(args.weather)
-        from .stats import correlate_daily
-
         regression = correlate_daily(b.appliances[args.correlate], external)
     if args.output:
         out = Path(args.output)
@@ -203,8 +195,6 @@ def cmd_preprocess(args) -> int:
             train_b, test_b = train_test_split(b, args.split_fraction)
             train_buildings[bid] = train_b
             test_buildings[bid] = test_b
-        from dataclasses import replace
-
         nio.save_dataset_dir(
             replace(ds, buildings=train_buildings), Path(args.output) / "train"
         )
@@ -212,8 +202,6 @@ def cmd_preprocess(args) -> int:
             replace(ds, buildings=test_buildings), Path(args.output) / "test"
         )
     else:
-        from dataclasses import replace
-
         nio.save_dataset_dir(replace(ds, buildings=buildings), args.output)
     if not args.quiet:
         print(f"preprocessed {len(buildings)} building(s) -> {args.output}")
@@ -223,7 +211,7 @@ def cmd_preprocess(args) -> int:
 def cmd_train(args) -> int:
     _ds, b = _load_building(args.input, args.building)
     feature = Measurement.from_column_name(args.feature)
-    trainer = train_co if args.algorithm == "co" else train_fhmm
+    trainer, _, _ = algorithms()[args.algorithm]
     model = trainer(b, feature, args.states)
     Path(args.output).write_text(
         nio.export_model_json(model) + "\n", encoding="utf-8"
@@ -237,13 +225,13 @@ def cmd_disaggregate(args) -> int:
     _ds, b = _load_building(args.input, args.building)
     model = nio.import_model_json(Path(args.model).read_text(encoding="utf-8"))
     feature = Measurement.from_column_name(args.feature)
-    aggregate = mains_total(b)
-    from .training import COModel
-
-    disaggregator = disaggregate_co if isinstance(model, COModel) else disaggregate_fhmm
-    predictions = disaggregator(model, aggregate, feature)
+    disaggregator = next(
+        decode for _, decode, model_type in algorithms().values()
+        if isinstance(model, model_type)
+    )
+    predictions = disaggregator(model, mains_total(b, feature), feature)
     nio.save_dataset_dir(
-        predictions_to_dataset(predictions, args.building), args.output
+        predictions_to_dataset(predictions, args.building, feature), args.output
     )
     if not args.quiet:
         print(f"wrote predictions -> {args.output}")
@@ -254,27 +242,16 @@ def cmd_evaluate(args) -> int:
     _pds, pb = _load_building(args.predictions, args.building)
     _tds, tb = _load_building(args.truth, args.building)
     feature = Measurement.from_column_name(args.feature)
-    if args.model:
-        model = nio.import_model_json(Path(args.model).read_text(encoding="utf-8"))
-        predictions = predictions_from_dataset(pb, model, feature)
-    else:
-        # Threshold-only reconstruction: binary states from on-threshold.
-        from .disaggregate import AppliancePrediction, Predictions
-
-        first = next(iter(pb.appliances.values()))
-        predictions = Predictions(
-            timestamps=first.timestamps,
-            nominal_period=first.nominal_period,
-            appliances={
-                name: AppliancePrediction(
-                    states=(c.values(feature) > args.on_threshold).astype(np.int64),
-                    powers=c.values(feature),
-                    state_means=np.array([0.0, 1.0]),
-                )
-                for name, c in pb.appliances.items()
-            },
-        )
-    report = evaluate(predictions, tb, on_threshold=args.on_threshold, algorithm=args.algorithm)
+    model = (
+        nio.import_model_json(Path(args.model).read_text(encoding="utf-8"))
+        if args.model
+        else None
+    )
+    predictions = predictions_from_dataset(pb, model, feature)
+    report = evaluate(
+        predictions, tb, on_threshold=args.on_threshold,
+        algorithm=args.algorithm, feature=feature,
+    )
     if args.output:
         out = Path(args.output)
         out.mkdir(parents=True, exist_ok=True)
@@ -368,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[quiet_parent], help="learn appliance models")
     p.add_argument("--input", required=False)
     p.add_argument("--building", type=int, default=1)
-    p.add_argument("--algorithm", required=True, choices=["co", "fhmm"])
+    p.add_argument("--algorithm", required=True, choices=VALID_ALGORITHMS)
     p.add_argument("--states", type=int, default=2)
     p.add_argument("--feature", default="power_active")
     p.add_argument("--output", required=True)
@@ -406,13 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for attr in ("input",):
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            resolved = _default_input(None)
-            if resolved:
-                setattr(args, attr, resolved)
+    if hasattr(args, "input") and args.input is None:
+        args.input = os.environ.get(DATA_DIR_ENV) or None
     try:
-        if hasattr(args, "input") and getattr(args, "input", None) is None:
+        if hasattr(args, "input") and args.input is None:
             raise ConfigError(
                 f"--input is required (or set ${DATA_DIR_ENV})"
             )

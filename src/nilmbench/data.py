@@ -132,9 +132,6 @@ class Channel:
             raise KeyError(f"channel {self.id} has no {m.column_name} column")
         return self.columns[m]
 
-    def power(self) -> np.ndarray:
-        return self.values(POWER_ACTIVE)
-
     def take(self, selector) -> "Channel":
         """New channel with rows selected by a boolean mask or index array."""
         return Channel(
@@ -220,8 +217,8 @@ class Gap:
         return self.end - self.start
 
 
-def mains_total(b: Building) -> Channel:
-    """Sum the mains channels into one aggregate channel.
+def mains_total(b: Building, feature: Measurement = POWER_ACTIVE) -> Channel:
+    """Sum the mains channels' ``feature`` into one aggregate channel.
 
     Requires every mains channel to share an identical timestamp index
     (run intersect_with_mains first when phases disagree).
@@ -231,18 +228,18 @@ def mains_total(b: Building) -> Channel:
     first = b.mains[0]
     if len(b.mains) == 1:
         return first
-    total = first.power().copy()
+    total = first.values(feature).copy()
     for c in b.mains[1:]:
         if not np.array_equal(c.timestamps, first.timestamps):
             raise ValueError(
                 f"building {b.id}: mains channels are not aligned; "
                 "run intersect_with_mains first"
             )
-        total += c.power()
+        total += c.values(feature)
     return Channel(
         id="mains_total",
         timestamps=first.timestamps,
-        columns={POWER_ACTIVE: total},
+        columns={feature: total},
         nominal_period=first.nominal_period,
     )
 

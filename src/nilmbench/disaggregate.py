@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .training import COModel, FHMMModel
 
 CO_COMBINATION_LIMIT = 2**20
 FHMM_STATE_LIMIT = 2**14
-PRODUCT_HMM_LIMIT = 2**10
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -88,11 +86,9 @@ def _predictions_from_states(
     """Assemble Predictions from a (T, N) state matrix."""
     appliances: dict[str, AppliancePrediction] = {}
     for n, a in enumerate(model.appliances):
-        means = a.means if hasattr(a, "means") else a.base.means
         s = states[:, n]
-        powers = np.maximum(means[s], 0.0)
         appliances[a.name] = AppliancePrediction(
-            states=s, powers=powers, state_means=means
+            states=s, powers=np.maximum(a.means[s], 0.0), state_means=a.means
         )
     return Predictions(
         timestamps=aggregate.timestamps,
@@ -256,69 +252,15 @@ def disaggregate_fhmm(
     return _predictions_from_states(m, aggregate, states)
 
 
-@dataclass(frozen=True)
-class ProductHMM:
-    """Explicit single-chain equivalent of a factorial model (oracle scale).
-
-    The product state index encodes per-appliance states in mixed radix with
-    appliance 0 most significant.
-    """
-
-    pi: np.ndarray
-    A: np.ndarray
-    emission_means: np.ndarray
-    emission_variances: np.ndarray
-    sizes: tuple[int, ...]
-
-
-def build_product_hmm(m: FHMMModel) -> ProductHMM:
-    """Materialise the Kronecker-product prior, transitions and emissions."""
-    sizes = _sizes(m)
-    S = math.prod(sizes)
-    if S > PRODUCT_HMM_LIMIT:
-        raise ValueError(
-            f"product state space {S} exceeds the explicit-construction "
-            f"limit ({PRODUCT_HMM_LIMIT})"
-        )
-    pi = reduce(np.kron, [a.pi for a in m.appliances])
-    A = reduce(np.kron, [a.A for a in m.appliances])
-    mean, var = _emission_tables(m)
-    return ProductHMM(
-        pi=pi,
-        A=A,
-        emission_means=mean,
-        emission_variances=var,
-        sizes=tuple(sizes),
-    )
-
-
-def fhmm_path_loglik(m: FHMMModel, states: np.ndarray, y: np.ndarray) -> float:
-    """Log-likelihood of a (T, N) state path under the factorial model."""
-    states = np.asarray(states, dtype=np.int64)
-    T = states.shape[0]
-    if T == 0:
-        return 0.0
-    total = 0.0
-    mean = np.zeros(T)
-    var = np.full(T, m.noise_variance)
-    for n, a in enumerate(m.appliances):
-        s = states[:, n]
-        mean += a.base.means[s]
-        var += a.base.stds[s] ** 2
-        total += float(_log(a.pi)[s[0]])
-        if T > 1:
-            total += float(np.sum(_log(a.A)[s[:-1], s[1:]]))
-    total += float(np.sum(-0.5 * (LOG_2PI + np.log(var) + (y - mean) ** 2 / var)))
-    return total
-
-
-def predictions_to_power(p: Predictions) -> dict[str, Channel]:
-    """One power channel per appliance, on the aggregate timestamps."""
+def predictions_to_power(
+    p: Predictions, feature: Measurement = POWER_ACTIVE
+) -> dict[str, Channel]:
+    """One ``feature`` channel per appliance, on the aggregate timestamps."""
     return {
         name: Channel(
             id=name,
             timestamps=p.timestamps,
-            columns={POWER_ACTIVE: ap.powers},
+            columns={feature: ap.powers},
             nominal_period=p.nominal_period,
         )
         for name, ap in p.appliances.items()

@@ -468,91 +468,81 @@ for _name, _key, _layout, _period in (
 
 def export_model_json(model: COModel | FHMMModel) -> str:
     """Serialize a trained model; floats survive a round trip exactly."""
-    if isinstance(model, COModel):
-        payload = {
-            "algorithm": "co",
-            "appliances": [
-                {
-                    "name": a.name,
-                    "states": [
-                        {"mean": float(m), "std": float(s)}
-                        for m, s in zip(a.means, a.stds)
-                    ],
-                }
-                for a in model.appliances
-            ],
-        }
-    elif isinstance(model, FHMMModel):
-        payload = {
-            "algorithm": "fhmm",
-            "noise_variance": float(model.noise_variance),
-            "appliances": [
-                {
-                    "name": a.name,
-                    "states": [
-                        {"mean": float(m), "std": float(s)}
-                        for m, s in zip(a.base.means, a.base.stds)
-                    ],
-                    "pi": [float(p) for p in a.pi],
-                    "A": [[float(v) for v in row] for row in a.A],
-                }
-                for a in model.appliances
-            ],
-        }
-    else:
+    if not isinstance(model, (COModel, FHMMModel)):
         raise TypeError(f"cannot export {type(model).__name__}")
+    payload = {
+        "algorithm": "co",
+        "appliances": [_appliance_to_json(a) for a in model.appliances],
+    }
+    if isinstance(model, FHMMModel):
+        payload["algorithm"] = "fhmm"
+        payload["noise_variance"] = float(model.noise_variance)
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _appliance_to_json(a: ApplianceStateModel | ApplianceHMM) -> dict:
+    entry = {
+        "name": a.name,
+        "states": [{"mean": float(m), "std": float(s)} for m, s in zip(a.means, a.stds)],
+    }
+    if isinstance(a, ApplianceHMM):
+        entry["pi"] = [float(p) for p in a.pi]
+        entry["A"] = [[float(v) for v in row] for row in a.A]
+    return entry
+
+
 def import_model_json(text: str) -> COModel | FHMMModel:
-    """Parse and validate a model produced by :func:`export_model_json`."""
+    """Parse a model produced by :func:`export_model_json`.
+
+    The model dataclasses validate their own parameters; any field they
+    reject, or that is missing or mistyped, raises :class:`SchemaError`.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(f"model JSON is not valid JSON: {e}") from None
-    if "algorithm" not in raw:
+    if not isinstance(raw, dict) or "algorithm" not in raw:
         raise SchemaError("model JSON missing 'algorithm' field")
     algorithm = raw["algorithm"]
     entries = raw.get("appliances")
     if not entries:
         raise SchemaError("model JSON has no appliances")
-
-    def base_of(entry: dict) -> ApplianceStateModel:
-        states = entry.get("states")
-        if not states:
-            raise SchemaError(f"appliance {entry.get('name')!r} has no states")
-        means = [s["mean"] for s in states]
-        stds = [s["std"] for s in states]
-        if any(s <= 0 for s in stds):
-            raise SchemaError(
-                f"appliance {entry.get('name')!r}: stds must be positive"
-            )
-        return ApplianceStateModel(
-            name=str(entry["name"]), means=np.array(means), stds=np.array(stds)
-        )
-
-    if algorithm == "co":
-        return COModel(appliances=tuple(base_of(e) for e in entries))
-    if algorithm == "fhmm":
-        appliances = []
-        for e in entries:
-            base = base_of(e)
-            pi = np.asarray(e.get("pi", ()), dtype=np.float64)
-            A = np.asarray(e.get("A", ()), dtype=np.float64)
-            if pi.shape != (base.K,):
-                raise SchemaError(f"appliance {base.name!r}: pi must have length {base.K}")
-            if abs(float(pi.sum()) - 1.0) > 1e-6:
-                raise SchemaError(f"appliance {base.name!r}: pi must sum to 1")
-            if A.shape != (base.K, base.K):
-                raise SchemaError(f"appliance {base.name!r}: A must be {base.K}x{base.K}")
-            if np.any(np.abs(A.sum(axis=1) - 1.0) > 1e-6):
-                raise SchemaError(f"appliance {base.name!r}: rows of A must sum to 1")
-            appliances.append(ApplianceHMM(base=base, pi=pi, A=A))
+    if algorithm not in ("co", "fhmm"):
+        raise SchemaError(f"unknown algorithm {algorithm!r}")
+    appliances = tuple(
+        _appliance_from_json(e, i, with_chain=algorithm == "fhmm")
+        for i, e in enumerate(entries)
+    )
+    try:
+        if algorithm == "co":
+            return COModel(appliances=appliances)
         return FHMMModel(
-            appliances=tuple(appliances),
+            appliances=appliances,
             noise_variance=float(raw.get("noise_variance", 0.0)),
         )
-    raise SchemaError(f"unknown algorithm {algorithm!r}")
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"model JSON: {e}") from None
+
+
+def _appliance_from_json(
+    entry: dict, index: int, with_chain: bool
+) -> ApplianceStateModel | ApplianceHMM:
+    # The dataclass messages name the appliance; the index locates entries
+    # whose name is missing.
+    where = f"model JSON appliances[{index}]"
+    try:
+        base = ApplianceStateModel(
+            name=str(entry["name"]),
+            means=[s["mean"] for s in entry["states"]],
+            stds=[s["std"] for s in entry["states"]],
+        )
+        if not with_chain:
+            return base
+        return ApplianceHMM(base=base, pi=entry["pi"], A=entry["A"])
+    except KeyError as e:
+        raise SchemaError(f"{where}: missing field {e}") from None
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"{where}: {e}") from None
 
 
 def load_daily_series_csv(path: str | Path) -> dict[int, float]:

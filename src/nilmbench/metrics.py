@@ -8,8 +8,9 @@ Conventions:
   energy fractions: sum over appliances of min(actual fraction, predicted
   fraction).
 * Classification metrics compare on/off states derived from the on-power
-  threshold by default; the per-state confusion matrix uses nearest-state
-  assignment against the model's state means.
+  threshold; the per-state confusion matrix uses nearest-state assignment
+  against the model's state means, or the on/off states when there is no
+  model.
 * Hamming loss is the mean state mismatch over appliances and time slices
   (the multi-state generalisation of per-slice XOR).
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Building, Channel
+from .data import Building, Measurement, POWER_ACTIVE
 from .disaggregate import Predictions
 from .stats import DEFAULT_ON_THRESHOLD_W, appliance_on_threshold
 from .training import ApplianceStateModel, assign_states
@@ -49,7 +50,7 @@ METRIC_DISPLAY_NAMES = {
 
 
 def power_to_states(
-    c: Channel | np.ndarray,
+    power: np.ndarray,
     model: ApplianceStateModel | None = None,
     threshold: float | None = None,
 ) -> np.ndarray:
@@ -58,7 +59,7 @@ def power_to_states(
     With a model: nearest state mean.  With a threshold: binary on/off at
     power > threshold.  Exactly one of the two must be given.
     """
-    power = c.power() if isinstance(c, Channel) else np.asarray(c, dtype=np.float64)
+    power = np.asarray(power, dtype=np.float64)
     if (model is None) == (threshold is None):
         raise ValueError("provide exactly one of model or threshold")
     if model is not None:
@@ -342,13 +343,16 @@ def evaluate(
     train_seconds: float | None = None,
     disaggregate_seconds: float | None = None,
     algorithm: str = "",
+    feature: Measurement = POWER_ACTIVE,
 ) -> MetricReport:
-    """Score predictions against sub-metered ground truth.
+    """Score predictions of ``feature`` against sub-metered ground truth.
 
     Evaluation runs on the timestamp intersection of the predictions and
     each truth channel.  Truth appliances missing from the predictions are
     scored as always off.  The on/off threshold can be overridden per
-    appliance through the truth building's metadata.
+    appliance through the truth building's metadata.  A prediction without
+    state means (no model) is scored on on/off states: both its states and
+    the truth's come from that threshold.
     """
     slice_seconds = predictions.nominal_period
     per_appliance: list[ApplianceMetrics] = []
@@ -366,29 +370,17 @@ def evaluate(
         if common.size == 0:
             continue
         any_overlap = True
-        y = truth.power()[truth_idx]
-        pred = predictions.appliances.get(name)
-        if pred is None:
-            y_hat = np.zeros_like(y)
-            states_hat = np.zeros(y.size, dtype=np.int64)
-            K = 2
-            truth_states = power_to_states(y, threshold=threshold)
-        else:
-            y_hat = pred.powers[pred_idx]
-            states_hat = pred.states[pred_idx]
-            K = max(int(pred.state_means.size), 2)
-            model = ApplianceStateModel(
-                name=name,
-                means=pred.state_means,
-                stds=np.ones(pred.state_means.size),
-            ) if pred.state_means.size else None
-            truth_states = (
-                power_to_states(y, model=model)
-                if model is not None
-                else power_to_states(y, threshold=threshold)
-            )
+        y = truth.values(feature)[truth_idx]
         on_truth = power_to_states(y, threshold=threshold)
+        pred = predictions.appliances.get(name)
+        y_hat = np.zeros_like(y) if pred is None else pred.powers[pred_idx]
         on_hat = power_to_states(y_hat, threshold=threshold)
+        if pred is None or pred.state_means.size == 0:
+            states_hat, truth_states, K = on_hat, on_truth, 2
+        else:
+            states_hat = pred.states[pred_idx]
+            truth_states = assign_states(y, pred.state_means)
+            K = max(int(pred.state_means.size), 2)
         counts = classification_counts(on_truth, on_hat)
         r = rates(counts)
         undefined = set(r.undefined)

@@ -49,9 +49,22 @@ from .preprocess import (
 )
 from .stats import DEFAULT_ON_THRESHOLD_W
 from .synth import SynthSpec, default_benchmark_spec, generate
-from .training import assign_states, train_co, train_fhmm
+from .training import COModel, FHMMModel, assign_states, train_co, train_fhmm
 
-VALID_ALGORITHMS = ("co", "fhmm")
+
+def algorithms() -> dict[str, tuple]:
+    """Algorithm name -> (trainer, decoder, model type).
+
+    Built on each call from this module's bindings, so a tracer that rebinds
+    ``train_co``, ``disaggregate_co`` etc. here sees the calls ``run`` makes.
+    """
+    return {
+        "co": (train_co, disaggregate_co, COModel),
+        "fhmm": (train_fhmm, disaggregate_fhmm, FHMMModel),
+    }
+
+
+VALID_ALGORITHMS = tuple(algorithms())
 
 
 class ConfigError(ValueError):
@@ -244,8 +257,10 @@ def preprocess_building(b: Building, steps: list[dict]) -> Building:
     return b
 
 
-def predictions_to_dataset(p: Predictions, building_id: int) -> DataSet:
-    channels = predictions_to_power(p)
+def predictions_to_dataset(
+    p: Predictions, building_id: int, feature: Measurement = POWER_ACTIVE
+) -> DataSet:
+    channels = predictions_to_power(p, feature)
     building = Building(
         id=building_id,
         mains=(),
@@ -256,26 +271,26 @@ def predictions_to_dataset(p: Predictions, building_id: int) -> DataSet:
 
 
 def predictions_from_dataset(
-    b: Building, model, feature: Measurement = POWER_ACTIVE
+    b: Building, model=None, feature: Measurement = POWER_ACTIVE
 ) -> Predictions:
     """Rebuild a Predictions object from saved power channels plus a model.
 
     State indices are recovered by nearest-state-mean assignment; since
     saved powers are exact state means this reproduces the decoder output.
+    Without a model the predictions carry no state means, and evaluation
+    scores on/off states from the on-threshold instead.
     """
     channels = b.appliances
     if not channels:
         raise ValueError("predictions dataset has no appliance channels")
     first = next(iter(channels.values()))
-    means_by_name = {}
-    for a in model.appliances:
-        means_by_name[a.name] = a.means if hasattr(a, "means") else a.base.means
+    means_by_name = {} if model is None else {a.name: a.means for a in model.appliances}
     appliances = {}
     for name, c in channels.items():
-        powers = c.values(feature)
-        means = means_by_name.get(name)
-        if means is None:
+        if model is not None and name not in means_by_name:
             raise ValueError(f"model has no appliance {name!r}")
+        means = means_by_name.get(name, np.empty(0))
+        powers = c.values(feature)
         appliances[name] = AppliancePrediction(
             states=assign_states(powers, means),
             powers=powers,
@@ -322,23 +337,24 @@ def run(cfg: RunConfig, raw_config: dict | None = None, quiet: bool = False) -> 
     if not is_aligned(b):
         b = stage("align", lambda: intersect_with_mains(b, cfg.gap_threshold))
     train_b, test_b = stage("split", lambda: train_test_split(b, cfg.split_fraction))
-    aggregate = mains_total(test_b)
+    aggregate = mains_total(test_b, cfg.feature)
 
     reports: dict[str, MetricReport] = {}
     for alg in cfg.algorithms:
-        trainer = train_co if alg == "co" else train_fhmm
+        trainer, disaggregator, _ = algorithms()[alg]
         model = stage(f"train_{alg}", lambda: trainer(train_b, cfg.feature, cfg.states))
         model_path = out / f"model_{alg}.json"
         model_path.write_text(nio.export_model_json(model) + "\n", encoding="utf-8")
         # Round-trip through JSON so in-memory and staged runs see the
         # exact same parameters.
         model = nio.import_model_json(model_path.read_text(encoding="utf-8"))
-        disaggregator = disaggregate_co if alg == "co" else disaggregate_fhmm
         predictions = stage(
             f"disaggregate_{alg}", lambda: disaggregator(model, aggregate, cfg.feature)
         )
         pred_dir = out / f"predictions_{alg}"
-        nio.save_dataset_dir(predictions_to_dataset(predictions, cfg.building), pred_dir)
+        nio.save_dataset_dir(
+            predictions_to_dataset(predictions, cfg.building, cfg.feature), pred_dir
+        )
         reloaded = nio.load_dataset_dir(pred_dir)
         predictions = predictions_from_dataset(
             reloaded.buildings[cfg.building], model, cfg.feature
@@ -352,6 +368,7 @@ def run(cfg: RunConfig, raw_config: dict | None = None, quiet: bool = False) -> 
                 train_seconds=timings[f"train_{alg}"],
                 disaggregate_seconds=timings[f"disaggregate_{alg}"],
                 algorithm=alg,
+                feature=cfg.feature,
             ),
         )
         (out / f"metrics_{alg}.json").write_text(

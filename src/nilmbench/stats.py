@@ -218,6 +218,7 @@ def daily_energy(
     c: Channel,
     gap_threshold: float | None = None,
     utc_offset_hours: float = 0.0,
+    feature: Measurement = POWER_ACTIVE,
 ) -> dict[int, float]:
     """Energy in joules per epoch day.
 
@@ -230,7 +231,7 @@ def daily_energy(
     if gap_threshold is None:
         gap_threshold = default_gap_threshold(c)
     t = c.timestamps
-    p = c.power()
+    p = c.values(feature)
     dt = np.diff(t)
     mean_p = 0.5 * (p[:-1] + p[1:])
     days = np.floor((t[:-1] / 86400.0) + utc_offset_hours / 24.0).astype(int)
@@ -281,11 +282,16 @@ def correlate_daily(
     return ols(x, y)
 
 
-def pearson_correlation(a: Channel, b: Channel, period: float = 60.0) -> float:
+def pearson_correlation(
+    a: Channel,
+    b: Channel,
+    period: float = 60.0,
+    feature: Measurement = POWER_ACTIVE,
+) -> float:
     """Pearson correlation of two power series resampled to a common grid.
 
     The statistic for cross-stream correlation is not pinned down anywhere
-    authoritative; this uses mean-resampled active power on a shared
+    authoritative; this uses the mean-resampled ``feature`` on a shared
     ``period`` grid, restricted to bins where both channels have data.
     """
     from .preprocess import downsample
@@ -295,8 +301,8 @@ def pearson_correlation(a: Channel, b: Channel, period: float = 60.0) -> float:
     common, ia, ib = np.intersect1d(da.timestamps, db.timestamps, return_indices=True)
     if common.size < 2:
         raise ValueError("fewer than 2 overlapping bins")
-    xa = da.power()[ia]
-    xb = db.power()[ib]
+    xa = da.values(feature)[ia]
+    xb = db.values(feature)[ib]
     sa = xa.std()
     sb = xb.std()
     if sa == 0.0 or sb == 0.0:

@@ -10,7 +10,7 @@ zero (full EM is deliberately out of scope).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -43,6 +43,8 @@ class ApplianceStateModel:
             raise ValueError(f"{self.name}: need at least one state")
         if self.means.size != self.stds.size:
             raise ValueError(f"{self.name}: means and stds differ in length")
+        if not (np.all(np.isfinite(self.means)) and np.all(np.isfinite(self.stds))):
+            raise ValueError(f"{self.name}: state means and stds must be finite")
         if np.any(np.diff(self.means) <= 0):
             raise ValueError(f"{self.name}: state means must be strictly ascending")
         if np.any(self.stds <= 0):
@@ -69,7 +71,8 @@ class ApplianceHMM:
             raise ValueError(f"{self.name}: pi must have length {K}")
         if self.A.shape != (K, K):
             raise ValueError(f"{self.name}: A must be {K}x{K}")
-        if np.any(self.pi < 0) or np.any(self.pi > 1) or np.any(self.A < 0) or np.any(self.A > 1):
+        # Written as "all inside" rather than "any outside" so NaN fails too.
+        if not (np.all((self.pi >= 0) & (self.pi <= 1)) and np.all((self.A >= 0) & (self.A <= 1))):
             raise ValueError(f"{self.name}: probabilities must lie in [0, 1]")
         if abs(self.pi.sum() - 1.0) > STOCHASTIC_TOL:
             raise ValueError(f"{self.name}: pi must sum to 1")
@@ -83,6 +86,14 @@ class ApplianceHMM:
     @property
     def K(self) -> int:
         return self.base.K
+
+    @property
+    def means(self) -> np.ndarray:
+        return self.base.means
+
+    @property
+    def stds(self) -> np.ndarray:
+        return self.base.stds
 
 
 @dataclass(frozen=True)
@@ -102,6 +113,8 @@ class FHMMModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "appliances", tuple(self.appliances))
         _check_names(self.appliances)
+        if not np.isfinite(self.noise_variance):
+            raise ValueError("noise_variance must be finite")
         if self.noise_variance < NOISE_VARIANCE_FLOOR_W2:
             object.__setattr__(self, "noise_variance", NOISE_VARIANCE_FLOOR_W2)
 
@@ -208,8 +221,19 @@ def _states_for(name: str, K: int | Mapping[str, int]) -> int:
     return int(K.get(name, 2))
 
 
-def _named(model: ApplianceStateModel, name: str) -> ApplianceStateModel:
-    return ApplianceStateModel(name=name, means=model.means, stds=model.stds)
+def _learn_each(b: Building, feature: Measurement, K, learn) -> list:
+    """``(name, learn(channel, K, feature))`` for every appliance, in name order."""
+    if not b.appliances:
+        raise ValueError(f"building {b.id} has no appliance channels")
+    out = []
+    for name in sorted(b.appliances):
+        c = b.appliances[name]
+        if not c.has(feature):
+            raise ValueError(
+                f"appliance {name!r} lacks feature {feature.column_name}"
+            )
+        out.append((name, learn(c, _states_for(name, K), feature)))
+    return out
 
 
 def train_co(
@@ -218,17 +242,11 @@ def train_co(
     K: int | Mapping[str, int] = 2,
 ) -> COModel:
     """Learn a combinatorial-optimisation model from sub-metered channels."""
-    if not b.appliances:
-        raise ValueError(f"building {b.id} has no appliance channels")
-    entries = []
-    for name in sorted(b.appliances):
-        c = b.appliances[name]
-        if not c.has(feature):
-            raise ValueError(
-                f"appliance {name!r} lacks feature {feature.column_name}"
-            )
-        entries.append(_named(learn_states(c, _states_for(name, K), feature), name))
-    return COModel(appliances=tuple(entries))
+    return COModel(
+        appliances=tuple(
+            replace(m, name=name) for name, m in _learn_each(b, feature, K, learn_states)
+        )
+    )
 
 
 def train_fhmm(
@@ -241,18 +259,11 @@ def train_fhmm(
     noise_variance is the variance of (mains - sum of appliance powers) over
     the training window, floored at 25 W^2.
     """
-    if not b.appliances:
-        raise ValueError(f"building {b.id} has no appliance channels")
-    entries = []
-    for name in sorted(b.appliances):
-        c = b.appliances[name]
-        if not c.has(feature):
-            raise ValueError(
-                f"appliance {name!r} lacks feature {feature.column_name}"
-            )
-        hmm = learn_hmm(c, _states_for(name, K), feature)
-        entries.append(ApplianceHMM(base=_named(hmm.base, name), pi=hmm.pi, A=hmm.A))
-    agg = mains_total(b)
+    entries = tuple(
+        replace(h, base=replace(h.base, name=name))
+        for name, h in _learn_each(b, feature, K, learn_hmm)
+    )
+    agg = mains_total(b, feature)
     if not agg.has(feature):
         raise ValueError(f"mains lacks feature {feature.column_name}")
     if not all(
@@ -265,4 +276,4 @@ def train_fhmm(
     for c in b.appliances.values():
         residual -= c.values(feature)
     noise_variance = max(float(residual.var()), NOISE_VARIANCE_FLOOR_W2)
-    return FHMMModel(appliances=tuple(entries), noise_variance=noise_variance)
+    return FHMMModel(appliances=entries, noise_variance=noise_variance)

@@ -59,7 +59,7 @@ def simple_building():
     t = np.arange(0.0, 100.0)
     fridge = mk_channel(t, np.where(np.arange(100) % 10 < 5, 120.0, 0.0), cid="fridge")
     tv = mk_channel(t, np.where(np.arange(100) % 4 < 2, 80.0, 0.0), cid="television")
-    mains = mk_channel(t, fridge.power() + tv.power(), cid="mains_1")
+    mains = mk_channel(t, fridge.values(POWER_ACTIVE) + tv.values(POWER_ACTIVE), cid="mains_1")
     return mk_building(
         mains=[mains],
         appliances={"fridge": fridge, "television": tv},

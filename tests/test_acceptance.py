@@ -15,11 +15,7 @@ import pytest
 
 from nilmbench.data import POWER_ACTIVE, mains_total
 from nilmbench.diagnostics import detect_gaps, dropout_rate, uptime
-from nilmbench.disaggregate import (
-    build_product_hmm,
-    disaggregate_co,
-    disaggregate_fhmm,
-)
+from nilmbench.disaggregate import disaggregate_co, disaggregate_fhmm
 from nilmbench.io import (
     export_model_json,
     import_model_json,
@@ -50,7 +46,13 @@ from nilmbench.training import (
 )
 
 from conftest import assert_dataset_equal, mk_channel
-from oracles import co_bruteforce, dense_viterbi, product_index
+from oracles import (
+    build_product_hmm,
+    co_bruteforce,
+    dense_viterbi,
+    fhmm_path_loglik,
+    product_index,
+)
 from test_metrics import predictions_from_truth
 
 
@@ -128,8 +130,6 @@ def test_criterion_2_fhmm_oracle_equivalence():
         got = np.stack([p.appliances[a.name].states for a in m.appliances], axis=1)
         got_idx = np.array([product_index(row, ph.sizes) for row in got])
         assert np.array_equal(got_idx, path), i
-        from nilmbench.disaggregate import fhmm_path_loglik
-
         ll_got = fhmm_path_loglik(m, got, y)
         assert abs(ll_got - ll) <= 1e-9 * max(1.0, abs(ll)), (i, ll_got, ll)
     elapsed = time.monotonic() - start
@@ -244,14 +244,14 @@ def test_criterion_7_voltage_normalization_factors():
         return mk_channel([0.0], [power], voltage=[volts])
 
     out = normalize_voltage(one_row(1000.0, 230.0), 230.0, 2.0)
-    assert abs(out.power()[0] - 1000.0) <= 1e-9 * 1000.0
+    assert abs(out.values(POWER_ACTIVE)[0] - 1000.0) <= 1e-9 * 1000.0
 
     out = normalize_voltage(one_row(1000.0, 115.0), 230.0, 2.0)
-    assert abs(out.power()[0] - 4000.0) <= 1e-9 * 4000.0
+    assert abs(out.values(POWER_ACTIVE)[0] - 4000.0) <= 1e-9 * 4000.0
 
     out = normalize_voltage(one_row(1000.0, 115.0), 230.0, 0.7)
     want = 1000.0 * 2**0.7
-    assert abs(out.power()[0] - want) <= 1e-9 * want
+    assert abs(out.values(POWER_ACTIVE)[0] - want) <= 1e-9 * want
     announce(7, "voltage normalization factors (identity, x4 at half voltage "
                 "beta=2, x2^0.7 at beta=0.7) hold to 1e-9 relative")
 

@@ -5,12 +5,51 @@ import sys
 import pytest
 
 from nilmbench.cli import main
+from nilmbench.data import POWER_ACTIVE, POWER_REACTIVE, DataSet
+from nilmbench.io import save_dataset_dir
+from nilmbench.preprocess import map_channels
+from nilmbench.synth import default_benchmark_spec, generate
 
+from conftest import mk_building, mk_channel
 from test_io import simple_rows, write_redd_house
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def strip_timings(text):
+    raw = json.loads(text)
+    raw["building"].pop("train_seconds", None)
+    raw["building"].pop("disaggregate_seconds", None)
+    return json.dumps(raw, sort_keys=True)
+
+
+def staged_metrics(tmp_path, data, algorithm, feature):
+    """Metrics JSON text of preprocess(split) -> train -> disaggregate ->
+    evaluate, run through the CLI."""
+    prep = tmp_path / "prep"
+    assert run_cli(
+        "--quiet", "preprocess", "--input", str(data), "--output", str(prep),
+        "--split-fraction", "0.5",
+    ) == 0
+    model = tmp_path / f"model_{algorithm}.json"
+    assert run_cli(
+        "--quiet", "train", "--input", str(prep / "train"), "--building", "1",
+        "--algorithm", algorithm, "--feature", feature, "--output", str(model),
+    ) == 0
+    preds = tmp_path / "preds"
+    assert run_cli(
+        "--quiet", "disaggregate", "--input", str(prep / "test"), "--building", "1",
+        "--model", str(model), "--feature", feature, "--output", str(preds),
+    ) == 0
+    metrics_dir = tmp_path / "metrics"
+    assert run_cli(
+        "--quiet", "evaluate", "--predictions", str(preds), "--truth", str(prep / "test"),
+        "--building", "1", "--model", str(model), "--algorithm", algorithm,
+        "--feature", feature, "--output", str(metrics_dir),
+    ) == 0
+    return (metrics_dir / f"metrics_{algorithm}.json").read_text()
 
 
 @pytest.fixture
@@ -191,6 +230,35 @@ class TestStagedEqualsRun:
         ).read_bytes() == model.read_bytes()
 
 
+class TestReactiveFeature:
+    @pytest.mark.parametrize("algorithm", ["co", "fhmm"])
+    def test_run_and_staged_agree(self, tmp_path, algorithm):
+        ds, _ = generate(default_benchmark_spec(seed=4))
+        b = map_channels(
+            ds.buildings[1],
+            lambda c: c.with_columns(
+                {**c.columns, POWER_REACTIVE: 0.3 * c.values(POWER_ACTIVE)}
+            ),
+        )
+        data = tmp_path / "data"
+        save_dataset_dir(DataSet(ds.name, {1: b}, ds.metadata), data)
+        cfg = base_config(
+            tmp_path,
+            dataset={"format": "dataset-dir", "path": str(data)},
+            feature="power_reactive",
+            algorithms=[algorithm],
+        )
+        assert run_cli("--quiet", "run", "--config", str(cfg)) == 0
+        out = tmp_path / "out"
+        fridge = (out / f"predictions_{algorithm}" / "house_1" / "utility" / "electricity"
+                  / "appliances" / "fridge.csv")
+        assert fridge.read_text().splitlines()[0] == "timestamp,power_reactive"
+
+        staged = staged_metrics(tmp_path, data, algorithm, "power_reactive")
+        one_shot = (out / f"metrics_{algorithm}.json").read_text()
+        assert strip_timings(one_shot) == strip_timings(staged)
+
+
 def test_console_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "nilmbench.cli", "--help"],
@@ -270,6 +338,22 @@ class TestEvaluateWithoutModel:
         ) == 0
         report = json.loads((metrics_dir / "metrics.json").read_text())
         assert set(report["appliances"]) == {"air_conditioner", "electric_heat", "fridge"}
+
+    def test_perfect_prediction_confusion_is_diagonal(self, tmp_path):
+        t = [0.0, 1.0, 2.0, 3.0]
+        b = mk_building(
+            mains=[mk_channel(t, [5.0, 5.0, 100.0, 100.0], cid="mains_1")],
+            appliances={"fridge": mk_channel(t, [5.0, 5.0, 100.0, 100.0], cid="fridge")},
+        )
+        data = tmp_path / "data"
+        save_dataset_dir(DataSet("toy", {1: b}), data)
+        out = tmp_path / "m"
+        assert run_cli(
+            "--quiet", "evaluate", "--predictions", str(data), "--truth", str(data),
+            "--output", str(out),
+        ) == 0
+        report = json.loads((out / "metrics.json").read_text())
+        assert report["appliances"]["fridge"]["confusion"] == [[2, 0], [0, 2]]
 
 
 class TestStatsWeather:

@@ -46,7 +46,7 @@ class TestChannel:
         with pytest.raises(ValueError):
             c.timestamps[0] = 9.0
         with pytest.raises(ValueError):
-            c.power()[0] = 9.0
+            c.values(POWER_ACTIVE)[0] = 9.0
 
 
 class TestSelectWindow:
@@ -54,7 +54,7 @@ class TestSelectWindow:
         c = mk_channel([5.0, 10.0, 15.0, 20.0], [1.0, 2.0, 3.0, 4.0])
         w = select_window(c, 5.0, 21.0)
         assert np.array_equal(w.timestamps, c.timestamps)
-        assert np.array_equal(w.power(), c.power())
+        assert np.array_equal(w.values(POWER_ACTIVE), c.values(POWER_ACTIVE))
         assert w.nominal_period == c.nominal_period
 
     def test_half_open_window(self):
@@ -77,7 +77,7 @@ class TestSelectWindow:
         c = mk_channel(ts, np.arange(len(ts), dtype=float))
         w = select_window(c, ts[0], ts[-1] + 1.0)
         assert np.array_equal(w.timestamps, c.timestamps)
-        assert np.array_equal(w.power(), c.power())
+        assert np.array_equal(w.values(POWER_ACTIVE), c.values(POWER_ACTIVE))
 
 
 class TestCanonicalLabel:
@@ -157,7 +157,7 @@ class TestMainsTotal:
         m1 = mk_channel(t, [100.0, 110.0, 120.0], cid="mains_1")
         m2 = mk_channel(t, [50.0, 40.0, 30.0], cid="mains_2")
         total = mains_total(mk_building(mains=[m1, m2]))
-        assert list(total.power()) == [150.0, 150.0, 150.0]
+        assert list(total.values(POWER_ACTIVE)) == [150.0, 150.0, 150.0]
 
     def test_unaligned_mains_rejected(self):
         m1 = mk_channel([0.0, 1.0], [1.0, 1.0], cid="mains_1")

@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
 
+from nilmbench.data import POWER_ACTIVE
 from nilmbench.disaggregate import (
-    build_product_hmm,
     disaggregate_co,
     disaggregate_fhmm,
-    fhmm_path_loglik,
     predictions_to_power,
 )
 from nilmbench.synth import ApplianceSynthSpec, SynthSpec, generate
 from nilmbench.training import ApplianceHMM, ApplianceStateModel, COModel, FHMMModel
 
 from conftest import mk_channel
-from oracles import co_bruteforce, dense_viterbi, product_index
+from oracles import (
+    build_product_hmm,
+    co_bruteforce,
+    dense_viterbi,
+    fhmm_path_loglik,
+    product_index,
+)
 
 
 def state_model(name, means):
@@ -257,7 +262,7 @@ class TestPredictionsToPower:
         m = COModel(appliances=(state_model("a", [0.0, 100.0]),))
         p = disaggregate_co(m, aggregate_channel([0.0, 0.0]))
         channels = predictions_to_power(p)
-        assert np.all(channels["a"].power() == 0.0)
+        assert np.all(channels["a"].values(POWER_ACTIVE) == 0.0)
 
     def test_timestamps_follow_aggregate(self):
         m = COModel(appliances=(state_model("a", [0.0, 100.0]),))
@@ -273,7 +278,7 @@ class TestPredictionsToPower:
         y = [0.0, 100.0, 60.0, 160.0]
         p = disaggregate_co(m, aggregate_channel(y))
         channels = predictions_to_power(p)
-        total = channels["a"].power() + channels["b"].power()
+        total = channels["a"].values(POWER_ACTIVE) + channels["b"].values(POWER_ACTIVE)
         assert np.array_equal(total, np.asarray(y))
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nilmbench.data import DataSet
+from nilmbench.data import POWER_ACTIVE, DataSet
 from nilmbench.io import (
     IMPORTER_REGISTRY,
     ImporterDescriptor,
@@ -77,7 +77,7 @@ class TestReddImport:
         write_redd_house(tmp_path, 1, {1: "mains", 2: "refrigerator"}, {1: rows, 2: simple_rows()})
         ds, report = import_redd_style(tmp_path, mains_channels=(1,))
         assert report.duplicates == 1
-        assert list(ds.buildings[1].mains[0].power()) == [1.0, 3.0]
+        assert list(ds.buildings[1].mains[0].values(POWER_ACTIVE)) == [1.0, 3.0]
 
     def test_repeated_labels_get_instance_suffix(self, tmp_path):
         write_redd_house(
@@ -225,6 +225,26 @@ def fhmm_model():
     )
 
 
+NAN, INF = float("nan"), float("inf")
+
+# Edits that each make an exported FHMM model invalid.
+INVALID_MODEL_EDITS = {
+    "mean-nan": lambda r: r["appliances"][0]["states"][1].update(mean=NAN),
+    "mean-inf": lambda r: r["appliances"][0]["states"][1].update(mean=INF),
+    "means-descending": lambda r: r["appliances"][0]["states"][1].update(mean=-5.0),
+    "std-nan": lambda r: r["appliances"][0]["states"][0].update(std=NAN),
+    "std-inf": lambda r: r["appliances"][0]["states"][0].update(std=INF),
+    "pi-nan": lambda r: r["appliances"][0].update(pi=[NAN, 0.5]),
+    "pi-inf": lambda r: r["appliances"][0].update(pi=[INF, 0.5]),
+    "A-nan": lambda r: r["appliances"][0].update(A=[[NAN, 0.1], [0.2, 0.8]]),
+    "A-inf": lambda r: r["appliances"][0].update(A=[[INF, 0.1], [0.2, 0.8]]),
+    "noise-variance-nan": lambda r: r.update(noise_variance=NAN),
+    "noise-variance-inf": lambda r: r.update(noise_variance=INF),
+    "missing-mean": lambda r: r["appliances"][0]["states"][0].pop("mean"),
+    "missing-name": lambda r: r["appliances"][0].pop("name"),
+}
+
+
 class TestModelJson:
     def test_co_schema(self):
         raw = json.loads(export_model_json(co_model()))
@@ -243,9 +263,7 @@ class TestModelJson:
         for model in (co_model(), fhmm_model()):
             again = import_model_json(export_model_json(model))
             for a, b in zip(model.appliances, again.appliances):
-                ma = a.means if hasattr(a, "means") else a.base.means
-                mb = b.means if hasattr(b, "means") else b.base.means
-                assert np.array_equal(ma, mb)
+                assert np.array_equal(a.means, b.means)
             if isinstance(model, FHMMModel):
                 assert again.noise_variance == model.noise_variance
                 for a, b in zip(model.appliances, again.appliances):
@@ -261,13 +279,21 @@ class TestModelJson:
     def test_missing_algorithm_rejected(self):
         raw = json.loads(export_model_json(co_model()))
         del raw["algorithm"]
-        with pytest.raises(SchemaError, match="algorithm"):
-            import_model_json(json.dumps(raw))
+        for text in (json.dumps(raw), "[]", "5"):
+            with pytest.raises(SchemaError, match="algorithm"):
+                import_model_json(text)
 
     def test_negative_std_rejected(self):
         raw = json.loads(export_model_json(co_model()))
         raw["appliances"][0]["states"][0]["std"] = -1.0
         with pytest.raises(SchemaError, match="positive"):
+            import_model_json(json.dumps(raw))
+
+    @pytest.mark.parametrize("edit", INVALID_MODEL_EDITS.values(), ids=INVALID_MODEL_EDITS)
+    def test_invalid_model_rejected(self, edit):
+        raw = json.loads(export_model_json(fhmm_model()))
+        edit(raw)
+        with pytest.raises(SchemaError):
             import_model_json(json.dumps(raw))
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from nilmbench.data import POWER_ACTIVE
 from nilmbench.disaggregate import AppliancePrediction, Predictions
 from nilmbench.metrics import (
     ClassificationCounts,
@@ -200,7 +201,7 @@ def predictions_from_truth(b):
     first = next(iter(b.appliances.values()))
     apps = {}
     for name, c in b.appliances.items():
-        powers = c.power()
+        powers = c.values(POWER_ACTIVE)
         means = np.unique(powers)
         apps[name] = AppliancePrediction(
             states=(powers > 10.0).astype(np.int64),

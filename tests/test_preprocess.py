@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nilmbench.data import VOLTAGE
+from nilmbench.data import POWER_ACTIVE, VOLTAGE
 from nilmbench.preprocess import (
     downsample,
     filter_contribution,
@@ -23,14 +23,14 @@ class TestDownsample:
         c = mk_channel(np.arange(120.0), np.full(120, 100.0))
         d = downsample(c, 60.0, "mean")
         assert list(d.timestamps) == [0.0, 60.0]
-        assert list(d.power()) == [100.0, 100.0]
+        assert list(d.values(POWER_ACTIVE)) == [100.0, 100.0]
         assert d.nominal_period == 60.0
 
     def test_hand_mean(self):
         c = mk_channel([0.0, 30.0], [0.0, 100.0])
         d = downsample(c, 60.0, "mean")
         assert list(d.timestamps) == [0.0]
-        assert list(d.power()) == [50.0]
+        assert list(d.values(POWER_ACTIVE)) == [50.0]
 
     def test_empty_bins_produce_no_rows(self):
         c = mk_channel([0.0, 30.0, 300.0], [0.0, 100.0, 50.0])
@@ -39,12 +39,12 @@ class TestDownsample:
 
     def test_median_and_first(self):
         c = mk_channel([0.0, 10.0, 20.0], [10.0, 99.0, 20.0])
-        assert list(downsample(c, 60.0, "median").power()) == [20.0]
-        assert list(downsample(c, 60.0, "first").power()) == [10.0]
+        assert list(downsample(c, 60.0, "median").values(POWER_ACTIVE)) == [20.0]
+        assert list(downsample(c, 60.0, "first").values(POWER_ACTIVE)) == [10.0]
 
     def test_mode_ties_break_low(self):
         c = mk_channel([0.0, 10.0, 20.0, 30.0], [7.0, 3.0, 7.0, 3.0])
-        assert list(downsample(c, 60.0, "mode").power()) == [3.0]
+        assert list(downsample(c, 60.0, "mode").values(POWER_ACTIVE)) == [3.0]
 
     def test_upsampling_rejected(self):
         c = mk_channel([0.0, 60.0], [0.0, 1.0], period=60.0)
@@ -55,7 +55,7 @@ class TestDownsample:
         c = mk_channel([7.0, 30.0, 67.0], [1.0, 3.0, 5.0])
         d = downsample(c, 60.0, "mean")
         assert list(d.timestamps) == [7.0, 67.0]
-        assert list(d.power()) == [2.0, 5.0]
+        assert list(d.values(POWER_ACTIVE)) == [2.0, 5.0]
 
     def test_composition_with_full_bins(self):
         rng = np.random.default_rng(8)
@@ -63,7 +63,7 @@ class TestDownsample:
         once = downsample(c, 120.0, "mean")
         twice = downsample(downsample(c, 60.0, "mean"), 120.0, "mean")
         assert np.array_equal(once.timestamps, twice.timestamps)
-        np.testing.assert_allclose(once.power(), twice.power(), rtol=1e-12)
+        np.testing.assert_allclose(once.values(POWER_ACTIVE), twice.values(POWER_ACTIVE), rtol=1e-12)
 
 
 class TestNormalizeVoltage:
@@ -75,23 +75,23 @@ class TestNormalizeVoltage:
     def test_nominal_voltage_is_identity(self):
         c = self._channel([1000.0, 500.0], [230.0, 230.0])
         out = normalize_voltage(c, 230.0, 2.0)
-        assert list(out.power()) == [1000.0, 500.0]
+        assert list(out.values(POWER_ACTIVE)) == [1000.0, 500.0]
 
     def test_half_voltage_beta_two(self):
         c = self._channel([1000.0], [115.0])
         out = normalize_voltage(c, 230.0, 2.0)
-        assert out.power()[0] == pytest.approx(4000.0, rel=1e-12)
+        assert out.values(POWER_ACTIVE)[0] == pytest.approx(4000.0, rel=1e-12)
 
     def test_hart_beta(self):
         c = self._channel([1000.0], [115.0])
         out = normalize_voltage(c, 230.0, 0.7)
-        assert out.power()[0] == pytest.approx(1000.0 * 2**0.7, rel=1e-12)
+        assert out.values(POWER_ACTIVE)[0] == pytest.approx(1000.0 * 2**0.7, rel=1e-12)
 
     def test_beta_zero_is_identity(self):
         rng = np.random.default_rng(1)
         c = self._channel(rng.uniform(0, 2000, 20), rng.uniform(200, 260, 20))
         out = normalize_voltage(c, 230.0, 0.0)
-        assert np.array_equal(out.power(), c.power())
+        assert np.array_equal(out.values(POWER_ACTIVE), c.values(POWER_ACTIVE))
 
     def test_voltage_column_untouched(self):
         c = self._channel([1000.0], [115.0])
@@ -131,7 +131,7 @@ class TestInterpolate:
         c = mk_channel([0.0, 1.0, 4.0, 5.0], [10.0, 20.0, 30.0, 40.0])
         out = interpolate_small_gaps(c, 5.0)
         assert list(out.timestamps) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
-        assert list(out.power()) == [10.0, 20.0, 20.0, 20.0, 30.0, 40.0]
+        assert list(out.values(POWER_ACTIVE)) == [10.0, 20.0, 20.0, 20.0, 30.0, 40.0]
 
     def test_large_hole_untouched(self):
         c = mk_channel([0.0, 1.0, 61.0], [1.0, 2.0, 3.0])
@@ -142,7 +142,7 @@ class TestInterpolate:
         c = mk_channel([0.0, 3.5], [10.0, 20.0])
         out = interpolate_small_gaps(c, 5.0)
         assert list(out.timestamps) == [0.0, 1.0, 2.0, 3.0, 3.5]
-        assert list(out.power()) == [10.0, 10.0, 10.0, 10.0, 20.0]
+        assert list(out.values(POWER_ACTIVE)) == [10.0, 10.0, 10.0, 10.0, 20.0]
 
 
 def building_with_energies(energies):
@@ -151,7 +151,7 @@ def building_with_energies(energies):
         name: mk_channel(t, np.full(t.size, watts), cid=name)
         for name, watts in energies.items()
     }
-    mains = mk_channel(t, sum(c.power() for c in appliances.values()), cid="mains_1")
+    mains = mk_channel(t, sum(c.values(POWER_ACTIVE) for c in appliances.values()), cid="mains_1")
     return mk_building(mains=[mains], appliances=appliances)
 
 
@@ -283,7 +283,7 @@ class TestMoreEdges:
         d = downsample(c, 1.0, "mean")
         assert d.timestamps.size == 60
         assert np.allclose(np.diff(d.timestamps), 1.0)
-        assert np.all(d.power() == 1.0)
+        assert np.all(d.values(POWER_ACTIVE) == 1.0)
 
     def test_downsample_empty_channel(self):
         c = mk_channel([], [], period=1.0)

@@ -1,0 +1,38 @@
+"""Smoke tests: each script in scripts/ runs to completion on small inputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from nilmbench.io import save_dataset_dir
+from nilmbench.synth import default_benchmark_spec, generate
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_seed_sweep():
+    assert "FHMM at or below CO on" in run_script("seed_sweep.py", "--seeds", "1")
+
+
+def test_run_default_benchmark(tmp_path):
+    out = tmp_path / "out"
+    assert "fhmm" in run_script("run_default_benchmark.py", "--output", str(out))
+    assert (out / "metrics.csv").is_file()
+
+
+def test_dataset_report(tmp_path):
+    ds, _ = generate(default_benchmark_spec(seed=3))
+    save_dataset_dir(ds, tmp_path / "data")
+    assert "top 5 appliances" in run_script("dataset_report.py", str(tmp_path / "data"))

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nilmbench.data import Gap
+from nilmbench.data import POWER_ACTIVE, Gap
 from nilmbench.diagnostics import detect_gaps
 from nilmbench.io import save_dataset_dir
 from nilmbench.stats import proportion_energy_submetered, top_k_appliances
@@ -68,8 +68,8 @@ class TestGenerate:
         ds, states = generate(spec)
         b = ds.buildings[1]
         assert np.all(states["a"] == 0)
-        assert np.all(b.appliances["a"].power() == 0.0)
-        assert np.all(b.mains[0].power() == 0.0)
+        assert np.all(b.appliances["a"].values(POWER_ACTIVE) == 0.0)
+        assert np.all(b.mains[0].values(POWER_ACTIVE) == 0.0)
 
     def test_empirical_frequencies_match_stationary_distribution(self):
         A = np.array([[0.9, 0.1], [0.3, 0.7]])
@@ -114,8 +114,8 @@ class TestGenerate:
         )
         ds, _ = generate(spec)
         b = ds.buildings[1]
-        total = b.appliances["a"].power() + b.appliances["b"].power()
-        assert np.array_equal(b.mains[0].power(), total)
+        total = b.appliances["a"].values(POWER_ACTIVE) + b.appliances["b"].values(POWER_ACTIVE)
+        assert np.array_equal(b.mains[0].values(POWER_ACTIVE), total)
 
     def test_dropout_thins_channels(self):
         spec = SynthSpec(
