@@ -75,6 +75,13 @@ def _apply_overrides(raw: dict, overrides: list[str]) -> dict:
     return raw
 
 
+def _measurement(name: str) -> Measurement:
+    try:
+        return Measurement.from_column_name(name)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _load_building(path: str, building: int):
     ds = nio.load_dataset_dir(path)
     if building not in ds.buildings:
@@ -210,9 +217,8 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train(args) -> int:
     _ds, b = _load_building(args.input, args.building)
-    feature = Measurement.from_column_name(args.feature)
     trainer, _, _ = algorithms()[args.algorithm]
-    model = trainer(b, feature, args.states)
+    model = trainer(b, args.feature, args.states)
     Path(args.output).write_text(
         nio.export_model_json(model) + "\n", encoding="utf-8"
     )
@@ -224,14 +230,13 @@ def cmd_train(args) -> int:
 def cmd_disaggregate(args) -> int:
     _ds, b = _load_building(args.input, args.building)
     model = nio.import_model_json(Path(args.model).read_text(encoding="utf-8"))
-    feature = Measurement.from_column_name(args.feature)
     disaggregator = next(
         decode for _, decode, model_type in algorithms().values()
         if isinstance(model, model_type)
     )
-    predictions = disaggregator(model, mains_total(b, feature), feature)
+    predictions = disaggregator(model, mains_total(b, args.feature), args.feature)
     nio.save_dataset_dir(
-        predictions_to_dataset(predictions, args.building, feature), args.output
+        predictions_to_dataset(predictions, args.building, args.feature), args.output
     )
     if not args.quiet:
         print(f"wrote predictions -> {args.output}")
@@ -241,16 +246,15 @@ def cmd_disaggregate(args) -> int:
 def cmd_evaluate(args) -> int:
     _pds, pb = _load_building(args.predictions, args.building)
     _tds, tb = _load_building(args.truth, args.building)
-    feature = Measurement.from_column_name(args.feature)
     model = (
         nio.import_model_json(Path(args.model).read_text(encoding="utf-8"))
         if args.model
         else None
     )
-    predictions = predictions_from_dataset(pb, model, feature)
+    predictions = predictions_from_dataset(pb, model, args.feature)
     report = evaluate(
         predictions, tb, on_threshold=args.on_threshold,
-        algorithm=args.algorithm, feature=feature,
+        algorithm=args.algorithm, feature=args.feature,
     )
     if args.output:
         out = Path(args.output)
@@ -301,6 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", default=argparse.SUPPRESS,
         help="suppress progress output",
     )
+    # An unknown measurement is a usage error (exit 2), like a bad config.
+    feature_parent = argparse.ArgumentParser(add_help=False)
+    feature_parent.add_argument("--feature", type=_measurement, default="power_active")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("import", parents=[quiet_parent], help="convert a raw dataset to the canonical layout")
@@ -342,29 +349,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-fraction", type=float, default=None)
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("train", parents=[quiet_parent], help="learn appliance models")
+    p = sub.add_parser("train", parents=[quiet_parent, feature_parent], help="learn appliance models")
     p.add_argument("--input", required=False)
     p.add_argument("--building", type=int, default=1)
     p.add_argument("--algorithm", required=True, choices=VALID_ALGORITHMS)
     p.add_argument("--states", type=int, default=2)
-    p.add_argument("--feature", default="power_active")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("disaggregate", parents=[quiet_parent], help="run a model on a dataset's mains")
+    p = sub.add_parser("disaggregate", parents=[quiet_parent, feature_parent], help="run a model on a dataset's mains")
     p.add_argument("--input", required=False)
     p.add_argument("--building", type=int, default=1)
     p.add_argument("--model", required=True)
-    p.add_argument("--feature", default="power_active")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_disaggregate)
 
-    p = sub.add_parser("evaluate", parents=[quiet_parent], help="score predictions against ground truth")
+    p = sub.add_parser("evaluate", parents=[quiet_parent, feature_parent], help="score predictions against ground truth")
     p.add_argument("--predictions", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--building", type=int, default=1)
     p.add_argument("--model", help="model JSON for state reconstruction")
-    p.add_argument("--feature", default="power_active")
     p.add_argument("--on-threshold", type=float, default=DEFAULT_ON_THRESHOLD_W)
     p.add_argument("--algorithm", default="", help="label written into the report")
     p.add_argument("--output")

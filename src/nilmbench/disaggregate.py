@@ -14,6 +14,12 @@ is exact).  Emissions are Gaussian with mean equal to the sum of state means
 and variance equal to the sum of state variances plus the aggregate noise
 variance.  All scores are kept in log space.
 
+Backpointers are stored per axis: each step keeps, per product state, one
+uint16 code whose mixed-radix digit n is the argmax of the stage that
+maximised over appliance n.  Stage n reads its digit at a mixed index whose
+digits below n are already predecessor digits, so the flat predecessor is
+composed only along the backtracked path, one digit at a time.
+
 Tie-breaking is deterministic everywhere: combinatorial ties prefer the
 smaller total power, then the lexicographically smallest state vector;
 Viterbi ties prefer the lower product-state index (appliance 0 is the most
@@ -32,6 +38,7 @@ from .training import COModel, FHMMModel
 
 CO_COMBINATION_LIMIT = 2**20
 FHMM_STATE_LIMIT = 2**14
+FHMM_BACKPOINTER_LIMIT = 2**30  # bytes
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -73,11 +80,17 @@ def _sizes(model) -> list[int]:
     return [a.K for a in model.appliances]
 
 
-def _strides(sizes: list[int]) -> np.ndarray:
-    strides = np.ones(len(sizes), dtype=np.int64)
-    for n in range(len(sizes) - 2, -1, -1):
-        strides[n] = strides[n + 1] * sizes[n + 1]
-    return strides
+def _strides(sizes: list[int]) -> list[int]:
+    return [math.prod(sizes[n + 1 :]) for n in range(len(sizes))]
+
+
+def _product_sum(per_appliance) -> np.ndarray:
+    """Per-appliance terms summed over the product space, in mixed-radix
+    order (appliance 0 most significant)."""
+    total = np.zeros(1, dtype=np.float64)
+    for v in per_appliance:
+        total = (total[:, None] + v[None, :]).ravel()
+    return total
 
 
 def _predictions_from_states(
@@ -118,11 +131,7 @@ def disaggregate_co(
             f"({CO_COMBINATION_LIMIT}); filter to fewer appliances or states first"
         )
     strides = _strides(sizes)
-    # totals[i] = sum of state means for the combination with mixed-radix
-    # index i (appliance 0 most significant).
-    totals = np.zeros(1, dtype=np.float64)
-    for a in m.appliances:
-        totals = (totals[:, None] + a.means[None, :]).ravel()
+    totals = _product_sum(a.means for a in m.appliances)
     order = np.argsort(totals, kind="stable")  # stable keeps lex order on ties
     sorted_totals = totals[order]
 
@@ -155,61 +164,6 @@ def _log(p: np.ndarray) -> np.ndarray:
         return np.log(p)
 
 
-def _emission_tables(m: FHMMModel) -> tuple[np.ndarray, np.ndarray]:
-    """Sum-of-states emission mean and variance over the product space."""
-    sizes = _sizes(m)
-    mean = np.zeros(sizes[0], dtype=np.float64)
-    var = np.zeros(sizes[0], dtype=np.float64)
-    mean[:] = m.appliances[0].base.means
-    var[:] = m.appliances[0].base.stds**2
-    for a in m.appliances[1:]:
-        mean = (mean[:, None] + a.base.means[None, :]).ravel()
-        var = (var[:, None] + (a.base.stds**2)[None, :]).ravel()
-    return mean, var + m.noise_variance
-
-
-def _emission_loglik(mean: np.ndarray, var: np.ndarray, y: float) -> np.ndarray:
-    return -0.5 * (LOG_2PI + np.log(var) + (y - mean) ** 2 / var)
-
-
-def _max_plus_step(
-    delta: np.ndarray, log_As: list[np.ndarray], sizes: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """One Viterbi transition over the product space without materialising it.
-
-    Maximises over appliance axes from least to most significant so that,
-    with argmax breaking ties toward lower indices at every stage, the
-    composed predecessor is the lexicographically smallest argmax — i.e. the
-    lowest product-state index.
-
-    Returns (new scores flat, predecessor product index per successor state).
-    """
-    N = len(sizes)
-    F = delta.reshape(sizes)
-    backs: list[np.ndarray] = [np.empty(0)] * N
-    for n in range(N - 1, -1, -1):
-        Fm = np.moveaxis(F, n, -1)
-        # scores[..., i, j] = F[..., i] + log A_n[i, j]
-        scores = Fm[..., :, None] + log_As[n]
-        back = np.argmax(scores, axis=-2)
-        F = np.moveaxis(np.max(scores, axis=-2), -1, n)
-        # Axes of backs[n]: (s_0..s_{n-1}, s'_n, s'_{n+1}..s'_{N-1}).
-        backs[n] = np.moveaxis(back, -1, n)
-    # Compose per-axis argmaxes into flat predecessor indices.  Stage n's
-    # best s_n depends on the already-chosen s_0..s_{n-1} and on the
-    # successor digits s'_n..s'_{N-1}.
-    grids = np.indices(sizes)
-    strides = _strides(sizes)
-    chosen: list[np.ndarray] = []
-    pred = np.zeros(sizes, dtype=np.int64)
-    for n in range(N):
-        idx = tuple(chosen) + tuple(grids[k] for k in range(n, N))
-        s_n = backs[n][idx]
-        chosen.append(s_n)
-        pred += s_n * strides[n]
-    return F.ravel(), pred.ravel()
-
-
 def disaggregate_fhmm(
     m: FHMMModel, aggregate: Channel, feature: Measurement = POWER_ACTIVE
 ) -> Predictions:
@@ -223,32 +177,70 @@ def disaggregate_fhmm(
         )
     y = aggregate.values(feature)
     T = y.size
+    if T * S * 2 > FHMM_BACKPOINTER_LIMIT:
+        raise ValueError(
+            f"decoding T={T} steps over S={S} product states needs {T * S * 2} "
+            f"bytes of backpointers, over the limit ({FHMM_BACKPOINTER_LIMIT}); "
+            "split the aggregate into shorter spans or filter to fewer appliances"
+        )
     if T == 0:
         return _predictions_from_states(
             m, aggregate, np.empty((0, len(sizes)), dtype=np.int64)
         )
-    log_As = [_log(a.A) for a in m.appliances]
-    log_pi = np.zeros(1, dtype=np.float64)
-    for a in m.appliances:
-        log_pi = (log_pi[:, None] + _log(a.pi)[None, :]).ravel()
-    em_mean, em_var = _emission_tables(m)
-
-    delta = log_pi + _emission_loglik(em_mean, em_var, y[0])
-    preds = np.empty((T, S), dtype=np.int32) if T > 1 else None
-    for t in range(1, T):
-        delta, pred = _max_plus_step(delta, log_As, sizes)
-        delta += _emission_loglik(em_mean, em_var, y[t])
-        preds[t] = pred
-
-    path = np.empty(T, dtype=np.int64)
-    path[-1] = int(np.argmax(delta))
-    for t in range(T - 1, 0, -1):
-        path[t - 1] = preds[t][path[t]]
-
     strides = _strides(sizes)
+    log_pi = _product_sum(_log(a.pi) for a in m.appliances)
+    em_mean = _product_sum(a.means for a in m.appliances)
+    em_var = _product_sum(a.stds**2 for a in m.appliances) + m.noise_variance
+    log_var = np.log(em_var)
+
+    # Steps run in chunks of ``rows`` sharing one emission table.  Stage n
+    # views the scores as (prefix, K_n, 1, suffix) and adds log A_n as
+    # (K_n, K_n, 1), so axis 1 holds the predecessor digit to maximise out;
+    # for 1 <= i < K_n it marks, per chunk, where its argmax digit is >= i.
+    rows = max(1, 2**16 // S)
+    stages = []
+    for a, K, stride in reversed(list(zip(m.appliances, sizes, strides))):
+        shape = (S // (K * stride), K, stride)
+        masks = np.zeros((K - 1, rows, *shape), dtype=bool)
+        stages.append((shape, _log(a.A)[:, :, None], masks))
+
+    codes = np.empty((T, S), dtype=np.uint16)
+    delta = log_pi
+    for lo in range(0, T, rows):
+        em = -0.5 * (LOG_2PI + log_var + (y[lo : lo + rows, None] - em_mean) ** 2 / em_var)
+        for r in range(em.shape[0]):
+            if lo + r > 0:
+                for (prefix, K, stride), log_A, masks in stages:
+                    scores = delta.reshape(prefix, K, 1, stride) + log_A
+                    delta, below = scores[:, 0], []
+                    for i in range(1, K):
+                        below.append(delta)
+                        delta = np.maximum(delta, scores[:, i])
+                    # The digit is >= i where the max beats every score
+                    # below i; ties keep the lower digit, as argmax would.
+                    for b, mk in zip(below, masks):
+                        np.greater(delta, b, out=mk[r])
+            delta = delta.ravel() + em[r]
+        # A code is the sum over masks of their stage's stride.
+        code = codes[lo : lo + em.shape[0]]
+        code[...] = 0
+        for (_, _, stride), _, masks in stages:
+            for mk in masks[:, : len(code)]:
+                code += mk.reshape(code.shape) * np.uint16(stride)
+
     states = np.empty((T, len(sizes)), dtype=np.int64)
-    for n, size in enumerate(sizes):
-        states[:, n] = (path // strides[n]) % size
+    # Compose the predecessor along the path only: stage 0 reads the code at
+    # the successor, and each chosen digit moves the index for the next stage.
+    idx = int(np.argmax(delta))
+    cur = [idx // stride % K for K, stride in zip(sizes, strides)]
+    for t in range(T - 1, 0, -1):
+        states[t] = cur
+        code_t = codes[t]
+        for n, (K, stride) in enumerate(zip(sizes, strides)):
+            s_n = int(code_t[idx]) // stride % K
+            idx += (s_n - cur[n]) * stride
+            cur[n] = s_n
+    states[0] = cur
     return _predictions_from_states(m, aggregate, states)
 
 

@@ -180,7 +180,10 @@ def _canonical_metric(name) -> str:
 
 
 def config_hash(raw: dict) -> str:
-    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+    """Digest of the config without ``output``: the output path says where
+    results go, not what they are."""
+    content = {k: v for k, v in raw.items() if k != "output"}
+    canonical = json.dumps(content, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

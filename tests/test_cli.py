@@ -135,6 +135,15 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "config_hash" in manifest and "timings_seconds" in manifest
 
+    def test_config_hash_ignores_output_path(self, tmp_path):
+        cfg = base_config(tmp_path, algorithms=["co"])
+        hashes = []
+        for name in ("first", "second"):
+            out = tmp_path / name
+            assert run_cli("--quiet", "run", "--config", str(cfg), "--output", str(out)) == 0
+            hashes.append(json.loads((out / "manifest.json").read_text())["config_hash"])
+        assert hashes[0] == hashes[1]
+
     def test_missing_dataset_path_exit_2(self, tmp_path, capsys):
         cfg = base_config(tmp_path, dataset={"format": "dataset-dir"})
         assert run_cli("--quiet", "run", "--config", str(cfg)) == 2
@@ -257,6 +266,19 @@ class TestReactiveFeature:
         staged = staged_metrics(tmp_path, data, algorithm, "power_reactive")
         one_shot = (out / f"metrics_{algorithm}.json").read_text()
         assert strip_timings(one_shot) == strip_timings(staged)
+
+
+class TestFeatureOption:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--input", "data", "--algorithm", "co", "--output", "model.json"],
+        ["disaggregate", "--input", "data", "--model", "model.json", "--output", "preds"],
+        ["evaluate", "--predictions", "preds", "--truth", "data"],
+    ], ids=["train", "disaggregate", "evaluate"])
+    def test_unknown_feature_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            run_cli("--quiet", *argv, "--feature", "foo")
+        assert e.value.code == 2
+        assert "unknown measurement 'foo'" in capsys.readouterr().err
 
 
 def test_console_entry_point_help():

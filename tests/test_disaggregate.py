@@ -1,12 +1,18 @@
+import json
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nilmbench.data import POWER_ACTIVE
 from nilmbench.disaggregate import (
+    FHMM_BACKPOINTER_LIMIT,
     disaggregate_co,
     disaggregate_fhmm,
     predictions_to_power,
 )
+from nilmbench.pipeline import RunConfig, StageFailure, run
 from nilmbench.synth import ApplianceSynthSpec, SynthSpec, generate
 from nilmbench.training import ApplianceHMM, ApplianceStateModel, COModel, FHMMModel
 
@@ -24,14 +30,23 @@ def state_model(name, means):
     return ApplianceStateModel(name, np.asarray(means, dtype=float), np.full(len(means), 5.0))
 
 
-def random_hmm(rng, name, K, mean_scale=500.0):
+def random_hmm(rng, name, K, mean_scale=500.0, kind="dense"):
+    """Random appliance chain.  ``kind`` "sparse" zeroes some pi and A
+    entries (one positive entry kept per row); "uniform" makes them flat, so
+    scores tie exactly."""
     means = np.sort(rng.uniform(0, mean_scale, K))
     while np.any(np.diff(means) < 1.0):
         means = np.sort(rng.uniform(0, mean_scale, K))
     stds = rng.uniform(2.0, 30.0, K)
-    pi = rng.dirichlet(np.ones(K))
-    A = rng.dirichlet(np.ones(K), size=K)
-    return ApplianceHMM(base=ApplianceStateModel(name, means, stds), pi=pi, A=A)
+    rows = np.vstack([rng.dirichlet(np.ones(K)), rng.dirichlet(np.ones(K), size=K)])
+    if kind == "uniform":
+        rows = np.full((K + 1, K), 1.0 / K)
+    if kind == "sparse":
+        keep = rng.random((K + 1, K)) < 0.5
+        keep[np.arange(K + 1), rng.integers(0, K, K + 1)] = True
+        rows = np.where(keep, rows, 0.0)
+        rows /= rows.sum(axis=1, keepdims=True)
+    return ApplianceHMM(base=ApplianceStateModel(name, means, stds), pi=rows[0], A=rows[1:])
 
 
 def aggregate_channel(y, period=1.0):
@@ -223,6 +238,43 @@ class TestFHMM:
         with pytest.raises(ValueError, match="filter"):
             disaggregate_fhmm(m, aggregate_channel([100.0]))
 
+    def test_backpointer_limit_enforced_before_allocating(self):
+        # 14 two-state appliances: S = 16384, so 40 000 steps would need
+        # 1.3 GB of backpointers.
+        rng = np.random.default_rng(3)
+        apps = tuple(random_hmm(rng, f"a{n}", 2) for n in range(14))
+        m = FHMMModel(appliances=apps, noise_variance=25.0)
+        agg = aggregate_channel(np.zeros(40_000))
+        assert 40_000 * 2**14 * 2 > FHMM_BACKPOINTER_LIMIT
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="T=40000.*S=16384.*split the aggregate"):
+                disaggregate_fhmm(m, agg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**24
+
+    def test_backpointer_limit_names_stage_in_run(self, tmp_path):
+        spec = SynthSpec(
+            appliances=tuple(
+                ApplianceSynthSpec(
+                    name=f"load_{n:02d}", means=(0.0, 100.0 * (n + 1)), stds=(1.0, 5.0),
+                    pi=(0.5, 0.5), A=((0.9, 0.1), (0.1, 0.9)),
+                )
+                for n in range(14)
+            ),
+            seed=5, period=1.0, duration=80_000.0,
+        )
+        cfg = RunConfig.from_dict({
+            "dataset": {"format": "synth", "synth_spec": json.loads(spec.to_json_text())},
+            "split_fraction": 0.5, "algorithms": ["fhmm"],
+            "output": str(tmp_path / "out"), "seed": 5,
+        })
+        with pytest.raises(StageFailure, match="backpointers") as e:
+            run(cfg, quiet=True)
+        assert e.value.stage == "disaggregate_fhmm"
+
     def test_empty_aggregate(self):
         rng = np.random.default_rng(2)
         m = FHMMModel(appliances=(random_hmm(rng, "a", 2),), noise_variance=25.0)
@@ -362,6 +414,47 @@ def test_fhmm_matches_oracle_at_depth_ten():
     apps = tuple(random_hmm(rng, f"a{n}", 2, mean_scale=300.0) for n in range(10))
     m = FHMMModel(appliances=apps, noise_variance=80.0)
     y = rng.uniform(0, 1800, 12)
+    p = disaggregate_fhmm(m, aggregate_channel(y))
+    ph = build_product_hmm(m)
+    path, _ = dense_viterbi(ph.pi, ph.A, ph.emission_means, ph.emission_variances, y)
+    got = states_matrix(p, m)
+    got_idx = np.array([product_index(row, ph.sizes) for row in got])
+    assert np.array_equal(got_idx, path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5).filter(
+        lambda ks: math.prod(ks) <= 64
+    ),
+    kinds=st.lists(st.sampled_from(["dense", "sparse", "uniform"]), min_size=5, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+    T=st.integers(1, 40),
+)
+def test_fhmm_matches_oracle_property(sizes, kinds, seed, T):
+    # Mixed K including one-state appliances, zero-probability entries in
+    # pi and A, and flat rows whose scores tie exactly.
+    rng = np.random.default_rng(seed)
+    apps = tuple(
+        random_hmm(rng, f"a{n}", K, mean_scale=2000.0, kind=kinds[n])
+        for n, K in enumerate(sizes)
+    )
+    m = FHMMModel(appliances=apps, noise_variance=float(rng.uniform(25.0, 90.0)))
+    y = rng.uniform(0.0, 2000.0 * len(sizes), T)
+    p = disaggregate_fhmm(m, aggregate_channel(y))
+    ph = build_product_hmm(m)
+    path, _ = dense_viterbi(ph.pi, ph.A, ph.emission_means, ph.emission_variances, y)
+    got = states_matrix(p, m)
+    assert np.array_equal([product_index(row, ph.sizes) for row in got], path)
+
+
+def test_fhmm_matches_oracle_across_emission_chunks():
+    # S = 1024 decodes in chunks of 64 steps, so T = 200 crosses three chunk
+    # boundaries and ends on a partial chunk.
+    rng = np.random.default_rng(321)
+    apps = tuple(random_hmm(rng, f"a{n}", 2, mean_scale=300.0) for n in range(10))
+    m = FHMMModel(appliances=apps, noise_variance=80.0)
+    y = rng.uniform(0, 1800, 200)
     p = disaggregate_fhmm(m, aggregate_channel(y))
     ph = build_product_hmm(m)
     path, _ = dense_viterbi(ph.pi, ph.A, ph.emission_means, ph.emission_variances, y)
