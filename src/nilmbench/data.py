@@ -153,6 +153,21 @@ def select_window(c: Channel, start: float, end: float) -> Channel:
     return c.take(mask)
 
 
+def outside_gaps(t: np.ndarray, gaps) -> np.ndarray:
+    """Mask of the timestamps strictly inside none of the ``(start, end)`` gaps.
+
+    Gaps are open intervals and may overlap.
+    """
+    spans = sorted((start, end) for start, end in gaps if start < end)
+    if not spans:
+        return np.ones(t.size, dtype=bool)
+    starts, ends = np.array(spans, dtype=np.float64).T
+    # t is inside a gap iff the gaps opening before t reach past it.
+    reach = np.maximum.accumulate(ends)
+    i = np.searchsorted(starts, t, side="left") - 1
+    return ~((i >= 0) & (t < reach[np.maximum(i, 0)]))
+
+
 # ---------------------------------------------------------------------------
 # Buildings and datasets
 # ---------------------------------------------------------------------------

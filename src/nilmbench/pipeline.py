@@ -10,9 +10,9 @@ output directory:
     metrics.csv               all algorithms merged
     manifest.json             config hash, seed, per-stage wall-clock seconds
 
-Evaluation deliberately reloads the predictions and the model from the files
-just written, so a one-shot run and the same stages chained through the
-filesystem produce identical reports.
+Evaluation scores the predictions the decoder returned, in memory.  The
+written model and predictions are what the staged ``train``,
+``disaggregate`` and ``evaluate`` commands read.
 """
 
 from __future__ import annotations
@@ -278,8 +278,10 @@ def predictions_from_dataset(
 ) -> Predictions:
     """Rebuild a Predictions object from saved power channels plus a model.
 
-    State indices are recovered by nearest-state-mean assignment; since
-    saved powers are exact state means this reproduces the decoder output.
+    State indices are recovered by nearest-state-mean assignment.  Written
+    powers are the decoded state means floored at 0 W, so this reproduces
+    the decoder's states when no state mean is negative; the 0 W written for
+    a negative mean can lie nearer another state.
     Without a model the predictions carry no state means, and evaluation
     scores on/off states from the on-threshold instead.
     """
@@ -346,21 +348,15 @@ def run(cfg: RunConfig, raw_config: dict | None = None, quiet: bool = False) -> 
     for alg in cfg.algorithms:
         trainer, disaggregator, _ = algorithms()[alg]
         model = stage(f"train_{alg}", lambda: trainer(train_b, cfg.feature, cfg.states))
-        model_path = out / f"model_{alg}.json"
-        model_path.write_text(nio.export_model_json(model) + "\n", encoding="utf-8")
-        # Round-trip through JSON so in-memory and staged runs see the
-        # exact same parameters.
-        model = nio.import_model_json(model_path.read_text(encoding="utf-8"))
+        (out / f"model_{alg}.json").write_text(
+            nio.export_model_json(model) + "\n", encoding="utf-8"
+        )
         predictions = stage(
             f"disaggregate_{alg}", lambda: disaggregator(model, aggregate, cfg.feature)
         )
-        pred_dir = out / f"predictions_{alg}"
         nio.save_dataset_dir(
-            predictions_to_dataset(predictions, cfg.building, cfg.feature), pred_dir
-        )
-        reloaded = nio.load_dataset_dir(pred_dir)
-        predictions = predictions_from_dataset(
-            reloaded.buildings[cfg.building], model, cfg.feature
+            predictions_to_dataset(predictions, cfg.building, cfg.feature),
+            out / f"predictions_{alg}",
         )
         report = stage(
             f"evaluate_{alg}",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import POWER_ACTIVE, Building, Channel, Measurement
+from .data import POWER_ACTIVE, Building, Channel, Measurement, outside_gaps
 from .diagnostics import default_gap_threshold, detect_gaps
 
 # Exceeds typical standby draw; per-appliance override via metadata.
@@ -50,17 +50,6 @@ def energy_joules(
     return float(np.sum(dt[keep] * mean_p[keep]))
 
 
-def _mask_out_gaps(c: Channel, gaps) -> Channel:
-    """Remove samples falling strictly inside any of the given gaps."""
-    if not gaps:
-        return c
-    t = c.timestamps
-    keep = np.ones(t.size, dtype=bool)
-    for g in gaps:
-        keep &= ~((t > g.start) & (t < g.end))
-    return c.take(keep)
-
-
 def proportion_energy_submetered(
     b: Building, gap_threshold: float | None = None
 ) -> float:
@@ -77,12 +66,12 @@ def proportion_energy_submetered(
     for m in b.mains:
         threshold = gap_threshold if gap_threshold is not None else default_gap_threshold(m)
         mains_energy += energy_joules(m, threshold)
-        mains_gaps.extend(detect_gaps(m, threshold))
+        mains_gaps.extend((g.start, g.end) for g in detect_gaps(m, threshold))
     if mains_energy == 0.0:
         raise ValueError(f"building {b.id}: no mains energy")
     appliance_energy = 0.0
     for c in b.appliances.values():
-        masked = _mask_out_gaps(c, mains_gaps)
+        masked = c.take(outside_gaps(c.timestamps, mains_gaps))
         appliance_energy += energy_joules(masked, gap_threshold)
     return appliance_energy / mains_energy
 
@@ -178,22 +167,18 @@ def on_off_durations(
         gap_threshold = default_gap_threshold(c)
     t = c.timestamps
     on = c.values(feature) > on_threshold
-    on_runs: list[float] = []
-    off_runs: list[float] = []
-    section_breaks = np.nonzero(np.diff(t) > gap_threshold)[0]
-    starts = np.concatenate(([0], section_breaks + 1))
-    ends = np.concatenate((section_breaks, [t.size - 1]))
-    for s, e in zip(starts, ends):
-        run_start = s
-        for i in range(s + 1, e + 1):
-            if on[i] != on[run_start]:
-                dur = float(t[i] - t[run_start])
-                (on_runs if on[run_start] else off_runs).append(dur)
-                run_start = i
-        dur = float(t[e] - t[run_start])
-        if dur > 0:
-            (on_runs if on[run_start] else off_runs).append(dur)
-    return on_runs, off_runs
+    # A run starts at each section start and at each on/off change; it ends
+    # at the next run's start, or at its section's last sample.
+    section_start = np.ones(t.size + 1, dtype=bool)
+    section_start[1:-1] = np.diff(t) > gap_threshold
+    run_start = np.nonzero(section_start[:-1])[0]
+    run_start = np.union1d(run_start, np.nonzero(on[1:] != on[:-1])[0] + 1)
+    nxt = np.append(run_start[1:], t.size)
+    last_in_section = section_start[nxt]
+    dur = t[np.where(last_in_section, nxt - 1, nxt)] - t[run_start]
+    keep = ~last_in_section | (dur > 0)
+    run_on = on[run_start]
+    return dur[keep & run_on].tolist(), dur[keep & ~run_on].tolist()
 
 
 @dataclass(frozen=True)
@@ -225,9 +210,8 @@ def daily_energy(
     Each trapezoid contributes to the day of its left sample; pairs wider
     than the gap threshold contribute nothing.
     """
-    out: dict[int, float] = {}
     if len(c) < 2:
-        return out
+        return {}
     if gap_threshold is None:
         gap_threshold = default_gap_threshold(c)
     t = c.timestamps
@@ -236,9 +220,10 @@ def daily_energy(
     mean_p = 0.5 * (p[:-1] + p[1:])
     days = np.floor((t[:-1] / 86400.0) + utc_offset_hours / 24.0).astype(int)
     keep = dt <= gap_threshold
-    for day, e in zip(days[keep], dt[keep] * mean_p[keep]):
-        out[int(day)] = out.get(int(day), 0.0) + float(e)
-    return out
+    day_keys, day_index = np.unique(days[keep], return_inverse=True)
+    # bincount adds each day's terms left to right, starting from 0.0.
+    sums = np.bincount(day_index, weights=dt[keep] * mean_p[keep])
+    return dict(zip(day_keys.tolist(), sums.tolist()))
 
 
 def ols(x: np.ndarray, y: np.ndarray) -> RegressionResult:

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .data import Building, Channel, DataSet, POWER_ACTIVE
+from .data import Building, Channel, DataSet, POWER_ACTIVE, outside_gaps
 
 
 @dataclass(frozen=True)
@@ -119,27 +120,30 @@ class SynthSpec:
 
 
 def _sample_chain(rng: np.random.Generator, spec: ApplianceSynthSpec, n: int) -> np.ndarray:
-    pi = np.asarray(spec.pi)
-    cum_rows = np.cumsum(np.asarray(spec.A), axis=1)
-    states = np.empty(n, dtype=np.int64)
+    """n chain states, state t drawn by inverse CDF from uniform draw t.
+
+    All draws come first, so the successor of every possible previous state
+    is looked up for all draws at once; only the walk through that table is
+    sequential.
+    """
     u = rng.random(n)
-    states[0] = np.searchsorted(np.cumsum(pi), u[0], side="right")
-    for t in range(1, n):
-        states[t] = np.searchsorted(cum_rows[states[t - 1]], u[t], side="right")
-    # Guard against u landing exactly on a cumulative 1.0 boundary.
-    np.clip(states, 0, spec.K - 1, out=states)
-    return states
+    # The clip guards against u landing on a cumulative 1.0 boundary.
+    last = spec.K - 1
+    first = min(int(np.searchsorted(np.cumsum(spec.pi), u[0], side="right")), last)
+    successor = [
+        np.minimum(np.searchsorted(row, u, side="right"), last).tolist()
+        for row in np.cumsum(np.asarray(spec.A), axis=1)
+    ]
+    walk = accumulate(range(1, n), lambda s, t: successor[s][t], initial=first)
+    return np.fromiter(walk, dtype=np.int64, count=n)
 
 
 def _apply_faults(
     c: Channel, spec: SynthSpec, rng: np.random.Generator
 ) -> Channel:
-    t = c.timestamps
-    keep = np.ones(t.size, dtype=bool)
-    for start, end in spec.gaps:
-        keep &= ~((t > start) & (t < end))
+    keep = outside_gaps(c.timestamps, spec.gaps)
     if spec.dropout_probability > 0:
-        keep &= rng.random(t.size) >= spec.dropout_probability
+        keep &= rng.random(len(c)) >= spec.dropout_probability
     return c.take(keep)
 
 

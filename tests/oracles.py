@@ -149,3 +149,55 @@ def trapezoid_energy(t, p) -> float:
     t = np.asarray(t, dtype=float)
     p = np.asarray(p, dtype=float)
     return float(np.sum(np.diff(t) * 0.5 * (p[:-1] + p[1:])))
+
+
+def sample_chain_loop(rng, pi, A, n) -> np.ndarray:
+    """Markov chain with one inverse-CDF lookup per sample, in draw order."""
+    cum_rows = np.cumsum(np.asarray(A), axis=1)
+    states = np.empty(n, dtype=np.int64)
+    u = rng.random(n)
+    states[0] = np.searchsorted(np.cumsum(pi), u[0], side="right")
+    for t in range(1, n):
+        states[t] = np.searchsorted(cum_rows[states[t - 1]], u[t], side="right")
+    np.clip(states, 0, len(pi) - 1, out=states)
+    return states
+
+
+def outside_gaps_loop(t, gaps) -> np.ndarray:
+    """Keep-mask with one pass over the samples per open (start, end) gap."""
+    keep = np.ones(t.size, dtype=bool)
+    for start, end in gaps:
+        keep &= ~((t > start) & (t < end))
+    return keep
+
+
+def on_off_durations_loop(t, on, gap_threshold) -> tuple[list, list]:
+    """Per-sample walk over the on/off runs of each gap-free section."""
+    on_runs: list[float] = []
+    off_runs: list[float] = []
+    section_breaks = np.nonzero(np.diff(t) > gap_threshold)[0]
+    starts = np.concatenate(([0], section_breaks + 1))
+    ends = np.concatenate((section_breaks, [t.size - 1]))
+    for s, e in zip(starts, ends):
+        run_start = s
+        for i in range(s + 1, e + 1):
+            if on[i] != on[run_start]:
+                dur = float(t[i] - t[run_start])
+                (on_runs if on[run_start] else off_runs).append(dur)
+                run_start = i
+        dur = float(t[e] - t[run_start])
+        if dur > 0:
+            (on_runs if on[run_start] else off_runs).append(dur)
+    return on_runs, off_runs
+
+
+def daily_energy_loop(t, p, gap_threshold, utc_offset_hours=0.0) -> dict:
+    """Per-trapezoid dict accumulation of energy by the left sample's day."""
+    out: dict[int, float] = {}
+    dt = np.diff(t)
+    mean_p = 0.5 * (p[:-1] + p[1:])
+    days = np.floor((t[:-1] / 86400.0) + utc_offset_hours / 24.0).astype(int)
+    keep = dt <= gap_threshold
+    for day, e in zip(days[keep], dt[keep] * mean_p[keep]):
+        out[int(day)] = out.get(int(day), 0.0) + float(e)
+    return out

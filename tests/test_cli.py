@@ -1,13 +1,16 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from nilmbench import pipeline
 from nilmbench.cli import main
 from nilmbench.data import POWER_ACTIVE, POWER_REACTIVE, DataSet
 from nilmbench.io import save_dataset_dir
-from nilmbench.preprocess import map_channels
+from nilmbench.preprocess import map_channels, train_test_split
 from nilmbench.synth import default_benchmark_spec, generate
 
 from conftest import mk_building, mk_channel
@@ -190,6 +193,55 @@ class TestRun:
         report = json.loads((tmp_path / "out" / "metrics_fhmm.json").read_text())
         for metrics in report["appliances"].values():
             assert "f_score" in metrics
+
+
+    @pytest.mark.parametrize(
+        "grid", [{"start": 0.1234567}, {"period": 0.1}], ids=["start", "period"]
+    )
+    def test_run_scores_every_test_row_off_microsecond_grid(self, tmp_path, grid):
+        # The CSV writer rounds timestamps to whole microseconds; the run
+        # must score the decoder's predictions on their own timestamps.
+        spec = default_benchmark_spec(seed=3)
+        spec = replace(
+            spec,
+            appliances=spec.appliances[:2],
+            period=grid.get("period", 60.0),
+            duration=2000 * grid.get("period", 60.0),
+            start=grid.get("start", 0.0),
+        )
+        raw = {
+            "dataset": {"format": "synth", "synth_spec": json.loads(spec.to_json_text())},
+            "algorithms": ["co", "fhmm"],
+            "output": str(tmp_path / "out"),
+        }
+        result = pipeline.run(pipeline.RunConfig.from_dict(raw), raw, quiet=True)
+        ds, _ = generate(spec)
+        _, test_b = train_test_split(ds.buildings[1], 0.5)
+        n_test = len(test_b.mains[0])
+        assert n_test == 1000
+        for alg in ("co", "fhmm"):
+            report = result.reports[alg]
+            assert [a.counts.total for a in report.appliances] == [n_test, n_test], alg
+
+    def test_negative_state_mean_scored_as_decoded(self, tmp_path):
+        # Powers are written floored at 0 W, so a reload would read the
+        # -30 W state back as the 20 W one.
+        t = np.arange(400, dtype=float)
+        power = np.tile([-30.0, 20.0, 20.0, 20.0], 100)
+        b = mk_building(
+            mains=[mk_channel(t, power, cid="mains_1")],
+            appliances={"fridge": mk_channel(t, power, cid="fridge")},
+        )
+        data = tmp_path / "data"
+        save_dataset_dir(DataSet("negative", {1: b}), data)
+        cfg = base_config(
+            tmp_path,
+            dataset={"format": "dataset-dir", "path": str(data)},
+            algorithms=["co"],
+        )
+        assert run_cli("--quiet", "run", "--config", str(cfg)) == 0
+        report = json.loads((tmp_path / "out" / "metrics_co.json").read_text())
+        assert report["appliances"]["fridge"]["confusion"] == [[50, 0], [0, 150]]
 
 
 class TestStagedEqualsRun:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nilmbench.stats import (
     correlate_daily,
@@ -15,7 +15,7 @@ from nilmbench.stats import (
 )
 
 from conftest import mk_building, mk_channel
-from oracles import trapezoid_energy
+from oracles import daily_energy_loop, on_off_durations_loop, trapezoid_energy
 
 
 def constant_channel(watts, n=100, cid="c", period=1.0):
@@ -212,6 +212,43 @@ class TestOnOffDurations:
         c = mk_channel(np.arange(len(powers), dtype=float), powers)
         on, off = on_off_durations(c, gap_threshold=5.0)
         assert sum(on) + sum(off) == len(powers) - 1
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0.5, 1.0, 2.25, 7.0]), st.sampled_from([0.0, 5.0, 50.0])),
+            min_size=1, max_size=80,
+        ),
+        st.sampled_from([1.0, 2.5, 6.0]),
+    )
+    def test_matches_per_sample_loop(self, steps, gap):
+        t = np.cumsum([dt for dt, _ in steps])
+        p = np.array([w for _, w in steps])
+        got = on_off_durations(mk_channel(t, p), on_threshold=10.0, gap_threshold=gap)
+        assert got == on_off_durations_loop(t, p > 10.0, gap)
+
+
+class TestDailyEnergy:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-3e5, 3e5, allow_nan=False),
+        st.lists(
+            st.tuples(
+                st.sampled_from([60.0, 3599.5, 20000.0, 90000.0]),
+                st.floats(0.0, 3000.0, allow_nan=False),
+            ),
+            min_size=1, max_size=60,
+        ),
+        st.sampled_from([4000.0, 25000.0, 1e6]),
+        st.sampled_from([0.0, 5.5, -8.0]),
+    )
+    def test_matches_per_sample_loop(self, t0, steps, gap, utc_offset):
+        t = t0 + np.cumsum([dt for dt, _ in steps])
+        p = np.array([w for _, w in steps])
+        got = daily_energy(mk_channel(t, p), gap, utc_offset)
+        want = daily_energy_loop(t, p, gap, utc_offset)
+        assert list(got.items()) == list(want.items())
 
 
 def _per_day_constant_channel(day_powers):

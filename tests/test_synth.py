@@ -3,12 +3,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilmbench.data import POWER_ACTIVE, Gap
 from nilmbench.diagnostics import detect_gaps
 from nilmbench.io import save_dataset_dir
 from nilmbench.stats import proportion_energy_submetered, top_k_appliances
-from nilmbench.synth import ApplianceSynthSpec, SynthSpec, default_benchmark_spec, generate
+from nilmbench.synth import (
+    ApplianceSynthSpec,
+    SynthSpec,
+    _sample_chain,
+    default_benchmark_spec,
+    generate,
+)
+
+from oracles import sample_chain_loop
 
 
 def two_state(name, on_watts, p_stay=0.9, pi=(0.5, 0.5), stds=(0.0, 0.0)):
@@ -184,3 +193,30 @@ class TestConstructorsValidateClean:
         save_dataset_dir(ds, tmp_path / "ds")
         again = load_dataset_dir(tmp_path / "ds")
         assert validate_building(again.buildings[1]) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sample_chain_matches_per_sample_loop(data):
+    K = data.draw(st.integers(1, 4))
+    weights = st.lists(st.sampled_from([0, 0, 1, 2, 7]), min_size=K, max_size=K).filter(any)
+
+    def distribution():
+        w = data.draw(weights)
+        return tuple(x / sum(w) for x in w)
+
+    spec = ApplianceSynthSpec(
+        name="a",
+        means=tuple(float(k) for k in range(K)),
+        stds=(0.0,) * K,
+        pi=distribution(),
+        A=tuple(distribution() for _ in range(K)),
+    )
+    n = data.draw(st.integers(1, 2000))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(
+        _sample_chain(rng, spec, n), sample_chain_loop(oracle_rng, spec.pi, spec.A, n)
+    )
+    # Same draws consumed: the generator continues in step.
+    assert rng.random() == oracle_rng.random()
