@@ -158,14 +158,10 @@ def outside_gaps(t: np.ndarray, gaps) -> np.ndarray:
 
     Gaps are open intervals and may overlap.
     """
-    spans = sorted((start, end) for start, end in gaps if start < end)
-    if not spans:
-        return np.ones(t.size, dtype=bool)
-    starts, ends = np.array(spans, dtype=np.float64).T
-    # t is inside a gap iff the gaps opening before t reach past it.
-    reach = np.maximum.accumulate(ends)
-    i = np.searchsorted(starts, t, side="left") - 1
-    return ~((i >= 0) & (t < reach[np.maximum(i, 0)]))
+    keep = np.ones(t.size, dtype=bool)
+    for start, end in gaps:
+        keep &= ~((t > start) & (t < end))
+    return keep
 
 
 # ---------------------------------------------------------------------------

@@ -163,14 +163,6 @@ def sample_chain_loop(rng, pi, A, n) -> np.ndarray:
     return states
 
 
-def outside_gaps_loop(t, gaps) -> np.ndarray:
-    """Keep-mask with one pass over the samples per open (start, end) gap."""
-    keep = np.ones(t.size, dtype=bool)
-    for start, end in gaps:
-        keep &= ~((t > start) & (t < end))
-    return keep
-
-
 def on_off_durations_loop(t, on, gap_threshold) -> tuple[list, list]:
     """Per-sample walk over the on/off runs of each gap-free section."""
     on_runs: list[float] = []

@@ -16,7 +16,6 @@ from nilmbench.data import (
 )
 
 from conftest import mk_building, mk_channel
-from oracles import outside_gaps_loop
 
 
 class TestMeasurement:
@@ -88,14 +87,6 @@ class TestOutsideGaps:
         gaps = [(2.0, 5.0), (4.0, 7.0), (8.5, 11.5), (9.0, 10.0), (11.0, 3.0)]
         keep = outside_gaps(t, gaps)
         assert t[keep].tolist() == [0.0, 1.0, 2.0, 7.0, 8.0]
-
-    @given(
-        st.lists(st.one_of(st.floats(-30, 130), st.floats()), max_size=40),
-        st.lists(st.tuples(st.floats(-20, 120), st.floats(-20, 120)), max_size=6),
-    )
-    def test_matches_per_gap_loop(self, ts, gaps):
-        t = np.array(ts, dtype=float)
-        assert np.array_equal(outside_gaps(t, gaps), outside_gaps_loop(t, gaps))
 
 
 class TestCanonicalLabel:
