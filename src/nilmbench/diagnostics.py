@@ -25,19 +25,28 @@ def default_gap_threshold(c: Channel) -> float:
     return DEFAULT_GAP_FACTOR * c.nominal_period
 
 
-def detect_gaps(c: Channel, threshold: float) -> list[Gap]:
-    """Gaps between consecutive samples spaced more than ``threshold`` apart.
+def gap_breaks(c: Channel, threshold: float | None = None) -> np.ndarray:
+    """One flag per consecutive sample pair: True where the two samples are
+    more than ``threshold`` apart (default ``3 * nominal_period``).
+
+    This is the gap rule; every diagnostic and statistic that stops at gaps
+    reads it here.
+    """
+    if threshold is None:
+        threshold = default_gap_threshold(c)
+    if not threshold > 0:
+        raise ValueError("gap threshold must be > 0")
+    return np.diff(c.timestamps) > threshold
+
+
+def detect_gaps(c: Channel, threshold: float | None = None) -> list[Gap]:
+    """The gaps of :func:`gap_breaks` as (start, end) sample times.
 
     Returned gaps are ordered and non-overlapping.  A channel with fewer
     than 2 samples has no gaps.
     """
-    if not threshold > 0:
-        raise ValueError("gap threshold must be > 0")
     t = c.timestamps
-    if t.size < 2:
-        return []
-    diffs = np.diff(t)
-    idx = np.nonzero(diffs > threshold)[0]
+    idx = np.nonzero(gap_breaks(c, threshold))[0]
     return [Gap(float(t[i]), float(t[i + 1])) for i in idx]
 
 
@@ -62,13 +71,8 @@ def dropout_rate_ignoring_gaps(c: Channel, gap_threshold: float | None = None) -
     not count as lost samples.  Equals :func:`dropout_rate` when there are no
     gaps.
     """
-    if len(c) < 2:
-        return 0.0
-    if gap_threshold is None:
-        gap_threshold = default_gap_threshold(c)
     t = c.timestamps
-    diffs = np.diff(t)
-    boundaries = np.nonzero(diffs > gap_threshold)[0]
+    boundaries = np.nonzero(gap_breaks(c, gap_threshold))[0]
     starts = np.concatenate(([0], boundaries + 1))
     ends = np.concatenate((boundaries, [t.size - 1]))
     total_weight = 0.0
@@ -89,10 +93,6 @@ def dropout_rate_ignoring_gaps(c: Channel, gap_threshold: float | None = None) -
 
 def uptime(c: Channel, gap_threshold: float | None = None) -> float:
     """Recording span minus the duration of all gaps, in seconds."""
-    if len(c) < 2:
-        return 0.0
-    if gap_threshold is None:
-        gap_threshold = default_gap_threshold(c)
     gap_total = sum(g.duration for g in detect_gaps(c, gap_threshold))
     return c.span - gap_total
 
@@ -156,16 +156,15 @@ class DiagnosticReport:
 def diagnose_channel(
     c: Channel, role: str, name: str, gap_threshold: float | None = None
 ) -> ChannelDiagnostics:
-    threshold = gap_threshold if gap_threshold is not None else default_gap_threshold(c)
-    gaps = tuple(detect_gaps(c, threshold))
-    up = uptime(c, threshold)
+    gaps = tuple(detect_gaps(c, gap_threshold))
+    up = uptime(c, gap_threshold)
     span = c.span
     return ChannelDiagnostics(
         channel=name,
         role=role,
         gaps=gaps,
         dropout_rate=dropout_rate(c),
-        dropout_rate_ignoring_gaps=dropout_rate_ignoring_gaps(c, threshold),
+        dropout_rate_ignoring_gaps=dropout_rate_ignoring_gaps(c, gap_threshold),
         uptime_seconds=up,
         percent_uptime=up / span if span > 0 else 0.0,
     )

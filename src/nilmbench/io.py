@@ -208,27 +208,15 @@ def _load_house(house: Path, bid: int) -> Building:
         periods = raw.get("channel_periods", {})
     elec = house / "utility" / "electricity"
 
-    def period_for(rel: str, default: float = 1.0) -> float:
-        return float(periods.get(rel, b_meta.get("nominal_period", default)))
+    def read_dir(sub: str) -> list[Channel]:
+        """The channels of ``elec/<sub>/*.csv`` in file-name order."""
+        default = b_meta.get("nominal_period", 1.0)
+        return [
+            _read_channel_csv(f, f.stem, float(periods.get(f"{sub}/{f.stem}", default)))
+            for f in sorted((elec / sub).glob("*.csv"))
+        ]
 
-    mains = []
-    mains_dir = elec / "mains"
-    if mains_dir.is_dir():
-        for f in sorted(mains_dir.glob("*.csv")):
-            rel = f"mains/{f.stem}"
-            mains.append(_read_channel_csv(f, f.stem, period_for(rel)))
-    circuits = []
-    circuits_dir = elec / "circuits"
-    if circuits_dir.is_dir():
-        for f in sorted(circuits_dir.glob("*.csv")):
-            rel = f"circuits/{f.stem}"
-            circuits.append(_read_channel_csv(f, f.stem, period_for(rel)))
-    appliances = {}
-    appliances_dir = elec / "appliances"
-    if appliances_dir.is_dir():
-        for f in sorted(appliances_dir.glob("*.csv")):
-            rel = f"appliances/{f.stem}"
-            appliances[f.stem] = _read_channel_csv(f, f.stem, period_for(rel))
+    mains, circuits, appliances = map(read_dir, ("mains", "circuits", "appliances"))
     wiring: tuple = ()
     wiring_path = elec / "wiring.json"
     if wiring_path.exists():
@@ -240,7 +228,7 @@ def _load_house(house: Path, bid: int) -> Building:
         id=bid,
         mains=tuple(mains),
         circuits=tuple(circuits),
-        appliances=appliances,
+        appliances={c.id: c for c in appliances},
         metadata=b_meta,
         wiring=wiring,
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,6 +47,24 @@ METRIC_DISPLAY_NAMES = {
     "train_seconds": "Train time (s)",
     "disaggregate_seconds": "Disaggregate time (s)",
 }
+
+# Per-appliance metric keys, in report order.
+APPLIANCE_METRICS = (
+    "error_total_energy", "nep", "rmse", "tp", "fp", "fn", "tn",
+    "tpr", "fpr", "precision", "recall", "f_score",
+)
+# The names a run config may select, and the other spellings it may use.
+KNOWN_METRICS = (*APPLIANCE_METRICS, "fte", "hamming_loss", "confusion")
+_METRIC_ALIASES = {"f1": "f_score", "f-score": "f_score", "f_score": "f_score"}
+
+
+def canonical_metric(name) -> str:
+    """The known metric a selection entry names; ValueError if none."""
+    key = str(name).strip().lower().replace(" ", "_")
+    key = _METRIC_ALIASES.get(key, key)
+    if key not in KNOWN_METRICS:
+        raise ValueError(f"unknown entry: {name!r} (valid: {', '.join(KNOWN_METRICS)})")
+    return key
 
 
 def power_to_states(
@@ -228,27 +246,15 @@ class ApplianceMetrics:
 
     def as_dict(self) -> dict:
         return {
-            "error_total_energy": self.error_total_energy,
-            "nep": self.nep,
-            "rmse": self.rmse,
-            "tp": self.counts.tp,
-            "fp": self.counts.fp,
-            "fn": self.counts.fn,
-            "tn": self.counts.tn,
-            "tpr": self.tpr,
-            "fpr": self.fpr,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_score": self.f_score,
+            **{k: getattr(self.counts if k in _COUNT_KEYS else self, k) for k in APPLIANCE_METRICS},
             "confusion": self.confusion.tolist(),
             "undefined": sorted(self.undefined),
         }
 
 
-_AVERAGED_KEYS = (
-    "error_total_energy", "nep", "rmse", "tpr", "fpr",
-    "precision", "recall", "f_score",
-)
+_COUNT_KEYS = {f.name for f in fields(ClassificationCounts)}
+# Every per-appliance metric but the raw counts.
+_AVERAGED_KEYS = tuple(k for k in APPLIANCE_METRICS if k not in _COUNT_KEYS)
 
 
 @dataclass(frozen=True)
@@ -312,10 +318,7 @@ class MetricReport:
 
         for a in self.appliances:
             d = a.as_dict()
-            for key in (
-                "error_total_energy", "nep", "rmse", "tp", "fp", "fn", "tn",
-                "tpr", "fpr", "precision", "recall", "f_score",
-            ):
+            for key in APPLIANCE_METRICS:
                 row(a.name, key, d[key])
             if wanted("confusion"):
                 K = a.confusion.shape[0]

@@ -34,7 +34,7 @@ from .disaggregate import (
     disaggregate_fhmm,
     predictions_to_power,
 )
-from .metrics import MetricReport, evaluate
+from .metrics import MetricReport, canonical_metric, evaluate
 from .preprocess import (
     downsample,
     filter_contribution,
@@ -83,7 +83,6 @@ class RunConfig:
     algorithms: tuple[str, ...] = ("co", "fhmm")
     states: int = 2
     on_threshold: float = DEFAULT_ON_THRESHOLD_W
-    gap_threshold: float | None = None
     metrics: tuple[str, ...] | None = None
     output: str = "out"
     seed: int = 42
@@ -98,85 +97,84 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, data_dir: str | None = None) -> "RunConfig":
-        dataset = raw.get("dataset")
-        if not isinstance(dataset, dict):
-            raise ConfigError("config field 'dataset' is required")
-        fmt = dataset.get("format", "dataset-dir")
+        def get(name: str, convert, default=None):
+            return _convert(name, raw.get(name, default), convert)
+
+        seed = get("seed", int, 42)
+        dataset = get("dataset", lambda v: _valid(v, isinstance(v, dict), "is required"))
+        fmt = _convert("dataset.format", dataset.get("format", "dataset-dir"), _dataset_format)
         path = dataset.get("path", data_dir)
         spec = None
-        if fmt == "synth":
-            spec_raw = dataset.get("synth_spec")
-            if spec_raw is None:
-                spec = default_benchmark_spec(seed=int(raw.get("seed", 42)))
-            else:
-                spec_dict = dict(spec_raw)
-                if "seed" in raw:  # run-level seed wins for reproducible sweeps
-                    spec_dict["seed"] = int(raw["seed"])
-                try:
-                    spec = SynthSpec.from_json_text(json.dumps(spec_dict))
-                except ValueError as e:
-                    raise ConfigError(f"config field 'dataset.synth_spec': {e}") from None
-        elif fmt in ("dataset-dir", "redd"):
-            if not path:
-                raise ConfigError("config field 'dataset.path' is required")
+        if fmt != "synth":
+            path = _convert("dataset.path", path, lambda v: _valid(v, bool(v), "is required"))
+        elif dataset.get("synth_spec") is None:
+            spec = default_benchmark_spec(seed=seed)
         else:
-            raise ConfigError(f"config field 'dataset.format' unknown: {fmt!r}")
-        algorithms = tuple(raw.get("algorithms", ["co", "fhmm"]))
-        for alg in algorithms:
-            if alg not in VALID_ALGORITHMS:
-                raise ConfigError(f"config field 'algorithms' unknown entry: {alg!r}")
-        if not algorithms:
-            raise ConfigError("config field 'algorithms' must not be empty")
-        split = float(raw.get("split_fraction", 0.5))
-        if not 0 < split < 1:
-            raise ConfigError("config field 'split_fraction' must be in (0, 1)")
-        feature = raw.get("feature", "power_active")
-        try:
-            measurement = Measurement.from_column_name(feature)
-        except ValueError:
-            raise ConfigError(f"config field 'feature' unknown: {feature!r}") from None
-        steps = raw.get("preprocess", [])
-        if not isinstance(steps, list) or any("op" not in s for s in steps):
-            raise ConfigError("config field 'preprocess' must be a list of {op: ...}")
-        metrics = raw.get("metrics")
-        if metrics is not None:
-            metrics = tuple(_canonical_metric(m) for m in metrics)
+            # A run-level seed wins over the spec's, for reproducible sweeps.
+            override = {"seed": seed} if "seed" in raw else {}
+            spec = _convert(
+                "dataset.synth_spec", dataset["synth_spec"],
+                lambda s: SynthSpec.from_json_text(json.dumps({**s, **override})),
+            )
         return cls(
             dataset_path=path,
             dataset_format=fmt,
             synth_spec=spec,
-            building=int(raw.get("building", 1)),
-            feature=measurement,
-            preprocess=steps,
-            split_fraction=split,
-            algorithms=algorithms,
-            states=int(raw.get("states", 2)),
-            on_threshold=float(raw.get("on_threshold", DEFAULT_ON_THRESHOLD_W)),
-            gap_threshold=raw.get("gap_threshold"),
-            metrics=metrics,
-            output=str(raw.get("output", "out")),
-            seed=int(raw.get("seed", 42)),
+            building=get("building", int, 1),
+            feature=get("feature", lambda v: Measurement.from_column_name(str(v)), "power_active"),
+            preprocess=get("preprocess", _steps, []),
+            split_fraction=get("split_fraction", _open_fraction, 0.5),
+            algorithms=get("algorithms", _algorithms, ["co", "fhmm"]),
+            states=get("states", int, 2),
+            on_threshold=get("on_threshold", float, DEFAULT_ON_THRESHOLD_W),
+            metrics=get("metrics", lambda v: None if v is None else _entries(v, canonical_metric)),
+            output=get("output", str, "out"),
+            seed=seed,
         )
 
 
-KNOWN_METRICS = (
-    "error_total_energy", "nep", "rmse", "tp", "fp", "fn", "tn",
-    "tpr", "fpr", "precision", "recall", "f_score", "fte",
-    "hamming_loss", "confusion",
-)
+def _convert(name: str, value, convert):
+    """``convert(value)`` for config field ``name``.
 
-_METRIC_ALIASES = {"f1": "f_score", "f-score": "f_score", "f_score": "f_score"}
+    Every run-config field is read through here, so a missing, mistyped or
+    out-of-range value is a ConfigError that names its field.
+    """
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"config field {name!r} {e}") from None
 
 
-def _canonical_metric(name) -> str:
-    key = str(name).strip().lower().replace(" ", "_")
-    key = _METRIC_ALIASES.get(key, key)
-    if key not in KNOWN_METRICS:
-        raise ConfigError(
-            f"config field 'metrics' unknown entry: {name!r} "
-            f"(valid: {', '.join(KNOWN_METRICS)})"
-        )
-    return key
+def _valid(value, ok: bool, reason: str):
+    """``value`` if ``ok``, else a ValueError giving ``reason``."""
+    if not ok:
+        raise ValueError(reason)
+    return value
+
+
+def _entries(value, convert) -> tuple:
+    """The entries of a list-valued field, each through ``convert``."""
+    _valid(value, isinstance(value, list), f"must be a list, got {value!r}")
+    return tuple(map(convert, value))
+
+
+def _dataset_format(fmt: str) -> str:
+    return _valid(fmt, fmt in ("synth", "dataset-dir", "redd"), f"unknown: {fmt!r}")
+
+
+def _open_fraction(value) -> float:
+    fraction = float(value)
+    return _valid(fraction, 0 < fraction < 1, "must be in (0, 1)")
+
+
+def _steps(steps: list) -> list[dict]:
+    ok = isinstance(steps, list) and all(isinstance(s, dict) and "op" in s for s in steps)
+    return _valid(steps, ok, "must be a list of {op: ...}")
+
+
+def _algorithms(value: list) -> tuple[str, ...]:
+    names = _entries(value, lambda a: _valid(a, a in VALID_ALGORITHMS, f"unknown entry: {a!r}"))
+    return _valid(names, bool(names), "must not be empty")
 
 
 def config_hash(raw: dict) -> str:
@@ -246,7 +244,7 @@ def apply_preprocess_step(b: Building, step: dict) -> Building:
             b, lambda c: interpolate_small_gaps(c, None if max_gap is None else float(max_gap))
         )
     if op == "intersect_with_mains":
-        return intersect_with_mains(b, step.get("gap_threshold"))
+        return intersect_with_mains(b)
     if op == "filter_top_k":
         return filter_top_k(b, int(step["k"]), step.get("gap_threshold"))
     if op == "filter_contribution":
@@ -340,7 +338,7 @@ def run(cfg: RunConfig, raw_config: dict | None = None, quiet: bool = False) -> 
     b = ds.buildings[cfg.building]
     b = stage("preprocess", lambda: preprocess_building(b, cfg.preprocess))
     if not is_aligned(b):
-        b = stage("align", lambda: intersect_with_mains(b, cfg.gap_threshold))
+        b = stage("align", lambda: intersect_with_mains(b))
     train_b, test_b = stage("split", lambda: train_test_split(b, cfg.split_fraction))
     aggregate = mains_total(test_b, cfg.feature)
 

@@ -11,8 +11,6 @@ import numpy as np
 from .data import Building, Channel, Measurement, VOLTAGE
 from .stats import energy_joules
 
-AGGREGATIONS = ("mean", "median", "mode", "first")
-
 # The interpolation cap has no authoritative value; 5 sample periods keeps
 # forward-filling local.
 DEFAULT_MAX_GAP_FACTOR = 5.0
@@ -22,6 +20,15 @@ def _mode(values: np.ndarray) -> float:
     uniq, counts = np.unique(values, return_counts=True)
     # np.unique sorts ascending, so ties break toward the smaller value.
     return float(uniq[np.argmax(counts)])
+
+
+# Aggregation name -> reducer of one bin's samples.
+AGGREGATIONS: dict[str, Callable[[np.ndarray], float]] = {
+    "mean": np.mean,
+    "median": np.median,
+    "mode": _mode,
+    "first": lambda chunk: chunk[0],
+}
 
 
 def downsample(c: Channel, period: float, agg: str = "mean") -> Channel:
@@ -41,21 +48,13 @@ def downsample(c: Channel, period: float, agg: str = "mean") -> Channel:
     bins = np.floor((t - t0) / period + 1e-9).astype(np.int64)
     uniq_bins, starts = np.unique(bins, return_index=True)
     edges = t0 + uniq_bins * period
-    boundaries = np.append(starts, t.size)
-    columns: dict[Measurement, np.ndarray] = {}
-    for m, v in c.columns.items():
-        out = np.empty(uniq_bins.size, dtype=np.float64)
-        for i in range(uniq_bins.size):
-            chunk = v[boundaries[i] : boundaries[i + 1]]
-            if agg == "mean":
-                out[i] = chunk.mean()
-            elif agg == "median":
-                out[i] = float(np.median(chunk))
-            elif agg == "mode":
-                out[i] = _mode(chunk)
-            else:
-                out[i] = chunk[0]
-        columns[m] = out
+    bounds = np.append(starts, t.size).tolist()
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    reduce = AGGREGATIONS[agg]
+    columns = {
+        m: np.array([reduce(v[a:b]) for a, b in spans], dtype=np.float64)
+        for m, v in c.columns.items()
+    }
     return Channel(c.id, edges, columns, period)
 
 
@@ -167,7 +166,7 @@ def filter_contribution(
     )
 
 
-def intersect_with_mains(b: Building, gap_threshold: float | None = None) -> Building:
+def intersect_with_mains(b: Building) -> Building:
     """Restrict mains and appliance channels to their common timestamp index.
 
     The intersection removes rows falling in any other channel's downtime, so

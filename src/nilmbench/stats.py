@@ -1,8 +1,8 @@
 """Descriptive statistics over appliance usage.
 
 Energy is integrated with the trapezoidal rule over the irregular timestamp
-grid; sample pairs spaced further apart than the gap threshold contribute no
-energy, so sensor downtime never fabricates consumption.
+grid; sample pairs that :func:`diagnostics.gap_breaks` marks as a gap
+contribute no energy, so sensor downtime never fabricates consumption.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import POWER_ACTIVE, Building, Channel, Measurement, outside_gaps
-from .diagnostics import default_gap_threshold, detect_gaps
+from .diagnostics import detect_gaps, gap_breaks
 
 # Exceeds typical standby draw; per-appliance override via metadata.
 DEFAULT_ON_THRESHOLD_W = 10.0
@@ -32,22 +32,24 @@ def appliance_on_threshold(
     return float(overrides.get(name, b.metadata.get("on_threshold", default)))
 
 
+def _trapezoids(
+    c: Channel, gap_threshold: float | None, feature: Measurement
+) -> tuple[np.ndarray, np.ndarray]:
+    """Left sample times and energies in joules of the trapezoids between
+    consecutive samples, leaving out the pairs that span a gap."""
+    t = c.timestamps
+    p = c.values(feature)
+    keep = ~gap_breaks(c, gap_threshold)
+    return t[:-1][keep], (np.diff(t) * (0.5 * (p[:-1] + p[1:])))[keep]
+
+
 def energy_joules(
     c: Channel,
     gap_threshold: float | None = None,
     feature: Measurement = POWER_ACTIVE,
 ) -> float:
     """Trapezoid-integrated energy of a power series, gap-aware, in joules."""
-    if len(c) < 2:
-        return 0.0
-    if gap_threshold is None:
-        gap_threshold = default_gap_threshold(c)
-    t = c.timestamps
-    p = c.values(feature)
-    dt = np.diff(t)
-    mean_p = 0.5 * (p[:-1] + p[1:])
-    keep = dt <= gap_threshold
-    return float(np.sum(dt[keep] * mean_p[keep]))
+    return float(np.sum(_trapezoids(c, gap_threshold, feature)[1]))
 
 
 def proportion_energy_submetered(
@@ -64,9 +66,8 @@ def proportion_energy_submetered(
     mains_energy = 0.0
     mains_gaps = []
     for m in b.mains:
-        threshold = gap_threshold if gap_threshold is not None else default_gap_threshold(m)
-        mains_energy += energy_joules(m, threshold)
-        mains_gaps.extend((g.start, g.end) for g in detect_gaps(m, threshold))
+        mains_energy += energy_joules(m, gap_threshold)
+        mains_gaps.extend((g.start, g.end) for g in detect_gaps(m, gap_threshold))
     if mains_energy == 0.0:
         raise ValueError(f"building {b.id}: no mains energy")
     appliance_energy = 0.0
@@ -161,16 +162,14 @@ def on_off_durations(
     durations tile the section span exactly.  Zero-length trailing runs are
     dropped.
     """
-    if len(c) == 0:
-        return [], []
-    if gap_threshold is None:
-        gap_threshold = default_gap_threshold(c)
     t = c.timestamps
     on = c.values(feature) > on_threshold
     # A run starts at each section start and at each on/off change; it ends
     # at the next run's start, or at its section's last sample.
     section_start = np.ones(t.size + 1, dtype=bool)
-    section_start[1:-1] = np.diff(t) > gap_threshold
+    section_start[1:-1] = gap_breaks(c, gap_threshold)
+    if t.size == 0:
+        return [], []
     run_start = np.nonzero(section_start[:-1])[0]
     run_start = np.union1d(run_start, np.nonzero(on[1:] != on[:-1])[0] + 1)
     nxt = np.append(run_start[1:], t.size)
@@ -207,22 +206,14 @@ def daily_energy(
 ) -> dict[int, float]:
     """Energy in joules per epoch day.
 
-    Each trapezoid contributes to the day of its left sample; pairs wider
-    than the gap threshold contribute nothing.
+    Each trapezoid contributes to the day of its left sample; pairs that
+    span a gap contribute nothing.
     """
-    if len(c) < 2:
-        return {}
-    if gap_threshold is None:
-        gap_threshold = default_gap_threshold(c)
-    t = c.timestamps
-    p = c.values(feature)
-    dt = np.diff(t)
-    mean_p = 0.5 * (p[:-1] + p[1:])
-    days = np.floor((t[:-1] / 86400.0) + utc_offset_hours / 24.0).astype(int)
-    keep = dt <= gap_threshold
-    day_keys, day_index = np.unique(days[keep], return_inverse=True)
+    left, energy = _trapezoids(c, gap_threshold, feature)
+    days = np.floor((left / 86400.0) + utc_offset_hours / 24.0).astype(int)
+    day_keys, day_index = np.unique(days, return_inverse=True)
     # bincount adds each day's terms left to right, starting from 0.0.
-    sums = np.bincount(day_index, weights=dt[keep] * mean_p[keep])
+    sums = np.bincount(day_index, weights=energy)
     return dict(zip(day_keys.tolist(), sums.tolist()))
 
 

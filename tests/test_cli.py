@@ -369,6 +369,25 @@ class TestRunOnReddStyleData:
         assert "fridge" in report["appliances"]
 
 
+class TestMistypedConfigField:
+    @pytest.mark.parametrize("field, value, reason", [
+        ("states", "two", ""),
+        ("split_fraction", "half", ""),
+        ("building", "one", ""),
+        ("on_threshold", "x", ""),
+        ("seed", "s", ""),
+        # A string is not read as a list of one-character entries.
+        ("algorithms", "co", " must be a list"),
+        ("metrics", "nep", " must be a list"),
+        ("preprocess", [1], ""),
+        ("feature", 5, ""),
+    ])
+    def test_exit_2_naming_the_field(self, tmp_path, capsys, field, value, reason):
+        cfg = base_config(tmp_path, **{field: value})
+        assert run_cli("--quiet", "run", "--config", str(cfg)) == 2
+        assert f"config field {field!r}{reason}" in capsys.readouterr().err
+
+
 class TestMetricSelection:
     def test_metric_list_filters_csv(self, tmp_path):
         cfg = base_config(tmp_path, algorithms=["co"], metrics=["nep", "fte", "f1"])

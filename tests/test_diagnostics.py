@@ -8,7 +8,14 @@ from nilmbench.diagnostics import (
     diagnose,
     dropout_rate,
     dropout_rate_ignoring_gaps,
+    gap_breaks,
     uptime,
+)
+from nilmbench.stats import (
+    daily_energy,
+    energy_joules,
+    on_off_durations,
+    proportion_energy_submetered,
 )
 
 from conftest import mk_building, mk_channel
@@ -18,6 +25,44 @@ from conftest import mk_building, mk_channel
 grid_timestamps = st.lists(
     st.integers(0, 4_000_000), min_size=2, max_size=200, unique=True
 ).map(lambda xs: [x / 4.0 for x in sorted(xs)])
+
+
+class TestGapBreaks:
+    def test_threshold_is_strict(self):
+        c = mk_channel([0.0, 3.0, 6.0, 10.0], [0] * 4)
+        assert gap_breaks(c, 3.0).tolist() == [False, False, True]
+        assert gap_breaks(c, 2.9).tolist() == [True, True, True]
+
+    def test_default_is_three_nominal_periods(self):
+        c = mk_channel([0.0, 6.0, 12.5, 13.0], [0] * 4, period=2.0)
+        assert gap_breaks(c).tolist() == [False, True, False]
+
+    def test_one_flag_per_consecutive_pair(self):
+        assert gap_breaks(mk_channel([], [])).shape == (0,)
+        assert gap_breaks(mk_channel([5.0], [1.0])).shape == (0,)
+
+
+# Every function that stops at gaps, called with one channel and a threshold.
+GAP_CONSUMERS = {
+    "energy_joules": lambda c, g: energy_joules(c, g),
+    "daily_energy": lambda c, g: daily_energy(c, g),
+    "on_off_durations": lambda c, g: on_off_durations(c, gap_threshold=g),
+    "uptime": lambda c, g: uptime(c, g),
+    "dropout_rate_ignoring_gaps": lambda c, g: dropout_rate_ignoring_gaps(c, g),
+    "detect_gaps": lambda c, g: detect_gaps(c, g),
+    "proportion_energy_submetered": lambda c, g: proportion_energy_submetered(
+        mk_building(mains=[c], appliances={"load": c}), g
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [10, 1])
+@pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("consumer", sorted(GAP_CONSUMERS))
+def test_invalid_gap_threshold_rejected(consumer, threshold, n):
+    c = mk_channel(np.arange(float(n)), np.full(n, 100.0))
+    with pytest.raises(ValueError, match="gap threshold must be > 0"):
+        GAP_CONSUMERS[consumer](c, threshold)
 
 
 class TestDetectGaps:
