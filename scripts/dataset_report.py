@@ -9,6 +9,7 @@ Useful against locally supplied datasets (e.g. an AMPds or REDD conversion):
 
 import argparse
 
+from nilmbench.cli import gap_threshold_arg
 from nilmbench.diagnostics import diagnose
 from nilmbench.io import load_dataset_dir
 from nilmbench.stats import proportion_energy_submetered, top_k_appliances
@@ -17,7 +18,7 @@ from nilmbench.stats import proportion_energy_submetered, top_k_appliances
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("dataset")
-    parser.add_argument("--gap-threshold", type=float, default=None)
+    parser.add_argument("--gap-threshold", type=gap_threshold_arg, default=None)
     parser.add_argument("--top-k", type=int, default=5)
     args = parser.parse_args()
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import io as nio
 from .data import Measurement, mains_total
-from .diagnostics import diagnose
+from .diagnostics import check_gap_threshold, diagnose
 from .metrics import evaluate
 from .pipeline import (
     VALID_ALGORITHMS,
@@ -78,6 +78,15 @@ def _apply_overrides(raw: dict, overrides: list[str]) -> dict:
 def _measurement(name: str) -> Measurement:
     try:
         return Measurement.from_column_name(name)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
+def gap_threshold_arg(text: str) -> float:
+    """argparse type for ``--gap-threshold``: a value that is not > 0 is a
+    usage error (exit 2), not a stage failure."""
+    try:
+        return check_gap_threshold(float(text))
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
 
@@ -327,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", parents=[quiet_parent], help="report gaps, dropout and uptime")
     p.add_argument("--input", required=False)
     p.add_argument("--building", type=int, default=None)
-    p.add_argument("--gap-threshold", type=float, default=None)
+    p.add_argument("--gap-threshold", type=gap_threshold_arg, default=None)
     p.add_argument("--output")
     p.set_defaults(func=cmd_diagnose)
 

@@ -34,9 +34,14 @@ def gap_breaks(c: Channel, threshold: float | None = None) -> np.ndarray:
     """
     if threshold is None:
         threshold = default_gap_threshold(c)
+    return np.diff(c.timestamps) > check_gap_threshold(threshold)
+
+
+def check_gap_threshold(threshold: float) -> float:
+    """``threshold`` if it is > 0, else ValueError (NaN included)."""
     if not threshold > 0:
         raise ValueError("gap threshold must be > 0")
-    return np.diff(c.timestamps) > threshold
+    return threshold
 
 
 def detect_gaps(c: Channel, threshold: float | None = None) -> list[Gap]:

@@ -14,10 +14,17 @@ On-disk dataset layout (one directory per dataset):
     <root>/house_<i>/utility/water/           (pass-through, kept empty)
 
 Channel CSVs have a mandatory header: first column ``timestamp`` (epoch
-seconds, up to 6 decimal places), remaining columns named
-``<quantity>_<variant>`` (``power_active``, ``voltage``, ...).  Values are
-written with shortest round-trip formatting, so a save/load cycle preserves
-floats bit-for-bit.
+seconds), remaining columns named ``<quantity>_<variant>`` (``power_active``,
+``voltage``, ...).  A timestamp is written with up to 6 decimal places when
+that text reads back as the same float, else with shortest round-trip
+formatting; values always use shortest round-trip formatting.  So a
+save/load cycle preserves timestamps and values bit-for-bit.  Loading
+rejects non-numeric or non-finite values and timestamps, and timestamps that
+do not strictly increase, naming the file and line.
+
+Channels are written in blocks of whole columns.  A file is read with one
+``np.loadtxt`` parse and checked on the arrays; a file that fails the parse
+or a check is read again line by line, which reports the first bad line.
 
 Learned models persist as JSON: an ``algorithm`` tag plus per-appliance state
 means/stds, and for the factorial model additionally pi, the transition
@@ -63,9 +70,40 @@ class SchemaError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+# Rows formatted and written per block, so the text held at once stays small.
+_CSV_BLOCK_ROWS = 4096
+
+# np.loadtxt strips these ASCII separators around a field as whitespace;
+# float() rejects them, so a body holding one goes to the line loop.
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
 def _format_timestamp(t: float) -> str:
+    """Up to 6 decimal places when that text reads back as ``t``, else repr."""
     s = f"{t:.6f}".rstrip("0").rstrip(".")
-    return s if s else "0"
+    s = s if s else "0"
+    return s if float(s) == t else repr(t)
+
+
+def _timestamp_texts(t: np.ndarray) -> list[str]:
+    """:func:`_format_timestamp` of each element of ``t``."""
+    # Whole numbers print as str(int), except -0.0, which formats as "-0".
+    # The range test comes first: it is False for NaN and inf.
+    if (
+        (np.abs(t) < 2.0**63).all()
+        and (t == np.trunc(t)).all()
+        and not ((t == 0) & np.signbit(t)).any()
+    ):
+        return list(map(str, t.astype(np.int64).tolist()))
+    return list(map(_format_timestamp, t.tolist()))
+
+
+def _value_texts(v: np.ndarray) -> list[str]:
+    """``repr`` of each element of ``v``, computed once per distinct float."""
+    # Distinct bit patterns, so that 0.0 and -0.0 keep their own text.
+    bits, inverse = np.unique(v.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
 def _write_channel_csv(path: Path, c: Channel) -> None:
@@ -74,9 +112,11 @@ def _write_channel_csv(path: Path, c: Channel) -> None:
     cols = [c.columns[m] for m in measurements]
     with path.open("w", encoding="utf-8", newline="\n") as f:
         f.write(header + "\n")
-        for i, t in enumerate(c.timestamps):
-            row = [_format_timestamp(float(t))] + [repr(float(v[i])) for v in cols]
-            f.write(",".join(row) + "\n")
+        for start in range(0, len(c), _CSV_BLOCK_ROWS):
+            rows = slice(start, start + _CSV_BLOCK_ROWS)
+            texts = [_timestamp_texts(c.timestamps[rows])]
+            texts += [_value_texts(v[rows]) for v in cols]
+            f.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def _read_channel_csv(path: Path, channel_id: str, nominal_period: float) -> Channel:
@@ -91,39 +131,78 @@ def _read_channel_csv(path: Path, channel_id: str, nominal_period: float) -> Cha
             measurements = [Measurement.from_column_name(n) for n in names[1:]]
         except ValueError as e:
             raise SchemaError(f"{path}: unknown measurement ({e})") from None
-        timestamps: list[float] = []
-        values: list[list[float]] = [[] for _ in measurements]
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(names):
-                raise SchemaError(
-                    f"{path}:{lineno}: expected {len(names)} fields, got {len(parts)}"
-                )
-            try:
-                t = float(parts[0])
-                row = [float(p) for p in parts[1:]]
-            except ValueError:
-                raise SchemaError(f"{path}:{lineno}: non-numeric value") from None
-            if timestamps and t <= timestamps[-1]:
-                kind = "duplicate" if t == timestamps[-1] else "non-monotone"
-                raise SchemaError(f"{path}:{lineno}: {kind} timestamp {parts[0]}")
-            if not all(np.isfinite(row)):
-                raise SchemaError(f"{path}:{lineno}: non-finite value")
-            timestamps.append(t)
-            for j, v in enumerate(row):
-                values[j].append(v)
+        body_start = f.tell()
+        body = _parse_body(f, len(names))
+        if body is None:
+            f.seek(body_start)
+            body = _read_body_lines(path, f, len(names))
     return Channel(
         id=channel_id,
-        timestamps=np.asarray(timestamps, dtype=np.float64),
-        columns={
-            m: np.asarray(vals, dtype=np.float64)
-            for m, vals in zip(measurements, values)
-        },
+        timestamps=body[:, 0],
+        columns={m: body[:, j] for j, m in enumerate(measurements, start=1)},
         nominal_period=nominal_period,
     )
+
+
+def _parse_body(f, n_fields: int) -> np.ndarray | None:
+    """The rows after the header as one (rows, n_fields) array, or None when
+    the parse fails or a row breaks the schema.
+
+    None sends the file to :func:`_read_body_lines`, which names the line at
+    fault; this parse accepts only what that loop accepts.
+    """
+    start = f.tell()
+    try:
+        text = f.read()
+    except UnicodeDecodeError:
+        # The line loop decodes as it goes, so a bad row before the bad
+        # bytes is still the error it reports.
+        return None
+    if any(c in text for c in _LOADTXT_ONLY_SPACE):
+        return None
+    del text
+    f.seek(start)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            body = np.loadtxt(f, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if (
+        body.shape[1] != n_fields
+        or not np.isfinite(body).all()
+        or not (np.diff(body[:, 0]) > 0).all()
+    ):
+        return None
+    return body
+
+
+def _read_body_lines(path: Path, f, n_fields: int) -> np.ndarray:
+    """The rows after the header, checked line by line; the first line that
+    breaks the schema raises :class:`SchemaError` naming it."""
+    rows: list[list[float]] = []
+    for lineno, line in enumerate(f, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != n_fields:
+            raise SchemaError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
+        try:
+            row = [float(p) for p in parts]
+        except ValueError:
+            raise SchemaError(f"{path}:{lineno}: non-numeric value") from None
+        t = row[0]
+        if rows and t <= rows[-1][0]:
+            kind = "duplicate" if t == rows[-1][0] else "non-monotone"
+            raise SchemaError(f"{path}:{lineno}: {kind} timestamp {parts[0]}")
+        if not all(np.isfinite(row[1:])):
+            raise SchemaError(f"{path}:{lineno}: non-finite value")
+        # Checked last, so a row that fails an earlier check keeps its message.
+        if not np.isfinite(t):
+            raise SchemaError(f"{path}:{lineno}: non-finite timestamp {parts[0]}")
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), n_fields)
 
 
 # ---------------------------------------------------------------------------

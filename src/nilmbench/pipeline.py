@@ -100,7 +100,7 @@ class RunConfig:
         def get(name: str, convert, default=None):
             return _convert(name, raw.get(name, default), convert)
 
-        seed = get("seed", int, 42)
+        seed = get("seed", _integer, 42)
         dataset = get("dataset", lambda v: _valid(v, isinstance(v, dict), "is required"))
         fmt = _convert("dataset.format", dataset.get("format", "dataset-dir"), _dataset_format)
         path = dataset.get("path", data_dir)
@@ -120,12 +120,12 @@ class RunConfig:
             dataset_path=path,
             dataset_format=fmt,
             synth_spec=spec,
-            building=get("building", int, 1),
+            building=get("building", _integer, 1),
             feature=get("feature", lambda v: Measurement.from_column_name(str(v)), "power_active"),
             preprocess=get("preprocess", _steps, []),
             split_fraction=get("split_fraction", _open_fraction, 0.5),
             algorithms=get("algorithms", _algorithms, ["co", "fhmm"]),
-            states=get("states", int, 2),
+            states=get("states", _integer, 2),
             on_threshold=get("on_threshold", float, DEFAULT_ON_THRESHOLD_W),
             metrics=get("metrics", lambda v: None if v is None else _entries(v, canonical_metric)),
             output=get("output", str, "out"),
@@ -160,6 +160,14 @@ def _entries(value, convert) -> tuple:
 
 def _dataset_format(fmt: str) -> str:
     return _valid(fmt, fmt in ("synth", "dataset-dir", "redd"), f"unknown: {fmt!r}")
+
+
+def _integer(value) -> int:
+    """An integral number, such as 2 or 2.0; not a bool, a string or 2.7."""
+    ok = not isinstance(value, bool) and (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    )
+    return int(_valid(value, ok, f"must be an integer, got {value!r}"))
 
 
 def _open_fraction(value) -> float:

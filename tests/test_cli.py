@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ import pytest
 from nilmbench import pipeline
 from nilmbench.cli import main
 from nilmbench.data import POWER_ACTIVE, POWER_REACTIVE, DataSet
-from nilmbench.io import save_dataset_dir
+from nilmbench.io import import_model_json, load_dataset_dir, save_dataset_dir
+from nilmbench.metrics import evaluate
 from nilmbench.preprocess import map_channels, train_test_split
 from nilmbench.synth import default_benchmark_spec, generate
 
@@ -290,6 +293,26 @@ class TestStagedEqualsRun:
             tmp_path / "out" / f"model_{algorithm}.json"
         ).read_bytes() == model.read_bytes()
 
+    @pytest.mark.parametrize("algorithm", ["co", "fhmm"])
+    def test_scores_every_test_row_off_microsecond_grid(self, tmp_path, algorithm):
+        # k * 0.1 s is mostly not the float nearest a 6-decimal text, so
+        # every stage must write its timestamps losslessly for the staged
+        # predictions to line up with the generated rows.
+        spec = default_benchmark_spec(seed=3)
+        spec = replace(spec, appliances=spec.appliances[:2], period=0.1, duration=200.0)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec.to_json_text(), encoding="utf-8")
+        data = tmp_path / "data"
+        assert run_cli("--quiet", "synth", "--spec", str(spec_path), "--output", str(data)) == 0
+        report = json.loads(staged_metrics(tmp_path, data, algorithm, "power_active"))
+        assert [int(np.sum(a["confusion"])) for a in report["appliances"].values()] == [1000] * 2
+        # The written predictions score every row of the generated test half.
+        _, truth = train_test_split(generate(spec)[0].buildings[1], 0.5)
+        model = import_model_json((tmp_path / f"model_{algorithm}.json").read_text())
+        preds = load_dataset_dir(tmp_path / "preds").buildings[1]
+        scored = evaluate(pipeline.predictions_from_dataset(preds, model), truth)
+        assert [a.counts.total for a in scored.appliances] == [1000] * 2
+
 
 class TestReactiveFeature:
     @pytest.mark.parametrize("algorithm", ["co", "fhmm"])
@@ -333,10 +356,20 @@ class TestFeatureOption:
         assert "unknown measurement 'foo'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_invalid_gap_threshold_is_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as e:
+        run_cli("--quiet", "diagnose", "--input", "data", "--gap-threshold", value)
+    assert e.value.code == 2
+    assert "gap threshold must be > 0" in capsys.readouterr().err
+
+
 def test_console_entry_point_help():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "nilmbench.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "subcommand" in proc.stdout or "run" in proc.stdout
@@ -381,11 +414,21 @@ class TestMistypedConfigField:
         ("metrics", "nep", " must be a list"),
         ("preprocess", [1], ""),
         ("feature", 5, ""),
+        # Integer fields take integral numbers only.
+        ("states", 2.7, " must be an integer"),
+        ("building", True, " must be an integer"),
+        ("seed", "3", " must be an integer"),
     ])
     def test_exit_2_naming_the_field(self, tmp_path, capsys, field, value, reason):
         cfg = base_config(tmp_path, **{field: value})
         assert run_cli("--quiet", "run", "--config", str(cfg)) == 2
         assert f"config field {field!r}{reason}" in capsys.readouterr().err
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        raw = json.loads(base_config(tmp_path, states=3.0, building=1.0).read_text())
+        cfg = pipeline.RunConfig.from_dict(raw)
+        assert (cfg.states, cfg.building) == (3, 1)
+        assert type(cfg.states) is int and type(cfg.building) is int
 
 
 class TestMetricSelection:

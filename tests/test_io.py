@@ -1,14 +1,20 @@
 import json
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilmbench.data import POWER_ACTIVE, DataSet
 from nilmbench.io import (
     IMPORTER_REGISTRY,
     ImporterDescriptor,
     SchemaError,
+    _CSV_BLOCK_ROWS,
+    _format_timestamp,
+    _read_body_lines,
     export_model_json,
     import_model_json,
     import_redd_style,
@@ -187,6 +193,159 @@ class TestDatasetDirRoundTrip:
         assert np.array_equal(
             again.buildings[1].appliances["fridge"].timestamps, np.asarray(t)
         )
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def channels(draw):
+    """A channel of 0-40 rows: strictly increasing finite timestamps and 1-3
+    columns of finite values, some drawn from a few repeated ones."""
+    n = draw(st.integers(0, 40))
+    t = sorted(draw(st.lists(FINITE, min_size=n, max_size=n, unique=True)))
+    names = draw(st.lists(
+        st.sampled_from(["power_active", "power_reactive", "voltage"]),
+        min_size=1, max_size=3, unique=True,
+    ))
+    value = st.one_of(FINITE, st.sampled_from([0.0, -0.0, 120.5, -30.0, 5e-324]))
+    columns = {name: draw(st.lists(value, min_size=n, max_size=n)) for name in names}
+    return mk_channel(t, cid="fridge", **columns)
+
+
+def fridge_csv(root: Path) -> Path:
+    return root / "house_1" / "utility" / "electricity" / "appliances" / "fridge.csv"
+
+
+def save_fridge(c, root: Path) -> None:
+    save_dataset_dir(DataSet("x", {1: mk_building(appliances={"fridge": c})}), root)
+
+
+def load_fridge(root: Path):
+    return load_dataset_dir(root).buildings[1].appliances["fridge"]
+
+
+def write_fridge_csv(tmp_path: Path, body: str) -> Path:
+    save_dataset_dir(build_dataset(), tmp_path / "ds")
+    path = fridge_csv(tmp_path / "ds")
+    path.write_text(f"timestamp,power_active\n{body}", encoding="utf-8", newline="")
+    return path
+
+
+# Channel CSV bodies (after a "timestamp,power_active" header) that loading
+# rejects, each with the line and message of the error.
+CORRUPTED_BODIES = {
+    "too-many-fields": ("1,5\n2,6,7\n", "3: expected 2 fields, got 3"),
+    "extra-field-every-row": ("1,5,7\n2,6,8\n", "2: expected 2 fields, got 3"),
+    "too-few-fields": ("1,5\n2\n", "3: expected 2 fields, got 1"),
+    "non-numeric": ("1,5\n2,abc\n", "3: non-numeric value"),
+    "empty-field": ("1,\n", "2: non-numeric value"),
+    # np.loadtxt would read this field as 6; float() does not.
+    "loadtxt-only-space": ("1,5\n2,\x1c6\n", "3: non-numeric value"),
+    "duplicate": ("1,5\n1,6\n", "3: duplicate timestamp 1"),
+    "non-monotone": ("2,5\n1,6\n", "3: non-monotone timestamp 1"),
+    "nan-value": ("1,5\n2,nan\n", "3: non-finite value"),
+    "inf-value": ("1,inf\n", "2: non-finite value"),
+    "nan-timestamp": ("nan,1.0\n5,2.0\n", "2: non-finite timestamp nan"),
+    "inf-timestamp-last": ("1,1.0\ninf,2.0\n", "3: non-finite timestamp inf"),
+    "comment-line": ("1,5\n# note\n2,6\n", "3: expected 2 fields, got 1"),
+    "comment-row": ("1,5\n#2,6\n", "3: non-numeric value"),
+    "blank-lines": ("1,5\n\n\n2,6\n2,7\n", "6: duplicate timestamp 2"),
+    "whitespace-line": ("1,5\n  \n1,6\n", "4: duplicate timestamp 1"),
+}
+
+# Bodies that load, each with its (timestamp, power) rows.
+IRREGULAR_VALID_BODIES = {
+    "header-only": ("", []),
+    "blank-lines-only": ("\n\n", []),
+    "whitespace-line": ("1,5\n\n  \n2,6\n", [[1.0, 5.0], [2.0, 6.0]]),
+    "crlf": ("1,5\r\n2,6\r\n", [[1.0, 5.0], [2.0, 6.0]]),
+    "padded-fields": (" 1 , 5 \n2,6", [[1.0, 5.0], [2.0, 6.0]]),
+}
+
+
+class TestChannelCsv:
+    @settings(max_examples=100, deadline=None)
+    @given(channels())
+    def test_save_load_is_bit_identical(self, c):
+        with tempfile.TemporaryDirectory() as tmp:
+            one, two = Path(tmp, "one"), Path(tmp, "two")
+            save_fridge(c, one)
+            again = load_fridge(one)
+            assert again.timestamps.tobytes() == c.timestamps.tobytes()
+            assert list(again.columns) == sorted(c.columns, key=lambda m: m.column_name)
+            for m, v in c.columns.items():
+                assert again.columns[m].tobytes() == v.tobytes(), m.column_name
+            # The whole-array parse reads what the line loop reads.
+            with fridge_csv(one).open(encoding="utf-8") as f:
+                f.readline()
+                rows = _read_body_lines(fridge_csv(one), f, 1 + len(c.columns))
+            assert rows[:, 0].tobytes() == again.timestamps.tobytes()
+            for j, v in enumerate(again.columns.values(), start=1):
+                assert rows[:, j].tobytes() == v.tobytes()
+            save_fridge(again, two)
+            assert fridge_csv(one).read_bytes() == fridge_csv(two).read_bytes()
+
+    def test_blocks_match_per_row_format(self, tmp_path):
+        # Three blocks: two of whole-number timestamps (the second starts at
+        # 0.0), then one with a fractional timestamp; values repeat 0.0 next
+        # to -0.0.
+        n = 2 * _CSV_BLOCK_ROWS + 3
+        t = np.arange(-_CSV_BLOCK_ROWS, n - _CSV_BLOCK_ROWS, dtype=float)
+        t[-2] += 0.1
+        v = np.tile([0.0, -0.0, 120.5, 1 / 3], n)[:n]
+        c = mk_channel(t, v, cid="fridge")
+        save_fridge(c, tmp_path)
+        lines = fridge_csv(tmp_path).read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "timestamp,power_active"
+        assert lines[1:] == [f"{_format_timestamp(a)},{b!r}" for a, b in zip(t.tolist(), v.tolist())]
+        assert lines[1 + _CSV_BLOCK_ROWS] == "0,0.0"
+
+    def test_negative_zero_timestamp_written_as_minus_zero(self, tmp_path):
+        c = mk_channel([-0.0, 1.0, 2.0], [1.0, 2.0, 3.0], cid="fridge")
+        save_fridge(c, tmp_path)
+        text = fridge_csv(tmp_path).read_text(encoding="utf-8")
+        assert text == "timestamp,power_active\n-0,1.0\n1,2.0\n2,3.0\n"
+        assert load_fridge(tmp_path).timestamps.tobytes() == c.timestamps.tobytes()
+
+    def test_timestamps_round_trip_losslessly(self, tmp_path):
+        t = np.array(
+            [-1e-9, 0.1234567, 2.5, 1303132929.123456, 1303132929.1234567]
+            + [k * 0.1 for k in range(30, 60)]
+        )
+        t.sort()
+        save_fridge(mk_channel(t, np.ones(t.size), cid="fridge"), tmp_path)
+        assert load_fridge(tmp_path).timestamps.tobytes() == t.tobytes()
+        stamps = [line.split(",")[0] for line in fridge_csv(tmp_path).read_text().splitlines()]
+        # Microsecond-grid timestamps keep their 6-decimal text.
+        assert {"2.5", "1303132929.123456", "3", "4.5"} <= set(stamps)
+        assert {"-1e-09", "0.1234567", "3.3000000000000003"} <= set(stamps)
+
+    @pytest.mark.parametrize("body, where", CORRUPTED_BODIES.values(), ids=CORRUPTED_BODIES)
+    def test_corrupted_file_names_line(self, tmp_path, body, where):
+        path = write_fridge_csv(tmp_path, body)
+        with pytest.raises(SchemaError) as e:
+            load_dataset_dir(tmp_path / "ds")
+        assert str(e.value) == f"{path}:{where}"
+
+    def test_bad_row_reported_before_undecodable_bytes(self, tmp_path):
+        path = write_fridge_csv(tmp_path, "")
+        path.write_bytes(b"timestamp,power_active\n1,5\n1,6\n" + b"2,7\n" * 5000 + b"\xff\n")
+        with pytest.raises(SchemaError) as e:
+            load_dataset_dir(tmp_path / "ds")
+        assert str(e.value) == f"{path}:3: duplicate timestamp 1"
+
+    @pytest.mark.parametrize(
+        "body, rows", IRREGULAR_VALID_BODIES.values(), ids=IRREGULAR_VALID_BODIES
+    )
+    def test_irregular_valid_file_loads_without_warning(self, tmp_path, body, rows):
+        write_fridge_csv(tmp_path, body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = load_fridge(tmp_path / "ds")
+        expected = np.array(rows, dtype=float).reshape(len(rows), 2)
+        assert c.timestamps.tobytes() == expected[:, 0].tobytes()
+        assert c.values(POWER_ACTIVE).tobytes() == expected[:, 1].tobytes()
 
 
 class TestImporterRegistry:

@@ -14,6 +14,7 @@ from nilmbench.preprocess import (
     normalize_voltage,
     train_test_split,
 )
+from nilmbench.stats import energy_joules
 
 from conftest import mk_building, mk_channel
 
@@ -186,8 +187,11 @@ class TestTopKAndContribution:
     ), st.floats(0.01, 0.99))
     def test_contribution_retains_exact_share_set(self, energies, x):
         b = building_with_energies(energies)
-        total = sum(energies.values())
-        expected = {n for n, e in energies.items() if e / total > x}
+        # Shares from the same trapezoid energies, summed in the same order
+        # as filter_contribution: a share of exactly x must compare alike.
+        joules = {n: energy_joules(c) for n, c in b.appliances.items()}
+        total = sum(joules.values())
+        expected = {n for n, e in joules.items() if e / total > x}
         if not expected:
             with pytest.raises(ValueError):
                 filter_contribution(b, x)

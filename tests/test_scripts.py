@@ -11,15 +11,16 @@ from nilmbench.synth import default_benchmark_spec, generate
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, returncode=0):
+    """The script's stdout, or its stderr when ``returncode`` is not 0."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    assert proc.returncode == returncode, proc.stderr
+    return proc.stdout if returncode == 0 else proc.stderr
 
 
 def test_seed_sweep():
@@ -36,3 +37,8 @@ def test_dataset_report(tmp_path):
     ds, _ = generate(default_benchmark_spec(seed=3))
     save_dataset_dir(ds, tmp_path / "data")
     assert "top 5 appliances" in run_script("dataset_report.py", str(tmp_path / "data"))
+
+
+def test_dataset_report_invalid_gap_threshold_is_usage_error(tmp_path):
+    err = run_script("dataset_report.py", str(tmp_path), "--gap-threshold", "0", returncode=2)
+    assert "gap threshold must be > 0" in err
