@@ -36,6 +36,7 @@ from .disaggregate import (
 )
 from .metrics import MetricReport, canonical_metric, evaluate
 from .preprocess import (
+    check_period,
     downsample,
     filter_contribution,
     filter_out_implausible,
@@ -242,6 +243,7 @@ def apply_preprocess_step(b: Building, step: dict) -> Building:
         )
     if op == "downsample":
         period = float(step["period"])
+        check_period(period)
         agg = step.get("agg", "mean")
         return map_channels(
             b, lambda c: downsample(c, period, agg) if c.nominal_period <= period else c

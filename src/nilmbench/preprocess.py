@@ -16,29 +16,56 @@ from .stats import energy_joules
 DEFAULT_MAX_GAP_FACTOR = 5.0
 
 
-def _mode(values: np.ndarray) -> float:
-    uniq, counts = np.unique(values, return_counts=True)
-    # np.unique sorts ascending, so ties break toward the smaller value.
-    return float(uniq[np.argmax(counts)])
+def _mode(blocks: np.ndarray) -> np.ndarray:
+    """Most frequent value of each row, by the rule of ``np.unique``.
+
+    Each row is sorted, NaN counts as equal to NaN, and the first element of
+    the earliest longest run is returned, so ties break toward the smaller
+    value and NaN (sorted last) loses every tie.
+    """
+    s = np.sort(blocks, axis=1)
+    pos = np.arange(s.shape[1])
+    nan = np.isnan(s)
+    new_run = np.ones(s.shape, dtype=bool)
+    new_run[:, 1:] = (s[:, 1:] != s[:, :-1]) & ~(nan[:, 1:] & nan[:, :-1])
+    run_start = np.maximum.accumulate(np.where(new_run, pos, 0), axis=1)
+    run_len = pos - run_start + 1
+    longest = run_len.max(axis=1)
+    # The first position where a run reaches the row's longest length ends
+    # the earliest longest run.
+    end = np.argmax(run_len == longest[:, None], axis=1)
+    return s[np.arange(s.shape[0]), end - longest + 1]
 
 
-# Aggregation name -> reducer of one bin's samples.
-AGGREGATIONS: dict[str, Callable[[np.ndarray], float]] = {
-    "mean": np.mean,
-    "median": np.median,
+# Aggregation name -> reducer of a (bins, k) block of k samples per bin,
+# returning one value per bin.  Each row holds one bin's samples in time
+# order, so every reducer sees what a per-bin call would see.
+AGGREGATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "mean": lambda blocks: np.mean(blocks, axis=1),
+    "median": lambda blocks: np.median(blocks, axis=1),
     "mode": _mode,
-    "first": lambda chunk: chunk[0],
+    "first": lambda blocks: blocks[:, 0],
 }
+
+
+def check_period(period: float) -> None:
+    """Raise ValueError unless the bin width ``period`` is finite and > 0."""
+    if not (math.isfinite(period) and period > 0):
+        raise ValueError(f"period must be finite and > 0, got {period!r}")
 
 
 def downsample(c: Channel, period: float, agg: str = "mean") -> Channel:
     """Aggregate samples into left-closed bins of width ``period``.
 
-    Bin edges are anchored at the first timestamp; output rows carry the left
-    edge.  Bins with no samples produce no row.  Upsampling is not supported.
+    Bin edges are anchored at the channel's own first timestamp; output rows
+    carry the left edge.  Bins with no samples produce no row.  Upsampling is
+    not supported.  Bins holding the same number of samples k are reduced
+    together: their samples are gathered as one (bins, k) block and the
+    reducer runs along axis 1.
     """
     if agg not in AGGREGATIONS:
         raise ValueError(f"unknown aggregation {agg!r}")
+    check_period(period)
     if period < c.nominal_period:
         raise ValueError("upsampling not supported here")
     if len(c) == 0:
@@ -48,13 +75,14 @@ def downsample(c: Channel, period: float, agg: str = "mean") -> Channel:
     bins = np.floor((t - t0) / period + 1e-9).astype(np.int64)
     uniq_bins, starts = np.unique(bins, return_index=True)
     edges = t0 + uniq_bins * period
-    bounds = np.append(starts, t.size).tolist()
-    spans = list(zip(bounds[:-1], bounds[1:]))
+    counts = np.diff(starts, append=t.size)
     reduce = AGGREGATIONS[agg]
-    columns = {
-        m: np.array([reduce(v[a:b]) for a, b in spans], dtype=np.float64)
-        for m, v in c.columns.items()
-    }
+    columns = {m: np.empty(starts.size, dtype=np.float64) for m in c.columns}
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        gather = starts[rows][:, None] + np.arange(k)
+        for m, v in c.columns.items():
+            columns[m][rows] = reduce(v[gather])
     return Channel(c.id, edges, columns, period)
 
 
@@ -101,21 +129,17 @@ def interpolate_small_gaps(c: Channel, max_gap: float | None = None) -> Channel:
     period = c.nominal_period
     diffs = np.diff(t)
     fill_at = np.nonzero((diffs > period) & (diffs <= max_gap))[0]
+    n_new = np.ceil(diffs[fill_at] / period - 1e-9).astype(np.int64) - 1
+    keep = n_new > 0
+    fill_at, n_new = fill_at[keep], n_new[keep]
     if fill_at.size == 0:
         return c
-    pieces_t = []
-    pieces_src = []  # source row index for each synthetic row
-    for i in fill_at:
-        n_new = int(math.ceil(diffs[i] / period - 1e-9)) - 1
-        if n_new <= 0:
-            continue
-        ks = np.arange(1, n_new + 1, dtype=np.float64)
-        pieces_t.append(t[i] + ks * period)
-        pieces_src.append(np.full(n_new, i, dtype=np.int64))
-    if not pieces_t:
-        return c
-    new_t = np.concatenate([t] + pieces_t)
-    src = np.concatenate([np.arange(t.size, dtype=np.int64)] + pieces_src)
+    # Synthetic row j of a hole after row i sits at t[i] + j * period,
+    # j = 1 .. n_new; ``src`` is the row each one copies forward.
+    src = np.repeat(fill_at, n_new)
+    ks = np.arange(1, src.size + 1) - np.repeat(np.cumsum(n_new) - n_new, n_new)
+    new_t = np.concatenate([t, t[src] + ks.astype(np.float64) * period])
+    src = np.concatenate([np.arange(t.size, dtype=np.int64), src])
     order = np.argsort(new_t, kind="stable")
     columns = {m: v[src][order] for m, v in c.columns.items()}
     return Channel(c.id, new_t[order], columns, c.nominal_period)

@@ -193,3 +193,49 @@ def daily_energy_loop(t, p, gap_threshold, utc_offset_hours=0.0) -> dict:
     for day, e in zip(days[keep], dt[keep] * mean_p[keep]):
         out[int(day)] = out.get(int(day), 0.0) + float(e)
     return out
+
+
+def _mode_of_bin(values) -> float:
+    uniq, counts = np.unique(values, return_counts=True)
+    # np.unique sorts ascending, so ties break toward the smaller value.
+    return float(uniq[np.argmax(counts)])
+
+
+BIN_REDUCERS = {
+    "mean": np.mean,
+    "median": np.median,
+    "mode": _mode_of_bin,
+    "first": lambda chunk: chunk[0],
+}
+
+
+def downsample_loop(t, v, period, agg) -> tuple[np.ndarray, np.ndarray]:
+    """One reducer call per bin; bins anchored at the first timestamp.
+
+    Returns (left bin edges, one reduced value per non-empty bin).
+    """
+    t0 = t[0]
+    bins = np.floor((t - t0) / period + 1e-9).astype(np.int64)
+    uniq_bins, starts = np.unique(bins, return_index=True)
+    bounds = np.append(starts, t.size).tolist()
+    reduce = BIN_REDUCERS[agg]
+    values = [reduce(v[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    return t0 + uniq_bins * period, np.array(values, dtype=np.float64)
+
+
+def interpolate_small_gaps_loop(t, v, period, max_gap) -> tuple[np.ndarray, np.ndarray]:
+    """Forward-fill each hole wider than ``period`` and at most ``max_gap``
+    with synthetic rows at ``period`` spacing, one hole at a time."""
+    diffs = np.diff(t)
+    pieces_t = [t]
+    pieces_v = [v]
+    for i in np.nonzero((diffs > period) & (diffs <= max_gap))[0]:
+        n_new = int(math.ceil(diffs[i] / period - 1e-9)) - 1
+        if n_new <= 0:
+            continue
+        ks = np.arange(1, n_new + 1, dtype=np.float64)
+        pieces_t.append(t[i] + ks * period)
+        pieces_v.append(np.full(n_new, v[i]))
+    new_t = np.concatenate(pieces_t)
+    order = np.argsort(new_t, kind="stable")
+    return new_t[order], np.concatenate(pieces_v)[order]

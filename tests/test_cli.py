@@ -197,6 +197,16 @@ class TestRun:
         for metrics in report["appliances"].values():
             assert "f_score" in metrics
 
+    @pytest.mark.parametrize("period", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_invalid_downsample_period_fails_preprocess(self, tmp_path, period):
+        # json reads NaN and Infinity; no channel may pass through unchecked.
+        cfg = base_config(
+            tmp_path, preprocess=[{"op": "downsample", "period": period}], algorithms=["co"]
+        )
+        raw = json.loads(cfg.read_text())
+        with pytest.raises(pipeline.StageFailure, match="period") as e:
+            pipeline.run(pipeline.RunConfig.from_dict(raw), raw_config=raw, quiet=True)
+        assert e.value.stage == "preprocess"
 
     @pytest.mark.parametrize(
         "grid", [{"start": 0.1234567}, {"period": 0.1}], ids=["start", "period"]

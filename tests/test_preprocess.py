@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from nilmbench.data import POWER_ACTIVE, VOLTAGE
+from nilmbench.data import POWER_ACTIVE, POWER_REACTIVE, VOLTAGE, Channel
 from nilmbench.preprocess import (
     downsample,
     filter_contribution,
@@ -17,6 +17,39 @@ from nilmbench.preprocess import (
 from nilmbench.stats import energy_joules
 
 from conftest import mk_building, mk_channel
+from oracles import downsample_loop, interpolate_small_gaps_loop
+
+# Repeats make modes and median ties common; signed zeros, NaN and infinities
+# are the values whose bits a reducer can get wrong.
+VALUE_POOL = np.array([0.0, -0.0, 1.0, -2.5, 7.0, 1e300, np.nan, np.inf, -np.inf])
+COLUMNS = (POWER_ACTIVE, VOLTAGE, POWER_REACTIVE)
+
+
+@st.composite
+def dropout_channels(draw, max_rows=6000):
+    """A channel on a ``base`` grid from ``t0`` with irregular dropout.
+
+    The dropout rate changes every 50 grid points, from none to nearly all,
+    so bins of one period hold anywhere from 1 sample to the full count.
+    """
+    base = draw(st.sampled_from([0.1, 1.0, 3.0]))
+    t0 = draw(st.sampled_from([0.0, 7.3, 1.3e9, 1303132929.25]))
+    n_columns = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Log-uniform length, so long channels are drawn as often as short ones.
+    n = int(np.exp(rng.uniform(0.0, np.log(max_rows))))
+    drop = np.repeat(rng.uniform(0.0, 0.99, n // 50 + 1) ** 2, 50)[:n]
+    keep = rng.random(n) >= drop
+    keep[rng.integers(n)] = True
+    t = t0 + np.flatnonzero(keep) * base
+    pool = rng.choice(VALUE_POOL, size=rng.integers(2, VALUE_POOL.size + 1), replace=False)
+    columns = {m: rng.choice(pool, size=t.size) for m in COLUMNS[:n_columns]}
+    return Channel("ch", t, columns, base)
+
+
+def assert_bits_equal(got, want):
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
 
 
 class TestDownsample:
@@ -46,6 +79,46 @@ class TestDownsample:
     def test_mode_ties_break_low(self):
         c = mk_channel([0.0, 10.0, 20.0, 30.0], [7.0, 3.0, 7.0, 3.0])
         assert list(downsample(c, 60.0, "mode").values(POWER_ACTIVE)) == [3.0]
+
+    def test_mode_signed_zero_bits_follow_np_unique(self):
+        bin_values = np.array([0.0, -0.0, 5.0])
+        c = mk_channel([0.0, 10.0, 20.0], bin_values)
+        got = downsample(c, 60.0, "mode").values(POWER_ACTIVE)
+        assert_bits_equal(got, np.unique(bin_values)[:1])
+
+    def test_mode_nan_wins_when_most_frequent(self):
+        c = mk_channel([0.0, 10.0, 20.0], [np.nan, 4.0, np.nan])
+        assert np.isnan(downsample(c, 60.0, "mode").values(POWER_ACTIVE)[0])
+
+    def test_mode_nan_loses_a_tie(self):
+        # NaN sorts above every number, so it is the higher value of a tie.
+        c = mk_channel([0.0, 10.0, 20.0, 30.0], [np.nan, 2.0, np.nan, 2.0])
+        assert list(downsample(c, 60.0, "mode").values(POWER_ACTIVE)) == [2.0]
+
+    @pytest.mark.parametrize("period", [np.inf, np.nan, 0.0, -1.0])
+    def test_invalid_period_rejected(self, period):
+        c = mk_channel([0.0, 1.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="period"):
+            downsample(c, period)
+        with pytest.raises(ValueError, match="period"):
+            downsample(mk_channel([], []), period)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dropout_channels(),
+        st.one_of(st.integers(1, 300).map(float), st.floats(1.0, 300.0)),
+        st.sampled_from(["mean", "median", "mode", "first"]),
+    )
+    def test_matches_per_bin_loop(self, c, ratio, agg):
+        period = c.nominal_period * ratio
+        with np.errstate(invalid="ignore"):  # inf - inf in a mean
+            d = downsample(c, period, agg)
+            expected = {
+                m: downsample_loop(c.timestamps, v, period, agg) for m, v in c.columns.items()
+            }
+        for m, (edges, want) in expected.items():
+            assert_bits_equal(d.timestamps, edges)
+            assert_bits_equal(d.values(m), want)
 
     def test_upsampling_rejected(self):
         c = mk_channel([0.0, 60.0], [0.0, 1.0], period=60.0)
@@ -144,6 +217,16 @@ class TestInterpolate:
         out = interpolate_small_gaps(c, 5.0)
         assert list(out.timestamps) == [0.0, 1.0, 2.0, 3.0, 3.5]
         assert list(out.values(POWER_ACTIVE)) == [10.0, 10.0, 10.0, 10.0, 20.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(dropout_channels(), st.floats(0.5, 40.0))
+    def test_matches_per_gap_loop(self, c, gap_factor):
+        max_gap = c.nominal_period * gap_factor
+        out = interpolate_small_gaps(c, max_gap)
+        for m, v in c.columns.items():
+            t, want = interpolate_small_gaps_loop(c.timestamps, v, c.nominal_period, max_gap)
+            assert_bits_equal(out.timestamps, t)
+            assert_bits_equal(out.values(m), want)
 
 
 def building_with_energies(energies):
