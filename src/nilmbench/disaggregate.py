@@ -7,23 +7,33 @@ aggregate reading.  All combination totals are precomputed and sorted once,
 so each slice resolves by binary search instead of a full scan.
 
 The factorial decoder runs exact Viterbi on the product chain implied by the
-per-appliance HMMs.  The product transition structure is never materialised:
-each Viterbi step maximises over one appliance axis at a time (the product
-log-transition score is a sum of per-appliance terms, so staged maximisation
-is exact).  Emissions are Gaussian with mean equal to the sum of state means
-and variance equal to the sum of state variances plus the aggregate noise
-variance.  All scores are kept in log space.
+per-appliance HMMs.  Emissions are Gaussian with mean equal to the sum of
+state means and variance equal to the sum of state variances plus the
+aggregate noise variance.  All scores are kept in log space, and every step
+keeps one uint16 backpointer code per product state (T x S x 2 bytes).  The
+product log-transition score is a sum of per-appliance terms, added in the
+same order (appliance N-1 first) by both step kinds; float rounding is
+monotone, so both give bit-identical scores:
 
-Backpointers are stored per axis: each step keeps, per product state, one
-uint16 code whose mixed-radix digit n is the argmax of the stage that
-maximised over appliance n.  Stage n reads its digit at a mixed index whose
-digits below n are already predecessor digits, so the flat predecessor is
-composed only along the backtracked path, one digit at a time.
+- Product spaces of S <= 64 states take a dense step: each per-appliance
+  log A_n is expanded once to an (S, S) table over product indices, and a
+  step adds them all to the scores and takes one argmax per successor, so
+  a code is the flat predecessor.  At this size the cost is per-call
+  overhead, which this step keeps to N + 3 numpy calls.
+- Larger spaces take a staged step that never materialises the product
+  transitions: it maximises over one appliance axis at a time.  Digit n of
+  a code (mixed radix) is the argmax of the stage that maximised over
+  appliance n.  Stage n reads its digit at a mixed index whose digits below
+  n are already predecessor digits, so the flat predecessor is composed
+  only along the backtracked path, one digit at a time.
 
 Tie-breaking is deterministic everywhere: combinatorial ties prefer the
 smaller total power, then the lexicographically smallest state vector;
 Viterbi ties prefer the lower product-state index (appliance 0 is the most
-significant digit of the mixed-radix product index).
+significant digit of the mixed-radix product index).  The staged step
+compares partial sums, so where rounding turns a strict partial difference
+into an exact tie of full sums it may keep a higher predecessor than the
+dense step would.
 """
 
 from __future__ import annotations
@@ -39,6 +49,8 @@ from .training import COModel, FHMMModel
 CO_COMBINATION_LIMIT = 2**20
 FHMM_STATE_LIMIT = 2**14
 FHMM_BACKPOINTER_LIMIT = 2**30  # bytes
+# Product spaces up to this size decode with the dense (S, S) step.
+_DENSE_MAX_STATES = 64
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -164,6 +176,16 @@ def _log(p: np.ndarray) -> np.ndarray:
         return np.log(p)
 
 
+def _emission_chunks(m: FHMMModel, y: np.ndarray, rows: int):
+    """Yield ``(lo, em)``: the Gaussian emission log-likelihoods of steps
+    ``lo`` .. ``lo + rows - 1`` as a (rows, S) table over product states."""
+    em_mean = _product_sum(a.means for a in m.appliances)
+    em_var = _product_sum(a.stds**2 for a in m.appliances) + m.noise_variance
+    log_var = np.log(em_var)
+    for lo in range(0, y.size, rows):
+        yield lo, -0.5 * (LOG_2PI + log_var + (y[lo : lo + rows, None] - em_mean) ** 2 / em_var)
+
+
 def disaggregate_fhmm(
     m: FHMMModel, aggregate: Channel, feature: Measurement = POWER_ACTIVE
 ) -> Predictions:
@@ -187,11 +209,55 @@ def disaggregate_fhmm(
         return _predictions_from_states(
             m, aggregate, np.empty((0, len(sizes)), dtype=np.int64)
         )
+    decode = _viterbi_dense if S <= _DENSE_MAX_STATES else _viterbi_staged
+    return _predictions_from_states(m, aggregate, decode(m, y))
+
+
+def _viterbi_dense(m: FHMMModel, y: np.ndarray) -> np.ndarray:
+    """(T, N) MAP states by one (S, S) score table per step; T > 0."""
+    sizes = _sizes(m)
     strides = _strides(sizes)
+    S = math.prod(sizes)
+    # Row j of the table scores every predecessor i of successor j, so
+    # L[n][j, i] is log A_n from digit n of state i to digit n of state j.
+    digits = np.arange(S)[:, None] // strides % sizes
+    L = [
+        _log(a.A)[d[None, :], d[:, None]] for a, d in zip(m.appliances, digits.T)
+    ]
+    rest = L[-2::-1]
+
+    rows = max(1, 2**16 // S)
+    codes = np.empty((y.size, S), dtype=np.uint16)
+    preds = np.zeros((rows, S), dtype=np.intp)
+    table = np.empty((S, S))
+    delta = _product_sum(_log(a.pi) for a in m.appliances)
+    for lo, em in _emission_chunks(m, y, rows):
+        for r in range(em.shape[0]):
+            if lo + r > 0:
+                # Adding appliance N-1 first, as the staged step does, gives
+                # bit-identical maxima; argmax ties take the lower flat index.
+                np.add(L[-1], delta, out=table)
+                for L_n in rest:
+                    np.add(table, L_n, out=table)
+                table.argmax(axis=1, out=preds[r])
+                delta = table.max(axis=1)
+            delta = delta + em[r]
+        codes[lo : lo + em.shape[0]] = preds[: em.shape[0]]
+
+    path = np.empty(y.size, dtype=np.int64)
+    idx = path[-1] = int(np.argmax(delta))
+    for t in range(y.size - 1, 0, -1):
+        idx = path[t - 1] = codes.item(t, idx)
+    return digits[path]
+
+
+def _viterbi_staged(m: FHMMModel, y: np.ndarray) -> np.ndarray:
+    """(T, N) MAP states by one maximisation per appliance axis per step;
+    T > 0."""
+    sizes = _sizes(m)
+    strides = _strides(sizes)
+    S = math.prod(sizes)
     log_pi = _product_sum(_log(a.pi) for a in m.appliances)
-    em_mean = _product_sum(a.means for a in m.appliances)
-    em_var = _product_sum(a.stds**2 for a in m.appliances) + m.noise_variance
-    log_var = np.log(em_var)
 
     # Steps run in chunks of ``rows`` sharing one emission table.  Stage n
     # views the scores as (prefix, K_n, 1, suffix) and adds log A_n as
@@ -204,10 +270,9 @@ def disaggregate_fhmm(
         masks = np.zeros((K - 1, rows, *shape), dtype=bool)
         stages.append((shape, _log(a.A)[:, :, None], masks))
 
-    codes = np.empty((T, S), dtype=np.uint16)
+    codes = np.empty((y.size, S), dtype=np.uint16)
     delta = log_pi
-    for lo in range(0, T, rows):
-        em = -0.5 * (LOG_2PI + log_var + (y[lo : lo + rows, None] - em_mean) ** 2 / em_var)
+    for lo, em in _emission_chunks(m, y, rows):
         for r in range(em.shape[0]):
             if lo + r > 0:
                 for (prefix, K, stride), log_A, masks in stages:
@@ -228,12 +293,12 @@ def disaggregate_fhmm(
             for mk in masks[:, : len(code)]:
                 code += mk.reshape(code.shape) * np.uint16(stride)
 
-    states = np.empty((T, len(sizes)), dtype=np.int64)
+    states = np.empty((y.size, len(sizes)), dtype=np.int64)
     # Compose the predecessor along the path only: stage 0 reads the code at
     # the successor, and each chosen digit moves the index for the next stage.
     idx = int(np.argmax(delta))
     cur = [idx // stride % K for K, stride in zip(sizes, strides)]
-    for t in range(T - 1, 0, -1):
+    for t in range(y.size - 1, 0, -1):
         states[t] = cur
         code_t = codes[t]
         for n, (K, stride) in enumerate(zip(sizes, strides)):
@@ -241,7 +306,7 @@ def disaggregate_fhmm(
             idx += (s_n - cur[n]) * stride
             cur[n] = s_n
     states[0] = cur
-    return _predictions_from_states(m, aggregate, states)
+    return states
 
 
 def predictions_to_power(

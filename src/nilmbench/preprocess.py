@@ -130,6 +130,16 @@ def interpolate_small_gaps(c: Channel, max_gap: float | None = None) -> Channel:
     diffs = np.diff(t)
     fill_at = np.nonzero((diffs > period) & (diffs <= max_gap))[0]
     n_new = np.ceil(diffs[fill_at] / period - 1e-9).astype(np.int64) - 1
+    # ``n_new`` allows for 1e-9 periods of rounding, but epoch-sized
+    # timestamps with a sub-second period round to about 1e-6 of a period,
+    # so a hole's last row can land on the next real row: drop such rows.
+    while True:
+        over = (n_new > 0) & (
+            t[fill_at] + n_new.astype(np.float64) * period >= t[fill_at + 1]
+        )
+        if not over.any():
+            break
+        n_new[over] -= 1
     keep = n_new > 0
     fill_at, n_new = fill_at[keep], n_new[keep]
     if fill_at.size == 0:

@@ -270,8 +270,9 @@ def pearson_correlation(
     authoritative; this uses the mean-resampled ``feature`` on a shared
     ``period`` grid, restricted to bins where both channels have data.
     """
-    from .preprocess import downsample
+    from .preprocess import check_period, downsample
 
+    check_period(period)
     da = downsample(a, period, "mean") if a.nominal_period < period else a
     db = downsample(b, period, "mean") if b.nominal_period < period else b
     common, ia, ib = np.intersect1d(da.timestamps, db.timestamps, return_indices=True)

@@ -225,12 +225,15 @@ def downsample_loop(t, v, period, agg) -> tuple[np.ndarray, np.ndarray]:
 
 def interpolate_small_gaps_loop(t, v, period, max_gap) -> tuple[np.ndarray, np.ndarray]:
     """Forward-fill each hole wider than ``period`` and at most ``max_gap``
-    with synthetic rows at ``period`` spacing, one hole at a time."""
+    with synthetic rows at ``period`` spacing, one hole at a time, each row
+    before the next real row."""
     diffs = np.diff(t)
     pieces_t = [t]
     pieces_v = [v]
     for i in np.nonzero((diffs > period) & (diffs <= max_gap))[0]:
         n_new = int(math.ceil(diffs[i] / period - 1e-9)) - 1
+        while n_new > 0 and t[i] + np.float64(n_new) * period >= t[i + 1]:
+            n_new -= 1
         if n_new <= 0:
             continue
         ks = np.arange(1, n_new + 1, dtype=np.float64)

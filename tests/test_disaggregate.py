@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -5,9 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nilmbench import disaggregate
 from nilmbench.data import POWER_ACTIVE
 from nilmbench.disaggregate import (
     FHMM_BACKPOINTER_LIMIT,
+    _emission_chunks,
+    _product_sum,
+    _viterbi_dense,
+    _viterbi_staged,
     disaggregate_co,
     disaggregate_fhmm,
     predictions_to_power,
@@ -461,3 +467,150 @@ def test_fhmm_matches_oracle_across_emission_chunks():
     got = states_matrix(p, m)
     got_idx = np.array([product_index(row, ph.sizes) for row in got])
     assert np.array_equal(got_idx, path)
+
+
+def near_tie_rows(rng, K, kind, n_rows):
+    """``n_rows`` stochastic rows of length K.  "uniform" rows are flat;
+    "ulp" rows nudge each flat entry to a neighbouring float, so entries sit
+    one ulp apart; "rare" rows are "ulp" rows over all but one column, which
+    gets 1e-300, so entering that state adds about -690.8 in log space and
+    rounds away partial-sum differences below about 1e-13; "random" rows are
+    Dirichlet draws."""
+    if kind == "random":
+        return rng.dirichlet(np.ones(K), size=n_rows)
+    rare = kind == "rare" and K > 1
+    rows = np.full((n_rows, K), 1.0 / (K - rare))
+    if kind in ("ulp", "rare"):
+        nudge = rng.integers(-1, 2, size=rows.shape)
+        rows = np.where(nudge > 0, np.nextafter(rows, 1.0), rows)
+        rows = np.where(nudge < 0, np.nextafter(rows, 0.0), rows)
+    if rare:
+        rows[:, rng.integers(K)] = 1e-300
+    return rows
+
+
+def staged_order_tables(m, y):
+    """For each step t >= 1, the (S, S) table of full predecessor sums, row =
+    predecessor and column = successor, added appliance N-1 first."""
+    sizes = [a.K for a in m.appliances]
+    digits = np.array(list(itertools.product(*map(range, sizes)))).reshape(-1, len(sizes))
+    with np.errstate(divide="ignore"):
+        log_A = [
+            np.log(a.A)[d[:, None], d[None, :]] for a, d in zip(m.appliances, digits.T)
+        ]
+        delta = _product_sum(np.log(a.pi) for a in m.appliances)
+    _, em = next(_emission_chunks(m, y, len(y)))
+    delta = delta + em[0]
+    tables = [None]
+    for t in range(1, len(y)):
+        table = delta[:, None] + log_A[-1]
+        for L in log_A[-2::-1]:
+            table = table + L
+        tables.append(table)
+        delta = table.max(axis=0) + em[t]
+    return tables
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6).filter(
+        lambda ks: math.prod(ks) <= 64
+    ),
+    kinds=st.lists(st.sampled_from(["ulp", "uniform", "rare", "random"]), min_size=6, max_size=6),
+    shared_means=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    T=st.integers(1, 40),
+)
+def test_dense_step_matches_staged_step(sizes, kinds, shared_means, seed, T):
+    # Near-ties built in: A and pi rows one ulp apart or flat, and with
+    # ``shared_means`` every appliance has the states 0, 100, 200, ... W,
+    # so many product states share an emission.
+    rng = np.random.default_rng(seed)
+    apps = []
+    for n, K in enumerate(sizes):
+        if shared_means:
+            means, stds = 100.0 * np.arange(K), np.full(K, 10.0)
+        else:
+            means = np.sort(rng.choice(np.arange(40) * 50.0, K, replace=False))
+            stds = rng.uniform(2.0, 30.0, K)
+        rows = near_tie_rows(rng, K, kinds[n], K + 1)
+        apps.append(ApplianceHMM(ApplianceStateModel(f"a{n}", means, stds), rows[0], rows[1:]))
+    m = FHMMModel(appliances=tuple(apps), noise_variance=float(rng.uniform(25.0, 90.0)))
+    top = 100.0 * sum(K - 1 for K in sizes)
+    y = rng.choice(np.arange(0.0, top + 50.0, 50.0), T) if shared_means else rng.uniform(0.0, 2000.0 * len(sizes), T)
+
+    assert_dense_matches_staged(m, y)
+
+
+def test_dense_and_staged_steps_split_an_exact_tie():
+    # From state (0, *) at t = 0, reading 50 W halfway between appliance 1's
+    # states, both predecessors of (1, 0) score alike up to the A_1 entries
+    # 0.5 -+ 1e-15.  The staged step keeps that strict difference and picks
+    # digit 1; adding log(1e-300) for appliance 0 rounds it away, so the full
+    # sums tie and the dense step takes the lower flat index.
+    a0 = ApplianceHMM(
+        ApplianceStateModel("a0", [0.0, 1000.0], [5.0, 5.0]),
+        pi=[0.5, 0.5], A=[[1.0, 1e-300], [1.0, 1e-300]],
+    )
+    a1 = ApplianceHMM(
+        ApplianceStateModel("a1", [0.0, 100.0], [5.0, 5.0]),
+        pi=[0.5, 0.5], A=[[0.5 - 1e-15, 0.5 + 1e-15], [0.5 + 1e-15, 0.5 - 1e-15]],
+    )
+    m = FHMMModel(appliances=(a0, a1), noise_variance=25.0)
+    y = np.array([50.0, 1000.0])
+    assert _viterbi_dense(m, y).tolist() == [[0, 0], [1, 0]]
+    assert _viterbi_staged(m, y).tolist() == [[0, 1], [1, 0]]
+    assert_dense_matches_staged(m, y)
+
+
+def assert_dense_matches_staged(m, y):
+    """Both steps give the same states, except where an exact tie of full
+    sums let the staged step keep a higher predecessor than the dense one."""
+    sizes = [a.K for a in m.appliances]
+    T = len(y)
+    dense = _viterbi_dense(m, y)
+    staged = _viterbi_staged(m, y)
+    assert dense.shape == staged.shape == (T, len(sizes))
+    assert np.array_equal(dense[-1], staged[-1])
+    tables = staged_order_tables(m, y)
+    for t in range(T - 1, 0, -1):
+        succ = product_index(dense[t], sizes)
+        # The dense step takes the lowest flat index among the best sums.
+        assert product_index(dense[t - 1], sizes) == np.argmax(tables[t][:, succ])
+        if np.array_equal(dense[t], staged[t]) and not np.array_equal(dense[t - 1], staged[t - 1]):
+            p_dense = product_index(dense[t - 1], sizes)
+            p_staged = product_index(staged[t - 1], sizes)
+            assert tables[t][p_dense, succ] == tables[t][p_staged, succ]
+            assert p_dense < p_staged
+    ll_dense, ll_staged = fhmm_path_loglik(m, dense, y), fhmm_path_loglik(m, staged, y)
+    if np.array_equal(dense, staged):
+        assert ll_dense == ll_staged
+    else:
+        # Tied paths: equal in the decoders' sums, not always in this
+        # oracle's summation order.
+        assert ll_dense == pytest.approx(ll_staged, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "sizes, step", [((2,) * 6, "_viterbi_staged"), ((3, 3, 2, 4), "_viterbi_dense")]
+)
+def test_fhmm_step_boundary_matches_oracle(monkeypatch, sizes, step):
+    # S = 64 is the largest product space the dense step decodes, S = 72 the
+    # smallest above it that the staged step decodes; the other step kind
+    # must not run.
+    def unused(m, y):
+        raise AssertionError(f"{step} used at S = {math.prod(sizes)}")
+
+    monkeypatch.setattr(disaggregate, step, unused)
+    rng = np.random.default_rng(math.prod(sizes))
+    apps = tuple(
+        random_hmm(rng, f"a{n}", K, mean_scale=600.0, kind=kind)
+        for n, (K, kind) in enumerate(zip(sizes, itertools.cycle(["dense", "sparse", "uniform"])))
+    )
+    m = FHMMModel(appliances=apps, noise_variance=50.0)
+    y = rng.uniform(0, 600.0 * len(sizes), 150)
+    p = disaggregate_fhmm(m, aggregate_channel(y))
+    ph = build_product_hmm(m)
+    path, _ = dense_viterbi(ph.pi, ph.A, ph.emission_means, ph.emission_variances, y)
+    got = states_matrix(p, m)
+    assert np.array_equal([product_index(row, ph.sizes) for row in got], path)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,14 +28,16 @@ COLUMNS = (POWER_ACTIVE, VOLTAGE, POWER_REACTIVE)
 
 
 @st.composite
-def dropout_channels(draw, max_rows=6000):
+def dropout_channels(
+    draw, max_rows=6000, bases=(0.1, 1.0, 3.0), t0s=(0.0, 7.3, 1.3e9, 1303132929.25)
+):
     """A channel on a ``base`` grid from ``t0`` with irregular dropout.
 
     The dropout rate changes every 50 grid points, from none to nearly all,
     so bins of one period hold anywhere from 1 sample to the full count.
     """
-    base = draw(st.sampled_from([0.1, 1.0, 3.0]))
-    t0 = draw(st.sampled_from([0.0, 7.3, 1.3e9, 1303132929.25]))
+    base = draw(st.sampled_from(bases))
+    t0 = draw(st.sampled_from(t0s))
     n_columns = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # Log-uniform length, so long channels are drawn as often as short ones.
@@ -227,6 +231,25 @@ class TestInterpolate:
             t, want = interpolate_small_gaps_loop(c.timestamps, v, c.nominal_period, max_gap)
             assert_bits_equal(out.timestamps, t)
             assert_bits_equal(out.values(m), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dropout_channels(bases=(0.1,), t0s=(1.3e9,)), st.floats(1.5, 40.0))
+    def test_epoch_timestamps_stay_strictly_increasing(self, c, gap_factor):
+        # At t0 = 1.3e9 a timestamp is rounded to 2.4e-7 s, 2.4e-6 of the
+        # period, so the uncapped count can put a hole's last row on the
+        # next real row.
+        t, period = c.timestamps, c.nominal_period
+        max_gap = period * gap_factor
+        out = interpolate_small_gaps(c, max_gap)
+        assert np.all(np.diff(out.timestamps) > 0)
+        diffs = np.diff(t)
+        uncapped = [t]
+        for i in np.nonzero((diffs > period) & (diffs <= max_gap))[0]:
+            n_new = int(math.ceil(diffs[i] / period - 1e-9)) - 1
+            uncapped.append(t[i] + np.arange(1, n_new + 1, dtype=np.float64) * period)
+        uncapped = np.sort(np.concatenate(uncapped))
+        if np.all(np.diff(uncapped) > 0):
+            assert_bits_equal(out.timestamps, uncapped)
 
 
 def building_with_energies(energies):

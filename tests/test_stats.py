@@ -321,3 +321,12 @@ class TestPearson:
         a = mk_channel(t, np.sin(t / 600.0) + 2, period=60.0, cid="a")
         b = mk_channel(t, -np.sin(t / 600.0) + 2, period=60.0, cid="b")
         assert pearson_correlation(a, b) == pytest.approx(-1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("period", [float("nan"), 0.0, -1.0])
+    def test_invalid_period_raises(self, period):
+        rng = np.random.default_rng(4)
+        t = np.arange(0.0, 600.0, 1.0)
+        a = mk_channel(t, rng.uniform(0, 100, t.size), cid="a")
+        b = mk_channel(t, rng.uniform(0, 100, t.size), cid="b")
+        with pytest.raises(ValueError, match="period must be finite and > 0"):
+            pearson_correlation(a, b, period=period)
