@@ -21,11 +21,18 @@ monotone, so both give bit-identical scores:
   a code is the flat predecessor.  At this size the cost is per-call
   overhead, which this step keeps to N + 3 numpy calls.
 - Larger spaces take a staged step that never materialises the product
-  transitions: it maximises over one appliance axis at a time.  Digit n of
-  a code (mixed radix) is the argmax of the stage that maximised over
-  appliance n.  Stage n reads its digit at a mixed index whose digits below
-  n are already predecessor digits, so the flat predecessor is composed
-  only along the backtracked path, one digit at a time.
+  transitions: it maximises over one appliance axis at a time, appliance
+  N-1 first.  Each stage maximises the trailing digit of its input layout
+  and puts the successor digit in front, so the layout rotates right by
+  one digit per stage, every stage runs its inner loops over rows of
+  S / K_n scores, and after N stages the layout is canonical again.
+  Digit n of a code (mixed radix, code // stride_n % K_n) is the argmax of
+  the stage that maximised over appliance n, stored in that stage's output
+  layout, whose leading digits n .. N-1 are successor digits and trailing
+  digits 0 .. n-1 predecessor digits.  The backtrack reads digit n with
+  the digits below n already set to predecessor digits, so the flat
+  predecessor is composed only along the backtracked path, one digit at a
+  time.
 
 Tie-breaking is deterministic everywhere: combinatorial ties prefer the
 smaller total power, then the lexicographically smallest state vector;
@@ -34,6 +41,9 @@ significant digit of the mixed-radix product index).  The staged step
 compares partial sums, so where rounding turns a strict partial difference
 into an exact tie of full sums it may keep a higher predecessor than the
 dense step would.
+
+Both decoders reject an aggregate with a NaN or infinite reading, naming
+how many there are and the index of the first.
 """
 
 from __future__ import annotations
@@ -105,6 +115,20 @@ def _product_sum(per_appliance) -> np.ndarray:
     return total
 
 
+def _readings(aggregate: Channel, feature: Measurement) -> np.ndarray:
+    """The aggregate's ``feature`` values, which must all be finite: a NaN
+    would turn every later Viterbi score into NaN, and CO would map it to
+    an arbitrary combination."""
+    y = aggregate.values(feature)
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise ValueError(
+            f"{aggregate.id}: {bad.size} non-finite {feature.column_name} "
+            f"readings, the first at index {bad[0]}"
+        )
+    return y
+
+
 def _predictions_from_states(
     model, aggregate: Channel, states: np.ndarray
 ) -> Predictions:
@@ -147,7 +171,7 @@ def disaggregate_co(
     order = np.argsort(totals, kind="stable")  # stable keeps lex order on ties
     sorted_totals = totals[order]
 
-    y = aggregate.values(feature)
+    y = _readings(aggregate, feature)
     pos = np.searchsorted(sorted_totals, y, side="left")
     left = np.clip(pos - 1, 0, sorted_totals.size - 1)
     right = np.clip(pos, 0, sorted_totals.size - 1)
@@ -197,7 +221,7 @@ def disaggregate_fhmm(
             f"product state space {S} exceeds the limit ({FHMM_STATE_LIMIT}); "
             "filter to fewer appliances or states first"
         )
-    y = aggregate.values(feature)
+    y = _readings(aggregate, feature)
     T = y.size
     if T * S * 2 > FHMM_BACKPOINTER_LIMIT:
         raise ValueError(
@@ -259,50 +283,66 @@ def _viterbi_staged(m: FHMMModel, y: np.ndarray) -> np.ndarray:
     S = math.prod(sizes)
     log_pi = _product_sum(_log(a.pi) for a in m.appliances)
 
-    # Steps run in chunks of ``rows`` sharing one emission table.  Stage n
-    # views the scores as (prefix, K_n, 1, suffix) and adds log A_n as
-    # (K_n, K_n, 1), so axis 1 holds the predecessor digit to maximise out;
-    # for 1 <= i < K_n it marks, per chunk, where its argmax digit is >= i.
+    # Steps run in chunks of ``rows`` sharing one emission table.  Stage k
+    # maximises appliance N-1-k, the trailing digit of the current layout:
+    # the scores viewed as (K_i, S / K) take log A as (K_i, K_j, 1) into a
+    # (K_i, K_j, S / K) scratch, and the max over i leaves the successor
+    # digit j in front.  Stages with the same K share their scratch and
+    # result buffers, as a scratch is filled from the input before the
+    # result is written; a one-state appliance adds straight into its
+    # result.  For 1 <= i < K a mask marks, per chunk, where the argmax
+    # digit is >= i.
     rows = max(1, 2**16 // S)
-    stages = []
-    for a, K, stride in reversed(list(zip(m.appliances, sizes, strides))):
-        shape = (S // (K * stride), K, stride)
-        masks = np.zeros((K - 1, rows, *shape), dtype=bool)
-        stages.append((shape, _log(a.A)[:, :, None], masks))
+    buffers = {}
+    for K in set(sizes):
+        best = np.empty((K, S // K))
+        buffers[K] = (np.empty((K, K, S // K)) if K > 1 else best[None], best)
+    stages = [
+        (_log(a.A)[:, :, None], *buffers[K], np.zeros((K - 1, rows, K, S // K), bool))
+        for a, K in zip(reversed(m.appliances), reversed(sizes))
+    ]
 
     codes = np.empty((y.size, S), dtype=np.uint16)
     delta = log_pi
     for lo, em in _emission_chunks(m, y, rows):
         for r in range(em.shape[0]):
             if lo + r > 0:
-                for (prefix, K, stride), log_A, masks in stages:
-                    scores = delta.reshape(prefix, K, 1, stride) + log_A
-                    delta, below = scores[:, 0], []
+                for log_A, scratch, best, masks in stages:
+                    K = len(best)
+                    np.add(delta.reshape(-1, K).T[:, None], log_A, out=scratch)
+                    # Running maxima in place: scratch[i] becomes the max
+                    # over digits 0 .. i, and the last one lands in ``best``.
                     for i in range(1, K):
-                        below.append(delta)
-                        delta = np.maximum(delta, scores[:, i])
+                        out = best if i == K - 1 else scratch[i]
+                        np.maximum(scratch[i - 1], scratch[i], out=out)
                     # The digit is >= i where the max beats every score
                     # below i; ties keep the lower digit, as argmax would.
-                    for b, mk in zip(below, masks):
-                        np.greater(delta, b, out=mk[r])
-            delta = delta.ravel() + em[r]
-        # A code is the sum over masks of their stage's stride.
+                    for i, mk in enumerate(masks):
+                        np.greater(best, scratch[i], out=mk[r])
+                    delta = best
+            delta = delta.reshape(S) + em[r]
+        # A code is the sum over masks of their appliance's stride, each
+        # mask in its own stage's layout; digit n is code // stride_n % K_n.
         code = codes[lo : lo + em.shape[0]]
         code[...] = 0
-        for (_, _, stride), _, masks in stages:
+        for (_, _, _, masks), stride in zip(stages, reversed(strides)):
             for mk in masks[:, : len(code)]:
                 code += mk.reshape(code.shape) * np.uint16(stride)
 
     states = np.empty((y.size, len(sizes)), dtype=np.int64)
-    # Compose the predecessor along the path only: stage 0 reads the code at
-    # the successor, and each chosen digit moves the index for the next stage.
+    # Compose the predecessor along the path only.  Digit n was stored in
+    # the layout after its stage, whose leading digits n .. N-1 are
+    # successor digits and trailing digits 0 .. n-1 predecessor digits: at
+    # (idx % P_n) * (S // P_n) + idx // P_n with P_n = K_n * stride_n, where
+    # idx already holds the predecessor digits below n.
     idx = int(np.argmax(delta))
     cur = [idx // stride % K for K, stride in zip(sizes, strides)]
     for t in range(y.size - 1, 0, -1):
         states[t] = cur
         code_t = codes[t]
         for n, (K, stride) in enumerate(zip(sizes, strides)):
-            s_n = int(code_t[idx]) // stride % K
+            P = K * stride
+            s_n = code_t.item((idx % P) * (S // P) + idx // P) // stride % K
             idx += (s_n - cur[n]) * stride
             cur[n] = s_n
     states[0] = cur

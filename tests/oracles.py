@@ -3,7 +3,10 @@
 These stay deliberately naive: exhaustive enumeration for the combinatorial
 search, an explicitly materialised product chain with a textbook dense
 Viterbi over it, and the literal sum-of-minimum-fractions energy overlap.
-None of them shares code with the decoders they check.
+None of them shares code with the decoders they check, except
+``staged_viterbi_loop``: an earlier FHMM step kept to pin the current one bit
+for bit, so it takes its emission table from the decoder module and differs
+only in the step.
 """
 
 import itertools
@@ -12,6 +15,8 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+
+from nilmbench.disaggregate import _emission_chunks, _product_sum
 
 PRODUCT_HMM_LIMIT = 2**10
 
@@ -132,6 +137,62 @@ def product_index(states_row, sizes) -> int:
     for s, k in zip(states_row, sizes):
         idx = idx * k + int(s)
     return idx
+
+
+def staged_viterbi_loop(m, y) -> np.ndarray:
+    """(T, N) FHMM MAP states by the staged step on the canonical layout;
+    T > 0.  Stage n views the scores as (prefix, K_n, 1, stride_n), so the
+    last appliances broadcast over inner axes of length 1, 2, 4, ..."""
+    sizes = [a.K for a in m.appliances]
+    strides = [math.prod(sizes[n + 1 :]) for n in range(len(sizes))]
+    S = math.prod(sizes)
+    with np.errstate(divide="ignore"):
+        log_pi = _product_sum(np.log(a.pi) for a in m.appliances)
+        log_As = [np.log(a.A) for a in m.appliances]
+
+    # Axis 1 of a stage's view holds the predecessor digit to maximise out;
+    # for 1 <= i < K_n a mask marks, per chunk, where its argmax digit is >= i.
+    rows = max(1, 2**16 // S)
+    stages = []
+    for log_A, K, stride in reversed(list(zip(log_As, sizes, strides))):
+        shape = (S // (K * stride), K, stride)
+        masks = np.zeros((K - 1, rows, *shape), dtype=bool)
+        stages.append((shape, log_A[:, :, None], masks))
+
+    codes = np.empty((len(y), S), dtype=np.uint16)
+    delta = log_pi
+    for lo, em in _emission_chunks(m, y, rows):
+        for r in range(em.shape[0]):
+            if lo + r > 0:
+                for (prefix, K, stride), log_A, masks in stages:
+                    scores = delta.reshape(prefix, K, 1, stride) + log_A
+                    delta, below = scores[:, 0], []
+                    for i in range(1, K):
+                        below.append(delta)
+                        delta = np.maximum(delta, scores[:, i])
+                    # Strict >: ties keep the lower digit, as argmax would.
+                    for b, mk in zip(below, masks):
+                        np.greater(delta, b, out=mk[r])
+            delta = delta.ravel() + em[r]
+        code = codes[lo : lo + em.shape[0]]
+        code[...] = 0
+        for (_, _, stride), _, masks in stages:
+            for mk in masks[:, : len(code)]:
+                code += mk.reshape(code.shape) * np.uint16(stride)
+
+    # Digit n of a code was stored at the index whose digits below n are
+    # already predecessor digits.
+    states = np.empty((len(y), len(sizes)), dtype=np.int64)
+    idx = int(np.argmax(delta))
+    cur = [idx // stride % K for K, stride in zip(sizes, strides)]
+    for t in range(len(y) - 1, 0, -1):
+        states[t] = cur
+        for n, (K, stride) in enumerate(zip(sizes, strides)):
+            s_n = int(codes[t, idx]) // stride % K
+            idx += (s_n - cur[n]) * stride
+            cur[n] = s_n
+    states[0] = cur
+    return states
 
 
 def fte_sum_of_minima(Y: dict, Y_hat: dict) -> float:

@@ -29,6 +29,7 @@ from oracles import (
     dense_viterbi,
     fhmm_path_loglik,
     product_index,
+    staged_viterbi_loop,
 )
 
 
@@ -287,6 +288,44 @@ class TestFHMM:
         p = disaggregate_fhmm(m, aggregate_channel([]))
         assert p.appliances["a"].states.size == 0
 
+    def test_staged_working_set_beyond_the_codes(self):
+        # Twelve two-state appliances (S = 4096) over a day of minutes: the
+        # uint16 codes take T * S * 2 bytes, and the emission chunk, masks
+        # and stage buffers must stay within 3 MiB on top.  A scratch and
+        # result buffer per stage instead of per distinct K adds about
+        # 1.1 MiB.
+        rng = np.random.default_rng(4)
+        T, on = 1440, np.sort(rng.choice(np.arange(40.0, 3000.0, 10.0), 12, replace=False))
+        apps = tuple(
+            ApplianceHMM(ApplianceStateModel(f"a{n}", [0.0, p], [1.0, 0.01 * p]), [0.7, 0.3], [[0.97, 0.03], [0.06, 0.94]])
+            for n, p in enumerate(on)
+        )
+        m = FHMMModel(appliances=apps, noise_variance=900.0)
+        agg = aggregate_channel((rng.random((T, 12)) < 0.3) @ on + rng.normal(0.0, 30.0, T), period=60.0)
+        tracemalloc.start()
+        try:
+            disaggregate_fhmm(m, agg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - T * 4096 * 2 <= 3 * 2**20
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("decode", [disaggregate_co, disaggregate_fhmm])
+def test_non_finite_aggregate_rejected(decode, bad):
+    # Unchecked, a NaN makes every later FHMM step decode as all-off, and
+    # CO maps NaN and +-inf to a fixed combination.
+    rng = np.random.default_rng(6)
+    apps = tuple(random_hmm(rng, f"a{n}", 2) for n in range(3))
+    m = FHMMModel(appliances=apps, noise_variance=25.0)
+    if decode is disaggregate_co:
+        m = COModel(appliances=tuple(a.base for a in apps))
+    y = rng.uniform(0.0, 1500.0, 200)
+    y[[50, 120, 121]] = bad
+    with pytest.raises(ValueError, match="mains: 3 non-finite power_active readings, the first at index 50"):
+        decode(m, aggregate_channel(y))
+
 
 class TestProductHMM:
     def test_prior_is_product(self):
@@ -388,7 +427,7 @@ class TestFHMMWideOracle:
         assert np.array_equal(got_idx, path)
 
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 means_strategy = st.lists(
     st.floats(0.0, 2000.0, allow_nan=False).map(lambda v: round(v, 1)),
@@ -511,20 +550,11 @@ def staged_order_tables(m, y):
     return tables
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6).filter(
-        lambda ks: math.prod(ks) <= 64
-    ),
-    kinds=st.lists(st.sampled_from(["ulp", "uniform", "rare", "random"]), min_size=6, max_size=6),
-    shared_means=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-    T=st.integers(1, 40),
-)
-def test_dense_step_matches_staged_step(sizes, kinds, shared_means, seed, T):
-    # Near-ties built in: A and pi rows one ulp apart or flat, and with
-    # ``shared_means`` every appliance has the states 0, 100, 200, ... W,
-    # so many product states share an emission.
+def near_tie_model(sizes, kinds, shared_means, seed, T):
+    """A model and T readings with near-ties built in: A and pi rows one ulp
+    apart or flat, and with ``shared_means`` every appliance has the states
+    0, 100, 200, ... W and the readings sit on a 50 W grid, so many product
+    states share an emission."""
     rng = np.random.default_rng(seed)
     apps = []
     for n, K in enumerate(sizes):
@@ -538,8 +568,45 @@ def test_dense_step_matches_staged_step(sizes, kinds, shared_means, seed, T):
     m = FHMMModel(appliances=tuple(apps), noise_variance=float(rng.uniform(25.0, 90.0)))
     top = 100.0 * sum(K - 1 for K in sizes)
     y = rng.choice(np.arange(0.0, top + 50.0, 50.0), T) if shared_means else rng.uniform(0.0, 2000.0 * len(sizes), T)
+    return m, y
 
-    assert_dense_matches_staged(m, y)
+
+NEAR_TIE_KINDS = st.lists(st.sampled_from(["ulp", "uniform", "rare", "random"]), min_size=8, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6).filter(
+        lambda ks: math.prod(ks) <= 64
+    ),
+    kinds=NEAR_TIE_KINDS,
+    shared_means=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    T=st.integers(1, 40),
+)
+def test_dense_step_matches_staged_step(sizes, kinds, shared_means, seed, T):
+    assert_dense_matches_staged(*near_tie_model(sizes, kinds, shared_means, seed, T))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=8).filter(
+        lambda ks: math.prod(ks) <= 1024
+    ),
+    kinds=NEAR_TIE_KINDS,
+    shared_means=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    T=st.integers(1, 150),
+)
+@example(sizes=[4, 4, 4, 2, 2, 2, 2], kinds=["ulp", "rare", "uniform", "random"] * 2, shared_means=True, seed=1, T=150)
+@example(sizes=[4, 1, 3, 4, 4, 4], kinds=["rare", "ulp"] * 4, shared_means=False, seed=2, T=100)
+def test_staged_step_matches_canonical_layout_oracle(sizes, kinds, shared_means, seed, T):
+    # The rotated-layout step does the same float additions and maximums in
+    # the same order as the canonical-layout step, so states agree exactly,
+    # exact ties included.  S = 1024 decodes in chunks of 64 steps and
+    # S = 768 in chunks of 85, so the examples cross chunk boundaries.
+    m, y = near_tie_model(sizes, kinds, shared_means, seed, T)
+    assert np.array_equal(_viterbi_staged(m, y), staged_viterbi_loop(m, y))
 
 
 def test_dense_and_staged_steps_split_an_exact_tie():
