@@ -33,12 +33,16 @@ from .pipeline import (
     RunConfig,
     StageFailure,
     algorithms,
+    align_and_split,
     predictions_from_dataset,
-    predictions_to_dataset,
     preprocess_building,
+    preprocess_steps,
+    read_model,
     run,
+    write_model,
+    write_predictions,
+    write_report,
 )
-from .preprocess import train_test_split, intersect_with_mains, is_aligned
 from .stats import (
     DEFAULT_ON_THRESHOLD_W,
     correlate_daily,
@@ -95,12 +99,10 @@ def _load_building(path: str, building: int):
     ds = nio.load_dataset_dir(path)
     if building not in ds.buildings:
         raise ValueError(f"building {building} not found in {path}")
-    return ds, ds.buildings[building]
+    return ds.buildings[building]
 
 
 def cmd_import(args) -> int:
-    if args.format != "redd":
-        raise ConfigError(f"unknown import format {args.format!r}")
     ds, report = nio.import_redd_style(
         args.input, dataset_name=args.name, nominal_period=args.period
     )
@@ -150,7 +152,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    _ds, b = _load_building(args.input, args.building)
+    b = _load_building(args.input, args.building)
     ranked = top_k_appliances(b, args.top_k)
     lines = ["appliance,energy_joules,fraction"]
     for name, energy, fraction in ranked:
@@ -195,84 +197,64 @@ def cmd_stats(args) -> int:
 
 def cmd_preprocess(args) -> int:
     ds = nio.load_dataset_dir(args.input)
-    steps = json.loads(Path(args.steps).read_text(encoding="utf-8")) if args.steps else []
-    if not isinstance(steps, list):
-        raise ConfigError("steps file must contain a JSON list")
-    buildings = {}
-    for bid, b in ds.buildings.items():
-        if args.building and bid != args.building:
-            continue
-        buildings[bid] = preprocess_building(b, steps)
-    if args.split_fraction is not None:
-        train_buildings, test_buildings = {}, {}
-        for bid, b in buildings.items():
-            if not is_aligned(b):
-                b = intersect_with_mains(b)
-            train_b, test_b = train_test_split(b, args.split_fraction)
-            train_buildings[bid] = train_b
-            test_buildings[bid] = test_b
-        nio.save_dataset_dir(
-            replace(ds, buildings=train_buildings), Path(args.output) / "train"
+    try:
+        steps = preprocess_steps(
+            json.loads(Path(args.steps).read_text(encoding="utf-8")) if args.steps else []
         )
-        nio.save_dataset_dir(
-            replace(ds, buildings=test_buildings), Path(args.output) / "test"
-        )
-    else:
+    except ValueError as e:
+        raise ConfigError(f"steps file {args.steps}: {e}") from None
+    buildings = {
+        bid: preprocess_building(b, steps)
+        for bid, b in ds.buildings.items()
+        if not args.building or bid == args.building
+    }
+    if args.split_fraction is None:
         nio.save_dataset_dir(replace(ds, buildings=buildings), args.output)
+    else:
+        halves = {bid: align_and_split(b, args.split_fraction) for bid, b in buildings.items()}
+        for i, name in enumerate(("train", "test")):
+            split = {bid: half[i] for bid, half in halves.items()}
+            nio.save_dataset_dir(replace(ds, buildings=split), Path(args.output) / name)
     if not args.quiet:
         print(f"preprocessed {len(buildings)} building(s) -> {args.output}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    _ds, b = _load_building(args.input, args.building)
+    b = _load_building(args.input, args.building)
     trainer, _, _ = algorithms()[args.algorithm]
     model = trainer(b, args.feature, args.states)
-    Path(args.output).write_text(
-        nio.export_model_json(model) + "\n", encoding="utf-8"
-    )
+    write_model(model, args.output)
     if not args.quiet:
         print(f"trained {args.algorithm} model -> {args.output}")
     return EXIT_OK
 
 
 def cmd_disaggregate(args) -> int:
-    _ds, b = _load_building(args.input, args.building)
-    model = nio.import_model_json(Path(args.model).read_text(encoding="utf-8"))
+    b = _load_building(args.input, args.building)
+    model = read_model(args.model)
     disaggregator = next(
         decode for _, decode, model_type in algorithms().values()
         if isinstance(model, model_type)
     )
     predictions = disaggregator(model, mains_total(b, args.feature), args.feature)
-    nio.save_dataset_dir(
-        predictions_to_dataset(predictions, args.building, args.feature), args.output
-    )
+    write_predictions(predictions, args.building, args.feature, args.output)
     if not args.quiet:
         print(f"wrote predictions -> {args.output}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    _pds, pb = _load_building(args.predictions, args.building)
-    _tds, tb = _load_building(args.truth, args.building)
-    model = (
-        nio.import_model_json(Path(args.model).read_text(encoding="utf-8"))
-        if args.model
-        else None
-    )
+    pb = _load_building(args.predictions, args.building)
+    tb = _load_building(args.truth, args.building)
+    model = read_model(args.model) if args.model else None
     predictions = predictions_from_dataset(pb, model, args.feature)
     report = evaluate(
         predictions, tb, on_threshold=args.on_threshold,
         algorithm=args.algorithm, feature=args.feature,
     )
     if args.output:
-        out = Path(args.output)
-        out.mkdir(parents=True, exist_ok=True)
-        suffix = f"_{args.algorithm}" if args.algorithm else ""
-        (out / f"metrics{suffix}.json").write_text(
-            report.to_json_text() + "\n", encoding="utf-8"
-        )
-        (out / f"metrics{suffix}.csv").write_text(report.to_csv_text(), encoding="utf-8")
+        write_report(report, args.output, f"_{args.algorithm}" if args.algorithm else "")
     if not args.quiet:
         print(report.to_csv_text(), end="")
     return EXIT_OK

@@ -228,6 +228,15 @@ class Gap:
         return self.end - self.start
 
 
+def is_aligned(b: Building) -> bool:
+    """True when all mains and appliance channels share identical timestamps."""
+    used = list(b.mains) + list(b.appliances.values())
+    if len(used) <= 1:
+        return True
+    first = used[0].timestamps
+    return all(np.array_equal(c.timestamps, first) for c in used[1:])
+
+
 def mains_total(b: Building, feature: Measurement = POWER_ACTIVE) -> Channel:
     """Sum the mains channels' ``feature`` into one aggregate channel.
 

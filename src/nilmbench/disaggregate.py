@@ -129,6 +129,15 @@ def _readings(aggregate: Channel, feature: Measurement) -> np.ndarray:
     return y
 
 
+def state_powers(means: np.ndarray) -> np.ndarray:
+    """The power written for each state: its mean floored at 0 W.
+
+    The decoders write these values and ``pipeline.predictions_from_dataset``
+    recovers states by assigning read-back powers to them.
+    """
+    return np.maximum(means, 0.0)
+
+
 def _predictions_from_states(
     model, aggregate: Channel, states: np.ndarray
 ) -> Predictions:
@@ -137,7 +146,7 @@ def _predictions_from_states(
     for n, a in enumerate(model.appliances):
         s = states[:, n]
         appliances[a.name] = AppliancePrediction(
-            states=s, powers=np.maximum(a.means[s], 0.0), state_means=a.means
+            states=s, powers=state_powers(a.means)[s], state_means=a.means
         )
     return Predictions(
         timestamps=aggregate.timestamps,

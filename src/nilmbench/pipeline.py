@@ -2,17 +2,19 @@
 disaggregate, evaluate.
 
 A run is described by a single JSON config.  Stage outputs land in the
-output directory:
+output directory, each artifact written by one function and read by one:
 
-    model_<alg>.json          trained model
-    predictions_<alg>/        predicted appliance powers (dataset layout)
-    metrics_<alg>.{csv,json}  metric report
+    model_<alg>.json          trained model (write_model, read_model)
+    predictions_<alg>/        predicted appliance powers, dataset layout
+                              (write_predictions, predictions_from_dataset)
+    metrics_<alg>.{csv,json}  metric report (write_report)
     metrics.csv               all algorithms merged
     manifest.json             config hash, seed, per-stage wall-clock seconds
 
-Evaluation scores the predictions the decoder returned, in memory.  The
-written model and predictions are what the staged ``train``,
-``disaggregate`` and ``evaluate`` commands read.
+``run`` and the staged ``preprocess``, ``train``, ``disaggregate`` and
+``evaluate`` commands call these same functions and split through
+:func:`align_and_split`.  ``run`` scores the decoder's predictions in
+memory; the staged ``evaluate`` reads them back.
 """
 
 from __future__ import annotations
@@ -26,16 +28,20 @@ from pathlib import Path
 import numpy as np
 
 from . import io as nio
-from .data import Building, DataSet, Measurement, POWER_ACTIVE, mains_total
+from .data import (
+    Building, DataSet, Measurement, POWER_ACTIVE, VOLTAGE, is_aligned, mains_total,
+)
 from .disaggregate import (
     AppliancePrediction,
     Predictions,
     disaggregate_co,
     disaggregate_fhmm,
     predictions_to_power,
+    state_powers,
 )
 from .metrics import MetricReport, canonical_metric, evaluate
 from .preprocess import (
+    AGGREGATIONS,
     check_period,
     downsample,
     filter_contribution,
@@ -43,7 +49,6 @@ from .preprocess import (
     filter_top_k,
     interpolate_small_gaps,
     intersect_with_mains,
-    is_aligned,
     map_channels,
     normalize_voltage,
     train_test_split,
@@ -89,14 +94,6 @@ class RunConfig:
     seed: int = 42
 
     @classmethod
-    def from_json_text(cls, text: str, data_dir: str | None = None) -> "RunConfig":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e}") from None
-        return cls.from_dict(raw, data_dir)
-
-    @classmethod
     def from_dict(cls, raw: dict, data_dir: str | None = None) -> "RunConfig":
         def get(name: str, convert, default=None):
             return _convert(name, raw.get(name, default), convert)
@@ -123,7 +120,7 @@ class RunConfig:
             synth_spec=spec,
             building=get("building", _integer, 1),
             feature=get("feature", lambda v: Measurement.from_column_name(str(v)), "power_active"),
-            preprocess=get("preprocess", _steps, []),
+            preprocess=get("preprocess", preprocess_steps, []),
             split_fraction=get("split_fraction", _open_fraction, 0.5),
             algorithms=get("algorithms", _algorithms, ["co", "fhmm"]),
             states=get("states", _integer, 2),
@@ -176,9 +173,15 @@ def _open_fraction(value) -> float:
     return _valid(fraction, 0 < fraction < 1, "must be in (0, 1)")
 
 
-def _steps(steps: list) -> list[dict]:
+def preprocess_steps(steps: list) -> list[dict]:
+    """``steps`` if it is a list of preprocess steps, else a ValueError."""
     ok = isinstance(steps, list) and all(isinstance(s, dict) and "op" in s for s in steps)
     return _valid(steps, ok, "must be a list of {op: ...}")
+
+
+
+def _optional(convert):
+    return lambda v: None if v is None else convert(v)
 
 
 def _algorithms(value: list) -> tuple[str, ...]:
@@ -212,53 +215,57 @@ def load_input_dataset(cfg: RunConfig) -> DataSet:
 
 
 PREPROCESS_OPS = (
-    "filter_implausible",
-    "normalize_voltage",
-    "downsample",
-    "interpolate_small_gaps",
-    "intersect_with_mains",
-    "filter_top_k",
-    "filter_contribution",
+    "filter_implausible", "normalize_voltage", "downsample", "interpolate_small_gaps",
+    "intersect_with_mains", "filter_top_k", "filter_contribution",
 )
+
+_REQUIRED = object()
 
 
 def apply_preprocess_step(b: Building, step: dict) -> Building:
-    """Apply one named preprocessing step to a building."""
+    """Apply one named preprocessing step to a building.
+
+    Every step field is read through ``get``, so a missing or mistyped value
+    is a ConfigError naming the op and the field; range checks stay with the
+    preprocess functions and fail the stage.
+    """
     op = step["op"]
+
+    def get(name: str, convert, default=_REQUIRED):
+        return _convert(
+            f"preprocess[{op}].{name}",
+            step.get(name, default),
+            lambda v: convert(_valid(v, v is not _REQUIRED, "is required")),
+        )
+
     if op == "filter_implausible":
-        m = Measurement.from_column_name(step["measurement"])
-        lo = float(step.get("lo", -np.inf))
-        hi = float(step.get("hi", np.inf))
+        m = get("measurement", lambda v: Measurement.from_column_name(str(v)))
+        lo = get("lo", float, -np.inf)
+        hi = get("hi", float, np.inf)
         return map_channels(
             b, lambda c: filter_out_implausible(c, m, lo, hi) if c.has(m) else c
         )
     if op == "normalize_voltage":
-        v_nom = float(step["v_nominal"])
-        beta = float(step.get("beta", 2.0))
-        return map_channels(
-            b,
-            lambda c: normalize_voltage(c, v_nom, beta)
-            if c.has(Measurement("voltage"))
-            else c,
-        )
+        v_nom, beta = get("v_nominal", float), get("beta", float, 2.0)
+        return map_channels(b, lambda c: normalize_voltage(c, v_nom, beta) if c.has(VOLTAGE) else c)
     if op == "downsample":
-        period = float(step["period"])
+        period = get("period", float)
+        agg = get("agg", lambda v: _valid(v, v in AGGREGATIONS, f"unknown: {v!r}"), "mean")
         check_period(period)
-        agg = step.get("agg", "mean")
         return map_channels(
             b, lambda c: downsample(c, period, agg) if c.nominal_period <= period else c
         )
     if op == "interpolate_small_gaps":
-        max_gap = step.get("max_gap")
-        return map_channels(
-            b, lambda c: interpolate_small_gaps(c, None if max_gap is None else float(max_gap))
-        )
+        max_gap = get("max_gap", _optional(float), None)
+        return map_channels(b, lambda c: interpolate_small_gaps(c, max_gap))
     if op == "intersect_with_mains":
         return intersect_with_mains(b)
     if op == "filter_top_k":
-        return filter_top_k(b, int(step["k"]), step.get("gap_threshold"))
+        return filter_top_k(b, get("k", _integer), get("gap_threshold", _optional(float), None))
     if op == "filter_contribution":
-        return filter_contribution(b, float(step["x"]), step.get("gap_threshold"))
+        return filter_contribution(
+            b, get("x", float), get("gap_threshold", _optional(float), None)
+        )
     raise ConfigError(f"unknown preprocess op {op!r} (valid: {', '.join(PREPROCESS_OPS)})")
 
 
@@ -268,17 +275,27 @@ def preprocess_building(b: Building, steps: list[dict]) -> Building:
     return b
 
 
-def predictions_to_dataset(
-    p: Predictions, building_id: int, feature: Measurement = POWER_ACTIVE
-) -> DataSet:
-    channels = predictions_to_power(p, feature)
-    building = Building(
-        id=building_id,
-        mains=(),
-        appliances=channels,
-        metadata={"kind": "predictions"},
-    )
-    return DataSet(name="predictions", buildings={building_id: building})
+def align_and_split(b: Building, fraction: float) -> tuple[Building, Building]:
+    """Intersect the channels with the mains when they are not aligned, then
+    split the building temporally into (train, test)."""
+    if not is_aligned(b):
+        b = intersect_with_mains(b)
+    return train_test_split(b, fraction)
+
+
+def write_model(model: COModel | FHMMModel, path: Path) -> None:
+    Path(path).write_text(nio.export_model_json(model) + "\n", encoding="utf-8")
+
+
+def read_model(path: Path) -> COModel | FHMMModel:
+    return nio.import_model_json(Path(path).read_text(encoding="utf-8"))
+
+
+def write_predictions(p: Predictions, building_id: int, feature: Measurement, root: Path) -> None:
+    """Save predicted powers as a one-building dataset directory."""
+    appliances = predictions_to_power(p, feature)
+    b = Building(id=building_id, appliances=appliances, metadata={"kind": "predictions"})
+    nio.save_dataset_dir(DataSet(name="predictions", buildings={building_id: b}), root)
 
 
 def predictions_from_dataset(
@@ -286,10 +303,10 @@ def predictions_from_dataset(
 ) -> Predictions:
     """Rebuild a Predictions object from saved power channels plus a model.
 
-    State indices are recovered by nearest-state-mean assignment.  Written
-    powers are the decoded state means floored at 0 W, so this reproduces
-    the decoder's states when no state mean is negative; the 0 W written for
-    a negative mean can lie nearer another state.
+    Each power is assigned to the nearest of the powers the decoder writes
+    for the model's states (:func:`state_powers`), so this reproduces the
+    decoder's states unless two of an appliance's state means are at or
+    below 0 W, which are written alike.
     Without a model the predictions carry no state means, and evaluation
     scores on/off states from the on-threshold instead.
     """
@@ -305,7 +322,7 @@ def predictions_from_dataset(
         means = means_by_name.get(name, np.empty(0))
         powers = c.values(feature)
         appliances[name] = AppliancePrediction(
-            states=assign_states(powers, means),
+            states=assign_states(powers, state_powers(means)),
             powers=powers,
             state_means=means,
         )
@@ -314,6 +331,14 @@ def predictions_from_dataset(
         nominal_period=first.nominal_period,
         appliances=appliances,
     )
+
+
+def write_report(report: MetricReport, out: Path, suffix: str = "", metrics=None) -> None:
+    """Write ``metrics<suffix>.json`` and ``metrics<suffix>.csv`` under ``out``."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / f"metrics{suffix}.json").write_text(report.to_json_text() + "\n", encoding="utf-8")
+    (out / f"metrics{suffix}.csv").write_text(report.to_csv_text(metrics), encoding="utf-8")
 
 
 @dataclass
@@ -334,6 +359,8 @@ def run(cfg: RunConfig, raw_config: dict | None = None, quiet: bool = False) -> 
         t0 = time.monotonic()
         try:
             result = fn()
+        except ConfigError:
+            raise
         except Exception as e:
             raise StageFailure(name, e) from e
         timings[name] = time.monotonic() - t0
@@ -342,48 +369,28 @@ def run(cfg: RunConfig, raw_config: dict | None = None, quiet: bool = False) -> 
 
     ds = stage("import", lambda: load_input_dataset(cfg))
     if cfg.building not in ds.buildings:
-        raise StageFailure(
-            "import", ValueError(f"building {cfg.building} not in dataset")
-        )
+        raise StageFailure("import", ValueError(f"building {cfg.building} not in dataset"))
     b = ds.buildings[cfg.building]
     b = stage("preprocess", lambda: preprocess_building(b, cfg.preprocess))
-    if not is_aligned(b):
-        b = stage("align", lambda: intersect_with_mains(b))
-    train_b, test_b = stage("split", lambda: train_test_split(b, cfg.split_fraction))
+    train_b, test_b = stage("split", lambda: align_and_split(b, cfg.split_fraction))
     aggregate = mains_total(test_b, cfg.feature)
 
     reports: dict[str, MetricReport] = {}
     for alg in cfg.algorithms:
         trainer, disaggregator, _ = algorithms()[alg]
         model = stage(f"train_{alg}", lambda: trainer(train_b, cfg.feature, cfg.states))
-        (out / f"model_{alg}.json").write_text(
-            nio.export_model_json(model) + "\n", encoding="utf-8"
-        )
+        write_model(model, out / f"model_{alg}.json")
         predictions = stage(
             f"disaggregate_{alg}", lambda: disaggregator(model, aggregate, cfg.feature)
         )
-        nio.save_dataset_dir(
-            predictions_to_dataset(predictions, cfg.building, cfg.feature),
-            out / f"predictions_{alg}",
-        )
-        report = stage(
-            f"evaluate_{alg}",
-            lambda: evaluate(
-                predictions,
-                test_b,
-                on_threshold=cfg.on_threshold,
-                train_seconds=timings[f"train_{alg}"],
-                disaggregate_seconds=timings[f"disaggregate_{alg}"],
-                algorithm=alg,
-                feature=cfg.feature,
-            ),
-        )
-        (out / f"metrics_{alg}.json").write_text(
-            report.to_json_text() + "\n", encoding="utf-8"
-        )
-        (out / f"metrics_{alg}.csv").write_text(
-            report.to_csv_text(cfg.metrics), encoding="utf-8"
-        )
+        write_predictions(predictions, cfg.building, cfg.feature, out / f"predictions_{alg}")
+        report = stage(f"evaluate_{alg}", lambda: evaluate(
+            predictions, test_b, on_threshold=cfg.on_threshold,
+            train_seconds=timings[f"train_{alg}"],
+            disaggregate_seconds=timings[f"disaggregate_{alg}"],
+            algorithm=alg, feature=cfg.feature,
+        ))
+        write_report(report, out, f"_{alg}", cfg.metrics)
         reports[alg] = report
 
     merged = "appliance,metric,algorithm,value\n" + "".join(

@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Building, Channel, Measurement, VOLTAGE
+from .data import Building, Channel, Measurement, VOLTAGE, is_aligned
 from .stats import energy_joules
 
 # The interpolation cap has no authoritative value; 5 sample periods keeps
@@ -223,15 +223,6 @@ def intersect_with_mains(b: Building) -> Building:
         mains=tuple(restrict(c) for c in b.mains),
         appliances={name: restrict(c) for name, c in b.appliances.items()},
     )
-
-
-def is_aligned(b: Building) -> bool:
-    """True when all mains and appliance channels share identical timestamps."""
-    used = list(b.mains) + list(b.appliances.values())
-    if len(used) <= 1:
-        return True
-    first = used[0].timestamps
-    return all(np.array_equal(c.timestamps, first) for c in used[1:])
 
 
 def train_test_split(b: Building, fraction: float = 0.5) -> tuple[Building, Building]:

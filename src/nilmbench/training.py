@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import Building, Channel, Measurement, POWER_ACTIVE, mains_total
+from .data import Building, Channel, Measurement, POWER_ACTIVE, is_aligned, mains_total
 
 KMEANS_TOL_W = 1e-6
 KMEANS_MAX_ITER = 300
@@ -266,9 +266,7 @@ def train_fhmm(
     agg = mains_total(b, feature)
     if not agg.has(feature):
         raise ValueError(f"mains lacks feature {feature.column_name}")
-    if not all(
-        np.array_equal(c.timestamps, agg.timestamps) for c in b.appliances.values()
-    ):
+    if not is_aligned(b):
         raise ValueError(
             f"building {b.id} channels are not aligned; run intersect_with_mains first"
         )

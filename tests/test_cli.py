@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilmbench import pipeline
 from nilmbench.cli import main
@@ -31,31 +33,37 @@ def strip_timings(text):
     return json.dumps(raw, sort_keys=True)
 
 
-def staged_metrics(tmp_path, data, algorithm, feature):
+def staged_metrics(tmp_path, data, algorithm, feature="power_active"):
     """Metrics JSON text of preprocess(split) -> train -> disaggregate ->
-    evaluate, run through the CLI."""
-    prep = tmp_path / "prep"
-    assert run_cli(
-        "--quiet", "preprocess", "--input", str(data), "--output", str(prep),
-        "--split-fraction", "0.5",
-    ) == 0
+    evaluate, run through the CLI; None if a command exits non-zero."""
+    prep, preds, metrics_dir = tmp_path / "prep", tmp_path / "preds", tmp_path / "metrics"
     model = tmp_path / f"model_{algorithm}.json"
-    assert run_cli(
-        "--quiet", "train", "--input", str(prep / "train"), "--building", "1",
-        "--algorithm", algorithm, "--feature", feature, "--output", str(model),
-    ) == 0
-    preds = tmp_path / "preds"
-    assert run_cli(
-        "--quiet", "disaggregate", "--input", str(prep / "test"), "--building", "1",
-        "--model", str(model), "--feature", feature, "--output", str(preds),
-    ) == 0
-    metrics_dir = tmp_path / "metrics"
-    assert run_cli(
-        "--quiet", "evaluate", "--predictions", str(preds), "--truth", str(prep / "test"),
-        "--building", "1", "--model", str(model), "--algorithm", algorithm,
-        "--feature", feature, "--output", str(metrics_dir),
-    ) == 0
+    commands = [
+        ["preprocess", "--input", str(data), "--output", str(prep), "--split-fraction", "0.5"],
+        ["train", "--input", str(prep / "train"), "--building", "1", "--algorithm", algorithm,
+         "--feature", feature, "--output", str(model)],
+        ["disaggregate", "--input", str(prep / "test"), "--building", "1",
+         "--model", str(model), "--feature", feature, "--output", str(preds)],
+        ["evaluate", "--predictions", str(preds), "--truth", str(prep / "test"),
+         "--building", "1", "--model", str(model), "--algorithm", algorithm,
+         "--feature", feature, "--output", str(metrics_dir)],
+    ]
+    if any(run_cli("--quiet", *argv) != 0 for argv in commands):
+        return None
     return (metrics_dir / f"metrics_{algorithm}.json").read_text()
+
+
+def negative_mean_dataset(tmp_path):
+    """A one-appliance building cycling -30, 20, 20, 20 W, as a dataset dir."""
+    t = np.arange(400, dtype=float)
+    power = np.tile([-30.0, 20.0, 20.0, 20.0], 100)
+    b = mk_building(
+        mains=[mk_channel(t, power, cid="mains_1")],
+        appliances={"fridge": mk_channel(t, power, cid="fridge")},
+    )
+    data = tmp_path / "data"
+    save_dataset_dir(DataSet("negative", {1: b}), data)
+    return data
 
 
 @pytest.fixture
@@ -237,24 +245,34 @@ class TestRun:
             assert [a.counts.total for a in report.appliances] == [n_test, n_test], alg
 
     def test_negative_state_mean_scored_as_decoded(self, tmp_path):
-        # Powers are written floored at 0 W, so a reload would read the
-        # -30 W state back as the 20 W one.
-        t = np.arange(400, dtype=float)
-        power = np.tile([-30.0, 20.0, 20.0, 20.0], 100)
-        b = mk_building(
-            mains=[mk_channel(t, power, cid="mains_1")],
-            appliances={"fridge": mk_channel(t, power, cid="fridge")},
-        )
-        data = tmp_path / "data"
-        save_dataset_dir(DataSet("negative", {1: b}), data)
         cfg = base_config(
             tmp_path,
-            dataset={"format": "dataset-dir", "path": str(data)},
+            dataset={"format": "dataset-dir", "path": str(negative_mean_dataset(tmp_path))},
             algorithms=["co"],
         )
         assert run_cli("--quiet", "run", "--config", str(cfg)) == 0
         report = json.loads((tmp_path / "out" / "metrics_co.json").read_text())
         assert report["appliances"]["fridge"]["confusion"] == [[50, 0], [0, 150]]
+
+
+@st.composite
+def households(draw):
+    """1-3 two-state appliances with off levels 0, -1 or -30 W and on levels
+    from 5 W, on a regular grid of at most 300 rows."""
+    rows = draw(st.integers(8, 300))
+    start = draw(st.sampled_from([0.0, 0.1234567, 1.3e9]))
+    period = draw(st.floats(0.1, 60.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = start + period * np.arange(rows)
+    appliances = {}
+    for name in ("fridge", "kettle", "television")[: draw(st.integers(1, 3))]:
+        off = draw(st.sampled_from([0.0, -1.0, -30.0]))
+        on = draw(st.floats(5.0, 3000.0))
+        power = np.where(rng.random(rows) < draw(st.floats(0.1, 0.9)), on, off)
+        appliances[name] = mk_channel(t, power, period=period, cid=name)
+    mains = sum(c.values(POWER_ACTIVE) for c in appliances.values()) + rng.normal(0, 2, rows)
+    return mk_building(mains=[mk_channel(t, mains, period=period, cid="mains_1")],
+                       appliances=appliances)
 
 
 class TestStagedEqualsRun:
@@ -268,40 +286,12 @@ class TestStagedEqualsRun:
         # Staged: synth -> preprocess(split) -> train -> disaggregate -> evaluate.
         data = tmp_path / "data"
         assert run_cli("--quiet", "synth", "--output", str(data), "--seed", "21") == 0
-        prep = tmp_path / "prep"
-        assert run_cli(
-            "--quiet", "preprocess", "--input", str(data), "--output", str(prep),
-            "--split-fraction", "0.5",
-        ) == 0
-        model = tmp_path / f"model_{algorithm}.json"
-        assert run_cli(
-            "--quiet", "train", "--input", str(prep / "train"), "--building", "1",
-            "--algorithm", algorithm, "--output", str(model),
-        ) == 0
-        preds = tmp_path / "preds"
-        assert run_cli(
-            "--quiet", "disaggregate", "--input", str(prep / "test"), "--building", "1",
-            "--model", str(model), "--output", str(preds),
-        ) == 0
-        metrics_dir = tmp_path / "metrics"
-        assert run_cli(
-            "--quiet", "evaluate", "--predictions", str(preds), "--truth", str(prep / "test"),
-            "--building", "1", "--model", str(model), "--algorithm", algorithm,
-            "--output", str(metrics_dir),
-        ) == 0
-        staged = (metrics_dir / f"metrics_{algorithm}.json").read_text()
-
-        def strip_timings(text):
-            raw = json.loads(text)
-            raw["building"].pop("train_seconds", None)
-            raw["building"].pop("disaggregate_seconds", None)
-            return json.dumps(raw, sort_keys=True)
+        staged = staged_metrics(tmp_path, data, algorithm)
 
         assert strip_timings(one_shot) == strip_timings(staged)
         # Model files agree bit for bit too.
-        assert (
-            tmp_path / "out" / f"model_{algorithm}.json"
-        ).read_bytes() == model.read_bytes()
+        model = f"model_{algorithm}.json"
+        assert (tmp_path / "out" / model).read_bytes() == (tmp_path / model).read_bytes()
 
     @pytest.mark.parametrize("algorithm", ["co", "fhmm"])
     def test_scores_every_test_row_off_microsecond_grid(self, tmp_path, algorithm):
@@ -322,6 +312,39 @@ class TestStagedEqualsRun:
         preds = load_dataset_dir(tmp_path / "preds").buildings[1]
         scored = evaluate(pipeline.predictions_from_dataset(preds, model), truth)
         assert [a.counts.total for a in scored.appliances] == [1000] * 2
+
+    @pytest.mark.parametrize("algorithm", ["co", "fhmm"])
+    def test_negative_state_mean_recovered(self, tmp_path, algorithm):
+        # The -30 W state is written as 0 W; read back, 0 W must map to the
+        # state whose written power it is, not to the nearest state mean.
+        report = json.loads(staged_metrics(tmp_path, negative_mean_dataset(tmp_path), algorithm))
+        assert report["appliances"]["fridge"]["confusion"] == [[50, 0], [0, 150]]
+
+    @pytest.mark.filterwarnings("ignore:channel .* distinct values:UserWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(household=households())
+    def test_random_households(self, household):
+        # Where evaluate is undefined (e.g. FTE over non-positive energies)
+        # both entry points must fail.
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            data = tmp / "data"
+            save_dataset_dir(DataSet("random", {1: household}), data)
+            for algorithm in ("co", "fhmm"):
+                work = tmp / algorithm
+                work.mkdir()
+                cfg = base_config(
+                    work, dataset={"format": "dataset-dir", "path": str(data)},
+                    algorithms=[algorithm],
+                )
+                ran = run_cli("--quiet", "run", "--config", str(cfg)) == 0
+                staged = staged_metrics(work, data, algorithm)
+                assert ran == (staged is not None), algorithm
+                if ran:
+                    one_shot = (work / "out" / f"metrics_{algorithm}.json").read_text()
+                    assert strip_timings(one_shot) == strip_timings(staged), algorithm
+                    model = f"model_{algorithm}.json"
+                    assert (work / "out" / model).read_bytes() == (work / model).read_bytes()
 
 
 class TestReactiveFeature:
@@ -439,6 +462,77 @@ class TestMistypedConfigField:
         cfg = pipeline.RunConfig.from_dict(raw)
         assert (cfg.states, cfg.building) == (3, 1)
         assert type(cfg.states) is int and type(cfg.building) is int
+
+
+class TestMalformedPreprocessStep:
+    @pytest.mark.parametrize("step, message", [
+        ({"op": "bogus"}, "unknown preprocess op 'bogus'"),
+        ({"op": "filter_top_k"}, "'preprocess[filter_top_k].k' is required"),
+        ({"op": "filter_top_k", "k": 2.7}, "'preprocess[filter_top_k].k' must be an integer"),
+        ({"op": "filter_top_k", "k": True}, "'preprocess[filter_top_k].k' must be an integer"),
+        ({"op": "downsample", "period": "1 min"}, "'preprocess[downsample].period'"),
+        ({"op": "downsample", "period": 60, "agg": "max"}, "'preprocess[downsample].agg' unknown"),
+        ({"op": "filter_implausible", "measurement": "x"}, "'preprocess[filter_implausible]"),
+    ])
+    @pytest.mark.parametrize("entry", ["run", "preprocess"])
+    def test_exit_2_naming_op_and_field(self, tmp_path, capsys, entry, step, message):
+        data = negative_mean_dataset(tmp_path)
+        if entry == "run":
+            cfg = base_config(
+                tmp_path, dataset={"format": "dataset-dir", "path": str(data)},
+                preprocess=[step], algorithms=["co"],
+            )
+            argv = ["run", "--config", str(cfg)]
+        else:
+            steps = tmp_path / "steps.json"
+            steps.write_text(json.dumps([step]), encoding="utf-8")
+            argv = ["preprocess", "--input", str(data), "--steps", str(steps),
+                    "--output", str(tmp_path / "prep")]
+        assert run_cli("--quiet", *argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_steps_file_must_list_steps(self, tmp_path, capsys):
+        steps = tmp_path / "steps.json"
+        steps.write_text(json.dumps([1]), encoding="utf-8")
+        assert run_cli(
+            "--quiet", "preprocess", "--input", str(negative_mean_dataset(tmp_path)),
+            "--steps", str(steps), "--output", str(tmp_path / "prep"),
+        ) == 2
+        assert "must be a list of {op: ...}" in capsys.readouterr().err
+
+
+class TestBenchmarkCallSites:
+    # perfbench attributes time to layers by patching these names; a run
+    # that routed around one would silently read 0 for its per-layer metric.
+    # Delete once the benchmark reads a trace the program records itself.
+    def test_run_calls_every_patched_name(self, tmp_path, monkeypatch):
+        from nilmbench import io as nio
+
+        calls = {}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, names in (
+            (pipeline, ("train_test_split", "train_co", "train_fhmm",
+                        "disaggregate_co", "disaggregate_fhmm", "evaluate")),
+            (nio, ("save_dataset_dir", "export_model_json")),
+        ):
+            for name in names:
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        spec = replace(default_benchmark_spec(seed=2), period=60.0, duration=21600.0)
+        raw = {
+            "dataset": {"format": "synth", "synth_spec": json.loads(spec.to_json_text())},
+            "output": str(tmp_path / "out"),
+        }
+        pipeline.run(pipeline.RunConfig.from_dict(raw), raw, quiet=True)
+        assert calls == {
+            "train_test_split": 1, "train_co": 1, "train_fhmm": 1, "disaggregate_co": 1,
+            "disaggregate_fhmm": 1, "evaluate": 2, "save_dataset_dir": 2, "export_model_json": 2,
+        }
 
 
 class TestMetricSelection:
