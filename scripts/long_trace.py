@@ -1,0 +1,71 @@
+#!/usr/bin/env python3
+"""Time and size one full run on a long synthetic household.
+
+Runs ``pipeline.run`` with CO and FHMM on the default benchmark household
+stretched to ``--days`` days at ``--period`` seconds, writing its artifacts to
+a temporary directory, and prints:
+
+    rows           samples per channel
+    data_mb        timestamps and values of every channel, 16 bytes per
+                   row and channel, counted as if no array were shared
+    rss_before_mb  peak RSS of this process before the run (interpreter,
+                   numpy and nilmbench imported)
+    peak_rss_mb    peak RSS of this process after the run
+    wall_s         wall time of the run
+
+Peak RSS is the process high-water mark, so run one trace per process.
+
+Usage:
+    python scripts/long_trace.py --days 90 --period 6 --seed 1
+"""
+
+import argparse
+import resource
+import sys
+import tempfile
+import time
+from dataclasses import replace
+
+from nilmbench.pipeline import RunConfig, run
+from nilmbench.synth import default_benchmark_spec
+
+
+def peak_rss_mb() -> float:
+    # ru_maxrss is in KiB on Linux and in bytes on macOS.
+    scale = 2**20 if sys.platform == "darwin" else 2**10
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--days", type=float, required=True)
+    parser.add_argument("--period", type=float, required=True, help="sample period (s)")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args()
+
+    base = default_benchmark_spec(seed=args.seed)
+    try:
+        spec = replace(base, duration=args.days * 86400.0, period=args.period)
+    except ValueError as e:
+        parser.error(str(e))
+    rows = int(round(spec.duration / spec.period))
+    channels = len(spec.appliances) + 1
+    before = peak_rss_mb()
+    with tempfile.TemporaryDirectory() as out:
+        cfg = RunConfig(
+            dataset_path=None, dataset_format="synth", synth_spec=spec,
+            algorithms=("co", "fhmm"), output=out, seed=args.seed,
+        )
+        t0 = time.perf_counter()
+        run(cfg, quiet=True)
+        wall = time.perf_counter() - t0
+    print(f"# {args.days:g} d at {args.period:g} s, seed {args.seed}, {channels} channels")
+    print(f"rows {rows}")
+    print(f"data_mb {rows * channels * 16 / 2**20:.1f}")
+    print(f"rss_before_mb {before:.1f}")
+    print(f"peak_rss_mb {peak_rss_mb():.1f}")
+    print(f"wall_s {wall:.2f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -34,6 +34,7 @@ from .pipeline import (
     StageFailure,
     algorithms,
     align_and_split,
+    open_fraction,
     predictions_from_dataset,
     preprocess_building,
     preprocess_steps,
@@ -79,20 +80,21 @@ def _apply_overrides(raw: dict, overrides: list[str]) -> dict:
     return raw
 
 
-def _measurement(name: str) -> Measurement:
-    try:
-        return Measurement.from_column_name(name)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+def _arg(convert):
+    """An argparse type that runs ``convert`` on the text and reports its
+    ValueError as a usage error (exit 2), not a stage failure."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+
+    return parse
 
 
-def gap_threshold_arg(text: str) -> float:
-    """argparse type for ``--gap-threshold``: a value that is not > 0 is a
-    usage error (exit 2), not a stage failure."""
-    try:
-        return check_gap_threshold(float(text))
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+# ``--gap-threshold``: a value that is not > 0.
+gap_threshold_arg = _arg(lambda text: check_gap_threshold(float(text)))
 
 
 def _load_building(path: str, building: int):
@@ -196,13 +198,15 @@ def cmd_stats(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    ds = nio.load_dataset_dir(args.input)
     try:
         steps = preprocess_steps(
             json.loads(Path(args.steps).read_text(encoding="utf-8")) if args.steps else []
         )
+    except OSError as e:
+        raise ConfigError(f"steps file {args.steps}: cannot read: {e.strerror}") from None
     except ValueError as e:
         raise ConfigError(f"steps file {args.steps}: {e}") from None
+    ds = nio.load_dataset_dir(args.input)
     buildings = {
         bid: preprocess_building(b, steps)
         for bid, b in ds.buildings.items()
@@ -298,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # An unknown measurement is a usage error (exit 2), like a bad config.
     feature_parent = argparse.ArgumentParser(add_help=False)
-    feature_parent.add_argument("--feature", type=_measurement, default="power_active")
+    feature_parent.add_argument("--feature", type=_arg(Measurement.from_column_name), default="power_active")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("import", parents=[quiet_parent], help="convert a raw dataset to the canonical layout")
@@ -337,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--steps", help="JSON file with a list of preprocessing steps")
     p.add_argument("--building", type=int, default=None)
-    p.add_argument("--split-fraction", type=float, default=None)
+    p.add_argument("--split-fraction", type=_arg(open_fraction), default=None)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", parents=[quiet_parent, feature_parent], help="learn appliance models")

@@ -7,6 +7,11 @@ downstream code treats inter-row spacing above a threshold as a gap.
 
 Timestamps are UTC epoch seconds stored as float64.  Timezone rendering, when
 needed at all, happens at the CLI edge.
+
+Channel arrays are read-only float64, and each series is held once: a channel
+shares an input array that nothing can write (see :class:`Channel`), so the
+channels of one grid share one timestamp array and a slice of a channel is a
+view.  Every other input is copied once on the way in.
 """
 
 from __future__ import annotations
@@ -68,9 +73,34 @@ ENERGY = Measurement("energy")
 
 
 def _frozen(values) -> np.ndarray:
+    """``values`` itself if nothing can write it, else a read-only copy.
+
+    An array is shared when it is a C-contiguous float64 ndarray and it and
+    every array on its ``.base`` chain are read-only, the last one owning its
+    memory.  A read-only view of a writable array is copied, as is any other
+    input.
+    """
+    if (
+        type(values) is np.ndarray
+        and values.dtype == np.float64
+        and values.flags.c_contiguous
+        and _read_only_chain(values)
+    ):
+        return values
     arr = np.array(values, dtype=np.float64, copy=True)
     arr.setflags(write=False)
     return arr
+
+
+def _read_only_chain(arr: np.ndarray) -> bool:
+    while True:
+        if arr.flags.writeable:
+            return False
+        if arr.base is None:
+            return True
+        if type(arr.base) is not np.ndarray:
+            return False
+        arr = arr.base
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +117,14 @@ class Channel:
     expected sample spacing in seconds, supplied at import time; dropout-rate
     diagnostics need it to derive an expected sample count.
 
-    Instances are immutable; all operations return new channels.
+    Instances are immutable; all operations return new channels.  The arrays
+    are read-only float64.  An input array is shared, not copied, when it is
+    C-contiguous float64 and read-only down to the array that owns its
+    memory; every other input (a writable array, a read-only view of a
+    writable one, a non-contiguous view such as a column of a 2-D table, a
+    list, another dtype) is copied.  A caller that turns ``WRITEABLE`` back
+    on for an array it owns, after a channel took it, breaks that contract.
+
     Structural invariants (column lengths, positive period) are enforced
     here.  Data-quality invariants (monotone timestamps, finite values) are
     enforced by loaders and reported by :func:`validate_building`.
@@ -133,11 +170,19 @@ class Channel:
         return self.columns[m]
 
     def take(self, selector) -> "Channel":
-        """New channel with rows selected by a boolean mask or index array."""
+        """New channel with rows selected by a boolean mask, an index array
+        or a slice.  A slice of unit step shares this channel's memory; a
+        mask or index array copies each row once."""
+
+        def rows(v: np.ndarray) -> np.ndarray:
+            v = v[selector]
+            v.setflags(write=False)
+            return v
+
         return Channel(
             id=self.id,
-            timestamps=self.timestamps[selector],
-            columns={m: v[selector] for m, v in self.columns.items()},
+            timestamps=rows(self.timestamps),
+            columns={m: rows(v) for m, v in self.columns.items()},
             nominal_period=self.nominal_period,
         )
 
@@ -256,6 +301,7 @@ def mains_total(b: Building, feature: Measurement = POWER_ACTIVE) -> Channel:
                 "run intersect_with_mains first"
             )
         total += c.values(feature)
+    total.setflags(write=False)
     return Channel(
         id="mains_total",
         timestamps=first.timestamps,

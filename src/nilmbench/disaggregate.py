@@ -106,6 +106,14 @@ def _strides(sizes: list[int]) -> list[int]:
     return [math.prod(sizes[n + 1 :]) for n in range(len(sizes))]
 
 
+def _digits(path: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """(N, T) mixed-radix digits of the product-state indices ``path``: row
+    n, contiguous, holds appliance n's states."""
+    digits = path // np.array(_strides(sizes), dtype=np.int64)[:, None]
+    digits %= np.array(sizes, dtype=np.int64)[:, None]
+    return digits
+
+
 def _product_sum(per_appliance) -> np.ndarray:
     """Per-appliance terms summed over the product space, in mixed-radix
     order (appliance 0 most significant)."""
@@ -138,16 +146,15 @@ def state_powers(means: np.ndarray) -> np.ndarray:
     return np.maximum(means, 0.0)
 
 
-def _predictions_from_states(
-    model, aggregate: Channel, states: np.ndarray
-) -> Predictions:
-    """Assemble Predictions from a (T, N) state matrix."""
+def _predictions_from_states(model, aggregate: Channel, states) -> Predictions:
+    """Assemble Predictions from one int64 state array per appliance, in
+    model order, such as the rows of an (N, T) matrix.  The powers are
+    read-only, so the channels ``predictions_to_power`` builds share them."""
     appliances: dict[str, AppliancePrediction] = {}
-    for n, a in enumerate(model.appliances):
-        s = states[:, n]
-        appliances[a.name] = AppliancePrediction(
-            states=s, powers=state_powers(a.means)[s], state_means=a.means
-        )
+    for a, s in zip(model.appliances, states, strict=True):
+        powers = state_powers(a.means)[s]
+        powers.setflags(write=False)
+        appliances[a.name] = AppliancePrediction(states=s, powers=powers, state_means=a.means)
     return Predictions(
         timestamps=aggregate.timestamps,
         nominal_period=aggregate.nominal_period,
@@ -175,7 +182,6 @@ def disaggregate_co(
             f"{n_combos} state combinations exceed the limit "
             f"({CO_COMBINATION_LIMIT}); filter to fewer appliances or states first"
         )
-    strides = _strides(sizes)
     totals = _product_sum(a.means for a in m.appliances)
     order = np.argsort(totals, kind="stable")  # stable keeps lex order on ties
     sorted_totals = totals[order]
@@ -191,12 +197,7 @@ def disaggregate_co(
     # Among equal totals the first sorted entry is the lexicographically
     # smallest combination.
     best = np.searchsorted(sorted_totals, sorted_totals[best], side="left")
-    combo = order[best]
-
-    states = np.empty((y.size, len(sizes)), dtype=np.int64)
-    for n, size in enumerate(sizes):
-        states[:, n] = (combo // strides[n]) % size
-    return _predictions_from_states(m, aggregate, states)
+    return _predictions_from_states(m, aggregate, _digits(order[best], sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +240,13 @@ def disaggregate_fhmm(
             "split the aggregate into shorter spans or filter to fewer appliances"
         )
     if T == 0:
-        return _predictions_from_states(
-            m, aggregate, np.empty((0, len(sizes)), dtype=np.int64)
-        )
+        return _predictions_from_states(m, aggregate, _digits(np.empty(0, np.int64), sizes))
     decode = _viterbi_dense if S <= _DENSE_MAX_STATES else _viterbi_staged
     return _predictions_from_states(m, aggregate, decode(m, y))
 
 
 def _viterbi_dense(m: FHMMModel, y: np.ndarray) -> np.ndarray:
-    """(T, N) MAP states by one (S, S) score table per step; T > 0."""
+    """(N, T) MAP states by one (S, S) score table per step; T > 0."""
     sizes = _sizes(m)
     strides = _strides(sizes)
     S = math.prod(sizes)
@@ -281,11 +280,11 @@ def _viterbi_dense(m: FHMMModel, y: np.ndarray) -> np.ndarray:
     idx = path[-1] = int(np.argmax(delta))
     for t in range(y.size - 1, 0, -1):
         idx = path[t - 1] = codes.item(t, idx)
-    return digits[path]
+    return _digits(path, sizes)
 
 
 def _viterbi_staged(m: FHMMModel, y: np.ndarray) -> np.ndarray:
-    """(T, N) MAP states by one maximisation per appliance axis per step;
+    """(N, T) MAP states by one maximisation per appliance axis per step;
     T > 0."""
     sizes = _sizes(m)
     strides = _strides(sizes)
@@ -338,24 +337,23 @@ def _viterbi_staged(m: FHMMModel, y: np.ndarray) -> np.ndarray:
             for mk in masks[:, : len(code)]:
                 code += mk.reshape(code.shape) * np.uint16(stride)
 
-    states = np.empty((y.size, len(sizes)), dtype=np.int64)
     # Compose the predecessor along the path only.  Digit n was stored in
     # the layout after its stage, whose leading digits n .. N-1 are
     # successor digits and trailing digits 0 .. n-1 predecessor digits: at
     # (idx % P_n) * (S // P_n) + idx // P_n with P_n = K_n * stride_n, where
     # idx already holds the predecessor digits below n.
-    idx = int(np.argmax(delta))
+    path = np.empty(y.size, dtype=np.int64)
+    idx = path[-1] = int(np.argmax(delta))
     cur = [idx // stride % K for K, stride in zip(sizes, strides)]
     for t in range(y.size - 1, 0, -1):
-        states[t] = cur
         code_t = codes[t]
         for n, (K, stride) in enumerate(zip(sizes, strides)):
             P = K * stride
             s_n = code_t.item((idx % P) * (S // P) + idx // P) // stride % K
             idx += (s_n - cur[n]) * stride
             cur[n] = s_n
-    states[0] = cur
-    return states
+        path[t - 1] = idx
+    return _digits(path, sizes)
 
 
 def predictions_to_power(

@@ -107,8 +107,15 @@ def fraction_energy_assigned_correctly(
     if not Y:
         raise ValueError("need at least one appliance")
     names = sorted(Y)
-    actual = np.array([float(np.sum(Y[n])) for n in names])
-    predicted = np.array([float(np.sum(Y_hat.get(n, np.zeros(1)))) for n in names])
+    return _fte_of_energies(
+        [float(np.sum(Y[n])) for n in names],
+        [float(np.sum(Y_hat.get(n, np.zeros(1)))) for n in names],
+    )
+
+
+def _fte_of_energies(actual: list[float], predicted: list[float]) -> float:
+    """FTE from per-appliance actual and predicted energy sums, in one order."""
+    actual, predicted = np.array(actual), np.array(predicted)
     if actual.sum() <= 0 or predicted.sum() <= 0:
         raise ValueError("total actual and predicted energies must be positive")
     diff = np.abs(actual / actual.sum() - predicted / predicted.sum())
@@ -359,20 +366,25 @@ def evaluate(
     """
     slice_seconds = predictions.nominal_period
     per_appliance: list[ApplianceMetrics] = []
-    Y: dict[str, np.ndarray] = {}
-    Y_hat: dict[str, np.ndarray] = {}
-    X: dict[str, np.ndarray] = {}
-    X_hat: dict[str, np.ndarray] = {}
-    any_overlap = False
+    # Per scored appliance, in name order: the sums FTE needs and the state
+    # mismatch rate the Hamming loss averages, so no series outlives its
+    # iteration.
+    energy: list[float] = []
+    energy_hat: list[float] = []
+    mismatch: list[float] = []
     for name in sorted(ground_truth.appliances):
         truth = ground_truth.appliances[name]
         threshold = appliance_on_threshold(ground_truth, name, on_threshold)
-        common, truth_idx, pred_idx = np.intersect1d(
-            truth.timestamps, predictions.timestamps, return_indices=True
-        )
-        if common.size == 0:
+        if np.array_equal(truth.timestamps, predictions.timestamps):
+            # Aligned, as in ``run``: every row, without sorting 2T stamps.
+            rows, truth_idx, pred_idx = len(truth), slice(None), slice(None)
+        else:
+            common, truth_idx, pred_idx = np.intersect1d(
+                truth.timestamps, predictions.timestamps, return_indices=True
+            )
+            rows = common.size
+        if rows == 0:
             continue
-        any_overlap = True
         y = truth.values(feature)[truth_idx]
         on_truth = power_to_states(y, threshold=threshold)
         pred = predictions.appliances.get(name)
@@ -387,8 +399,10 @@ def evaluate(
         counts = classification_counts(on_truth, on_hat)
         r = rates(counts)
         undefined = set(r.undefined)
-        denom = float(np.sum(y))
-        if denom > 0:
+        energy.append(float(np.sum(y)))
+        energy_hat.append(float(np.sum(y_hat)))
+        mismatch.append(float(np.mean(on_truth != on_hat)))
+        if energy[-1] > 0:
             nep = normalized_error_assigned_power(y, y_hat)
         else:
             nep = 0.0
@@ -409,16 +423,12 @@ def evaluate(
                 undefined=frozenset(undefined),
             )
         )
-        Y[name] = y
-        Y_hat[name] = y_hat
-        X[name] = on_truth
-        X_hat[name] = on_hat
-    if not any_overlap:
+    if not per_appliance:
         raise ValueError("predictions and ground truth share no timestamps")
     return MetricReport(
         appliances=tuple(per_appliance),
-        fte=fraction_energy_assigned_correctly(Y, Y_hat),
-        hamming_loss=hamming_loss(X, X_hat),
+        fte=_fte_of_energies(energy, energy_hat),
+        hamming_loss=float(np.mean(mismatch)),
         train_seconds=train_seconds,
         disaggregate_seconds=disaggregate_seconds,
         algorithm=algorithm,

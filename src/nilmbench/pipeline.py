@@ -121,7 +121,7 @@ class RunConfig:
             building=get("building", _integer, 1),
             feature=get("feature", lambda v: Measurement.from_column_name(str(v)), "power_active"),
             preprocess=get("preprocess", preprocess_steps, []),
-            split_fraction=get("split_fraction", _open_fraction, 0.5),
+            split_fraction=get("split_fraction", open_fraction, 0.5),
             algorithms=get("algorithms", _algorithms, ["co", "fhmm"]),
             states=get("states", _integer, 2),
             on_threshold=get("on_threshold", float, DEFAULT_ON_THRESHOLD_W),
@@ -168,7 +168,8 @@ def _integer(value) -> int:
     return int(_valid(value, ok, f"must be an integer, got {value!r}"))
 
 
-def _open_fraction(value) -> float:
+def open_fraction(value) -> float:
+    """``value`` as a float if it lies in (0, 1), else a ValueError."""
     fraction = float(value)
     return _valid(fraction, 0 < fraction < 1, "must be in (0, 1)")
 
@@ -392,6 +393,8 @@ def run(cfg: RunConfig, raw_config: dict | None = None, quiet: bool = False) -> 
         ))
         write_report(report, out, f"_{alg}", cfg.metrics)
         reports[alg] = report
+        # The next algorithm decodes without this one's series alive.
+        del predictions
 
     merged = "appliance,metric,algorithm,value\n" + "".join(
         "".join(reports[alg].to_csv_text(cfg.metrics).splitlines(keepends=True)[1:])

@@ -244,10 +244,11 @@ def train_test_split(b: Building, fraction: float = 0.5) -> tuple[Building, Buil
     if n_train < 1 or n - n_train < 1:
         raise ValueError(f"too few samples to split ({n})")
     t_split = float(used[0].timestamps[n_train])
+    # Timestamps increase, so each half is a slice: a view, not a copy.
     def head(c: Channel) -> Channel:
-        return c.take(c.timestamps < t_split)
+        return c.take(slice(None, np.searchsorted(c.timestamps, t_split, "left")))
     def tail(c: Channel) -> Channel:
-        return c.take(c.timestamps >= t_split)
+        return c.take(slice(np.searchsorted(c.timestamps, t_split, "left"), None))
     train = map_channels(b, head)
     test = map_channels(b, tail)
     return train, test

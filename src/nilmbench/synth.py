@@ -144,7 +144,7 @@ def _apply_faults(
     keep = outside_gaps(c.timestamps, spec.gaps)
     if spec.dropout_probability > 0:
         keep &= rng.random(len(c)) >= spec.dropout_probability
-    return c.take(keep)
+    return c if keep.all() else c.take(keep)
 
 
 def generate(spec: SynthSpec) -> tuple[DataSet, dict[str, np.ndarray]]:
@@ -159,15 +159,19 @@ def generate(spec: SynthSpec) -> tuple[DataSet, dict[str, np.ndarray]]:
     n = int(round(spec.duration / spec.period))
     if n < 1:
         raise ValueError("duration shorter than one period")
+    # Channels share read-only arrays without copying them: one timestamp
+    # array serves every channel.
     t = spec.start + np.arange(n, dtype=np.float64) * spec.period
+    t.setflags(write=False)
     true_states: dict[str, np.ndarray] = {}
     appliance_channels: dict[str, Channel] = {}
     total = np.zeros(n, dtype=np.float64)
     for a in spec.appliances:
         states = _sample_chain(rng, a, n)
-        means = np.asarray(a.means)[states]
+        power = np.asarray(a.means, dtype=np.float64)[states]
         stds = np.asarray(a.stds)[states]
-        power = means + (rng.standard_normal(n) * stds if np.any(stds) else 0.0)
+        power += rng.standard_normal(n) * stds if np.any(stds) else 0.0
+        power.setflags(write=False)
         true_states[a.name] = states
         total += power
         appliance_channels[a.name] = Channel(
@@ -176,14 +180,14 @@ def generate(spec: SynthSpec) -> tuple[DataSet, dict[str, np.ndarray]]:
             columns={POWER_ACTIVE: power},
             nominal_period=spec.period,
         )
-    mains_power = total
     if spec.noise_std > 0:
-        mains_power = mains_power + rng.standard_normal(n) * spec.noise_std
-    mains_power = np.maximum(mains_power, 0.0)
+        total += rng.standard_normal(n) * spec.noise_std
+    np.maximum(total, 0.0, out=total)
+    total.setflags(write=False)
     mains = Channel(
         id="mains_1",
         timestamps=t,
-        columns={POWER_ACTIVE: mains_power},
+        columns={POWER_ACTIVE: total},
         nominal_period=spec.period,
     )
     mains = _apply_faults(mains, spec, rng)

@@ -6,7 +6,8 @@ Viterbi over it, and the literal sum-of-minimum-fractions energy overlap.
 None of them shares code with the decoders they check, except
 ``staged_viterbi_loop``: an earlier FHMM step kept to pin the current one bit
 for bit, so it takes its emission table from the decoder module and differs
-only in the step.
+only in the step.  Earlier forms of fast code that must stay bit-identical
+are kept here as well: ``co_states_matrix`` and ``mask_train_test_split``.
 """
 
 import itertools
@@ -17,6 +18,7 @@ from functools import reduce
 import numpy as np
 
 from nilmbench.disaggregate import _emission_chunks, _product_sum
+from nilmbench.preprocess import map_channels
 
 PRODUCT_HMM_LIMIT = 2**10
 
@@ -34,6 +36,40 @@ def co_bruteforce(models, ybar: float) -> tuple[int, ...]:
         if best is None or key < best:
             best = key
     return best[2]
+
+
+def co_states_matrix(m, y) -> np.ndarray:
+    """(T, N) CO states as one matrix, each appliance's digits written into
+    its column; argmin ties to the smaller total, then the lexicographically
+    smallest combination."""
+    sizes = [a.K for a in m.appliances]
+    strides = [math.prod(sizes[n + 1 :]) for n in range(len(sizes))]
+    totals = _product_sum(a.means for a in m.appliances)
+    order = np.argsort(totals, kind="stable")
+    sorted_totals = totals[order]
+    pos = np.searchsorted(sorted_totals, y, side="left")
+    left = np.clip(pos - 1, 0, sorted_totals.size - 1)
+    right = np.clip(pos, 0, sorted_totals.size - 1)
+    d_left = np.abs(y - sorted_totals[left])
+    d_right = np.abs(y - sorted_totals[right])
+    best = np.where(d_left <= d_right, left, right)
+    best = np.searchsorted(sorted_totals, sorted_totals[best], side="left")
+    combo = order[best]
+    states = np.empty((y.size, len(sizes)), dtype=np.int64)
+    for n, size in enumerate(sizes):
+        states[:, n] = (combo // strides[n]) % size
+    return states
+
+
+def mask_train_test_split(b, fraction):
+    """Train/test halves selected by comparing every timestamp with the
+    first test timestamp, one boolean mask per channel and half."""
+    used = list(b.mains) + list(b.appliances.values())
+    t_split = float(used[0].timestamps[int(len(used[0]) * fraction)])
+    return (
+        map_channels(b, lambda c: c.take(c.timestamps < t_split)),
+        map_channels(b, lambda c: c.take(c.timestamps >= t_split)),
+    )
 
 
 def dense_viterbi(pi, A, emission_means, emission_variances, y):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -254,6 +255,28 @@ class TestRun:
         report = json.loads((tmp_path / "out" / "metrics_co.json").read_text())
         assert report["appliances"]["fridge"]["confusion"] == [[50, 0], [0, 150]]
 
+    def test_working_set_a_small_multiple_of_the_data(self, tmp_path):
+        # CO and FHMM on 2 days at 6 s: 4 channels of 28 800 rows, 1.84 MB
+        # of timestamps and values with each channel counted in full.  The
+        # traced peak measured 3.33 MB, 1.81x that (seeds 1-3), against 3.98x
+        # when every channel copied its arrays and the split copied both
+        # halves; the 2.5x bound leaves a 38 % margin.  A tiny run first
+        # loads what the first run imports lazily.
+        def run(days, out):
+            spec = replace(default_benchmark_spec(seed=1), duration=days * 86400.0, period=6.0)
+            pipeline.run(pipeline.RunConfig(
+                dataset_path=None, dataset_format="synth", synth_spec=spec, output=str(out),
+            ), quiet=True)
+
+        run(0.05, tmp_path / "warm")
+        tracemalloc.start()
+        try:
+            run(2.0, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 4 * 28_800 * 16
+
 
 @st.composite
 def households(draw):
@@ -395,6 +418,33 @@ def test_invalid_gap_threshold_is_usage_error(capsys, value):
         run_cli("--quiet", "diagnose", "--input", "data", "--gap-threshold", value)
     assert e.value.code == 2
     assert "gap threshold must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1.5", "0", "-0.2"])
+def test_invalid_split_fraction_is_usage_error(tmp_path, capsys, value):
+    # The run config's ``split_fraction`` check: exit 2, as that field does.
+    with pytest.raises(SystemExit) as e:
+        run_cli(
+            "--quiet", "preprocess", "--input", str(negative_mean_dataset(tmp_path)),
+            "--output", str(tmp_path / "prep"), "--split-fraction", value,
+        )
+    assert e.value.code == 2
+    assert "argument --split-fraction: must be in (0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("missing.json", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["missing", "directory"])
+def test_unreadable_steps_file_is_config_error(tmp_path, capsys, name, reason):
+    # A ``--steps`` file that cannot be read: exit 2, as a missing
+    # ``run --config`` file, not a stage failure.
+    path = tmp_path / name
+    assert run_cli(
+        "--quiet", "preprocess", "--input", str(negative_mean_dataset(tmp_path)),
+        "--steps", str(path), "--output", str(tmp_path / "prep"),
+    ) == 2
+    assert f"config error: steps file {path}: cannot read: {reason}" in capsys.readouterr().err
 
 
 def test_console_entry_point_help():

@@ -14,6 +14,8 @@ from nilmbench.data import (
     select_window,
     validate_building,
 )
+from nilmbench.preprocess import train_test_split
+from nilmbench.synth import default_benchmark_spec, generate
 
 from conftest import mk_building, mk_channel
 
@@ -48,6 +50,84 @@ class TestChannel:
             c.timestamps[0] = 9.0
         with pytest.raises(ValueError):
             c.values(POWER_ACTIVE)[0] = 9.0
+
+
+def frozen(values):
+    a = np.array(values, dtype=np.float64)
+    a.setflags(write=False)
+    return a
+
+
+class TestSharing:
+    """A channel shares an array that nothing can write and copies any other."""
+
+    def test_writable_input_is_copied(self):
+        t, v = np.arange(4.0), np.array([5.0, 6.0, 7.0, 8.0])
+        c = Channel("c", t, {POWER_ACTIVE: v}, 1.0)
+        t[0] = v[0] = 99.0
+        assert c.timestamps[0] == 0.0 and c.values(POWER_ACTIVE)[0] == 5.0
+
+    def test_read_only_view_of_writable_base_is_copied(self):
+        base = np.arange(8.0)
+        t, v = base[:4], base[4:]
+        t.setflags(write=False)
+        v.setflags(write=False)
+        c = Channel("c", t, {POWER_ACTIVE: v}, 1.0)
+        base[:] = 99.0
+        assert c.timestamps.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert c.values(POWER_ACTIVE).tolist() == [4.0, 5.0, 6.0, 7.0]
+
+    @pytest.mark.parametrize("writable", [True, False])
+    def test_non_contiguous_column_is_copied(self, writable):
+        # The columns of a 2-D table, as ``np.loadtxt`` returns them.
+        table = np.array([[0.0, 5.0], [1.0, 6.0], [2.0, 7.0]])
+        table.setflags(write=writable)
+        c = Channel("c", table[:, 0], {POWER_ACTIVE: table[:, 1]}, 1.0)
+        assert not np.shares_memory(c.timestamps, table)
+        assert not np.shares_memory(c.values(POWER_ACTIVE), table)
+        assert c.timestamps.flags.c_contiguous
+        if writable:
+            table[:] = 99.0
+        assert c.timestamps.tolist() == [0.0, 1.0, 2.0]
+        assert c.values(POWER_ACTIVE).tolist() == [5.0, 6.0, 7.0]
+
+    def test_frozen_contiguous_input_is_shared(self):
+        t, v = frozen([0.0, 1.0, 2.0]), frozen([5.0, 6.0, 7.0])
+        c = Channel("c", t, {POWER_ACTIVE: v}, 1.0)
+        assert np.shares_memory(c.timestamps, t)
+        assert np.shares_memory(c.values(POWER_ACTIVE), v)
+        # So is a contiguous view of it, and a channel built from a channel.
+        d = Channel("d", c.timestamps[1:], {POWER_ACTIVE: c.values(POWER_ACTIVE)[1:]}, 1.0)
+        assert np.shares_memory(d.timestamps, t)
+        assert np.shares_memory(d.values(POWER_ACTIVE), v)
+
+    def test_take_copies_a_mask_and_views_a_slice(self):
+        c = Channel("c", frozen(np.arange(6.0)), {POWER_ACTIVE: frozen(np.arange(6.0) + 10)}, 1.0)
+        masked = c.take(c.timestamps % 2 == 0)
+        assert not np.shares_memory(masked.timestamps, c.timestamps)
+        assert not masked.timestamps.flags.writeable
+        assert masked.timestamps.tolist() == [0.0, 2.0, 4.0]
+        sliced = c.take(slice(2, 5))
+        assert np.shares_memory(sliced.timestamps, c.timestamps)
+        assert np.shares_memory(sliced.values(POWER_ACTIVE), c.values(POWER_ACTIVE))
+        assert sliced.values(POWER_ACTIVE).tolist() == [12.0, 13.0, 14.0]
+
+    def test_split_halves_share_the_aligned_building(self):
+        t = frozen(np.arange(10.0))
+        b = mk_building(
+            mains=[Channel("mains_1", t, {POWER_ACTIVE: frozen(np.arange(10.0) * 2)}, 1.0)],
+            appliances={"fridge": Channel("fridge", t, {POWER_ACTIVE: frozen(np.arange(10.0))}, 1.0)},
+        )
+        for half in train_test_split(b, 0.3):
+            for (_, _, whole), (_, _, part) in zip(b.channels(), half.channels()):
+                assert np.shares_memory(part.timestamps, whole.timestamps)
+                assert np.shares_memory(part.values(POWER_ACTIVE), whole.values(POWER_ACTIVE))
+
+    def test_generated_channels_share_one_timestamp_array(self):
+        b = generate(default_benchmark_spec(seed=3))[0].buildings[1]
+        (_, _, mains), *appliances = b.channels()
+        assert len(appliances) == 3
+        assert all(c.timestamps is mains.timestamps for _, _, c in appliances)
 
 
 class TestSelectWindow:

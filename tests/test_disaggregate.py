@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nilmbench import disaggregate
 from nilmbench.data import POWER_ACTIVE
@@ -26,6 +27,7 @@ from conftest import mk_channel
 from oracles import (
     build_product_hmm,
     co_bruteforce,
+    co_states_matrix,
     dense_viterbi,
     fhmm_path_loglik,
     product_index,
@@ -114,6 +116,29 @@ class TestCO:
                 want = co_bruteforce(models, float(y[t]))
                 got = tuple(int(p.appliances[a.name].states[t]) for a in models)
                 assert got == want, (y[t], got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+        T=st.integers(0, 200),
+    )
+    def test_per_appliance_states_equal_matrix_columns(self, sizes, seed, T):
+        # Means on a coarse grid, shared between appliances and some
+        # negative, so totals tie; readings hit totals and midpoints exactly.
+        rng = np.random.default_rng(seed)
+        models = tuple(
+            state_model(f"a{n}", np.sort(rng.choice(np.arange(-2, 12) * 50.0, K, replace=False)))
+            for n, K in enumerate(sizes)
+        )
+        m = COModel(appliances=models)
+        y = rng.choice(np.arange(-4, 100) * 25.0, T)
+        p = disaggregate_co(m, aggregate_channel(y))
+        want = co_states_matrix(m, y)
+        for n, a in enumerate(models):
+            states = p.appliances[a.name].states
+            assert states.dtype == np.int64 and states.flags.c_contiguous
+            assert np.array_equal(states, want[:, n])
 
     def test_slices_are_independent(self):
         rng = np.random.default_rng(3)
@@ -427,8 +452,6 @@ class TestFHMMWideOracle:
         assert np.array_equal(got_idx, path)
 
 
-from hypothesis import example, given, settings, strategies as st
-
 means_strategy = st.lists(
     st.floats(0.0, 2000.0, allow_nan=False).map(lambda v: round(v, 1)),
     min_size=2, max_size=3, unique=True,
@@ -606,7 +629,7 @@ def test_staged_step_matches_canonical_layout_oracle(sizes, kinds, shared_means,
     # exact ties included.  S = 1024 decodes in chunks of 64 steps and
     # S = 768 in chunks of 85, so the examples cross chunk boundaries.
     m, y = near_tie_model(sizes, kinds, shared_means, seed, T)
-    assert np.array_equal(_viterbi_staged(m, y), staged_viterbi_loop(m, y))
+    assert np.array_equal(_viterbi_staged(m, y).T, staged_viterbi_loop(m, y))
 
 
 def test_dense_and_staged_steps_split_an_exact_tie():
@@ -625,8 +648,8 @@ def test_dense_and_staged_steps_split_an_exact_tie():
     )
     m = FHMMModel(appliances=(a0, a1), noise_variance=25.0)
     y = np.array([50.0, 1000.0])
-    assert _viterbi_dense(m, y).tolist() == [[0, 0], [1, 0]]
-    assert _viterbi_staged(m, y).tolist() == [[0, 1], [1, 0]]
+    assert _viterbi_dense(m, y).T.tolist() == [[0, 0], [1, 0]]
+    assert _viterbi_staged(m, y).T.tolist() == [[0, 1], [1, 0]]
     assert_dense_matches_staged(m, y)
 
 
@@ -635,8 +658,8 @@ def assert_dense_matches_staged(m, y):
     sums let the staged step keep a higher predecessor than the dense one."""
     sizes = [a.K for a in m.appliances]
     T = len(y)
-    dense = _viterbi_dense(m, y)
-    staged = _viterbi_staged(m, y)
+    dense = _viterbi_dense(m, y).T
+    staged = _viterbi_staged(m, y).T
     assert dense.shape == staged.shape == (T, len(sizes))
     assert np.array_equal(dense[-1], staged[-1])
     tables = staged_order_tables(m, y)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nilmbench.data import POWER_ACTIVE
 from nilmbench.disaggregate import AppliancePrediction, Predictions
@@ -19,6 +19,7 @@ from nilmbench.metrics import (
 )
 from nilmbench.training import ApplianceStateModel
 
+from conftest import mk_building, mk_channel
 from oracles import fte_sum_of_minima
 
 
@@ -264,6 +265,54 @@ class TestEvaluate:
         assert "Disaggregate time (s)" in csv_text
         json_text = report.to_json_text()
         assert '"fte": 1.0' in json_text
+
+
+@st.composite
+def aligned_and_extra_truth(draw):
+    """Predictions on T timestamps, the truth on the same timestamps, and the
+    truth with extra rows (before, between and after) that the predictions
+    lack.  Appliances are predicted with state means, without them (scored
+    on the threshold), or not at all."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T = draw(st.integers(1, 300))
+    t = draw(st.sampled_from([0.0, 7.3, 1.3e9])) + np.cumsum(rng.uniform(0.5, 10.0, T))
+    extra_t = np.setdiff1d(rng.uniform(t[0] - 20.0, t[-1] + 20.0, draw(st.integers(1, 40))), t)
+    order = np.argsort(np.concatenate([t, extra_t]), kind="stable")
+    levels = np.array([0.0, 5.0, 80.0, 1500.0])
+    aligned, extra, predicted = {}, {}, {}
+    for name in ("fridge", "kettle", "lighting"):
+        y = rng.choice(levels, T) + rng.uniform(0.0, 3.0, T)
+        y_extra = np.concatenate([y, rng.uniform(0.0, 2000.0, extra_t.size)])[order]
+        aligned[name] = mk_channel(t, y, cid=name)
+        extra[name] = mk_channel(np.concatenate([t, extra_t])[order], y_extra, cid=name)
+        kind = draw(st.sampled_from(["means", "threshold", "missing"]))
+        if kind == "missing":
+            continue
+        means = np.sort(rng.choice(levels, draw(st.integers(2, 4)), replace=False))
+        states = rng.integers(0, means.size, T)
+        predicted[name] = AppliancePrediction(
+            states=states,
+            powers=means[states] + rng.uniform(0.0, 3.0, T),
+            state_means=means if kind == "means" else np.empty(0),
+        )
+    p = Predictions(timestamps=t, nominal_period=6.0, appliances=predicted)
+    return p, mk_building(appliances=aligned), mk_building(appliances=extra)
+
+
+def report_or_error(p, b):
+    try:
+        return evaluate(p, b, algorithm="co").to_json_text()
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(aligned_and_extra_truth())
+def test_aligned_truth_scores_as_intersected(case):
+    # Aligned timestamps take every row without np.intersect1d; extra truth
+    # rows force that path, which must give the same report bit for bit.
+    p, aligned, extra = case
+    assert report_or_error(p, aligned) == report_or_error(p, extra)
 
 
 class TestThresholdOverrides:

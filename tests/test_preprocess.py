@@ -19,7 +19,7 @@ from nilmbench.preprocess import (
 from nilmbench.stats import energy_joules
 
 from conftest import mk_building, mk_channel
-from oracles import downsample_loop, interpolate_small_gaps_loop
+from oracles import downsample_loop, interpolate_small_gaps_loop, mask_train_test_split
 
 # Repeats make modes and median ties common; signed zeros, NaN and infinities
 # are the values whose bits a reducer can get wrong.
@@ -367,6 +367,26 @@ class TestTrainTestSplit:
         merged = np.concatenate([train.mains[0].timestamps, test.mains[0].timestamps])
         assert np.array_equal(merged, t)
         assert train.mains[0].timestamps.size == n_train
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid=dropout_channels(max_rows=2000), circuit=dropout_channels(max_rows=500),
+           fraction=st.floats(0.01, 0.99))
+    def test_slices_equal_mask_split(self, grid, circuit, fraction):
+        # Aligned mains and appliance on an off-grid start or a 0.1 s period;
+        # a circuit on its own grid is split at the same instant.
+        n_train = int(len(grid) * fraction)
+        if n_train < 1 or len(grid) - n_train < 1:
+            return
+        b = mk_building(
+            mains=[grid], circuits=[circuit],
+            appliances={"fridge": Channel("fridge", grid.timestamps, {POWER_ACTIVE: -grid.timestamps}, 1.0)},
+        )
+        for got, want in zip(train_test_split(b, fraction), mask_train_test_split(b, fraction)):
+            for (_, _, g), (_, _, w) in zip(got.channels(), want.channels(), strict=True):
+                assert (g.id, g.nominal_period, list(g.columns)) == (w.id, w.nominal_period, list(w.columns))
+                assert_bits_equal(g.timestamps, w.timestamps)
+                for m in w.columns:
+                    assert_bits_equal(g.values(m), w.values(m))
 
 
 class TestMoreEdges:

@@ -42,3 +42,12 @@ def test_dataset_report(tmp_path):
 def test_dataset_report_invalid_gap_threshold_is_usage_error(tmp_path):
     err = run_script("dataset_report.py", str(tmp_path), "--gap-threshold", "0", returncode=2)
     assert "gap threshold must be > 0" in err
+
+
+def test_long_trace():
+    out = run_script("long_trace.py", "--days", "0.05", "--period", "60")
+    fields = dict(line.split() for line in out.splitlines() if not line.startswith("#"))
+    assert fields["rows"] == "72"
+    assert float(fields["data_mb"]) == round(72 * 4 * 16 / 2**20, 1)
+    assert float(fields["peak_rss_mb"]) >= float(fields["rss_before_mb"]) > 0
+    assert float(fields["wall_s"]) >= 0

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,22 @@ class TestGenerate:
         ds, _ = generate(spec)
         n = len(ds.buildings[1].mains[0])
         assert 600 <= n <= 800
+
+    @pytest.mark.parametrize("stds", [[0, 0], [0, 5]])
+    def test_whole_number_means_from_json(self, stds):
+        # JSON keeps 0 and 150 as ints; the channels are float64 and equal
+        # those of the same spec written with floats.
+        app = {"name": "a", "means": [0, 150], "stds": stds, "pi": [0.5, 0.5],
+               "A": [[0.9, 0.1], [0.1, 0.9]]}
+        text = json.dumps({"appliances": [app], "period": 1.0, "duration": 100.0, "seed": 4})
+        as_floats = json.dumps({"appliances": [{
+            **app, "means": [0.0, 150.0], "stds": [float(v) for v in stds],
+        }], "period": 1.0, "duration": 100.0, "seed": 4})
+        b = generate(SynthSpec.from_json_text(text))[0].buildings[1]
+        ref = generate(SynthSpec.from_json_text(as_floats))[0].buildings[1]
+        for c, r in [(b.appliances["a"], ref.appliances["a"]), (b.mains[0], ref.mains[0])]:
+            assert c.values(POWER_ACTIVE).dtype == np.float64
+            assert np.array_equal(c.values(POWER_ACTIVE), r.values(POWER_ACTIVE))
 
     def test_determinism_bytes_on_disk(self, tmp_path):
         spec = default_benchmark_spec(seed=11)
