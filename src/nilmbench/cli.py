@@ -306,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("import", parents=[quiet_parent], help="convert a raw dataset to the canonical layout")
-    p.add_argument("--format", default="redd", choices=["redd"])
     p.add_argument("--input", required=False)
     p.add_argument("--output", required=True)
     p.add_argument("--name", default="REDD")

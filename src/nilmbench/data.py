@@ -475,12 +475,6 @@ def is_canonical(label: str) -> bool:
     return base in CANONICAL_LABELS
 
 
-def dataset_label_map(dataset: str) -> dict[str, str]:
-    """The raw-to-canonical appliance label map shipped for one dataset."""
-    key = re.sub(r"[^A-Z0-9]", "", dataset.upper())
-    return dict(_DATASET_LABEL_MAPS.get(key, {}))
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------

@@ -183,13 +183,24 @@ def disaggregate_co(
             f"({CO_COMBINATION_LIMIT}); filter to fewer appliances or states first"
         )
     totals = _product_sum(a.means for a in m.appliances)
+    states = _digits(_nearest_totals(totals, _readings(aggregate, feature)), sizes)
+    return _predictions_from_states(m, aggregate, states)
+
+
+def _nearest_totals(totals: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """For each reading in ``y``, the flat index of the combination whose
+    total is nearest; a tie goes to the smaller total, then to the
+    lexicographically smallest combination.
+
+    The search arrays die on return and the path once its digits are
+    built, so they are not live next to the digits and powers; ``right``
+    reuses ``pos``.
+    """
     order = np.argsort(totals, kind="stable")  # stable keeps lex order on ties
     sorted_totals = totals[order]
-
-    y = _readings(aggregate, feature)
     pos = np.searchsorted(sorted_totals, y, side="left")
     left = np.clip(pos - 1, 0, sorted_totals.size - 1)
-    right = np.clip(pos, 0, sorted_totals.size - 1)
+    right = np.clip(pos, 0, sorted_totals.size - 1, out=pos)
     d_left = np.abs(y - sorted_totals[left])
     d_right = np.abs(y - sorted_totals[right])
     # Prefer left on equal distance: it has the smaller (or equal) total.
@@ -197,7 +208,7 @@ def disaggregate_co(
     # Among equal totals the first sorted entry is the lexicographically
     # smallest combination.
     best = np.searchsorted(sorted_totals, sorted_totals[best], side="left")
-    return _predictions_from_states(m, aggregate, _digits(order[best], sizes))
+    return order[best]
 
 
 # ---------------------------------------------------------------------------

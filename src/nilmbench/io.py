@@ -22,9 +22,12 @@ save/load cycle preserves timestamps and values bit-for-bit.  Loading
 rejects non-numeric or non-finite values and timestamps, and timestamps that
 do not strictly increase, naming the file and line.
 
-Channels are written in blocks of whole columns.  A file is read with one
-``np.loadtxt`` parse and checked on the arrays; a file that fails the parse
-or a check is read again line by line, which reports the first bad line.
+Channels are written in blocks of whole columns.  Both text formats read
+here, channel CSVs and the whitespace-separated ``channel_<j>.dat`` files of
+:func:`import_redd_style`, go through one ``np.loadtxt`` parse checked on
+the arrays.  A file that fails the parse or a check is read again line by
+line: that loop alone reports bad rows, raising on the first bad CSV line
+and skipping and counting bad ``.dat`` rows in the :class:`ImportReport`.
 
 Learned models persist as JSON: an ``algorithm`` tag plus per-appliance state
 means/stds, and for the factorial model additionally pi, the transition
@@ -36,7 +39,7 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +51,6 @@ from .data import (
     Measurement,
     POWER_ACTIVE,
     canonical_label,
-    dataset_label_map,
 )
 from .training import (
     ApplianceHMM,
@@ -73,8 +75,10 @@ class SchemaError(ValueError):
 # Rows formatted and written per block, so the text held at once stays small.
 _CSV_BLOCK_ROWS = 4096
 
-# np.loadtxt strips these ASCII separators around a field as whitespace;
-# float() rejects them, so a body holding one goes to the line loop.
+# np.loadtxt strips these ASCII separators around a CSV field as whitespace;
+# float() rejects them, so a CSV body holding one goes to the line loop.  In
+# whitespace mode np.loadtxt splits fields where str.split() does, these
+# characters included.
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
@@ -132,7 +136,7 @@ def _read_channel_csv(path: Path, channel_id: str, nominal_period: float) -> Cha
         except ValueError as e:
             raise SchemaError(f"{path}: unknown measurement ({e})") from None
         body_start = f.tell()
-        body = _parse_body(f, len(names))
+        body = _parse_body(f, len(names), ",")
         if body is None:
             f.seek(body_start)
             body = _read_body_lines(path, f, len(names))
@@ -144,12 +148,15 @@ def _read_channel_csv(path: Path, channel_id: str, nominal_period: float) -> Cha
     )
 
 
-def _parse_body(f, n_fields: int) -> np.ndarray | None:
-    """The rows after the header as one (rows, n_fields) array, or None when
-    the parse fails or a row breaks the schema.
+def _parse_body(f, n_fields: int, delimiter: str | None) -> np.ndarray | None:
+    """The rest of ``f`` as one (rows, n_fields) array, or None when the
+    parse fails or a row breaks the schema: a wrong field count, a
+    non-finite value or a timestamp that does not strictly increase.
 
-    None sends the file to :func:`_read_body_lines`, which names the line at
-    fault; this parse accepts only what that loop accepts.
+    ``delimiter`` is ``","`` for CSV and None for whitespace.  None sends
+    the file to its line loop (:func:`_read_body_lines` or
+    :func:`_read_flat_lines`), which reports the rows at fault; this parse
+    accepts only files that loop reads without a report.
     """
     start = f.tell()
     try:
@@ -158,14 +165,14 @@ def _parse_body(f, n_fields: int) -> np.ndarray | None:
         # The line loop decodes as it goes, so a bad row before the bad
         # bytes is still the error it reports.
         return None
-    if any(c in text for c in _LOADTXT_ONLY_SPACE):
+    if delimiter and any(c in text for c in _LOADTXT_ONLY_SPACE):
         return None
     del text
     f.seek(start)
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            body = np.loadtxt(f, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+            body = np.loadtxt(f, delimiter=delimiter, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         return None
     if (
@@ -343,8 +350,8 @@ def import_redd_style(
     appliance label, and ``house_<i>/channel_<j>.dat`` rows of
     ``<epoch seconds> <watts>``.  Channels listed in ``mains_channels``
     become mains; all others become appliances with canonicalized labels.
-    Malformed rows are skipped and counted; duplicate timestamps keep the
-    first occurrence.
+    Malformed rows, undecodable bytes included, are skipped and counted;
+    duplicate timestamps keep the first occurrence.
     """
     root = Path(root)
     if not root.is_dir():
@@ -370,7 +377,8 @@ def import_redd_style(
             if not line:
                 continue
             parts = line.split(maxsplit=1)
-            if len(parts) != 2 or not parts[0].isdigit():
+            # isdigit() also accepts digits such as "²" that int() rejects.
+            if len(parts) != 2 or not parts[0].isdecimal():
                 raise SchemaError(f"{labels_path}:{lineno}: malformed label row")
             labels[int(parts[0])] = parts[1].strip()
         mains = []
@@ -393,19 +401,9 @@ def import_redd_style(
                     if label_counts[canon] == 1
                     else f"{canon}_{label_counts[canon]}"
                 )
-                appliances[key] = Channel(
-                    id=key,
-                    timestamps=channel.timestamps,
-                    columns=dict(channel.columns),
-                    nominal_period=nominal_period,
-                )
+                appliances[key] = replace(channel, id=key)
         mains_list = tuple(
-            Channel(
-                id=f"mains_{i}",
-                timestamps=c.timestamps,
-                columns=dict(c.columns),
-                nominal_period=nominal_period,
-            )
+            replace(c, id=f"mains_{i}")
             for i, (_, c) in enumerate(sorted(mains, key=lambda x: x[0]), start=1)
         )
         wiring = tuple(
@@ -429,103 +427,55 @@ def import_redd_style(
 def _read_flat_file(
     path: Path, nominal_period: float, report: ImportReport
 ) -> Channel:
-    timestamps: list[float] = []
-    powers: list[float] = []
-    with path.open("r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                report.skipped += 1
-                report.note(f"{path}:{lineno}: expected 2 fields")
-                continue
-            try:
-                t = float(parts[0])
-                p = float(parts[1])
-            except ValueError:
-                report.skipped += 1
-                report.note(f"{path}:{lineno}: non-numeric row")
-                continue
-            if not (np.isfinite(t) and np.isfinite(p)):
-                report.skipped += 1
-                report.note(f"{path}:{lineno}: non-finite row")
-                continue
-            if timestamps and t <= timestamps[-1]:
-                if t == timestamps[-1]:
-                    report.duplicates += 1
-                    report.note(f"{path}:{lineno}: duplicate timestamp")
-                    continue
-                report.skipped += 1
-                report.note(f"{path}:{lineno}: out-of-order timestamp")
-                continue
-            timestamps.append(t)
-            powers.append(p)
+    # Undecodable bytes become U+FFFD, so their row fails float() and is
+    # skipped like any other malformed row.
+    with path.open("r", encoding="utf-8", errors="replace") as f:
+        body = _parse_body(f, 2, None)
+        if body is None:
+            f.seek(0)
+            body = _read_flat_lines(path, f, report)
     return Channel(
         id=path.stem,
-        timestamps=np.asarray(timestamps, dtype=np.float64),
-        columns={POWER_ACTIVE: np.asarray(powers, dtype=np.float64)},
+        timestamps=body[:, 0],
+        columns={POWER_ACTIVE: body[:, 1]},
         nominal_period=nominal_period,
     )
 
 
-# ---------------------------------------------------------------------------
-# Importer registry
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ImporterDescriptor:
-    """Registry entry describing how one public dataset is laid out.
-
-    ``label_map`` carries the dataset's raw-to-canonical appliance names.
-    ``importer`` is None for layouts documented but not shipped; the
-    registry still records their shape and sampling so an importer can be
-    added behind the common interface.
-    """
-
-    dataset_name: str
-    root_layout: str
-    nominal_period: float
-    label_map: dict = field(default_factory=dict)
-    importer: object | None = None
-
-
-IMPORTER_REGISTRY: dict[str, ImporterDescriptor] = {}
-
-
-def register_importer(desc: ImporterDescriptor) -> None:
-    if desc.dataset_name in IMPORTER_REGISTRY:
-        raise ValueError(f"importer {desc.dataset_name!r} already registered")
-    IMPORTER_REGISTRY[desc.dataset_name] = desc
-
-
-register_importer(
-    ImporterDescriptor(
-        dataset_name="REDD",
-        root_layout="house_<i>/labels.dat + house_<i>/channel_<j>.dat "
-        "(rows '<epoch> <watts>'; channels 1-2 are mains)",
-        nominal_period=3.0,
-        label_map=dataset_label_map("REDD"),
-        importer=import_redd_style,
-    )
-)
-for _name, _key, _layout, _period in (
-    ("Smart*", "SMART", "homeX/<circuit|meter>.csv per-second readings", 1.0),
-    ("PecanStreet", "PECANSTREET",
-     "single CSV per home, one column per circuit, 1-minute rows", 60.0),
-    ("iAWE", "IAWE", "per-meter CSV dumps at 1-6 s", 1.0),
-    ("AMPds", "AMPDS", "single CSV per meter, 1-minute rows, coded column names", 60.0),
-    ("UK-DALE", "UKDALE", "house_<i>/labels.dat + channel_<j>.dat at 6 s", 6.0),
-):
-    register_importer(
-        ImporterDescriptor(
-            dataset_name=_name,
-            root_layout=_layout,
-            nominal_period=_period,
-            label_map=dataset_label_map(_key),
-        )
-    )
+def _read_flat_lines(path: Path, f, report: ImportReport) -> np.ndarray:
+    """The ``<timestamp> <watts>`` rows of ``f`` as a (rows, 2) array; every
+    row that is malformed, non-finite, duplicate or out of order is skipped
+    and noted in ``report``."""
+    rows: list[tuple[float, float]] = []
+    for lineno, line in enumerate(f, start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            report.skipped += 1
+            report.note(f"{path}:{lineno}: expected 2 fields")
+            continue
+        try:
+            t = float(parts[0])
+            p = float(parts[1])
+        except ValueError:
+            report.skipped += 1
+            report.note(f"{path}:{lineno}: non-numeric row")
+            continue
+        if not (np.isfinite(t) and np.isfinite(p)):
+            report.skipped += 1
+            report.note(f"{path}:{lineno}: non-finite row")
+            continue
+        if rows and t <= rows[-1][0]:
+            if t == rows[-1][0]:
+                report.duplicates += 1
+                report.note(f"{path}:{lineno}: duplicate timestamp")
+                continue
+            report.skipped += 1
+            report.note(f"{path}:{lineno}: out-of-order timestamp")
+            continue
+        rows.append((t, p))
+    return np.array(rows, dtype=np.float64).reshape(len(rows), 2)
 
 
 # ---------------------------------------------------------------------------

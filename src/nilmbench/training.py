@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 import numpy as np
 
@@ -215,13 +214,7 @@ def learn_hmm(
     return ApplianceHMM(base=base, pi=pi, A=A)
 
 
-def _states_for(name: str, K: int | Mapping[str, int]) -> int:
-    if isinstance(K, int):
-        return K
-    return int(K.get(name, 2))
-
-
-def _learn_each(b: Building, feature: Measurement, K, learn) -> list:
+def _learn_each(b: Building, feature: Measurement, K: int, learn) -> list:
     """``(name, learn(channel, K, feature))`` for every appliance, in name order."""
     if not b.appliances:
         raise ValueError(f"building {b.id} has no appliance channels")
@@ -232,14 +225,14 @@ def _learn_each(b: Building, feature: Measurement, K, learn) -> list:
             raise ValueError(
                 f"appliance {name!r} lacks feature {feature.column_name}"
             )
-        out.append((name, learn(c, _states_for(name, K), feature)))
+        out.append((name, learn(c, K, feature)))
     return out
 
 
 def train_co(
     b: Building,
     feature: Measurement = POWER_ACTIVE,
-    K: int | Mapping[str, int] = 2,
+    K: int = 2,
 ) -> COModel:
     """Learn a combinatorial-optimisation model from sub-metered channels."""
     return COModel(
@@ -252,7 +245,7 @@ def train_co(
 def train_fhmm(
     b: Building,
     feature: Measurement = POWER_ACTIVE,
-    K: int | Mapping[str, int] = 2,
+    K: int = 2,
 ) -> FHMMModel:
     """Learn per-appliance HMMs plus the aggregate observation noise.
 

@@ -168,6 +168,22 @@ class TestCO:
         assert p.appliances["a"].states[0] == 0
         assert p.appliances["a"].powers[0] == 0.0
 
+    def test_working_set(self):
+        # The (N, T) digits and the N power rows are 6 T-float arrays at N = 3;
+        # the nearest-total search must not still be live next to them.
+        T = 50_400
+        m = COModel(appliances=tuple(
+            state_model(f"a{n}", [0.0, 100.0 * (n + 1), 300.0 * (n + 1)]) for n in range(3)
+        ))
+        agg = aggregate_channel(np.random.default_rng(4).uniform(0.0, 1000.0, T))
+        tracemalloc.start()
+        try:
+            disaggregate_co(m, agg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * T * 8
+
 
 class TestFHMM:
     def test_single_appliance_equals_plain_viterbi(self):

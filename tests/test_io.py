@@ -2,6 +2,7 @@ import json
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from nilmbench.data import POWER_ACTIVE, DataSet
 from nilmbench.io import (
-    IMPORTER_REGISTRY,
-    ImporterDescriptor,
+    ImportReport,
     SchemaError,
     _CSV_BLOCK_ROWS,
     _format_timestamp,
@@ -20,7 +20,6 @@ from nilmbench.io import (
     import_redd_style,
     load_daily_series_csv,
     load_dataset_dir,
-    register_importer,
     save_dataset_dir,
 )
 from nilmbench.synth import default_benchmark_spec, generate
@@ -94,6 +93,95 @@ class TestReddImport:
         )
         ds, _ = import_redd_style(tmp_path, mains_channels=(1,))
         assert sorted(ds.buildings[1].appliances) == ["lighting", "lighting_2"]
+
+    def test_undecodable_row_skipped_and_noted(self, tmp_path):
+        write_redd_house(tmp_path, 1, {1: "mains", 2: "refrigerator"}, {2: simple_rows()})
+        path = tmp_path / "house_1" / "channel_1.dat"
+        path.write_bytes(b"100 1.0\n101 \xff2.0\n102 3.0\n")
+        ds, report = import_redd_style(tmp_path, mains_channels=(1,))
+        assert (report.skipped, report.details) == (1, [f"{path}:2: non-numeric row"])
+        assert list(ds.buildings[1].mains[0].timestamps) == [100.0, 102.0]
+
+    def test_non_decimal_channel_number_rejected(self, tmp_path):
+        write_redd_house(tmp_path, 1, {1: "mains"}, {1: simple_rows()})
+        labels = tmp_path / "house_1" / "labels.dat"
+        labels.write_text("1 mains\n² fridge\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as e:
+            import_redd_style(tmp_path)
+        assert str(e.value) == f"{labels}:2: malformed label row"
+
+    def test_clean_file_takes_the_array_parse(self, tmp_path):
+        rows = [" 100\t1.5\r\n", "\n", "  \t\n", "101   -2e3\r\n", "102.25 +7"]
+        write_redd_house(tmp_path, 1, {1: "mains"}, {1: rows})
+        with mock.patch("nilmbench.io._read_flat_lines", side_effect=AssertionError):
+            ds, report = import_redd_style(tmp_path, mains_channels=(1,))
+        c = ds.buildings[1].mains[0]
+        assert c.timestamps.tolist() == [100.0, 101.0, 102.25]
+        assert c.values(POWER_ACTIVE).tolist() == [1.5, -2000.0, 7.0]
+        assert report == ImportReport()
+
+
+# Separators that str.split() and np.loadtxt both read as whitespace.
+FLAT_SEPARATORS = [" ", "\t", " \t ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+                   "\x85", "\xa0", "\u2007", "\u3000"]
+# Fields that float() rejects, or that float() reads and np.loadtxt does not.
+ODD_FIELDS = ["abc", "1,5", "--1", "1e", "0x10", "\u00b2", "1_000", "\u0661\u0662", "\ufeff3"]
+NON_FINITE = ["nan", "NaN", "inf", "-inf", "+Infinity", "1e400"]
+
+
+@st.composite
+def flat_bodies(draw):
+    """The bytes of a ``channel_<j>.dat`` file: clean ``<t> <watts>`` rows
+    mixed with a drawn set of faults, so that many bodies hold one kind."""
+    faults = sorted(draw(st.sets(st.sampled_from([
+        "blank", "one-field", "three-fields", "odd-field", "non-finite-time",
+        "non-finite-watts", "duplicate", "out-of-order", "bad-utf8",
+    ]), max_size=3)))
+    kinds = draw(st.lists(st.sampled_from(["clean"] + faults), max_size=30))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    t = draw(st.sampled_from([0.0, -50.0, 1303132929.0, 0.1]))
+    sep, pad = st.sampled_from(FLAT_SEPARATORS), st.sampled_from(["", " ", "\t", "\x1f"])
+    lines = []
+    for kind in kinds:
+        if kind not in ("duplicate", "out-of-order"):
+            t += draw(st.sampled_from([1.0, 3.0, 0.1, 0.5, 1e-6]))
+        stamp = {"duplicate": t, "out-of-order": t - 2.0}.get(kind, t)
+        watts = draw(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 5e-324]))
+        fmt = draw(st.sampled_from([repr, "{:+.3f}".format, "{:.2E}".format]))
+        fields = [repr(stamp), fmt(watts)]
+        if kind == "one-field":
+            fields = fields[:1]
+        elif kind == "three-fields":
+            fields.append(fields[1])
+        elif kind == "odd-field":
+            fields[draw(st.integers(0, 1))] = draw(st.sampled_from(ODD_FIELDS))
+        elif kind.startswith("non-finite"):
+            fields[kind == "non-finite-watts"] = draw(st.sampled_from(NON_FINITE))
+        if kind == "blank":
+            line = draw(pad).encode()
+        else:
+            line = (draw(pad) + draw(sep).join(fields) + draw(pad)).encode("utf-8")
+        if kind == "bad-utf8":
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82"])) + line[at:]
+        lines.append(line)
+    body = eol.encode().join(lines)
+    return body + (eol.encode() if draw(st.booleans()) else b"")
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=flat_bodies())
+def test_array_parse_imports_what_the_line_loop_imports(body):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_redd_house(Path(tmp), 1, {1: "mains"}, {})
+        (Path(tmp) / "house_1" / "channel_1.dat").write_bytes(body)
+        ds, report = import_redd_style(tmp, mains_channels=(1,))
+        with mock.patch("nilmbench.io._parse_body", return_value=None):
+            loop_ds, loop_report = import_redd_style(tmp, mains_channels=(1,))
+    c, loop_c = ds.buildings[1].mains[0], loop_ds.buildings[1].mains[0]
+    assert c.timestamps.tobytes() == loop_c.timestamps.tobytes()
+    assert c.values(POWER_ACTIVE).tobytes() == loop_c.values(POWER_ACTIVE).tobytes()
+    assert report == loop_report
 
 
 def build_dataset():
@@ -346,20 +434,6 @@ class TestChannelCsv:
         expected = np.array(rows, dtype=float).reshape(len(rows), 2)
         assert c.timestamps.tobytes() == expected[:, 0].tobytes()
         assert c.values(POWER_ACTIVE).tobytes() == expected[:, 1].tobytes()
-
-
-class TestImporterRegistry:
-    def test_six_datasets_registered(self):
-        names = set(IMPORTER_REGISTRY)
-        assert {"REDD", "Smart*", "PecanStreet", "iAWE", "AMPds", "UK-DALE"} <= names
-
-    def test_only_redd_ships_an_importer(self):
-        assert IMPORTER_REGISTRY["REDD"].importer is not None
-        assert IMPORTER_REGISTRY["AMPds"].importer is None
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_importer(ImporterDescriptor("REDD", "x", 1.0))
 
 
 def co_model():

@@ -211,8 +211,9 @@ class TestTrainBuilding:
 
     def test_per_appliance_state_counts(self):
         b, _, _ = synthetic_three_appliance_building()
-        model = train_co(b, POWER_ACTIVE, {"fridge": 2, "television": 2, "air_conditioner": 2})
-        assert all(a.K == 2 for a in model.appliances)
+        for train in (train_co, train_fhmm):
+            model = train(b, POWER_ACTIVE, 3)
+            assert [a.K for a in model.appliances] == [3, 3, 3]
 
 
 class TestKmeansEdges:
