@@ -97,6 +97,23 @@ def _arg(convert):
 gap_threshold_arg = _arg(lambda text: check_gap_threshold(float(text)))
 
 
+def _read_json_file(path: str, what: str, convert):
+    """``convert`` of the JSON in file ``path``; a file that cannot be read, is
+    not JSON or that ``convert`` rejects is a ConfigError naming the file."""
+    try:
+        return convert(json.loads(Path(path).read_text(encoding="utf-8")))
+    except OSError as e:
+        raise ConfigError(f"{what} {path}: cannot read: {e.strerror}") from None
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{what} {path}: {e}") from None
+
+
+def _json_object(raw):
+    if not isinstance(raw, dict):
+        raise ValueError("must be a JSON object")
+    return raw
+
+
 def _load_building(path: str, building: int):
     ds = nio.load_dataset_dir(path)
     if building not in ds.buildings:
@@ -119,7 +136,7 @@ def cmd_import(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.spec:
-        spec = SynthSpec.from_json_text(Path(args.spec).read_text(encoding="utf-8"))
+        spec = _read_json_file(args.spec, "spec file", SynthSpec.from_dict)
         if args.seed is not None:
             spec = replace(spec, seed=args.seed)
     else:
@@ -198,14 +215,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    try:
-        steps = preprocess_steps(
-            json.loads(Path(args.steps).read_text(encoding="utf-8")) if args.steps else []
-        )
-    except OSError as e:
-        raise ConfigError(f"steps file {args.steps}: cannot read: {e.strerror}") from None
-    except ValueError as e:
-        raise ConfigError(f"steps file {args.steps}: {e}") from None
+    steps = _read_json_file(args.steps, "steps file", preprocess_steps) if args.steps else []
     ds = nio.load_dataset_dir(args.input)
     buildings = {
         bid: preprocess_building(b, steps)
@@ -265,14 +275,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {args.config}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+    raw = _read_json_file(args.config, "config file", _json_object)
     raw = _apply_overrides(raw, args.set or [])
     if args.output:
         raw["output"] = args.output

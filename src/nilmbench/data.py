@@ -16,6 +16,7 @@ view.  Every other input is copied once on the way in.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -207,6 +208,14 @@ def outside_gaps(t: np.ndarray, gaps) -> np.ndarray:
     for start, end in gaps:
         keep &= ~((t > start) & (t < end))
     return keep
+
+
+def integer(value) -> int:
+    """An integral number, such as 2 or 2.0; not a bool, a string or 2.7."""
+    ok = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not ok:
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------

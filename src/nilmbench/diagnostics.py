@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -139,22 +139,11 @@ class DiagnosticReport:
         return buf.getvalue()
 
     def to_json_text(self) -> str:
-        payload = {
-            "building": self.building_id,
-            "gap_threshold": self.gap_threshold,
-            "channels": [
-                {
-                    "channel": d.channel,
-                    "role": d.role,
-                    "gaps": [[g.start, g.end] for g in d.gaps],
-                    "dropout_rate": d.dropout_rate,
-                    "dropout_rate_ignoring_gaps": d.dropout_rate_ignoring_gaps,
-                    "uptime_seconds": d.uptime_seconds,
-                    "percent_uptime": d.percent_uptime,
-                }
-                for d in self.channels
-            ],
-        }
+        payload = {"building": self.building_id, "gap_threshold": self.gap_threshold}
+        # A channel's JSON is its fields, each gap a [start, end] pair.
+        payload["channels"] = [
+            {**asdict(d), "gaps": [[g.start, g.end] for g in d.gaps]} for d in self.channels
+        ]
         return json.dumps(payload, indent=2, sort_keys=True)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import io as nio
 from .data import (
-    Building, DataSet, Measurement, POWER_ACTIVE, VOLTAGE, is_aligned, mains_total,
+    Building, DataSet, Measurement, POWER_ACTIVE, VOLTAGE, integer, is_aligned, mains_total,
 )
 from .disaggregate import (
     AppliancePrediction,
@@ -84,7 +84,7 @@ class RunConfig:
     synth_spec: SynthSpec | None = None
     building: int = 1
     feature: Measurement = POWER_ACTIVE
-    preprocess: list[dict] = field(default_factory=list)
+    preprocess: list[dict] = field(default_factory=list)  # as preprocess_steps reads them
     split_fraction: float = 0.5
     algorithms: tuple[str, ...] = ("co", "fhmm")
     states: int = 2
@@ -98,7 +98,7 @@ class RunConfig:
         def get(name: str, convert, default=None):
             return _convert(name, raw.get(name, default), convert)
 
-        seed = get("seed", _integer, 42)
+        seed = get("seed", integer, 42)
         dataset = get("dataset", lambda v: _valid(v, isinstance(v, dict), "is required"))
         fmt = _convert("dataset.format", dataset.get("format", "dataset-dir"), _dataset_format)
         path = dataset.get("path", data_dir)
@@ -112,18 +112,18 @@ class RunConfig:
             override = {"seed": seed} if "seed" in raw else {}
             spec = _convert(
                 "dataset.synth_spec", dataset["synth_spec"],
-                lambda s: SynthSpec.from_json_text(json.dumps({**s, **override})),
+                lambda s: SynthSpec.from_dict({**s, **override}),
             )
         return cls(
             dataset_path=path,
             dataset_format=fmt,
             synth_spec=spec,
-            building=get("building", _integer, 1),
-            feature=get("feature", lambda v: Measurement.from_column_name(str(v)), "power_active"),
+            building=get("building", integer, 1),
+            feature=get("feature", _measurement, "power_active"),
             preprocess=get("preprocess", preprocess_steps, []),
             split_fraction=get("split_fraction", open_fraction, 0.5),
             algorithms=get("algorithms", _algorithms, ["co", "fhmm"]),
-            states=get("states", _integer, 2),
+            states=get("states", integer, 2),
             on_threshold=get("on_threshold", float, DEFAULT_ON_THRESHOLD_W),
             metrics=get("metrics", lambda v: None if v is None else _entries(v, canonical_metric)),
             output=get("output", str, "out"),
@@ -131,14 +131,21 @@ class RunConfig:
         )
 
 
+_REQUIRED = object()
+
+
 def _convert(name: str, value, convert):
-    """``convert(value)`` for config field ``name``.
+    """``convert(value)`` for config field ``name``; ``_REQUIRED`` stands for
+    a value that must be given and was not.
 
     Every run-config field is read through here, so a missing, mistyped or
-    out-of-range value is a ConfigError that names its field.
+    out-of-range value is a ConfigError that names its field.  A ConfigError
+    from ``convert`` already names one and passes through.
     """
     try:
-        return convert(value)
+        return convert(_valid(value, value is not _REQUIRED, "is required"))
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as e:
         raise ConfigError(f"config field {name!r} {e}") from None
 
@@ -160,25 +167,18 @@ def _dataset_format(fmt: str) -> str:
     return _valid(fmt, fmt in ("synth", "dataset-dir", "redd"), f"unknown: {fmt!r}")
 
 
-def _integer(value) -> int:
-    """An integral number, such as 2 or 2.0; not a bool, a string or 2.7."""
-    ok = not isinstance(value, bool) and (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    )
-    return int(_valid(value, ok, f"must be an integer, got {value!r}"))
+def _aggregation(agg: str) -> str:
+    return _valid(agg, agg in AGGREGATIONS, f"unknown: {agg!r}")
+
+
+def _measurement(value) -> Measurement:
+    return Measurement.from_column_name(str(value))
 
 
 def open_fraction(value) -> float:
     """``value`` as a float if it lies in (0, 1), else a ValueError."""
     fraction = float(value)
     return _valid(fraction, 0 < fraction < 1, "must be in (0, 1)")
-
-
-def preprocess_steps(steps: list) -> list[dict]:
-    """``steps`` if it is a list of preprocess steps, else a ValueError."""
-    ok = isinstance(steps, list) and all(isinstance(s, dict) and "op" in s for s in steps)
-    return _valid(steps, ok, "must be a list of {op: ...}")
-
 
 
 def _optional(convert):
@@ -215,59 +215,64 @@ def load_input_dataset(cfg: RunConfig) -> DataSet:
     return nio.load_dataset_dir(cfg.dataset_path)
 
 
-PREPROCESS_OPS = (
-    "filter_implausible", "normalize_voltage", "downsample", "interpolate_small_gaps",
-    "intersect_with_mains", "filter_top_k", "filter_contribution",
-)
+# op -> {field: (convert, default)}; a field whose default is _REQUIRED must be given.
+_STEP_FIELDS = {
+    "filter_implausible": {
+        "measurement": (_measurement, _REQUIRED), "lo": (float, -np.inf), "hi": (float, np.inf),
+    },
+    "normalize_voltage": {"v_nominal": (float, _REQUIRED), "beta": (float, 2.0)},
+    "downsample": {"period": (float, _REQUIRED), "agg": (_aggregation, "mean")},
+    "interpolate_small_gaps": {"max_gap": (_optional(float), None)},
+    "intersect_with_mains": {},
+    "filter_top_k": {"k": (integer, _REQUIRED), "gap_threshold": (_optional(float), None)},
+    "filter_contribution": {"x": (float, _REQUIRED), "gap_threshold": (_optional(float), None)},
+}
+PREPROCESS_OPS = tuple(_STEP_FIELDS)
 
-_REQUIRED = object()
+
+def preprocess_steps(steps: list) -> list[dict]:
+    """Read steps before any data is loaded: each becomes ``{"op": ...,
+    field: value}`` with every field of its op converted or defaulted.  An
+    unknown op, or a missing or mistyped field, is a ConfigError naming both."""
+    ok = isinstance(steps, list) and all(isinstance(s, dict) and "op" in s for s in steps)
+    read = []
+    for step in _valid(steps, ok, "must be a list of {op: ...}"):
+        op = step["op"]
+        if op not in PREPROCESS_OPS:
+            raise ConfigError(f"unknown preprocess op {op!r} (valid: {', '.join(PREPROCESS_OPS)})")
+        fields = {"op": op}
+        for name, (convert, default) in _STEP_FIELDS[op].items():
+            fields[name] = _convert(f"preprocess[{op}].{name}", step.get(name, default), convert)
+        read.append(fields)
+    return read
 
 
 def apply_preprocess_step(b: Building, step: dict) -> Building:
-    """Apply one named preprocessing step to a building.
+    """Apply one step, as :func:`preprocess_steps` returns it, to a building.
 
-    Every step field is read through ``get``, so a missing or mistyped value
-    is a ConfigError naming the op and the field; range checks stay with the
-    preprocess functions and fail the stage.
+    Range checks stay with the preprocess functions and fail the stage.  A
+    tracer that rebinds ``downsample`` etc. here sees the calls ``run`` makes.
     """
     op = step["op"]
-
-    def get(name: str, convert, default=_REQUIRED):
-        return _convert(
-            f"preprocess[{op}].{name}",
-            step.get(name, default),
-            lambda v: convert(_valid(v, v is not _REQUIRED, "is required")),
-        )
-
     if op == "filter_implausible":
-        m = get("measurement", lambda v: Measurement.from_column_name(str(v)))
-        lo = get("lo", float, -np.inf)
-        hi = get("hi", float, np.inf)
-        return map_channels(
-            b, lambda c: filter_out_implausible(c, m, lo, hi) if c.has(m) else c
-        )
+        m, lo, hi = step["measurement"], step["lo"], step["hi"]
+        return map_channels(b, lambda c: filter_out_implausible(c, m, lo, hi) if c.has(m) else c)
     if op == "normalize_voltage":
-        v_nom, beta = get("v_nominal", float), get("beta", float, 2.0)
+        v_nom, beta = step["v_nominal"], step["beta"]
         return map_channels(b, lambda c: normalize_voltage(c, v_nom, beta) if c.has(VOLTAGE) else c)
     if op == "downsample":
-        period = get("period", float)
-        agg = get("agg", lambda v: _valid(v, v in AGGREGATIONS, f"unknown: {v!r}"), "mean")
-        check_period(period)
+        period, agg = step["period"], step["agg"]
+        check_period(period)  # first, so that a NaN period cannot pass unchecked
         return map_channels(
             b, lambda c: downsample(c, period, agg) if c.nominal_period <= period else c
         )
     if op == "interpolate_small_gaps":
-        max_gap = get("max_gap", _optional(float), None)
-        return map_channels(b, lambda c: interpolate_small_gaps(c, max_gap))
+        return map_channels(b, lambda c: interpolate_small_gaps(c, step["max_gap"]))
     if op == "intersect_with_mains":
         return intersect_with_mains(b)
     if op == "filter_top_k":
-        return filter_top_k(b, get("k", _integer), get("gap_threshold", _optional(float), None))
-    if op == "filter_contribution":
-        return filter_contribution(
-            b, get("x", float), get("gap_threshold", _optional(float), None)
-        )
-    raise ConfigError(f"unknown preprocess op {op!r} (valid: {', '.join(PREPROCESS_OPS)})")
+        return filter_top_k(b, step["k"], step["gap_threshold"])
+    return filter_contribution(b, step["x"], step["gap_threshold"])
 
 
 def preprocess_building(b: Building, steps: list[dict]) -> Building:
@@ -360,8 +365,6 @@ def run(cfg: RunConfig, raw_config: dict | None = None, quiet: bool = False) -> 
         t0 = time.monotonic()
         try:
             result = fn()
-        except ConfigError:
-            raise
         except Exception as e:
             raise StageFailure(name, e) from e
         timings[name] = time.monotonic() - t0

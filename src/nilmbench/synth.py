@@ -12,12 +12,38 @@ generation code.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 from itertools import accumulate
 
 import numpy as np
 
-from .data import Building, Channel, DataSet, POWER_ACTIVE, outside_gaps
+from .data import Building, Channel, DataSet, POWER_ACTIVE, integer, outside_gaps
+from .training import check_chain
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(map(float, values))
+
+
+def _set_fields(record, label: str, **converters) -> None:
+    """Set each named field of the frozen ``record`` to ``convert(value)``; an
+    error names the field after ``label``."""
+    for name, convert in converters.items():
+        try:
+            object.__setattr__(record, name, convert(getattr(record, name)))
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{label}{name} {e}") from None
+
+
+def _from_fields(cls, value):
+    """``value`` if it is a ``cls``, else ``cls`` built from the keys of the
+    dict ``value`` that name its fields; other keys are ignored."""
+    if isinstance(value, cls):
+        return value
+    if not isinstance(value, dict):
+        raise TypeError(f"{cls.__name__} needs a JSON object, got {value!r}")
+    return cls(**{f.name: value[f.name] for f in fields(cls) if f.name in value})
 
 
 @dataclass(frozen=True)
@@ -31,16 +57,14 @@ class ApplianceSynthSpec:
     A: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
+        _set_fields(
+            self, f"{self.name}: ", means=_floats, stds=_floats, pi=_floats,
+            A=lambda rows: tuple(map(_floats, rows)),
+        )
         K = len(self.means)
-        if not (len(self.stds) == len(self.pi) == len(self.A) == K):
-            raise ValueError(f"{self.name}: inconsistent state dimensions")
-        if any(len(row) != K for row in self.A):
-            raise ValueError(f"{self.name}: A must be square")
-        if abs(sum(self.pi) - 1.0) > 1e-9 or any(p < 0 for p in self.pi):
-            raise ValueError(f"{self.name}: pi must be a distribution")
-        for row in self.A:
-            if abs(sum(row) - 1.0) > 1e-9 or any(p < 0 for p in row):
-                raise ValueError(f"{self.name}: rows of A must be distributions")
+        if len(self.stds) != K or any(len(row) != K for row in self.A):
+            raise ValueError(f"{self.name}: stds and each row of A need {K} entries")
+        check_chain(self.name, K, np.asarray(self.pi), np.asarray(self.A), 1e-9)
 
     @property
     def K(self) -> int:
@@ -49,6 +73,9 @@ class ApplianceSynthSpec:
 
 @dataclass(frozen=True)
 class SynthSpec:
+    """A synthetic household.  Its JSON is its fields, and every field is
+    converted and checked here, whether built in Python or read from JSON."""
+
     appliances: tuple[ApplianceSynthSpec, ...]
     seed: int  # mandatory: there is no unseeded generation
     noise_std: float = 0.0
@@ -59,64 +86,31 @@ class SynthSpec:
     dropout_probability: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "appliances", tuple(self.appliances))
-        object.__setattr__(
-            self, "gaps", tuple((float(a), float(b)) for a, b in self.gaps)
+        _set_fields(
+            self, "",
+            appliances=lambda apps: tuple(_from_fields(ApplianceSynthSpec, a) for a in apps),
+            seed=integer, noise_std=float, period=float, duration=float, start=float,
+            gaps=lambda gaps: tuple((float(a), float(b)) for a, b in gaps),
+            dropout_probability=float,
         )
         if not self.appliances:
             raise ValueError("spec needs at least one appliance")
-        if self.noise_std < 0 or not 0 <= self.dropout_probability < 1:
-            raise ValueError("invalid noise or dropout setting")
-        if self.period <= 0 or self.duration <= 0:
-            raise ValueError("period and duration must be positive")
+        # Written as "inside" tests, so NaN fails too.
+        if not (0 <= self.noise_std < math.inf and 0 <= self.dropout_probability < 1):
+            raise ValueError("noise_std must be finite and >= 0, dropout_probability in [0, 1)")
+        if not (0 < self.period < math.inf and 0 < self.duration < math.inf):
+            raise ValueError("period and duration must be finite and > 0")
 
     def to_json_text(self) -> str:
-        payload = {
-            "appliances": [
-                {
-                    "name": a.name,
-                    "means": list(a.means),
-                    "stds": list(a.stds),
-                    "pi": list(a.pi),
-                    "A": [list(row) for row in a.A],
-                }
-                for a in self.appliances
-            ],
-            "noise_std": self.noise_std,
-            "period": self.period,
-            "duration": self.duration,
-            "start": self.start,
-            "seed": self.seed,
-            "gaps": [list(g) for g in self.gaps],
-            "dropout_probability": self.dropout_probability,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "SynthSpec":
+        return _from_fields(cls, raw)
 
     @classmethod
     def from_json_text(cls, text: str) -> "SynthSpec":
-        raw = json.loads(text)
-        if "seed" not in raw:
-            raise ValueError("synth spec requires a seed")
-        appliances = tuple(
-            ApplianceSynthSpec(
-                name=a["name"],
-                means=tuple(a["means"]),
-                stds=tuple(a["stds"]),
-                pi=tuple(a["pi"]),
-                A=tuple(tuple(row) for row in a["A"]),
-            )
-            for a in raw["appliances"]
-        )
-        return cls(
-            appliances=appliances,
-            noise_std=float(raw.get("noise_std", 0.0)),
-            period=float(raw.get("period", 60.0)),
-            duration=float(raw.get("duration", 86400.0)),
-            start=float(raw.get("start", 0.0)),
-            seed=int(raw["seed"]),
-            gaps=tuple((float(a), float(b)) for a, b in raw.get("gaps", ())),
-            dropout_probability=float(raw.get("dropout_probability", 0.0)),
-        )
+        return cls.from_dict(json.loads(text))
 
 
 def _sample_chain(rng: np.random.Generator, spec: ApplianceSynthSpec, n: int) -> np.ndarray:

@@ -54,6 +54,17 @@ class ApplianceStateModel:
         return int(self.means.size)
 
 
+def check_chain(name: str, K: int, pi: np.ndarray, A: np.ndarray, tol: float) -> None:
+    """Raise ValueError unless ``pi`` (K entries) and each row of ``A`` (K x K)
+    are distributions within ``tol``; each test reads "all inside", so NaN
+    fails too."""
+    if pi.shape != (K,) or A.shape != (K, K):
+        raise ValueError(f"{name}: pi needs {K} entries and A {K}x{K}")
+    for label, p in (("pi", pi), ("rows of A", A)):
+        if not (np.all((p >= 0) & (p <= 1)) and np.all(np.abs(p.sum(axis=-1) - 1.0) <= tol)):
+            raise ValueError(f"{name}: {label} must sum to 1, each in [0, 1] (distributions)")
+
+
 @dataclass(frozen=True)
 class ApplianceHMM:
     """Per-appliance hidden Markov model with Gaussian emissions."""
@@ -65,18 +76,7 @@ class ApplianceHMM:
     def __post_init__(self) -> None:
         object.__setattr__(self, "pi", np.asarray(self.pi, dtype=np.float64))
         object.__setattr__(self, "A", np.asarray(self.A, dtype=np.float64))
-        K = self.base.K
-        if self.pi.shape != (K,):
-            raise ValueError(f"{self.name}: pi must have length {K}")
-        if self.A.shape != (K, K):
-            raise ValueError(f"{self.name}: A must be {K}x{K}")
-        # Written as "all inside" rather than "any outside" so NaN fails too.
-        if not (np.all((self.pi >= 0) & (self.pi <= 1)) and np.all((self.A >= 0) & (self.A <= 1))):
-            raise ValueError(f"{self.name}: probabilities must lie in [0, 1]")
-        if abs(self.pi.sum() - 1.0) > STOCHASTIC_TOL:
-            raise ValueError(f"{self.name}: pi must sum to 1")
-        if np.any(np.abs(self.A.sum(axis=1) - 1.0) > STOCHASTIC_TOL):
-            raise ValueError(f"{self.name}: rows of A must sum to 1")
+        check_chain(self.name, self.base.K, self.pi, self.A, STOCHASTIC_TOL)
 
     @property
     def name(self) -> str:
@@ -250,7 +250,7 @@ def train_fhmm(
     """Learn per-appliance HMMs plus the aggregate observation noise.
 
     noise_variance is the variance of (mains - sum of appliance powers) over
-    the training window, floored at 25 W^2.
+    the training window, floored at 25 W^2 by :class:`FHMMModel`.
     """
     entries = tuple(
         replace(h, base=replace(h.base, name=name))
@@ -266,5 +266,4 @@ def train_fhmm(
     residual = agg.values(feature).copy()
     for c in b.appliances.values():
         residual -= c.values(feature)
-    noise_variance = max(float(residual.var()), NOISE_VARIANCE_FLOOR_W2)
-    return FHMMModel(appliances=entries, noise_variance=noise_variance)
+    return FHMMModel(appliances=entries, noise_variance=float(residual.var()))

@@ -4,7 +4,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -694,3 +694,126 @@ class TestSynthSpecInConfig:
         path.write_text(json.dumps(cfg_dict), encoding="utf-8")
         assert run_cli("--quiet", "run", "--config", str(path)) == 2
         assert "seed" in capsys.readouterr().err
+
+    @staticmethod
+    def _spec(change):
+        spec = json.loads(default_benchmark_spec(seed=1).to_json_text())
+        target = spec
+        for key in change[:-2]:
+            target = target[key]
+        if change[-1] is KeyError:
+            del target[change[-2]]
+        else:
+            target[change[-2]] = change[-1]
+        return spec
+
+    @pytest.mark.parametrize("change, field", [
+        (("appliances", 0, "means", KeyError), "means"),
+        (("appliances", 0, "pi", [float("nan"), 1.0]), "pi"),
+        (("appliances", 1, "A", 0, [float("nan"), 0.5]), "rows of A"),
+        (("period", float("nan")), "period"),
+        (("period", float("inf")), "period"),
+        (("duration", float("nan")), "duration"),
+        (("duration", float("inf")), "duration"),
+        (("seed", 2.7), "seed must be an integer"),
+        (("seed", True), "seed must be an integer"),
+        (("seed", "3"), "seed must be an integer"),
+    ])
+    @pytest.mark.parametrize("entry", ["run", "synth"])
+    def test_invalid_spec_exit_2_naming_the_field(self, tmp_path, capsys, entry, change, field):
+        spec = self._spec(change)
+        if entry == "run":
+            # No run-level seed, so the spec's own seed is read.
+            path = tmp_path / "config.json"
+            cfg = {"dataset": {"format": "synth", "synth_spec": spec}, "algorithms": ["co"],
+                   "output": str(tmp_path / "out")}
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            argv = ["run", "--config", str(path)]
+        else:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec), encoding="utf-8")
+            argv = ["synth", "--spec", str(path), "--output", str(tmp_path / "data")]
+        assert run_cli("--quiet", *argv) == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert ("'dataset.synth_spec'" if entry == "run" else f"spec file {path}") in err
+        assert not (tmp_path / "data").exists() and not (tmp_path / "out").exists()
+
+    def test_integral_float_seed_is_read_as_an_integer(self, tmp_path):
+        spec = self._spec(("seed", 2.0))
+        cfg = pipeline.RunConfig.from_dict({"dataset": {"format": "synth", "synth_spec": spec}})
+        assert cfg.synth_spec.seed == 2 and type(cfg.synth_spec.seed) is int
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        data = tmp_path / "data"
+        assert run_cli("--quiet", "synth", "--spec", str(path), "--output", str(data)) == 0
+        assert json.loads((data / "synth_spec.json").read_text())["seed"] == 2
+
+
+class TestJsonFileErrors:
+    # Every JSON file the CLI reads is a config error (exit 2) naming the file.
+    def test_config_directory(self, tmp_path, capsys):
+        assert run_cli("--quiet", "run", "--config", str(tmp_path)) == 2
+        assert f"config file {tmp_path}: cannot read: Is a directory" in capsys.readouterr().err
+
+    def test_missing_spec_file(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        argv = ["synth", "--spec", str(path), "--output", str(tmp_path / "data")]
+        assert run_cli("--quiet", *argv) == 2
+        assert f"spec file {path}: cannot read: No such file or directory" in capsys.readouterr().err
+
+    def test_invalid_json_spec_file(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text("{", encoding="utf-8")
+        argv = ["synth", "--spec", str(path), "--output", str(tmp_path / "data")]
+        assert run_cli("--quiet", *argv) == 2
+        assert f"spec file {path}: Expecting property name" in capsys.readouterr().err
+
+    def test_rejected_spec_file(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"appliances": [], "seed": 1}), encoding="utf-8")
+        argv = ["synth", "--spec", str(path), "--output", str(tmp_path / "data")]
+        assert run_cli("--quiet", *argv) == 2
+        err = capsys.readouterr().err
+        assert f"spec file {path}: spec needs at least one appliance" in err
+        assert err.count(str(path)) == 1
+
+
+class TestStepsReadBeforeData:
+    def test_run_unknown_op_before_import(self, tmp_path, capsys):
+        cfg = base_config(
+            tmp_path, dataset={"format": "dataset-dir", "path": str(tmp_path / "missing")},
+            preprocess=[{"op": "bogus"}],
+        )
+        assert run_cli("--quiet", "run", "--config", str(cfg)) == 2
+        assert "unknown preprocess op 'bogus'" in capsys.readouterr().err
+
+    def test_preprocess_unknown_op_before_load(self, tmp_path, capsys):
+        steps = tmp_path / "steps.json"
+        steps.write_text(json.dumps([{"op": "bogus"}]), encoding="utf-8")
+        assert run_cli(
+            "--quiet", "preprocess", "--input", str(tmp_path / "missing"),
+            "--steps", str(steps), "--output", str(tmp_path / "prep"),
+        ) == 2
+        assert "unknown preprocess op 'bogus'" in capsys.readouterr().err
+
+    def test_steps_come_back_read(self):
+        steps = pipeline.preprocess_steps([
+            {"op": "downsample", "period": 60},
+            {"op": "filter_top_k", "k": 3.0, "note": "ignored"},
+        ])
+        assert steps == [
+            {"op": "downsample", "period": 60.0, "agg": "mean"},
+            {"op": "filter_top_k", "k": 3, "gap_threshold": None},
+        ]
+
+
+def test_readme_example_config_is_read():
+    # The config documented under "CLI" in the README reads without error,
+    # so a documented field or op cannot drift from the reader.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    raw = json.loads(cli_section.split("```json\n", 1)[1].split("```", 1)[0])
+    cfg = pipeline.RunConfig.from_dict(raw)
+    assert [s["op"] for s in cfg.preprocess] == [s["op"] for s in raw["preprocess"]]
+    assert set(raw) <= {f.name for f in fields(pipeline.RunConfig)} | {"dataset"}

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -217,3 +219,21 @@ class TestDiagnose:
             ts = np.sort(rng.choice(np.arange(2000) * 0.5, size=n, replace=False))
             c = mk_channel(ts, np.zeros(n))
             assert dropout_rate_ignoring_gaps(c, 3.0) <= dropout_rate(c) + 1e-12
+
+    def test_json_is_the_report_fields(self):
+        keep = [float(x) for x in range(200) if not 50 < x < 90]
+        mains = mk_channel(keep, np.zeros(len(keep)), cid="mains_1")
+        fridge = mk_channel(keep[::2], np.ones(len(keep[::2])), period=2.0, cid="fridge")
+        report = diagnose(mk_building(mains=[mains], appliances={"fridge": fridge}), 3.0)
+        assert report.channels[0].gaps == (Gap(50.0, 90.0),)
+        got = json.loads(report.to_json_text())
+        assert got["building"] == report.building_id
+        assert got["gap_threshold"] == report.gap_threshold
+        assert len(got["channels"]) == len(report.channels) == 2
+        for row, d in zip(got["channels"], report.channels):
+            assert row.pop("gaps") == [[g.start, g.end] for g in d.gaps]
+            assert row == {
+                "channel": d.channel, "role": d.role, "dropout_rate": d.dropout_rate,
+                "dropout_rate_ignoring_gaps": d.dropout_rate_ignoring_gaps,
+                "uptime_seconds": d.uptime_seconds, "percent_uptime": d.percent_uptime,
+            }

@@ -60,6 +60,67 @@ class TestSpecValidation:
         again = SynthSpec.from_json_text(spec.to_json_text())
         assert again == spec
 
+    @pytest.mark.parametrize("spec", [
+        default_benchmark_spec(7),
+        SynthSpec(
+            appliances=(two_state("a", 100.0), two_state("b", 250.0, pi=(1.0, 0.0))),
+            seed=3, noise_std=2.5, period=0.5, duration=400.0, start=1.3e9,
+            gaps=((10.0, 20.0), (30.5, 31.0)), dropout_probability=0.25,
+        ),
+    ], ids=["default", "every-field"])
+    def test_json_is_the_fields(self, spec):
+        text = spec.to_json_text()
+        assert SynthSpec.from_json_text(text) == spec
+        raw = json.loads(text)
+        assert raw["seed"] == spec.seed and raw["gaps"] == [list(g) for g in spec.gaps]
+        assert [a["A"] for a in raw["appliances"]] == [
+            [list(row) for row in a.A] for a in spec.appliances
+        ]
+
+    def test_python_and_json_specs_convert_alike(self):
+        # Lists become tuples and whole numbers floats, whichever way the
+        # spec is built; keys that name no field are ignored.
+        app = {"name": "a", "means": [0, 150], "stds": [1, 2], "pi": [1, 0],
+               "A": [[1, 0], [0, 1]], "colour": "red"}
+        raw = {"appliances": [app], "seed": 2.0, "period": 6, "gaps": [[1, 2]], "note": "x"}
+        from_json = SynthSpec.from_json_text(json.dumps(raw))
+        built = SynthSpec(
+            appliances=[{k: v for k, v in app.items() if k != "colour"}],
+            seed=2.0, period=6, gaps=[[1, 2]],
+        )
+        assert from_json == built
+        assert type(built.seed) is int and built.period == 6.0 and built.gaps == ((1.0, 2.0),)
+        assert built.appliances[0].A == ((1.0, 0.0), (0.0, 1.0))
+
+    @pytest.mark.parametrize("change, field", [
+        ({"pi": (float("nan"), 1.0)}, "pi"),
+        ({"A": ((float("nan"), 0.5), (0.5, 0.5))}, "rows of A"),
+        ({"means": 5}, "means"),
+    ])
+    def test_appliance_values_checked_where_built(self, change, field):
+        fields = dict(name="x", means=(0.0, 1.0), stds=(0.0, 0.0), pi=(0.5, 0.5),
+                      A=((0.5, 0.5), (0.5, 0.5)))
+        with pytest.raises(ValueError, match=field):
+            ApplianceSynthSpec(**{**fields, **change})
+
+    @pytest.mark.parametrize("change, field", [
+        ({"period": float("nan")}, "period"),
+        ({"duration": float("inf")}, "duration"),
+        ({"noise_std": float("nan")}, "noise_std"),
+        ({"dropout_probability": float("nan")}, "dropout_probability"),
+        ({"seed": 2.7}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": "3"}, "seed"),
+    ])
+    def test_spec_values_checked_where_built(self, change, field):
+        with pytest.raises(ValueError, match=field):
+            SynthSpec(appliances=(two_state("a", 100.0),), **{"seed": 1, **change})
+
+    def test_missing_appliance_field_is_a_type_error(self):
+        text = json.dumps({"appliances": [{"name": "a", "stds": [0.0]}], "seed": 1})
+        with pytest.raises((TypeError, ValueError), match="means"):
+            SynthSpec.from_json_text(text)
+
 
 class TestGenerate:
     def test_frozen_chain_gives_constant_channels(self):
