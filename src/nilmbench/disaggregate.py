@@ -18,8 +18,14 @@ monotone, so both give bit-identical scores:
 - Product spaces of S <= 64 states take a dense step: each per-appliance
   log A_n is expanded once to an (S, S) table over product indices, and a
   step adds them all to the scores and takes one argmax per successor, so
-  a code is the flat predecessor.  At this size the cost is per-call
-  overhead, which this step keeps to N + 3 numpy calls.
+  a code is the flat predecessor.  The new scores are read from the table
+  at those codes, as the score at the lowest-index argmax is the row
+  maximum, so the table is reduced once.  At this size the cost is
+  per-call overhead: N + 4 numpy calls per step.  Called directly on
+  two-state appliances over 2000 steps (15 alternating pairs, 2 vCPUs),
+  the dense step took 19-25 us/step at S = 64 against 24-34 for the
+  staged step, and 51-73 at S = 128 against 22-41, so S = 64 is the
+  largest space decoded densely.
 - Larger spaces take a staged step that never materialises the product
   transitions: it maximises over one appliance axis at a time, appliance
   N-1 first.  Each stage maximises the trailing digit of its input layout
@@ -273,6 +279,9 @@ def _viterbi_dense(m: FHMMModel, y: np.ndarray) -> np.ndarray:
     codes = np.empty((y.size, S), dtype=np.uint16)
     preds = np.zeros((rows, S), dtype=np.intp)
     table = np.empty((S, S))
+    flat_table = table.reshape(-1)
+    row_start = np.arange(0, S * S, S)
+    flat = np.empty(S, dtype=np.intp)
     delta = _product_sum(_log(a.pi) for a in m.appliances)
     for lo, em in _emission_chunks(m, y, rows):
         for r in range(em.shape[0]):
@@ -283,8 +292,10 @@ def _viterbi_dense(m: FHMMModel, y: np.ndarray) -> np.ndarray:
                 for L_n in rest:
                     np.add(table, L_n, out=table)
                 table.argmax(axis=1, out=preds[r])
-                delta = table.max(axis=1)
-            delta = delta + em[r]
+                # The score at the argmax is the row maximum.
+                np.add(preds[r], row_start, out=flat)
+                delta = flat_table[flat]
+            delta += em[r]
         codes[lo : lo + em.shape[0]] = preds[: em.shape[0]]
 
     path = np.empty(y.size, dtype=np.int64)
@@ -300,7 +311,6 @@ def _viterbi_staged(m: FHMMModel, y: np.ndarray) -> np.ndarray:
     sizes = _sizes(m)
     strides = _strides(sizes)
     S = math.prod(sizes)
-    log_pi = _product_sum(_log(a.pi) for a in m.appliances)
 
     # Steps run in chunks of ``rows`` sharing one emission table.  Stage k
     # maximises appliance N-1-k, the trailing digit of the current layout:
@@ -310,42 +320,51 @@ def _viterbi_staged(m: FHMMModel, y: np.ndarray) -> np.ndarray:
     # result buffers, as a scratch is filled from the input before the
     # result is written; a one-state appliance adds straight into its
     # result.  For 1 <= i < K a mask marks, per chunk, where the argmax
-    # digit is >= i.
+    # digit is >= i.  Stage 0 reads ``delta`` and every later stage the
+    # result of the one before, all fixed buffers, so each stage's views
+    # are built once here and not at every step.
     rows = max(1, 2**16 // S)
     buffers = {}
     for K in set(sizes):
         best = np.empty((K, S // K))
         buffers[K] = (np.empty((K, K, S // K)) if K > 1 else best[None], best)
-    stages = [
-        (_log(a.A)[:, :, None], *buffers[K], np.zeros((K - 1, rows, K, S // K), bool))
-        for a, K in zip(reversed(m.appliances), reversed(sizes))
-    ]
+    delta = scores = _product_sum(_log(a.pi) for a in m.appliances)
+    stages, masks = [], []
+    for a, K in zip(reversed(m.appliances), reversed(sizes)):
+        scratch, best = buffers[K]
+        masks.append(np.zeros((K - 1, rows, K, S // K), bool))
+        # Running maxima in place: scratch[i] becomes the max over digits
+        # 0 .. i, and the last one lands in ``best``.
+        maxima = [
+            (scratch[i - 1], scratch[i], best if i == K - 1 else scratch[i]) for i in range(1, K)
+        ]
+        checks = list(zip(scratch, masks[-1]))
+        pred = scores.reshape(-1, K).T[:, None]
+        stages.append((pred, _log(a.A)[:, :, None], scratch, maxima, best, checks))
+        scores = best
+    last = scores.reshape(S)
 
     codes = np.empty((y.size, S), dtype=np.uint16)
-    delta = log_pi
     for lo, em in _emission_chunks(m, y, rows):
         for r in range(em.shape[0]):
             if lo + r > 0:
-                for log_A, scratch, best, masks in stages:
-                    K = len(best)
-                    np.add(delta.reshape(-1, K).T[:, None], log_A, out=scratch)
-                    # Running maxima in place: scratch[i] becomes the max
-                    # over digits 0 .. i, and the last one lands in ``best``.
-                    for i in range(1, K):
-                        out = best if i == K - 1 else scratch[i]
-                        np.maximum(scratch[i - 1], scratch[i], out=out)
+                for pred, log_A, scratch, maxima, best, checks in stages:
+                    np.add(pred, log_A, out=scratch)
+                    for below, at, out in maxima:
+                        np.maximum(below, at, out=out)
                     # The digit is >= i where the max beats every score
                     # below i; ties keep the lower digit, as argmax would.
-                    for i, mk in enumerate(masks):
-                        np.greater(best, scratch[i], out=mk[r])
-                    delta = best
-            delta = delta.reshape(S) + em[r]
+                    for below, mk in checks:
+                        np.greater(best, below, out=mk[r])
+                np.add(last, em[r], out=delta)
+            else:
+                delta += em[r]
         # A code is the sum over masks of their appliance's stride, each
         # mask in its own stage's layout; digit n is code // stride_n % K_n.
         code = codes[lo : lo + em.shape[0]]
         code[...] = 0
-        for (_, _, _, masks), stride in zip(stages, reversed(strides)):
-            for mk in masks[:, : len(code)]:
+        for stage_masks, stride in zip(masks, reversed(strides)):
+            for mk in stage_masks[:, : len(code)]:
                 code += mk.reshape(code.shape) * np.uint16(stride)
 
     # Compose the predecessor along the path only.  Digit n was stored in

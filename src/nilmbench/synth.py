@@ -64,6 +64,12 @@ class ApplianceSynthSpec:
         K = len(self.means)
         if len(self.stds) != K or any(len(row) != K for row in self.A):
             raise ValueError(f"{self.name}: stds and each row of A need {K} entries")
+        # Written as "inside" tests, so NaN fails too; a zero std is a
+        # noise-free state.
+        if not all(-math.inf < mu < math.inf for mu in self.means):
+            raise ValueError(f"{self.name}: means must be finite")
+        if not all(0 <= sd < math.inf for sd in self.stds):
+            raise ValueError(f"{self.name}: stds must be finite and >= 0")
         check_chain(self.name, K, np.asarray(self.pi), np.asarray(self.A), 1e-9)
 
     @property

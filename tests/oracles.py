@@ -175,6 +175,41 @@ def product_index(states_row, sizes) -> int:
     return idx
 
 
+def dense_step_loop(m, y) -> np.ndarray:
+    """(T, N) FHMM MAP states by the dense step that reduces each (S, S)
+    table twice, once by ``argmax`` for the codes and once by ``max`` for the
+    scores; T > 0.  Row j of the table scores every predecessor i of
+    successor j, with appliance N-1 added first."""
+    sizes = [a.K for a in m.appliances]
+    strides = [math.prod(sizes[n + 1 :]) for n in range(len(sizes))]
+    S = math.prod(sizes)
+    digits = np.arange(S)[:, None] // strides % sizes
+    with np.errstate(divide="ignore"):
+        L = [np.log(a.A)[d[None, :], d[:, None]] for a, d in zip(m.appliances, digits.T)]
+        delta = _product_sum(np.log(a.pi) for a in m.appliances)
+
+    rows = max(1, 2**16 // S)
+    codes = np.zeros((len(y), S), dtype=np.intp)
+    table = np.empty((S, S))
+    for lo, em in _emission_chunks(m, y, rows):
+        for r in range(em.shape[0]):
+            if lo + r > 0:
+                np.add(L[-1], delta, out=table)
+                for L_n in L[-2::-1]:
+                    np.add(table, L_n, out=table)
+                codes[lo + r] = table.argmax(axis=1)
+                delta = table.max(axis=1)
+            delta = delta + em[r]
+
+    states = np.empty((len(y), len(sizes)), dtype=np.int64)
+    idx = int(np.argmax(delta))
+    for t in range(len(y) - 1, 0, -1):
+        states[t] = digits[idx]
+        idx = int(codes[t, idx])
+    states[0] = digits[idx]
+    return states
+
+
 def staged_viterbi_loop(m, y) -> np.ndarray:
     """(T, N) FHMM MAP states by the staged step on the canonical layout;
     T > 0.  Stage n views the scores as (prefix, K_n, 1, stride_n), so the

@@ -28,6 +28,7 @@ from oracles import (
     build_product_hmm,
     co_bruteforce,
     co_states_matrix,
+    dense_step_loop,
     dense_viterbi,
     fhmm_path_loglik,
     product_index,
@@ -625,6 +626,50 @@ NEAR_TIE_KINDS = st.lists(st.sampled_from(["ulp", "uniform", "rare", "random"]),
 )
 def test_dense_step_matches_staged_step(sizes, kinds, shared_means, seed, T):
     assert_dense_matches_staged(*near_tie_model(sizes, kinds, shared_means, seed, T))
+
+
+def with_unentered_states(m, columns):
+    """``m`` where, for each appliance n with K_n > 1 and ``columns[n] >= 0``,
+    column ``columns[n] % K_n`` of A is 0 and its mass moved to the next
+    column: no step enters that state, so from step 1 on every successor
+    holding it has a table row of -inf, whose argmax is 0."""
+    apps = []
+    for a, c in zip(m.appliances, columns):
+        A = a.A.copy()
+        if a.K > 1 and c >= 0:
+            c %= a.K
+            A[:, (c + 1) % a.K] = np.minimum(A[:, (c + 1) % a.K] + A[:, c], 1.0)
+            A[:, c] = 0.0
+        apps.append(ApplianceHMM(a.base, a.pi, A))
+    return FHMMModel(appliances=tuple(apps), noise_variance=m.noise_variance)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6).filter(
+        lambda ks: math.prod(ks) <= 64
+    ),
+    kinds=NEAR_TIE_KINDS,
+    shared_means=st.booleans(),
+    columns=st.lists(st.integers(-1, 3), min_size=6, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    T=st.integers(1, 60),
+)
+@example(sizes=[2, 3, 2], kinds=["random"] * 8, shared_means=False, columns=[1, 0, -1] * 2, seed=3, T=30)
+@example(sizes=[4, 4, 4], kinds=["uniform"] * 8, shared_means=True, columns=[-1] * 6, seed=4, T=40)
+@example(sizes=[4], kinds=["ulp"] * 8, shared_means=True, columns=[-1] * 6, seed=5, T=40)
+@example(sizes=[2] * 6, kinds=["ulp", "uniform"] * 4, shared_means=True, columns=[-1, 0] * 3, seed=6, T=1030)
+@example(sizes=[2, 2, 2], kinds=["rare", "random"] * 4, shared_means=False, columns=[-1] * 6, seed=7, T=8195)
+def test_dense_step_matches_loop_oracle(sizes, kinds, shared_means, columns, seed, T):
+    # The dense step reads each step's maxima from the table at its argmax,
+    # where the oracle takes a second reduction; the value at the lowest
+    # argmax is the row maximum, so states agree exactly, -inf rows and
+    # exact ties included.  The examples cover a zero transition
+    # probability, exact ties, one appliance (S = K), and S = 64 and S = 8
+    # decoding past their first chunk of 1024 and 8192 steps.
+    m, y = near_tie_model(sizes, kinds, shared_means, seed, T)
+    m = with_unentered_states(m, columns)
+    assert np.array_equal(_viterbi_dense(m, y).T, dense_step_loop(m, y))
 
 
 @settings(max_examples=200, deadline=None)

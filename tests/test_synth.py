@@ -96,6 +96,11 @@ class TestSpecValidation:
         ({"pi": (float("nan"), 1.0)}, "pi"),
         ({"A": ((float("nan"), 0.5), (0.5, 0.5))}, "rows of A"),
         ({"means": 5}, "means"),
+        ({"means": (0.0, float("nan"))}, "x: means must be finite"),
+        ({"means": (float("inf"), 1.0)}, "x: means must be finite"),
+        ({"stds": (1.0, -2.0)}, "x: stds must be finite and >= 0"),
+        ({"stds": (float("nan"), 0.0)}, "x: stds must be finite and >= 0"),
+        ({"stds": (0.0, float("inf"))}, "x: stds must be finite and >= 0"),
     ])
     def test_appliance_values_checked_where_built(self, change, field):
         fields = dict(name="x", means=(0.0, 1.0), stds=(0.0, 0.0), pi=(0.5, 0.5),
