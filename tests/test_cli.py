@@ -711,11 +711,6 @@ class TestSynthSpecInConfig:
         (("appliances", 0, "means", KeyError), "means"),
         (("appliances", 0, "pi", [float("nan"), 1.0]), "pi"),
         (("appliances", 1, "A", 0, [float("nan"), 0.5]), "rows of A"),
-        (("appliances", 0, "means", [0.0, float("nan")]), "air_conditioner: means"),
-        (("appliances", 1, "means", [float("-inf"), 80.0]), "fridge: means"),
-        (("appliances", 0, "stds", [1.0, -2.0]), "air_conditioner: stds"),
-        (("appliances", 2, "stds", [float("nan"), 1.0]), "electric_heat: stds"),
-        (("appliances", 2, "stds", [1.0, float("inf")]), "electric_heat: stds"),
         (("period", float("nan")), "period"),
         (("period", float("inf")), "period"),
         (("duration", float("nan")), "duration"),
@@ -723,6 +718,11 @@ class TestSynthSpecInConfig:
         (("seed", 2.7), "seed must be an integer"),
         (("seed", True), "seed must be an integer"),
         (("seed", "3"), "seed must be an integer"),
+        (("appliances", 0, "means", [0.0, float("nan")]), "air_conditioner: means"),
+        (("appliances", 1, "means", [float("-inf"), 80.0]), "fridge: means"),
+        (("appliances", 0, "stds", [1.0, -2.0]), "air_conditioner: stds"),
+        (("appliances", 2, "stds", [float("nan"), 1.0]), "electric_heat: stds"),
+        (("appliances", 2, "stds", [1.0, float("inf")]), "electric_heat: stds"),
     ])
     @pytest.mark.parametrize("entry", ["run", "synth"])
     def test_invalid_spec_exit_2_naming_the_field(self, tmp_path, capsys, entry, change, field):
