@@ -218,6 +218,17 @@ def integer(value) -> int:
     return int(value)
 
 
+def check_channel_id(name) -> None:
+    """Raise ValueError unless ``name`` can name a channel's file: exactly
+    one path component, so not empty, ``.`` or ``..``, and without ``/``,
+    ``\\`` or NUL."""
+    if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ValueError(
+            f"channel id {name!r} must be one path component: not empty, '.' or '..', "
+            "and without '/', '\\' or NUL"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Buildings and datasets
 # ---------------------------------------------------------------------------

@@ -22,12 +22,20 @@ save/load cycle preserves timestamps and values bit-for-bit.  Loading
 rejects non-numeric or non-finite values and timestamps, and timestamps that
 do not strictly increase, naming the file and line.
 
-Channels are written in blocks of whole columns.  Both text formats read
-here, channel CSVs and the whitespace-separated ``channel_<j>.dat`` files of
-:func:`import_redd_style`, go through one ``np.loadtxt`` parse checked on
-the arrays.  A file that fails the parse or a check is read again line by
-line: that loop alone reports bad rows, raising on the first bad CSV line
-and skipping and counting bad ``.dat`` rows in the :class:`ImportReport`.
+Channels are written in blocks of whole columns.  A building's channels
+that share a timestamp column (one array, or arrays equal bit for bit, so
+0.0 and -0.0 differ) are written together with all their files open, and
+each block's timestamp texts are formatted once for all of them.  A circuit
+id or appliance name must be one path component
+(:func:`~nilmbench.data.check_channel_id`); every one is checked before
+anything is written.
+
+Both text formats read here, channel CSVs and the whitespace-separated
+``channel_<j>.dat`` files of :func:`import_redd_style`, go through one
+``np.loadtxt`` parse checked on the arrays.  A file that fails the parse or
+a check is read again line by line: that loop alone reports bad rows,
+raising on the first bad CSV line and skipping and counting bad ``.dat``
+rows in the :class:`ImportReport`.
 
 Learned models persist as JSON: an ``algorithm`` tag plus per-appliance state
 means/stds, and for the factorial model additionally pi, the transition
@@ -39,6 +47,7 @@ from __future__ import annotations
 import json
 import re
 import warnings
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -51,6 +60,7 @@ from .data import (
     Measurement,
     POWER_ACTIVE,
     canonical_label,
+    check_channel_id,
 )
 from .training import (
     ApplianceHMM,
@@ -110,17 +120,42 @@ def _value_texts(v: np.ndarray) -> list[str]:
     return texts[inverse].tolist()
 
 
-def _write_channel_csv(path: Path, c: Channel) -> None:
-    measurements = sorted(c.columns, key=lambda m: m.column_name)
-    header = ",".join(["timestamp"] + [m.column_name for m in measurements])
-    cols = [c.columns[m] for m in measurements]
-    with path.open("w", encoding="utf-8", newline="\n") as f:
-        f.write(header + "\n")
-        for start in range(0, len(c), _CSV_BLOCK_ROWS):
+def _timestamp_groups(entries):
+    """``entries`` of (key, channel) grouped by timestamp array: one group
+    per array, bit-equal copies joining the first, so that 0.0 and -0.0
+    stay apart."""
+    groups: list[list] = []
+    for entry in entries:
+        t = entry[1].timestamps
+        for group in groups:
+            ref = group[0][1].timestamps
+            if t is ref or np.array_equal(t.view(np.int64), ref.view(np.int64)):
+                group.append(entry)
+                break
+        else:
+            groups.append([entry])
+    return groups
+
+
+def _write_csv_group(elec: Path, group) -> None:
+    """Write each (key, channel) of ``group``, channels sharing one timestamp
+    column, to ``elec/<key>.csv``: block by block with every file open, each
+    block's timestamp texts formatted once."""
+    t = group[0][1].timestamps
+    with ExitStack() as stack:
+        outs = []
+        for key, c in group:
+            path = elec / f"{key}.csv"
+            f = stack.enter_context(path.open("w", encoding="utf-8", newline="\n"))
+            measurements = sorted(c.columns, key=lambda m: m.column_name)
+            f.write(",".join(["timestamp"] + [m.column_name for m in measurements]) + "\n")
+            outs.append((f, [c.columns[m] for m in measurements]))
+        for start in range(0, t.size, _CSV_BLOCK_ROWS):
             rows = slice(start, start + _CSV_BLOCK_ROWS)
-            texts = [_timestamp_texts(c.timestamps[rows])]
-            texts += [_value_texts(v[rows]) for v in cols]
-            f.write("\n".join(map(",".join, zip(*texts))) + "\n")
+            stamps = _timestamp_texts(t[rows])
+            for f, cols in outs:
+                texts = [stamps] + [_value_texts(v[rows]) for v in cols]
+                f.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def _read_channel_csv(path: Path, channel_id: str, nominal_period: float) -> Channel:
@@ -218,7 +253,17 @@ def _read_body_lines(path: Path, f, n_fields: int) -> np.ndarray:
 
 
 def save_dataset_dir(ds: DataSet, root: str | Path) -> None:
-    """Write the canonical on-disk layout for a dataset."""
+    """Write the canonical on-disk layout for a dataset.
+
+    Every circuit id and appliance name is checked with
+    :func:`~nilmbench.data.check_channel_id`, and a circuit id may not
+    repeat, before anything is created."""
+    for b in ds.buildings.values():
+        circuit_ids = [c.id for c in b.circuits]
+        for name in circuit_ids + list(b.appliances):
+            check_channel_id(name)
+        if len(set(circuit_ids)) < len(circuit_ids):
+            raise ValueError(f"building {b.id}: a circuit id is repeated")
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     (root / "metadata.json").write_text(
@@ -236,16 +281,13 @@ def save_dataset_dir(ds: DataSet, root: str | Path) -> None:
             (house / "utility" / sub).mkdir(parents=True, exist_ok=True)
         for sub in ("mains", "circuits", "appliances"):
             (elec / sub).mkdir(parents=True, exist_ok=True)
-        periods: dict[str, float] = {}
-        for j, c in enumerate(b.mains, start=1):
-            _write_channel_csv(elec / "mains" / f"mains_{j}.csv", c)
-            periods[f"mains/mains_{j}"] = c.nominal_period
-        for c in b.circuits:
-            _write_channel_csv(elec / "circuits" / f"{c.id}.csv", c)
-            periods[f"circuits/{c.id}"] = c.nominal_period
-        for name in sorted(b.appliances):
-            _write_channel_csv(elec / "appliances" / f"{name}.csv", b.appliances[name])
-            periods[f"appliances/{name}"] = b.appliances[name].nominal_period
+        # Keyed by the file's path below elec, without ".csv".
+        channels = [(f"mains/mains_{j}", c) for j, c in enumerate(b.mains, start=1)]
+        channels += [(f"circuits/{c.id}", c) for c in b.circuits]
+        channels += [(f"appliances/{name}", b.appliances[name]) for name in sorted(b.appliances)]
+        for group in _timestamp_groups(channels):
+            _write_csv_group(elec, group)
+        periods = {key: c.nominal_period for key, c in channels}
         (elec / "wiring.json").write_text(
             json.dumps({"edges": [list(e) for e in b.wiring]}, indent=2, sort_keys=True)
             + "\n",

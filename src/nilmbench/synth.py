@@ -18,7 +18,15 @@ from itertools import accumulate
 
 import numpy as np
 
-from .data import Building, Channel, DataSet, POWER_ACTIVE, integer, outside_gaps
+from .data import (
+    Building,
+    Channel,
+    DataSet,
+    POWER_ACTIVE,
+    check_channel_id,
+    integer,
+    outside_gaps,
+)
 from .training import check_chain
 
 
@@ -57,6 +65,7 @@ class ApplianceSynthSpec:
     A: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
+        check_channel_id(self.name)
         _set_fields(
             self, f"{self.name}: ", means=_floats, stds=_floats, pi=_floats,
             A=lambda rows: tuple(map(_floats, rows)),
@@ -101,6 +110,10 @@ class SynthSpec:
         )
         if not self.appliances:
             raise ValueError("spec needs at least one appliance")
+        names = [a.name for a in self.appliances]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"appliance name {name!r} is repeated")
         # Written as "inside" tests, so NaN fails too.
         if not (0 <= self.noise_std < math.inf and 0 <= self.dropout_probability < 1):
             raise ValueError("noise_std must be finite and >= 0, dropout_probability in [0, 1)")
@@ -123,19 +136,29 @@ def _sample_chain(rng: np.random.Generator, spec: ApplianceSynthSpec, n: int) ->
     """n chain states, state t drawn by inverse CDF from uniform draw t.
 
     All draws come first, so the successor of every possible previous state
-    is looked up for all draws at once; only the walk through that table is
-    sequential.
+    is looked up for all draws at once.  A draw t >= 1 at which every state
+    is its own successor keeps the state, whatever it is, so only the other
+    draws (the moves) are walked in sequence, and the runs between them are
+    filled by ``np.repeat``.  The states are those of one lookup per draw,
+    and the walk never takes more steps than there are draws.
     """
     u = rng.random(n)
     # The clip guards against u landing on a cumulative 1.0 boundary.
     last = spec.K - 1
     first = min(int(np.searchsorted(np.cumsum(spec.pi), u[0], side="right")), last)
     successor = [
-        np.minimum(np.searchsorted(row, u, side="right"), last).tolist()
+        np.minimum(np.searchsorted(row, u, side="right"), last)
         for row in np.cumsum(np.asarray(spec.A), axis=1)
     ]
-    walk = accumulate(range(1, n), lambda s, t: successor[s][t], initial=first)
-    return np.fromiter(walk, dtype=np.int64, count=n)
+    moves = np.zeros(n, dtype=bool)
+    for k, row in enumerate(successor):
+        moves[1:] |= row[1:] != k
+    at = np.flatnonzero(moves)
+    # Rebinding frees the full successor arrays before the states are built.
+    successor = [row[at].tolist() for row in successor]
+    walk = accumulate(range(at.size), lambda s, i: successor[s][i], initial=first)
+    run_lengths = np.diff(at, prepend=0, append=n)
+    return np.repeat(np.fromiter(walk, dtype=np.int64, count=at.size + 1), run_lengths)
 
 
 def _apply_faults(

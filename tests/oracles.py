@@ -7,7 +7,9 @@ None of them shares code with the decoders they check, except
 ``staged_viterbi_loop``: an earlier FHMM step kept to pin the current one bit
 for bit, so it takes its emission table from the decoder module and differs
 only in the step.  Earlier forms of fast code that must stay bit-identical
-are kept here as well: ``co_states_matrix`` and ``mask_train_test_split``.
+are kept here as well: ``co_states_matrix``, ``mask_train_test_split`` and
+``write_channel_csv_blocks``, the last with the writer's own text helpers, so
+it pins how channels are grouped, not how numbers are formatted.
 """
 
 import itertools
@@ -18,6 +20,7 @@ from functools import reduce
 import numpy as np
 
 from nilmbench.disaggregate import _emission_chunks, _product_sum
+from nilmbench.io import _CSV_BLOCK_ROWS, _timestamp_texts, _value_texts
 from nilmbench.preprocess import map_channels
 
 PRODUCT_HMM_LIMIT = 2**10
@@ -70,6 +73,21 @@ def mask_train_test_split(b, fraction):
         map_channels(b, lambda c: c.take(c.timestamps < t_split)),
         map_channels(b, lambda c: c.take(c.timestamps >= t_split)),
     )
+
+
+def write_channel_csv_blocks(path, c) -> None:
+    """One channel's CSV written on its own, in blocks of whole columns,
+    formatting its timestamp texts itself."""
+    measurements = sorted(c.columns, key=lambda m: m.column_name)
+    header = ",".join(["timestamp"] + [m.column_name for m in measurements])
+    cols = [c.columns[m] for m in measurements]
+    with path.open("w", encoding="utf-8", newline="\n") as f:
+        f.write(header + "\n")
+        for start in range(0, len(c), _CSV_BLOCK_ROWS):
+            rows = slice(start, start + _CSV_BLOCK_ROWS)
+            texts = [_timestamp_texts(c.timestamps[rows])]
+            texts += [_value_texts(v[rows]) for v in cols]
+            f.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def dense_viterbi(pi, A, emission_means, emission_variances, y):
@@ -284,14 +302,15 @@ def trapezoid_energy(t, p) -> float:
 
 
 def sample_chain_loop(rng, pi, A, n) -> np.ndarray:
-    """Markov chain with one inverse-CDF lookup per sample, in draw order."""
+    """Markov chain with one inverse-CDF lookup per sample, in draw order; a
+    draw past a row's cumulative sum takes the last state."""
     cum_rows = np.cumsum(np.asarray(A), axis=1)
+    last = len(pi) - 1
     states = np.empty(n, dtype=np.int64)
     u = rng.random(n)
-    states[0] = np.searchsorted(np.cumsum(pi), u[0], side="right")
+    states[0] = min(np.searchsorted(np.cumsum(pi), u[0], side="right"), last)
     for t in range(1, n):
-        states[t] = np.searchsorted(cum_rows[states[t - 1]], u[t], side="right")
-    np.clip(states, 0, len(pi) - 1, out=states)
+        states[t] = min(np.searchsorted(cum_rows[states[t - 1]], u[t], side="right"), last)
     return states
 
 

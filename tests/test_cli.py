@@ -723,6 +723,9 @@ class TestSynthSpecInConfig:
         (("appliances", 0, "stds", [1.0, -2.0]), "air_conditioner: stds"),
         (("appliances", 2, "stds", [float("nan"), 1.0]), "electric_heat: stds"),
         (("appliances", 2, "stds", [1.0, float("inf")]), "electric_heat: stds"),
+        (("appliances", 1, "name", "air_conditioner"), "'air_conditioner' is repeated"),
+        (("appliances", 0, "name", "../../escape"), "'../../escape' must be one path component"),
+        (("appliances", 2, "name", "a/b"), "'a/b' must be one path component"),
     ])
     @pytest.mark.parametrize("entry", ["run", "synth"])
     def test_invalid_spec_exit_2_naming_the_field(self, tmp_path, capsys, entry, change, field):

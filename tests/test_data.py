@@ -8,6 +8,7 @@ from nilmbench.data import (
     POWER_ACTIVE,
     VOLTAGE,
     canonical_label,
+    check_channel_id,
     is_canonical,
     mains_total,
     outside_gaps,
@@ -128,6 +129,19 @@ class TestSharing:
         (_, _, mains), *appliances = b.channels()
         assert len(appliances) == 3
         assert all(c.timestamps is mains.timestamps for _, _, c in appliances)
+
+
+class TestCheckChannelId:
+    @pytest.mark.parametrize("name", ["fridge", "lighting_2", "a.b", "...", " ", "kühlschrank"])
+    def test_one_path_component_accepted(self, name):
+        check_channel_id(name)
+
+    @pytest.mark.parametrize(
+        "name", ["", ".", "..", "a/b", "../../escape", "/", "a\\b", "a\0b", 5, None]
+    )
+    def test_other_names_rejected(self, name):
+        with pytest.raises(ValueError, match="must be one path component"):
+            check_channel_id(name)
 
 
 class TestSelectWindow:

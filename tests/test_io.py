@@ -26,6 +26,7 @@ from nilmbench.synth import default_benchmark_spec, generate
 from nilmbench.training import ApplianceHMM, ApplianceStateModel, COModel, FHMMModel
 
 from conftest import assert_dataset_equal, mk_building, mk_channel
+from oracles import write_channel_csv_blocks
 
 
 def write_redd_house(root: Path, n: int, labels: dict[int, str], rows: dict[int, list[str]]):
@@ -109,6 +110,14 @@ class TestReddImport:
         with pytest.raises(SchemaError) as e:
             import_redd_style(tmp_path)
         assert str(e.value) == f"{labels}:2: malformed label row"
+
+    def test_label_that_is_not_a_file_name_rejected_on_save(self, tmp_path):
+        write_redd_house(tmp_path / "raw", 1, {1: "mains", 3: "a/b"}, {1: ["1 5\n"], 3: ["1 2\n"]})
+        ds, _ = import_redd_style(tmp_path / "raw")
+        assert list(ds.buildings[1].appliances) == ["a/b"]
+        with pytest.raises(ValueError, match="'a/b' must be one path component"):
+            save_dataset_dir(ds, tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
 
     def test_clean_file_takes_the_array_parse(self, tmp_path):
         rows = [" 100\t1.5\r\n", "\n", "  \t\n", "101   -2e3\r\n", "102.25 +7"]
@@ -250,6 +259,21 @@ class TestDatasetDirRoundTrip:
         a = sorted((tmp_path / "one").rglob("*.csv"))
         b = sorted((tmp_path / "two").rglob("*.csv"))
         assert [p.read_bytes() for p in a] == [p.read_bytes() for p in b]
+
+    @pytest.mark.parametrize("name", ["../../escape", "a/b", ".."])
+    @pytest.mark.parametrize("role", ["appliances", "circuits"])
+    def test_unsafe_channel_name_rejected_before_writing(self, tmp_path, role, name):
+        c = mk_channel([0.0, 1.0], [1.0, 2.0], cid=name)
+        b = mk_building(appliances={name: c}) if role == "appliances" else mk_building(circuits=(c,))
+        with pytest.raises(ValueError, match="must be one path component"):
+            save_dataset_dir(DataSet("x", {1: b}), tmp_path / "ds")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_repeated_circuit_id_rejected(self, tmp_path):
+        c = mk_channel([0.0, 1.0], [1.0, 2.0], cid="kitchen")
+        with pytest.raises(ValueError, match="circuit id is repeated"):
+            save_dataset_dir(DataSet("x", {1: mk_building(circuits=(c, c))}), tmp_path / "ds")
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_wiring_warns_and_defaults_empty(self, tmp_path):
         save_dataset_dir(build_dataset(), tmp_path / "ds")
@@ -434,6 +458,64 @@ class TestChannelCsv:
         expected = np.array(rows, dtype=float).reshape(len(rows), 2)
         assert c.timestamps.tobytes() == expected[:, 0].tobytes()
         assert c.values(POWER_ACTIVE).tobytes() == expected[:, 1].tobytes()
+
+
+# How a channel's timestamps relate to the first channel's.
+TIMESTAMP_KINDS = ("shared", "bit-equal copy", "float-equal", "different")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shared_timestamp_columns_written_as_one_channel_at_a_time(data):
+    # Channels with one timestamp column are written together; each file
+    # must hold the bytes of that channel written on its own.
+    n = data.draw(st.one_of(st.integers(0, 20), st.integers(0, 9000)), label="rows")
+    start = data.draw(st.sampled_from([0.0, -0.0, 1303132929.5, -7.25]), label="start")
+    period = data.draw(st.sampled_from([1.0, 6.0, 0.1]), label="period")
+    base = start + np.arange(n) * period
+    base.setflags(write=False)  # so channels share it
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    mains, appliances = [], {}
+    for i in range(data.draw(st.integers(1, 4), label="channels")):
+        kind = data.draw(st.sampled_from(TIMESTAMP_KINDS), label="kind")
+        if kind == "shared":
+            t = base
+        elif kind == "bit-equal copy":
+            t = base.copy()
+        elif kind == "float-equal":
+            # A leading 0.0 turned -0.0 or back: equal as floats, not as bits.
+            t = base.copy()
+            t[:1] = np.where(t[:1] == 0.0, -t[:1], t[:1])
+        else:
+            t = base[: data.draw(st.integers(0, n))] + 0.5
+        names = data.draw(st.lists(
+            st.sampled_from(["power_active", "power_apparent", "voltage"]),
+            min_size=1, max_size=3, unique=True,
+        ))
+        columns = {
+            name: np.where(
+                rng.random(t.size) < 0.5,
+                rng.choice([0.0, -0.0, 150.0, 1 / 3, 1600.25], t.size),
+                rng.normal(0.0, 1000.0, t.size),
+            )
+            for name in names
+        }
+        c = mk_channel(t, cid=f"app_{i}", **columns)
+        if data.draw(st.booleans(), label="mains"):
+            mains.append(c)
+        else:
+            appliances[c.id] = c
+    with tempfile.TemporaryDirectory() as tmp:
+        save_dataset_dir(DataSet("x", {1: mk_building(mains, appliances)}), Path(tmp, "ds"))
+        elec = Path(tmp, "ds", "house_1", "utility", "electricity")
+        expected = {f"mains/mains_{j}.csv": c for j, c in enumerate(mains, start=1)}
+        expected.update({f"appliances/{name}.csv": c for name, c in appliances.items()})
+        written = sorted(str(p.relative_to(elec)) for p in elec.rglob("*.csv"))
+        assert written == sorted(expected)
+        for rel, c in expected.items():
+            oracle = Path(tmp, "oracle.csv")
+            write_channel_csv_blocks(oracle, c)
+            assert (elec / rel).read_bytes() == oracle.read_bytes(), rel
 
 
 def co_model():

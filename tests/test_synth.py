@@ -1,6 +1,7 @@
 import hashlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -107,6 +108,16 @@ class TestSpecValidation:
                       A=((0.5, 0.5), (0.5, 0.5)))
         with pytest.raises(ValueError, match=field):
             ApplianceSynthSpec(**{**fields, **change})
+
+    @pytest.mark.parametrize("name", ["", "..", "../../escape", "a/b", "a\\b"])
+    def test_appliance_name_is_one_path_component(self, name):
+        with pytest.raises(ValueError, match="must be one path component"):
+            two_state(name, 100.0)
+
+    def test_repeated_appliance_name_rejected(self):
+        apps = (two_state("a", 100.0), two_state("b", 5.0), two_state("a", 50.0))
+        with pytest.raises(ValueError, match="appliance name 'a' is repeated"):
+            SynthSpec(appliances=apps, seed=1)
 
     @pytest.mark.parametrize("change, field", [
         ({"period": float("nan")}, "period"),
@@ -288,18 +299,34 @@ def test_sample_chain_matches_per_sample_loop(data):
         w = data.draw(weights)
         return tuple(x / sum(w) for x in w)
 
-    spec = ApplianceSynthSpec(
-        name="a",
-        means=tuple(float(k) for k in range(K)),
-        stds=(0.0,) * K,
-        pi=distribution(),
-        A=tuple(distribution() for _ in range(K)),
-    )
-    n = data.draw(st.integers(1, 2000))
+    def row(k):
+        kind = data.draw(st.sampled_from(["any", "sticky", "absorbing", "short"]))
+        if kind == "sticky":
+            # Leaves state k at most at 1 draw in 10^e, so long runs occur.
+            leave = 10.0 ** -data.draw(st.integers(1, 12))
+            return tuple((j == k) * (1 - leave) + leave * p for j, p in enumerate(distribution()))
+        if kind == "absorbing":
+            return tuple(float(j == k) for j in range(K))
+        if kind == "short":
+            # The cumulative sum ends below 1.0, so the clip to K - 1 decides
+            # the draws past it.
+            scale = data.draw(st.sampled_from([0.5, 0.9, 1 - 1e-10]))
+            return tuple(p * scale for p in distribution())
+        return distribution()
+
+    pi, A = distribution(), tuple(row(k) for k in range(K))
+    if all(abs(sum(r) - 1) <= 1e-9 for r in A):
+        chain = ApplianceSynthSpec(
+            name="a", means=tuple(float(k) for k in range(K)), stds=(0.0,) * K, pi=pi, A=A,
+        )
+    else:
+        # Rows short by more than a spec accepts reach the clip often.
+        chain = SimpleNamespace(K=K, pi=pi, A=A)
+    n = data.draw(st.one_of(st.integers(1, 2000), st.integers(2001, 20000)))
     seed = data.draw(st.integers(0, 2**32 - 1))
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     assert np.array_equal(
-        _sample_chain(rng, spec, n), sample_chain_loop(oracle_rng, spec.pi, spec.A, n)
+        _sample_chain(rng, chain, n), sample_chain_loop(oracle_rng, chain.pi, chain.A, n)
     )
     # Same draws consumed: the generator continues in step.
     assert rng.random() == oracle_rng.random()
