@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Compare FHMM against CO across many seeded synthetic households.
 
-For each seed: generate the default benchmark household, split 50/50, train
-both algorithms on the first half, disaggregate the second half, and report
-mean per-appliance NEP.  Prints a per-seed table plus the win count.
+For each seed: generate the default benchmark household, split 50/50, learn
+the appliance states once on the first half, train both algorithms on them,
+disaggregate the second half, and report mean per-appliance NEP.  Prints a
+per-seed table plus the win count.
 
 Usage:
     python scripts/seed_sweep.py [--seeds 20] [--first-seed 3000]
@@ -18,6 +19,7 @@ from nilmbench.metrics import evaluate
 from nilmbench.pipeline import algorithms
 from nilmbench.preprocess import train_test_split
 from nilmbench.synth import default_benchmark_spec, generate
+from nilmbench.training import learn_building_states
 
 
 def nep_for(seed: int) -> dict[str, float]:
@@ -25,8 +27,9 @@ def nep_for(seed: int) -> dict[str, float]:
     train_b, test_b = train_test_split(ds.buildings[1], 0.5)
     aggregate = mains_total(test_b)
     out = {}
+    states = learn_building_states(train_b, POWER_ACTIVE, 2)
     for name, (trainer, decoder, _) in algorithms().items():
-        model = trainer(train_b, POWER_ACTIVE, 2)
+        model = trainer(train_b, states, POWER_ACTIVE)
         report = evaluate(decoder(model, aggregate), test_b)
         out[name] = float(
             np.mean([a.nep for a in report.appliances if "nep" not in a.undefined])

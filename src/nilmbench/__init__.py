@@ -34,6 +34,7 @@ from .training import (
     ApplianceStateModel,
     COModel,
     FHMMModel,
+    learn_building_states,
     learn_hmm,
     learn_states,
     train_co,

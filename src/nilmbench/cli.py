@@ -52,6 +52,7 @@ from .stats import (
     top_k_appliances,
 )
 from .synth import SynthSpec, default_benchmark_spec, generate
+from .training import learn_building_states
 
 EXIT_OK = 0
 EXIT_STAGE_FAILURE = 1
@@ -237,7 +238,7 @@ def cmd_preprocess(args) -> int:
 def cmd_train(args) -> int:
     b = _load_building(args.input, args.building)
     trainer, _, _ = algorithms()[args.algorithm]
-    model = trainer(b, args.feature, args.states)
+    model = trainer(b, learn_building_states(b, args.feature, args.states), args.feature)
     write_model(model, args.output)
     if not args.quiet:
         print(f"trained {args.algorithm} model -> {args.output}")

@@ -217,9 +217,9 @@ def confusion_matrix(x: np.ndarray, x_hat: np.ndarray, K: int) -> np.ndarray:
     x_hat = np.asarray(x_hat, dtype=np.int64)
     if x.shape != x_hat.shape:
         raise ValueError("series must have equal length")
-    out = np.zeros((K, K), dtype=np.int64)
-    np.add.at(out, (x, x_hat), 1)
-    return out
+    if np.any((x < 0) | (x >= K)) or np.any((x_hat < 0) | (x_hat >= K)):
+        raise ValueError(f"states must lie in [0, {K})")
+    return np.bincount((x * K + x_hat).ravel(), minlength=K * K).reshape(K, K)
 
 
 def hamming_loss(X: dict[str, np.ndarray], X_hat: dict[str, np.ndarray]) -> float:

@@ -140,13 +140,11 @@ def usage_histogram_hour_of_day(
     Hours are computed from UTC epoch seconds shifted by ``utc_offset_hours``;
     daylight-saving rules are out of scope.
     """
-    counts = np.zeros(24, dtype=np.int64)
     if len(c) == 0:
-        return counts
+        return np.zeros(24, dtype=np.int64)
     on = c.values(feature) > on_threshold
     hours = (np.floor(c.timestamps[on] / 3600.0 + utc_offset_hours) % 24).astype(int)
-    np.add.at(counts, hours, 1)
-    return counts
+    return np.bincount(hours, minlength=24)
 
 
 def on_off_durations(

@@ -1,5 +1,9 @@
 """Appliance model learning for the two benchmark disaggregators.
 
+CO uses each appliance's power states; the FHMM adds a Markov chain and the
+aggregate noise on top of the same states.  :func:`learn_building_states`
+learns them once, and each trainer takes them: ``trainer(b, states, feature)``.
+
 State learning is deterministic: 1-D k-means initialised at the
 (2i+1)/(2K) quantiles of the sorted power values, run to convergence.
 Markov-chain parameters come from hard assignment of each sample to its
@@ -126,34 +130,35 @@ def _check_names(appliances) -> None:
         raise ValueError("appliance names must be unique")
 
 
-def _kmeans_1d(values: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic 1-D k-means; returns ascending centroids and assignments."""
-    x = np.sort(values)
+def _kmeans_1d(x: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic 1-D k-means on ascending ``x``; returns ascending
+    centroids and their clusters' slice bounds (cluster k is
+    ``x[bounds[k]:bounds[k + 1]]``)."""
     qs = (2 * np.arange(K) + 1) / (2 * K)
     centroids = np.unique(np.quantile(x, qs))
     if centroids.size < K:
         # Skewed data can collapse the quantile init; quantiles of the
-        # unique values are strictly increasing, so K centroids survive.
-        centroids = np.quantile(np.unique(x), qs)
+        # distinct values are strictly increasing, so K centroids survive.
+        centroids = np.quantile(x[np.r_[True, x[1:] != x[:-1]]], qs)
     for _ in range(KMEANS_MAX_ITER):
-        # Nearest-centroid boundaries; sorted data keeps clusters contiguous.
-        cuts = 0.5 * (centroids[:-1] + centroids[1:])
-        assign = np.searchsorted(cuts, x, side="right")
-        new_centroids = []
-        for k in range(centroids.size):
-            members = x[assign == k]
-            if members.size:
-                new_centroids.append(members.mean())
-        new_centroids = np.unique(np.asarray(new_centroids))
+        bounds = _cluster_bounds(x, centroids)
+        new_centroids = np.unique(np.asarray(
+            [x[lo:hi].mean() for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+        ))
         if new_centroids.size == centroids.size and np.all(
             np.abs(new_centroids - centroids) <= KMEANS_TOL_W
         ):
             centroids = new_centroids
             break
         centroids = new_centroids
+    return centroids, _cluster_bounds(x, centroids)
+
+
+def _cluster_bounds(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Slice bounds of the nearest-centroid clusters of ascending ``x``; a
+    value on a midpoint joins the upper cluster."""
     cuts = 0.5 * (centroids[:-1] + centroids[1:])
-    assign = np.searchsorted(cuts, x, side="right")
-    return centroids, assign
+    return np.concatenate(([0], np.searchsorted(x, cuts, side="left"), [x.size]))
 
 
 def learn_states(
@@ -163,14 +168,16 @@ def learn_states(
 
     When the channel has fewer distinct values than K, the state count is
     reduced with a warning.  Stds are within-cluster standard deviations,
-    floored at 1 W.
+    floored at 1 W.  Every step reads slices of the values sorted once.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     if len(c) == 0:
         raise ValueError(f"channel {c.id} is empty")
-    values = c.values(feature)
-    n_distinct = np.unique(values).size
+    x = np.sort(c.values(feature))
+    if not (np.isfinite(x[0]) and np.isfinite(x[-1])):  # -inf sorts first, inf and NaN last
+        raise ValueError(f"channel {c.id}: values must be finite")
+    n_distinct = 1 + np.count_nonzero(x[1:] != x[:-1])
     if n_distinct < K:
         warnings.warn(
             f"channel {c.id}: only {n_distinct} distinct values; "
@@ -178,13 +185,23 @@ def learn_states(
             stacklevel=2,
         )
         K = n_distinct
-    means, assign = _kmeans_1d(values, K)
-    x = np.sort(values)
-    stds = np.empty(means.size)
-    for k in range(means.size):
-        members = x[assign == k]
-        stds[k] = max(float(members.std()), STD_FLOOR_W)
+    means, bounds = _kmeans_1d(x, K)
+    stds = [max(float(x[lo:hi].std()), STD_FLOOR_W) for lo, hi in zip(bounds[:-1], bounds[1:])]
     return ApplianceStateModel(name=c.id, means=means, stds=stds)
+
+
+def learn_building_states(b: Building, feature: Measurement, K: int) -> tuple:
+    """The states of every appliance, in name order, each named by its
+    building key: the one clustering pass both trainers start from."""
+    if not b.appliances:
+        raise ValueError(f"building {b.id} has no appliance channels")
+    out = []
+    for name in sorted(b.appliances):
+        c = b.appliances[name]
+        if not c.has(feature):
+            raise ValueError(f"appliance {name!r} lacks feature {feature.column_name}")
+        out.append(replace(learn_states(c, K, feature), name=name))
+    return tuple(out)
 
 
 def assign_states(values: np.ndarray, means: np.ndarray) -> np.ndarray:
@@ -194,68 +211,34 @@ def assign_states(values: np.ndarray, means: np.ndarray) -> np.ndarray:
 
 
 def learn_hmm(
-    c: Channel, K: int = 2, feature: Measurement = POWER_ACTIVE
+    c: Channel, base: ApplianceStateModel, feature: Measurement = POWER_ACTIVE
 ) -> ApplianceHMM:
-    """States from :func:`learn_states` plus smoothed chain parameters.
+    """Smoothed chain parameters on top of the learnt states ``base``.
 
     pi and the transition rows use add-one (Laplace) smoothing over hard
     state assignments, keeping Viterbi well-defined on unseen transitions.
     """
-    base = learn_states(c, K, feature)
     k = base.K
     states = assign_states(c.values(feature), base.means)
     counts = np.bincount(states, minlength=k).astype(np.float64)
     pi = (counts + 1.0) / (counts.sum() + k)
-    trans = np.zeros((k, k), dtype=np.float64)
-    if states.size >= 2:
-        np.add.at(trans, (states[:-1], states[1:]), 1.0)
-    trans += 1.0
+    trans = np.bincount(states[:-1] * k + states[1:], minlength=k * k).reshape(k, k) + 1.0
     A = trans / trans.sum(axis=1, keepdims=True)
     return ApplianceHMM(base=base, pi=pi, A=A)
 
 
-def _learn_each(b: Building, feature: Measurement, K: int, learn) -> list:
-    """``(name, learn(channel, K, feature))`` for every appliance, in name order."""
-    if not b.appliances:
-        raise ValueError(f"building {b.id} has no appliance channels")
-    out = []
-    for name in sorted(b.appliances):
-        c = b.appliances[name]
-        if not c.has(feature):
-            raise ValueError(
-                f"appliance {name!r} lacks feature {feature.column_name}"
-            )
-        out.append((name, learn(c, K, feature)))
-    return out
+def train_co(b: Building, states: tuple, feature: Measurement = POWER_ACTIVE) -> COModel:
+    """A combinatorial-optimisation model: the learnt states themselves."""
+    return COModel(appliances=states)
 
 
-def train_co(
-    b: Building,
-    feature: Measurement = POWER_ACTIVE,
-    K: int = 2,
-) -> COModel:
-    """Learn a combinatorial-optimisation model from sub-metered channels."""
-    return COModel(
-        appliances=tuple(
-            replace(m, name=name) for name, m in _learn_each(b, feature, K, learn_states)
-        )
-    )
-
-
-def train_fhmm(
-    b: Building,
-    feature: Measurement = POWER_ACTIVE,
-    K: int = 2,
-) -> FHMMModel:
-    """Learn per-appliance HMMs plus the aggregate observation noise.
+def train_fhmm(b: Building, states: tuple, feature: Measurement = POWER_ACTIVE) -> FHMMModel:
+    """Per-appliance HMMs on the learnt states plus the aggregate observation noise.
 
     noise_variance is the variance of (mains - sum of appliance powers) over
     the training window, floored at 25 W^2 by :class:`FHMMModel`.
     """
-    entries = tuple(
-        replace(h, base=replace(h.base, name=name))
-        for name, h in _learn_each(b, feature, K, learn_hmm)
-    )
+    entries = tuple(learn_hmm(b.appliances[s.name], s, feature) for s in states)
     agg = mains_total(b, feature)
     if not agg.has(feature):
         raise ValueError(f"mains lacks feature {feature.column_name}")

@@ -7,21 +7,25 @@ None of them shares code with the decoders they check, except
 ``staged_viterbi_loop``: an earlier FHMM step kept to pin the current one bit
 for bit, so it takes its emission table from the decoder module and differs
 only in the step.  Earlier forms of fast code that must stay bit-identical
-are kept here as well: ``co_states_matrix``, ``mask_train_test_split`` and
-``write_channel_csv_blocks``, the last with the writer's own text helpers, so
-it pins how channels are grouped, not how numbers are formatted.
+are kept here as well: ``co_states_matrix``, ``mask_train_test_split``,
+``learn_states_three_sorts`` and ``write_channel_csv_blocks``, the last with
+the writer's own text helpers, so it pins how channels are grouped, not how
+numbers are formatted.
 """
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
+from nilmbench.data import POWER_ACTIVE
 from nilmbench.disaggregate import _emission_chunks, _product_sum
 from nilmbench.io import _CSV_BLOCK_ROWS, _timestamp_texts, _value_texts
 from nilmbench.preprocess import map_channels
+from nilmbench.training import KMEANS_MAX_ITER, KMEANS_TOL_W, STD_FLOOR_W, ApplianceStateModel
 
 PRODUCT_HMM_LIMIT = 2**10
 
@@ -73,6 +77,59 @@ def mask_train_test_split(b, fraction):
         map_channels(b, lambda c: c.take(c.timestamps < t_split)),
         map_channels(b, lambda c: c.take(c.timestamps >= t_split)),
     )
+
+
+def kmeans_1d_masks(values, K):
+    """1-D k-means that sorts its input and forms each cluster with a
+    boolean mask per iteration; returns centroids and per-value clusters."""
+    x = np.sort(values)
+    qs = (2 * np.arange(K) + 1) / (2 * K)
+    centroids = np.unique(np.quantile(x, qs))
+    if centroids.size < K:
+        centroids = np.quantile(np.unique(x), qs)
+    for _ in range(KMEANS_MAX_ITER):
+        cuts = 0.5 * (centroids[:-1] + centroids[1:])
+        assign = np.searchsorted(cuts, x, side="right")
+        new_centroids = []
+        for k in range(centroids.size):
+            members = x[assign == k]
+            if members.size:
+                new_centroids.append(members.mean())
+        new_centroids = np.unique(np.asarray(new_centroids))
+        if new_centroids.size == centroids.size and np.all(
+            np.abs(new_centroids - centroids) <= KMEANS_TOL_W
+        ):
+            centroids = new_centroids
+            break
+        centroids = new_centroids
+    cuts = 0.5 * (centroids[:-1] + centroids[1:])
+    return centroids, np.searchsorted(cuts, x, side="right")
+
+
+def learn_states_three_sorts(c, K=2, feature=POWER_ACTIVE):
+    """State learning that sorts the channel three times (``np.unique`` for
+    the distinct count, once for k-means, once for the stds) and masks
+    each cluster out of the whole array."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    if len(c) == 0:
+        raise ValueError(f"channel {c.id} is empty")
+    values = c.values(feature)
+    n_distinct = np.unique(values).size
+    if n_distinct < K:
+        warnings.warn(
+            f"channel {c.id}: only {n_distinct} distinct values; "
+            f"reducing K from {K} to {n_distinct}",
+            stacklevel=2,
+        )
+        K = n_distinct
+    means, assign = kmeans_1d_masks(values, K)
+    x = np.sort(values)
+    stds = np.empty(means.size)
+    for k in range(means.size):
+        members = x[assign == k]
+        stds[k] = max(float(members.std()), STD_FLOOR_W)
+    return ApplianceStateModel(name=c.id, means=means, stds=stds)
 
 
 def write_channel_csv_blocks(path, c) -> None:

@@ -41,6 +41,7 @@ from nilmbench.training import (
     ApplianceStateModel,
     COModel,
     FHMMModel,
+    learn_building_states,
     train_co,
     train_fhmm,
 )
@@ -189,12 +190,13 @@ def _nep_by_algorithm(seed):
     ds, _ = generate(spec)
     train_b, test_b = train_test_split(ds.buildings[1], 0.5)
     aggregate = mains_total(test_b)
+    states = learn_building_states(train_b, POWER_ACTIVE, 2)
     out = {}
     for name, trainer, decoder in (
         ("co", train_co, disaggregate_co),
         ("fhmm", train_fhmm, disaggregate_fhmm),
     ):
-        model = trainer(train_b, POWER_ACTIVE, 2)
+        model = trainer(train_b, states, POWER_ACTIVE)
         predictions = decoder(model, aggregate)
         report = evaluate(predictions, test_b)
         neps = [a.nep for a in report.appliances if "nep" not in a.undefined]
@@ -262,8 +264,9 @@ def test_criterion_8_round_trips(tmp_path):
     assert_dataset_equal(ds, load_dataset_dir(tmp_path / "ds"))
 
     train_b, _ = train_test_split(ds.buildings[1], 0.5)
+    states = learn_building_states(train_b, POWER_ACTIVE, 2)
     for trainer in (train_co, train_fhmm):
-        model = trainer(train_b, POWER_ACTIVE, 2)
+        model = trainer(train_b, states, POWER_ACTIVE)
         again = import_model_json(export_model_json(model))
         assert export_model_json(again) == export_model_json(model)
     announce(8, "dataset directory save/load and model JSON import/export "

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -583,6 +584,51 @@ class TestBenchmarkCallSites:
             "train_test_split": 1, "train_co": 1, "train_fhmm": 1, "disaggregate_co": 1,
             "disaggregate_fhmm": 1, "evaluate": 2, "save_dataset_dir": 2, "export_model_json": 2,
         }
+
+
+class TestStatesLearntOnce:
+    APPLIANCES = ["air_conditioner", "electric_heat", "fridge"]
+
+    def synth_raw(self, tmp_path, spec, **overrides):
+        return {
+            "dataset": {"format": "synth", "synth_spec": json.loads(spec.to_json_text())},
+            "output": str(tmp_path / "out"),
+            **overrides,
+        }
+
+    def test_reducing_k_warns_once_per_appliance(self, tmp_path):
+        spec = default_benchmark_spec(seed=2)
+        ac = replace(spec.appliances[0], stds=(0.0, 0.0))
+        spec = replace(spec, appliances=(ac, *spec.appliances[1:]))
+        raw = self.synth_raw(tmp_path, spec, states=3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pipeline.run(pipeline.RunConfig.from_dict(raw), raw, quiet=True)
+        reducing = [str(w.message) for w in caught if "reducing K" in str(w.message)]
+        assert reducing == ["channel air_conditioner: only 2 distinct values; reducing K from 3 to 2"]
+
+    def test_run_and_train_learn_each_appliance_once(self, tmp_path, synth_dir, monkeypatch):
+        from nilmbench import training
+
+        learnt = []
+        original = training.learn_states
+
+        def counting(c, *args, **kwargs):
+            learnt.append(c.id)
+            return original(c, *args, **kwargs)
+
+        monkeypatch.setattr(training, "learn_states", counting)
+        spec = replace(default_benchmark_spec(seed=2), duration=21600.0)
+        raw = self.synth_raw(tmp_path, spec)
+        pipeline.run(pipeline.RunConfig.from_dict(raw), raw, quiet=True)
+        assert sorted(learnt) == self.APPLIANCES
+        for algorithm in pipeline.VALID_ALGORITHMS:
+            learnt.clear()
+            assert run_cli(
+                "--quiet", "train", "--input", str(synth_dir), "--algorithm", algorithm,
+                "--output", str(tmp_path / f"model_{algorithm}.json"),
+            ) == 0
+            assert sorted(learnt) == self.APPLIANCES, algorithm
 
 
 class TestMetricSelection:

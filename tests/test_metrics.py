@@ -177,6 +177,12 @@ class TestConfusion:
         cm = confusion_matrix(x, x_hat, 3)
         assert cm.trace() / 60 == pytest.approx(float(np.mean(x == x_hat)))
 
+    @pytest.mark.parametrize("x, x_hat", [([-1], [0]), ([0], [-1]), ([2], [0]), ([0, 1], [1, 2])])
+    def test_state_outside_range_rejected(self, x, x_hat):
+        # A state of -1 must not wrap into row K - 1, nor 2 spill into row 1.
+        with pytest.raises(ValueError, match="states must lie in"):
+            confusion_matrix(x, x_hat, 2)
+
 
 class TestHamming:
     def test_perfect_and_all_wrong(self):

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nilmbench.data import POWER_ACTIVE
 from nilmbench.preprocess import downsample
@@ -9,6 +12,7 @@ from nilmbench.training import (
     ApplianceStateModel,
     COModel,
     FHMMModel,
+    learn_building_states,
     learn_hmm,
     learn_states,
     train_co,
@@ -16,6 +20,7 @@ from nilmbench.training import (
 )
 
 from conftest import mk_building, mk_channel
+from oracles import learn_states_three_sorts
 
 
 class TestModelTypes:
@@ -102,7 +107,7 @@ class TestLearnStates:
 class TestLearnHmm:
     def test_alternating_chain_counts(self):
         c = mk_channel(np.arange(100.0), [0.0, 100.0] * 50)
-        hmm = learn_hmm(c, 2)
+        hmm = learn_hmm(c, learn_states(c, 2))
         # 50 transitions 0->1 and 49 transitions 1->0, add-one smoothed.
         assert hmm.A[0, 1] == pytest.approx(51 / 52)
         assert hmm.A[1, 0] == pytest.approx(50 / 51)
@@ -111,7 +116,8 @@ class TestLearnHmm:
     def test_mostly_off_channel_pi(self):
         power = np.zeros(100)
         power[-1] = 100.0
-        hmm = learn_hmm(mk_channel(np.arange(100.0), power), 2)
+        c = mk_channel(np.arange(100.0), power)
+        hmm = learn_hmm(c, learn_states(c, 2))
         assert hmm.pi[0] == pytest.approx(100 / 102)
         assert hmm.pi[1] == pytest.approx(2 / 102)
 
@@ -132,13 +138,14 @@ class TestLearnHmm:
             seed=2024,
         )
         ds, _ = generate(spec)
-        hmm = learn_hmm(ds.buildings[1].appliances["fridge"], 2)
+        c = ds.buildings[1].appliances["fridge"]
+        hmm = learn_hmm(c, learn_states(c, 2))
         np.testing.assert_allclose(hmm.A, np.asarray(A_true), atol=0.05)
 
     def test_stochastic_invariants(self):
         rng = np.random.default_rng(4)
         c = mk_channel(np.arange(500.0), rng.choice([0.0, 80.0, 300.0], 500))
-        hmm = learn_hmm(c, 3)
+        hmm = learn_hmm(c, learn_states(c, 3))
         assert abs(hmm.pi.sum() - 1.0) <= 1e-9
         assert np.all(np.abs(hmm.A.sum(axis=1) - 1.0) <= 1e-9)
 
@@ -171,7 +178,7 @@ def synthetic_three_appliance_building(seed=7, duration=20_000.0):
 class TestTrainBuilding:
     def test_three_appliance_means_recovered(self):
         b, _, spec = synthetic_three_appliance_building()
-        model = train_co(b, POWER_ACTIVE, 2)
+        model = train_co(b, learn_building_states(b, POWER_ACTIVE, 2))
         assert len(model.appliances) == 3
         by_name = {a.name: a for a in model.appliances}
         for app_spec in spec.appliances:
@@ -181,22 +188,24 @@ class TestTrainBuilding:
     def test_single_appliance_model(self):
         c = mk_channel(np.arange(10.0), [0.0, 50.0] * 5, cid="kettle")
         m = mk_channel(np.arange(10.0), [0.0, 50.0] * 5, cid="mains_1")
-        model = train_co(mk_building(mains=[m], appliances={"kettle": c}), POWER_ACTIVE, 2)
+        b = mk_building(mains=[m], appliances={"kettle": c})
+        model = train_co(b, learn_building_states(b, POWER_ACTIVE, 2))
         assert len(model.appliances) == 1
 
     def test_missing_feature_names_channel(self):
         bad = mk_channel(np.arange(3.0), None, cid="fridge", voltage=[230.0] * 3)
         b = mk_building(appliances={"fridge": bad})
         with pytest.raises(ValueError, match="fridge"):
-            train_co(b, POWER_ACTIVE, 2)
+            train_co(b, learn_building_states(b, POWER_ACTIVE, 2))
 
     def test_empty_appliance_set_rejected(self):
         with pytest.raises(ValueError, match="no appliance"):
-            train_co(mk_building(), POWER_ACTIVE, 2)
+            b = mk_building()
+            train_co(b, learn_building_states(b, POWER_ACTIVE, 2))
 
     def test_fhmm_noise_variance_from_residual(self):
         b, _, _ = synthetic_three_appliance_building()
-        model = train_fhmm(b, POWER_ACTIVE, 2)
+        model = train_fhmm(b, learn_building_states(b, POWER_ACTIVE, 2))
         # Generator noise std is 5 W -> variance 25; flooring also sits at
         # 25, so the estimate must land near it (clipping at 0 biases a
         # touch high).
@@ -204,7 +213,7 @@ class TestTrainBuilding:
 
     def test_fhmm_rows_stochastic(self):
         b, _, _ = synthetic_three_appliance_building()
-        model = train_fhmm(b, POWER_ACTIVE, 2)
+        model = train_fhmm(b, learn_building_states(b, POWER_ACTIVE, 2))
         for a in model.appliances:
             assert abs(a.pi.sum() - 1.0) <= 1e-9
             assert np.all(np.abs(a.A.sum(axis=1) - 1.0) <= 1e-9)
@@ -212,7 +221,7 @@ class TestTrainBuilding:
     def test_per_appliance_state_counts(self):
         b, _, _ = synthetic_three_appliance_building()
         for train in (train_co, train_fhmm):
-            model = train(b, POWER_ACTIVE, 3)
+            model = train(b, learn_building_states(b, POWER_ACTIVE, 3))
             assert [a.K for a in model.appliances] == [3, 3, 3]
 
 
@@ -242,3 +251,49 @@ class TestKmeansEdges:
         model = learn_states(c, 3)
         assert model.K == 3
         np.testing.assert_allclose(model.means, [0, 400, 1200], atol=15)
+
+
+# Levels whose midpoints are again levels (0 | 0.5 | 1 ...), both zeros,
+# and arbitrary finite floats; repeated by skewed counts, which collapse
+# the quantile initialisation.
+LEVELS = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 100.0, 250.0, -40.0])
+FINITE = st.floats(-5e3, 5e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def channel_values(draw):
+    levels = draw(st.lists(LEVELS | FINITE, min_size=1, max_size=6))
+    counts = draw(st.lists(st.integers(1, 40), min_size=len(levels), max_size=len(levels)))
+    values = np.repeat(np.asarray(levels, dtype=float), counts)
+    return values[draw(st.permutations(range(values.size)))]
+
+
+def learnt(learn, values, K):
+    """Means and stds bytes plus every warning text, or the error type."""
+    c = mk_channel(np.arange(float(values.size)), values)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            m = learn(c, K)
+            result = (m.means.tobytes(), m.stds.tobytes())
+        except ValueError as e:
+            result = type(e)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestLearnStatesOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(values=channel_values(), K=st.integers(1, 4))
+    @example(values=np.concatenate([np.zeros(90), np.full(10, 500.0)]), K=2)
+    @example(values=np.array([0.0, 1.0, 2.0, 0.0, 2.0]), K=2)
+    @example(values=np.array([-0.0, 0.0, 1.0, -0.0, 1.0, 3.0]), K=3)
+    @example(values=np.array([0.0, 0.5, 1.0, 1.5, 2.0]), K=4)
+    def test_sort_once_matches_three_sorts_bit_for_bit(self, values, K):
+        assert learnt(learn_states, values, K) == learnt(learn_states_three_sorts, values, K)
+
+    @settings(max_examples=50, deadline=None)
+    @given(values=channel_values(), K=st.integers(1, 4), at=st.integers(0, 10_000))
+    def test_nan_channel_still_raises(self, values, K, at):
+        values = np.insert(values, at % (values.size + 1), np.nan)
+        assert learnt(learn_states, values, K)[0] is ValueError
+        assert learnt(learn_states_three_sorts, values, K)[0] is ValueError
