@@ -12,6 +12,7 @@ import argparse
 from nilmbench.cli import gap_threshold_arg
 from nilmbench.diagnostics import diagnose
 from nilmbench.io import load_dataset_dir
+from nilmbench.pipeline import select_buildings
 from nilmbench.stats import proportion_energy_submetered, top_k_appliances
 
 
@@ -24,8 +25,7 @@ def main() -> None:
 
     ds = load_dataset_dir(args.dataset)
     print(f"dataset {ds.name!r}: {len(ds.buildings)} building(s)")
-    for bid in sorted(ds.buildings):
-        b = ds.buildings[bid]
+    for bid, b in select_buildings(ds, None).items():
         print(f"\nhouse {bid}: {len(b.mains)} mains, {len(b.appliances)} appliances")
         if b.mains:
             try:

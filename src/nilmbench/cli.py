@@ -34,12 +34,15 @@ from .pipeline import (
     StageFailure,
     algorithms,
     align_and_split,
+    finite,
     open_fraction,
     predictions_from_dataset,
     preprocess_building,
     preprocess_steps,
     read_model,
     run,
+    select_buildings,
+    state_count,
     write_model,
     write_predictions,
     write_report,
@@ -116,10 +119,7 @@ def _json_object(raw):
 
 
 def _load_building(path: str, building: int):
-    ds = nio.load_dataset_dir(path)
-    if building not in ds.buildings:
-        raise ValueError(f"building {building} not found in {path}")
-    return ds.buildings[building]
+    return select_buildings(nio.load_dataset_dir(path), building)[building]
 
 
 def cmd_import(args) -> int:
@@ -138,10 +138,13 @@ def cmd_import(args) -> int:
 def cmd_synth(args) -> int:
     if args.spec:
         spec = _read_json_file(args.spec, "spec file", SynthSpec.from_dict)
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
     else:
-        spec = default_benchmark_spec(seed=args.seed if args.seed is not None else 42)
+        spec = default_benchmark_spec()
+    if args.seed is not None:
+        try:
+            spec = replace(spec, seed=args.seed)
+        except ValueError as e:
+            raise ConfigError(f"--seed: {e}") from None
     ds, _states = generate(spec)
     nio.save_dataset_dir(ds, args.output)
     (Path(args.output) / "synth_spec.json").write_text(
@@ -153,10 +156,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    ds = nio.load_dataset_dir(args.input)
-    buildings = [args.building] if args.building else sorted(ds.buildings)
-    for bid in buildings:
-        report = diagnose(ds.buildings[bid], args.gap_threshold)
+    for bid, b in select_buildings(nio.load_dataset_dir(args.input), args.building).items():
+        report = diagnose(b, args.gap_threshold)
         if args.output:
             out = Path(args.output)
             out.mkdir(parents=True, exist_ok=True)
@@ -220,8 +221,7 @@ def cmd_preprocess(args) -> int:
     ds = nio.load_dataset_dir(args.input)
     buildings = {
         bid: preprocess_building(b, steps)
-        for bid, b in ds.buildings.items()
-        if not args.building or bid == args.building
+        for bid, b in select_buildings(ds, args.building).items()
     }
     if args.split_fraction is None:
         nio.save_dataset_dir(replace(ds, buildings=buildings), args.output)
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=False)
     p.add_argument("--building", type=int, default=1)
     p.add_argument("--algorithm", required=True, choices=VALID_ALGORITHMS)
-    p.add_argument("--states", type=int, default=2)
+    p.add_argument("--states", type=_arg(lambda text: state_count(int(text))), default=2)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True)
     p.add_argument("--building", type=int, default=1)
     p.add_argument("--model", help="model JSON for state reconstruction")
-    p.add_argument("--on-threshold", type=float, default=DEFAULT_ON_THRESHOLD_W)
+    p.add_argument("--on-threshold", type=_arg(finite), default=DEFAULT_ON_THRESHOLD_W)
     p.add_argument("--algorithm", default="", help="label written into the report")
     p.add_argument("--output")
     p.set_defaults(func=cmd_evaluate)

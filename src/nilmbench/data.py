@@ -3,7 +3,8 @@
 A household dataset is a tree: ``DataSet`` -> ``Building`` -> ``Channel``.
 A channel is a timestamped series of electrical measurements for one meter.
 Missing samples are represented by absent rows, never by NaN placeholders;
-downstream code treats inter-row spacing above a threshold as a gap.
+downstream code treats inter-row spacing above a threshold as a gap, held
+as the ``(start, end)`` pair of sample times around it (:class:`Gap`).
 
 Timestamps are UTC epoch seconds stored as float64.  Timezone rendering, when
 needed at all, happens at the CLI edge.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import numbers
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -277,16 +279,12 @@ class DataSet:
     metadata: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class Gap:
-    """Interval between consecutive samples exceeding the gap threshold."""
+class Gap(NamedTuple):
+    """``(start, end)`` times of consecutive samples further apart than the gap
+    threshold, as :func:`outside_gaps` and ``SynthSpec.gaps`` take them."""
 
     start: float
     end: float
-
-    def __post_init__(self) -> None:
-        if not self.end > self.start:
-            raise ValueError("gap end must be after start")
 
     @property
     def duration(self) -> float:

@@ -3,7 +3,8 @@
 Sign convention: a perfect channel has dropout rate 0, so the rate reported
 here is ``(expected - recorded) / expected`` (the fraction of expected
 samples that are missing).  Expected samples over a span are counted as
-``floor(span / nominal_period) + 1``, i.e. both endpoints inclusive.
+``floor(span / nominal_period) + 1``, i.e. both endpoints inclusive.  A gap
+is a ``(start, end)`` pair of sample times (:class:`data.Gap`).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def check_gap_threshold(threshold: float) -> float:
 
 
 def detect_gaps(c: Channel, threshold: float | None = None) -> list[Gap]:
-    """The gaps of :func:`gap_breaks` as (start, end) sample times.
+    """The gaps of :func:`gap_breaks` as ``(start, end)`` pairs of sample times.
 
     Returned gaps are ordered and non-overlapping.  A channel with fewer
     than 2 samples has no gaps.
@@ -141,9 +142,7 @@ class DiagnosticReport:
     def to_json_text(self) -> str:
         payload = {"building": self.building_id, "gap_threshold": self.gap_threshold}
         # A channel's JSON is its fields, each gap a [start, end] pair.
-        payload["channels"] = [
-            {**asdict(d), "gaps": [[g.start, g.end] for g in d.gaps]} for d in self.channels
-        ]
+        payload["channels"] = [asdict(d) for d in self.channels]
         return json.dumps(payload, indent=2, sort_keys=True)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .data import Building, Measurement, POWER_ACTIVE
 from .disaggregate import Predictions
 from .stats import DEFAULT_ON_THRESHOLD_W, appliance_on_threshold
-from .training import ApplianceStateModel, assign_states
+from .training import assign_states
 
 # Report keys follow the benchmark-table naming.
 METRIC_DISPLAY_NAMES = {
@@ -67,22 +67,9 @@ def canonical_metric(name) -> str:
     return key
 
 
-def power_to_states(
-    power: np.ndarray,
-    model: ApplianceStateModel | None = None,
-    threshold: float | None = None,
-) -> np.ndarray:
-    """Discretise a power series into states.
-
-    With a model: nearest state mean.  With a threshold: binary on/off at
-    power > threshold.  Exactly one of the two must be given.
-    """
-    power = np.asarray(power, dtype=np.float64)
-    if (model is None) == (threshold is None):
-        raise ValueError("provide exactly one of model or threshold")
-    if model is not None:
-        return assign_states(power, model.means)
-    return (power > threshold).astype(np.int64)
+def power_to_states(power: np.ndarray, threshold: float) -> np.ndarray:
+    """Binary on/off states of a power series: on where power > threshold."""
+    return (np.asarray(power, dtype=np.float64) > threshold).astype(np.int64)
 
 
 def error_total_energy(y: np.ndarray, y_hat: np.ndarray, slice_seconds: float = 1.0) -> float:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -108,7 +109,7 @@ class RunConfig:
         if fmt != "synth":
             path = _convert("dataset.path", path, lambda v: _valid(v, bool(v), "is required"))
         elif dataset.get("synth_spec") is None:
-            spec = default_benchmark_spec(seed=seed)
+            spec = _convert("seed", seed, default_benchmark_spec)
         else:
             # A run-level seed wins over the spec's, for reproducible sweeps.
             override = {"seed": seed} if "seed" in raw else {}
@@ -125,8 +126,8 @@ class RunConfig:
             preprocess=get("preprocess", preprocess_steps, []),
             split_fraction=get("split_fraction", open_fraction, 0.5),
             algorithms=get("algorithms", _algorithms, ["co", "fhmm"]),
-            states=get("states", integer, 2),
-            on_threshold=get("on_threshold", float, DEFAULT_ON_THRESHOLD_W),
+            states=get("states", state_count, 2),
+            on_threshold=get("on_threshold", finite, DEFAULT_ON_THRESHOLD_W),
             metrics=get("metrics", lambda v: None if v is None else _entries(v, canonical_metric)),
             output=get("output", str, "out"),
             seed=seed,
@@ -183,6 +184,18 @@ def open_fraction(value) -> float:
     return _valid(fraction, 0 < fraction < 1, "must be in (0, 1)")
 
 
+def state_count(value) -> int:
+    """``value`` as an integer if it is >= 1, else a ValueError."""
+    k = integer(value)
+    return _valid(k, k >= 1, "must be >= 1")
+
+
+def finite(value) -> float:
+    """``value`` as a float if it is finite, else a ValueError."""
+    x = float(value)
+    return _valid(x, math.isfinite(x), "must be finite")
+
+
 def _optional(convert):
     return lambda v: None if v is None else convert(v)
 
@@ -215,6 +228,17 @@ def load_input_dataset(cfg: RunConfig) -> DataSet:
         ds, _report = nio.import_redd_style(cfg.dataset_path)
         return ds
     return nio.load_dataset_dir(cfg.dataset_path)
+
+
+def select_buildings(ds: DataSet, building: int | None) -> dict[int, Building]:
+    """The one building ``building`` of ``ds``, or every building in id order
+    when it is None.  A building ``ds`` lacks is a ValueError naming it."""
+    if building is None:
+        return dict(sorted(ds.buildings.items()))
+    if building not in ds.buildings:
+        have = sorted(ds.buildings)
+        raise ValueError(f"building {building} not in dataset {ds.name!r}, which has {have}")
+    return {building: ds.buildings[building]}
 
 
 # op -> {field: (convert, default)}; a field whose default is _REQUIRED must be given.
@@ -373,10 +397,8 @@ def run(cfg: RunConfig, raw_config: dict | None = None, quiet: bool = False) -> 
         log(f"[{name}] done in {timings[name]:.2f}s")
         return result
 
-    ds = stage("import", lambda: load_input_dataset(cfg))
-    if cfg.building not in ds.buildings:
-        raise StageFailure("import", ValueError(f"building {cfg.building} not in dataset"))
-    b = ds.buildings[cfg.building]
+    buildings = stage("import", lambda: select_buildings(load_input_dataset(cfg), cfg.building))
+    b = buildings[cfg.building]
     b = stage("preprocess", lambda: preprocess_building(b, cfg.preprocess))
     train_b, test_b = stage("split", lambda: align_and_split(b, cfg.split_fraction))
     aggregate = mains_total(test_b, cfg.feature)

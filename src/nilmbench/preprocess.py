@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .data import Building, Channel, Measurement, VOLTAGE, is_aligned
-from .stats import energy_joules
+from .stats import top_k_appliances
 
 # The interpolation cap has no authoritative value; 5 sample periods keeps
 # forward-filling local.
@@ -155,24 +155,10 @@ def interpolate_small_gaps(c: Channel, max_gap: float | None = None) -> Channel:
     return Channel(c.id, new_t[order], columns, c.nominal_period)
 
 
-def _with_appliances(b: Building, appliances: dict[str, Channel]) -> Building:
-    return replace(b, appliances=appliances)
-
-
 def filter_top_k(b: Building, k: int, gap_threshold: float | None = None) -> Building:
-    """Keep only the k highest-energy appliance channels; mains untouched."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not b.appliances:
-        raise ValueError("empty model set")
-    energies = {
-        name: energy_joules(c, gap_threshold) for name, c in b.appliances.items()
-    }
-    ranked = sorted(energies.items(), key=lambda kv: (-kv[1], kv[0]))
-    keep = {name for name, _ in ranked[:k]}
-    return _with_appliances(
-        b, {name: c for name, c in b.appliances.items() if name in keep}
-    )
+    """Keep only the k highest-energy appliance channels, ranked by
+    :func:`stats.top_k_appliances`; mains untouched."""
+    return _keep_appliances(b, {name for name, _, _ in top_k_appliances(b, k, gap_threshold)})
 
 
 def filter_contribution(
@@ -180,24 +166,20 @@ def filter_contribution(
 ) -> Building:
     """Keep appliances whose share of total appliance energy exceeds ``x``.
 
-    Shares are computed against the sum of appliance energies rather than
-    mains, since sub-metering is rarely complete; the two denominators
-    diverge when coverage is poor.
+    Shares are those of :func:`stats.top_k_appliances`: computed against the
+    sum of appliance energies rather than mains, since sub-metering is rarely
+    complete; the two denominators diverge when coverage is poor.
     """
     if not 0 < x < 1:
         raise ValueError("contribution threshold must be in (0, 1)")
-    energies = {
-        name: energy_joules(c, gap_threshold) for name, c in b.appliances.items()
-    }
-    total = sum(energies.values())
-    if total <= 0:
+    ranked = top_k_appliances(b, len(b.appliances) or 1, gap_threshold)
+    return _keep_appliances(b, {name for name, _, share in ranked if share > x})
+
+
+def _keep_appliances(b: Building, names: set[str]) -> Building:
+    if not names:
         raise ValueError("empty model set")
-    keep = {name for name, e in energies.items() if e / total > x}
-    if not keep:
-        raise ValueError("empty model set")
-    return _with_appliances(
-        b, {name: c for name, c in b.appliances.items() if name in keep}
-    )
+    return replace(b, appliances={n: c for n, c in b.appliances.items() if n in names})
 
 
 def intersect_with_mains(b: Building) -> Building:

@@ -67,7 +67,7 @@ def proportion_energy_submetered(
     mains_gaps = []
     for m in b.mains:
         mains_energy += energy_joules(m, gap_threshold)
-        mains_gaps.extend((g.start, g.end) for g in detect_gaps(m, gap_threshold))
+        mains_gaps.extend(detect_gaps(m, gap_threshold))
     if mains_energy == 0.0:
         raise ValueError(f"building {b.id}: no mains energy")
     appliance_energy = 0.0

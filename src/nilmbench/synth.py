@@ -54,6 +54,14 @@ def _from_fields(cls, value):
     return cls(**{f.name: value[f.name] for f in fields(cls) if f.name in value})
 
 
+def _seed(value) -> int:
+    """An integer >= 0, as PCG64 takes it."""
+    seed = integer(value)
+    if seed < 0:
+        raise ValueError(f"must be >= 0, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class ApplianceSynthSpec:
     """Markov-chain power model for one synthetic appliance."""
@@ -104,7 +112,7 @@ class SynthSpec:
         _set_fields(
             self, "",
             appliances=lambda apps: tuple(_from_fields(ApplianceSynthSpec, a) for a in apps),
-            seed=integer, noise_std=float, period=float, duration=float, start=float,
+            seed=_seed, noise_std=float, period=float, duration=float, start=float,
             gaps=lambda gaps: tuple((float(a), float(b)) for a, b in gaps),
             dropout_probability=float,
         )

@@ -502,6 +502,12 @@ class TestMistypedConfigField:
         ("states", 2.7, " must be an integer"),
         ("building", True, " must be an integer"),
         ("seed", "3", " must be an integer"),
+        # Out of range: each field is read by one converter, the CLI options too.
+        ("states", 0, " must be >= 1"),
+        ("on_threshold", float("nan"), " must be finite"),
+        ("on_threshold", float("inf"), " must be finite"),
+        # The default synthetic spec checks the seed it is given.
+        ("seed", -1, " seed must be >= 0, got -1"),
     ])
     def test_exit_2_naming_the_field(self, tmp_path, capsys, field, value, reason):
         cfg = base_config(tmp_path, **{field: value})
@@ -772,6 +778,7 @@ class TestSynthSpecInConfig:
         (("appliances", 1, "name", "air_conditioner"), "'air_conditioner' is repeated"),
         (("appliances", 0, "name", "../../escape"), "'../../escape' must be one path component"),
         (("appliances", 2, "name", "a/b"), "'a/b' must be one path component"),
+        (("seed", -1), "seed must be >= 0"),
     ])
     @pytest.mark.parametrize("entry", ["run", "synth"])
     def test_invalid_spec_exit_2_naming_the_field(self, tmp_path, capsys, entry, change, field):
@@ -871,3 +878,67 @@ def test_readme_example_config_is_read():
     cfg = pipeline.RunConfig.from_dict(raw)
     assert [s["op"] for s in cfg.preprocess] == [s["op"] for s in raw["preprocess"]]
     assert set(raw) <= {f.name for f in fields(pipeline.RunConfig)} | {"dataset"}
+
+
+class TestBuildingLookup:
+    # One rule for ``run`` and every subcommand: an absent ``--building``
+    # means every building, any number given must name a building the
+    # dataset has, and a missing one fails with the same message everywhere.
+    NOT_FOUND = "building {} not in dataset 'synthetic', which has [1]"
+
+    @pytest.mark.parametrize("building", ["5", "0"])
+    @pytest.mark.parametrize("command", ["preprocess", "diagnose", "stats", "train"])
+    def test_missing_building_fails_naming_it(self, synth_dir, tmp_path, capsys, command, building):
+        out = tmp_path / "out"
+        extra = {
+            "preprocess": ["--split-fraction", "0.5", "--output", str(out)],
+            "diagnose": ["--output", str(out)],
+            "stats": ["--output", str(out)],
+            "train": ["--algorithm", "co", "--output", str(out)],
+        }[command]
+        argv = [command, "--input", str(synth_dir), "--building", building, *extra]
+        assert run_cli("--quiet", *argv) == 1
+        assert capsys.readouterr().err == f"error: ValueError: {self.NOT_FOUND.format(building)}\n"
+        assert not out.exists()
+
+    def test_run_names_the_missing_building_alike(self, tmp_path, capsys):
+        assert run_cli("--quiet", "run", "--config", str(base_config(tmp_path, building=5))) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: stage 'import' failed: {self.NOT_FOUND.format(5)}\n"
+
+    def test_absent_building_means_every_building(self, synth_dir, tmp_path):
+        ds = load_dataset_dir(synth_dir)
+        two = tmp_path / "two"
+        save_dataset_dir(replace(ds, buildings={1: ds.buildings[1], 2: replace(ds.buildings[1], id=2)}), two)
+        assert run_cli("--quiet", "diagnose", "--input", str(two), "--output", str(tmp_path / "d")) == 0
+        assert sorted(p.name for p in (tmp_path / "d").glob("*.json")) == [
+            "diagnostics_house_1.json", "diagnostics_house_2.json",
+        ]
+        argv = ["preprocess", "--input", str(two), "--building", "2", "--output", str(tmp_path / "p")]
+        assert run_cli("--quiet", *argv) == 0
+        assert list(load_dataset_dir(tmp_path / "p").buildings) == [2]
+
+
+class TestRangeOptions:
+    # Each option is read by the converter of its run-config field (see
+    # TestMistypedConfigField), or, for the seed, checked by SynthSpec.
+    def test_train_states_0_is_usage_error(self, synth_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as e:
+            run_cli("--quiet", "train", "--input", str(synth_dir), "--algorithm", "co",
+                    "--states", "0", "--output", str(tmp_path / "model.json"))
+        assert e.value.code == 2
+        assert "argument --states: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_evaluate_non_finite_on_threshold_is_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as e:
+            run_cli("--quiet", "evaluate", "--predictions", "p", "--truth", "t",
+                    f"--on-threshold={value}")
+        assert e.value.code == 2
+        assert "argument --on-threshold: must be finite" in capsys.readouterr().err
+
+    def test_synth_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert run_cli("--quiet", "synth", "--seed", "-1", "--output", str(out)) == 2
+        assert "config error: --seed: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()

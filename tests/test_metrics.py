@@ -17,7 +17,6 @@ from nilmbench.metrics import (
     rates,
     rms_error,
 )
-from nilmbench.training import ApplianceStateModel
 
 from conftest import mk_building, mk_channel
 from oracles import fte_sum_of_minima
@@ -29,21 +28,6 @@ class TestPowerToStates:
 
     def test_threshold_split(self):
         assert list(power_to_states(np.array([5.0, 50.0]), threshold=10.0)) == [0, 1]
-
-    def test_nearest_mean(self):
-        model = ApplianceStateModel("x", [0.0, 100.0], [1.0, 1.0])
-        got = power_to_states(np.array([49.0, 51.0]), model=model)
-        assert list(got) == [0, 1]
-
-    def test_exactly_one_mode_required(self):
-        with pytest.raises(ValueError):
-            power_to_states(np.zeros(2))
-        with pytest.raises(ValueError):
-            power_to_states(
-                np.zeros(2),
-                model=ApplianceStateModel("x", [0.0, 1.0], [1.0, 1.0]),
-                threshold=1.0,
-            )
 
 
 class TestEnergyErrors:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nilmbench import preprocess
 from nilmbench.data import POWER_ACTIVE, POWER_REACTIVE, VOLTAGE, Channel
 from nilmbench.preprocess import (
     downsample,
@@ -16,7 +17,7 @@ from nilmbench.preprocess import (
     normalize_voltage,
     train_test_split,
 )
-from nilmbench.stats import energy_joules
+from nilmbench.stats import energy_joules, top_k_appliances
 
 from conftest import mk_building, mk_channel
 from oracles import downsample_loop, interpolate_small_gaps_loop, mask_train_test_split
@@ -272,6 +273,22 @@ class TestTopKAndContribution:
     def test_top_k_all_is_identity(self):
         b = building_with_energies({"fridge": 100.0, "television": 50.0})
         assert sorted(filter_top_k(b, 2).appliances) == ["fridge", "television"]
+
+    def test_energy_tie_kept_as_top_k_appliances_ranks_it(self, monkeypatch):
+        # Both filters keep what stats.top_k_appliances returns, so a tie
+        # breaks toward the smaller name in the statistics and the filter alike.
+        b = building_with_energies({"kettle": 100.0, "fridge": 100.0, "lamp": 10.0})
+        ranked = []
+
+        def ranking(*args):
+            ranked.append(top_k_appliances(*args))
+            return ranked[-1]
+
+        monkeypatch.setattr(preprocess, "top_k_appliances", ranking)
+        assert list(filter_top_k(b, 1).appliances) == ["fridge"]
+        assert [name for name, _, _ in ranked[-1]] == ["fridge"]
+        assert list(filter_contribution(b, 0.4).appliances) == ["kettle", "fridge"]
+        assert [name for name, _, share in ranked[-1] if share > 0.4] == ["fridge", "kettle"]
 
     def test_contribution_keeps_qualifying_set_exactly(self):
         b = building_with_energies(

@@ -12,6 +12,7 @@ from nilmbench.training import (
     ApplianceStateModel,
     COModel,
     FHMMModel,
+    assign_states,
     learn_building_states,
     learn_hmm,
     learn_states,
@@ -49,6 +50,15 @@ class TestModelTypes:
         hmm = ApplianceHMM(base, pi=[0.5, 0.5], A=[[0.5, 0.5], [0.5, 0.5]])
         m = FHMMModel(appliances=(hmm,), noise_variance=0.0)
         assert m.noise_variance == 25.0
+
+
+class TestAssignStates:
+    def test_nearest_mean(self):
+        assert list(assign_states(np.array([49.0, 51.0]), np.array([0.0, 100.0]))) == [0, 1]
+
+    def test_midpoint_goes_to_lower_state(self):
+        means = np.array([0.0, 100.0, 300.0])
+        assert list(assign_states(np.array([50.0, 200.0]), means)) == [0, 1]
 
 
 class TestLearnStates:
