@@ -99,6 +99,8 @@ def _arg(convert):
 
 # ``--gap-threshold``: a value that is not > 0.
 gap_threshold_arg = _arg(lambda text: check_gap_threshold(float(text)))
+# ``--states``, ``--top-k``, ``--bins``: an integer that is not >= 1.
+count_arg = _arg(lambda text: state_count(int(text)))
 
 
 def _read_json_file(path: str, what: str, convert):
@@ -332,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", parents=[quiet_parent], help="appliance usage statistics")
     p.add_argument("--input", required=False)
     p.add_argument("--building", type=int, default=1)
-    p.add_argument("--top-k", type=int, default=5)
-    p.add_argument("--bins", type=int, default=20)
+    p.add_argument("--top-k", type=count_arg, default=5)
+    p.add_argument("--bins", type=count_arg, default=20)
     p.add_argument("--weather", help="daily external series CSV (date,value)")
     p.add_argument("--correlate", help="appliance to regress against --weather")
     p.add_argument("--output")
@@ -351,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=False)
     p.add_argument("--building", type=int, default=1)
     p.add_argument("--algorithm", required=True, choices=VALID_ALGORITHMS)
-    p.add_argument("--states", type=_arg(lambda text: state_count(int(text))), default=2)
+    p.add_argument("--states", type=count_arg, default=2)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -16,16 +16,18 @@ same order (appliance N-1 first) by both step kinds; float rounding is
 monotone, so both give bit-identical scores:
 
 - Product spaces of S <= 64 states take a dense step: each per-appliance
-  log A_n is expanded once to an (S, S) table over product indices, and a
-  step adds them all to the scores and takes one argmax per successor, so
-  a code is the flat predecessor.  The new scores are read from the table
-  at those codes, as the score at the lowest-index argmax is the row
-  maximum, so the table is reduced once.  At this size the cost is
-  per-call overhead: N + 4 numpy calls per step.  Called directly on
-  two-state appliances over 2000 steps (15 alternating pairs, 2 vCPUs),
-  the dense step took 19-25 us/step at S = 64 against 24-34 for the
-  staged step, and 51-73 at S = 128 against 22-41, so S = 64 is the
-  largest space decoded densely.
+  log A_n is expanded once to an (S, S) table over product indices.  A
+  step assigns the scores to every row of one preallocated (S, S) score
+  table, adds the N tables to it in place and takes one argmax per
+  successor, so a code is the flat predecessor.  The new scores are read
+  from the table at those codes, as the score at the lowest-index argmax
+  is the row maximum, so the table is reduced once.  At this size the
+  cost is per-call overhead: N + 5 numpy calls per step, and every add in
+  them is between operands of one shape.  Called directly on two-state
+  appliances over 2000 steps (15 alternating pairs, 2 vCPUs), the dense
+  step took 18-24 us/step at S = 64 against 27-35 for the staged step,
+  and 61-69 at S = 128 against 42-44, so S = 64 is the largest space
+  decoded densely.
 - Larger spaces take a staged step that never materialises the product
   transitions: it maximises over one appliance axis at a time, appliance
   N-1 first.  Each stage maximises the trailing digit of its input layout
@@ -270,10 +272,11 @@ def _viterbi_dense(m: FHMMModel, y: np.ndarray) -> np.ndarray:
     # Row j of the table scores every predecessor i of successor j, so
     # L[n][j, i] is log A_n from digit n of state i to digit n of state j.
     digits = np.arange(S)[:, None] // strides % sizes
+    # Adding appliance N-1 first, as the staged step does, gives
+    # bit-identical maxima; argmax ties take the lower flat index.
     L = [
         _log(a.A)[d[None, :], d[:, None]] for a, d in zip(m.appliances, digits.T)
-    ]
-    rest = L[-2::-1]
+    ][::-1]
 
     rows = max(1, 2**16 // S)
     codes = np.empty((y.size, S), dtype=np.uint16)
@@ -283,20 +286,23 @@ def _viterbi_dense(m: FHMMModel, y: np.ndarray) -> np.ndarray:
     row_start = np.arange(0, S * S, S)
     flat = np.empty(S, dtype=np.intp)
     delta = _product_sum(_log(a.pi) for a in m.appliances)
+    add, argmax = np.add, table.argmax
+    first = 1  # step 0 has no predecessor: its scores are log pi + em[0]
     for lo, em in _emission_chunks(m, y, rows):
-        for r in range(em.shape[0]):
-            if lo + r > 0:
-                # Adding appliance N-1 first, as the staged step does, gives
-                # bit-identical maxima; argmax ties take the lower flat index.
-                np.add(L[-1], delta, out=table)
-                for L_n in rest:
-                    np.add(table, L_n, out=table)
-                table.argmax(axis=1, out=preds[r])
-                # The score at the argmax is the row maximum.
-                np.add(preds[r], row_start, out=flat)
-                delta = flat_table[flat]
-            delta += em[r]
-        codes[lo : lo + em.shape[0]] = preds[: em.shape[0]]
+        if first:
+            add(delta, em[0], delta)
+        for pred, e in zip(preds[first:], em[first:]):
+            # Assign delta to every row, then add in place: each cell is
+            # ((delta_i + L_{N-1}) + L_{N-2}) ... + L_0.
+            table[...] = delta
+            for L_n in L:
+                add(table, L_n, table)
+            argmax(1, pred)
+            # The score at the argmax is the row maximum.
+            add(pred, row_start, flat)
+            add(flat_table[flat], e, delta)
+        codes[lo : lo + len(em)] = preds[: len(em)]
+        first = 0
 
     path = np.empty(y.size, dtype=np.int64)
     idx = path[-1] = int(np.argmax(delta))

@@ -929,6 +929,16 @@ class TestRangeOptions:
         assert e.value.code == 2
         assert "argument --states: must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", ["--top-k", "--bins"])
+    def test_stats_count_0_is_usage_error_before_writing(self, synth_dir, tmp_path, capsys, option):
+        out = tmp_path / "stats"
+        out.mkdir()
+        with pytest.raises(SystemExit) as e:
+            run_cli("--quiet", "stats", "--input", str(synth_dir), option, "0", "--output", str(out))
+        assert e.value.code == 2
+        assert f"argument {option}: must be >= 1" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_evaluate_non_finite_on_threshold_is_usage_error(self, capsys, value):
         with pytest.raises(SystemExit) as e:

@@ -352,6 +352,27 @@ class TestFHMM:
             tracemalloc.stop()
         assert peak - T * 4096 * 2 <= 3 * 2**20
 
+    def test_dense_working_set_beyond_the_codes(self):
+        # Three two-state appliances (S = 8) over a week at 12 s: the uint16
+        # codes take T * S * 2 bytes, and the emission chunk, score table and
+        # step buffers must stay within 3 MiB on top.  A list of each chunk's
+        # 8192 row views, or a chunk of (S, S) tables, would not.
+        rng = np.random.default_rng(5)
+        T, S, on = 50_400, 8, np.array([150.0, 700.0, 2000.0])
+        apps = tuple(
+            ApplianceHMM(ApplianceStateModel(f"a{n}", [0.0, p], [1.0, 0.01 * p]), [0.7, 0.3], [[0.97, 0.03], [0.06, 0.94]])
+            for n, p in enumerate(on)
+        )
+        m = FHMMModel(appliances=apps, noise_variance=900.0)
+        agg = aggregate_channel((rng.random((T, 3)) < 0.3) @ on + rng.normal(0.0, 30.0, T), period=12.0)
+        tracemalloc.start()
+        try:
+            disaggregate_fhmm(m, agg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - T * S * 2 <= 3 * 2**20
+
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("decode", [disaggregate_co, disaggregate_fhmm])
@@ -660,13 +681,16 @@ def with_unentered_states(m, columns):
 @example(sizes=[4], kinds=["ulp"] * 8, shared_means=True, columns=[-1] * 6, seed=5, T=40)
 @example(sizes=[2] * 6, kinds=["ulp", "uniform"] * 4, shared_means=True, columns=[-1, 0] * 3, seed=6, T=1030)
 @example(sizes=[2, 2, 2], kinds=["rare", "random"] * 4, shared_means=False, columns=[-1] * 6, seed=7, T=8195)
+@example(sizes=[2, 2, 2], kinds=["ulp", "random"] * 4, shared_means=True, columns=[-1] * 6, seed=8, T=8192)
+@example(sizes=[2, 2, 2], kinds=["uniform", "rare"] * 4, shared_means=False, columns=[0, -1, 1] * 2, seed=9, T=8193)
 def test_dense_step_matches_loop_oracle(sizes, kinds, shared_means, columns, seed, T):
     # The dense step reads each step's maxima from the table at its argmax,
     # where the oracle takes a second reduction; the value at the lowest
     # argmax is the row maximum, so states agree exactly, -inf rows and
     # exact ties included.  The examples cover a zero transition
-    # probability, exact ties, one appliance (S = K), and S = 64 and S = 8
-    # decoding past their first chunk of 1024 and 8192 steps.
+    # probability, exact ties, one appliance (S = K), S = 64 and S = 8
+    # decoding past their first chunk of 1024 and 8192 steps, and S = 8
+    # ending exactly at its first chunk's end or one row into its second.
     m, y = near_tie_model(sizes, kinds, shared_means, seed, T)
     m = with_unentered_states(m, columns)
     assert np.array_equal(_viterbi_dense(m, y).T, dense_step_loop(m, y))

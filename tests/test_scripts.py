@@ -51,3 +51,55 @@ def test_long_trace():
     assert float(fields["data_mb"]) == round(72 * 4 * 16 / 2**20, 1)
     assert float(fields["peak_rss_mb"]) >= float(fields["rss_before_mb"]) > 0
     assert float(fields["wall_s"]) >= 0
+
+
+STUB_RUN = """import json, sys
+from pathlib import Path
+with open({log!r}, "a", encoding="utf-8") as f:
+    f.write(Path.cwd().name + " " + " ".join(sys.argv[1:]) + "\\n")
+print("# information")
+print(json.dumps({result!r}))
+"""
+
+
+def stub_checkout(root, log, correct=True, failed=0, **values):
+    """A checkout whose ``perfbench/run.py`` logs its directory and arguments
+    to ``log`` and prints a fixed result line with the metrics ``values``."""
+    result = {
+        "correct": correct, "attempted": 10, "failed": failed,
+        "metrics": {name: {"value": v, "unit": "s"} for name, v in values.items()},
+    }
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(STUB_RUN.format(log=str(log), result=result))
+    return str(root)
+
+
+def test_bench_pairs(tmp_path):
+    log = tmp_path / "runs.log"
+    parent = stub_checkout(tmp_path / "parent", log, run_s=0.3, cpu_s=0.25)
+    change = stub_checkout(tmp_path / "change", log, run_s=0.2, cpu_s=0.25)
+    out = run_script("bench_pairs.py", parent, change, "--workload", "w", "--pairs", "3",
+                     "--seed", "7", "--seconds", "2")
+    runs = log.read_text().splitlines()
+    assert [r.split()[0] for r in runs] == ["parent", "change", "change", "parent", "parent", "change"]
+    assert set(r.split(" ", 1)[1] for r in runs) == {
+        "--workload w --seed 7 --seconds 2.0 --trace 0"
+    }
+    rows = {line.split()[0]: line.split() for line in out.splitlines() if not line.startswith("#")}
+    assert rows["run_s"][1:] == ["0.3", "[0.3,", "0.3]", "0.2", "[0.2,", "0.2]", "3/3"]
+    assert rows["cpu_s"][-1] == "0/3"
+
+
+def test_bench_pairs_names_failed_runs(tmp_path):
+    log = tmp_path / "runs.log"
+    parent = stub_checkout(tmp_path / "parent", log, run_s=0.3)
+    change = stub_checkout(tmp_path / "change", log, correct=False, failed=2, run_s=0.2)
+    (tmp_path / "broken" / "perfbench").mkdir(parents=True)
+    (tmp_path / "broken" / "perfbench" / "run.py").write_text("import sys; sys.exit('no inputs')\n")
+    assert "problem: change run of pair 2: correct False, 2 of 10 failed" in run_script(
+        "bench_pairs.py", parent, change, "--workload", "w", "--pairs", "2", returncode=1
+    )
+    # The table still prints with one side holding no result.
+    err = run_script("bench_pairs.py", parent, str(tmp_path / "broken"), "--workload", "w",
+                     "--pairs", "1", returncode=1)
+    assert "problem: change run of pair 1: exit 1: no inputs" in err
