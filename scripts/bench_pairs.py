@@ -7,8 +7,10 @@ directory; the side that runs first alternates, parent first in pair 1.
 The last line of each run's stdout is its JSON result.  For every metric
 in the results (with ``--trace 0``, the end-to-end metrics) this prints
 each side's median and quartiles and the number of pairs in which CHANGE
-read lower.  On stderr it names every run that exited non-zero, is not
-``correct`` or has ``failed > 0``, and then it exits 1.
+read lower, then one line per pair with each metric's PARENT and CHANGE
+values ("-" for a run that gave none).  On stderr it names every run that
+exited non-zero, is not ``correct`` or has ``failed > 0``, and then it
+exits 1.
 
 Usage:
     python scripts/bench_pairs.py PARENT CHANGE --workload household_7d_6s --pairs 10 [--seed 1 --seconds 30]
@@ -84,6 +86,12 @@ def main() -> int:
         both = [(p, c) for p, c in zip(per_side["parent"], per_side["change"]) if None not in (p, c)]
         lower = sum(c < p for p, c in both)
         print(f"{name:<14}{cells[0]:>32}{cells[1]:>32}  {lower}/{len(both)}")
+    for pair in range(args.pairs):
+        cells = [f"pair {pair + 1}", f"{SIDES[pair % 2]} first"]
+        for name, per_side in values.items():
+            read = [per_side[side][pair] for side in SIDES]
+            cells.append(name + " " + " ".join("-" if v is None else f"{v:.4g}" for v in read))
+        print("  ".join(cells))
     for problem in problems:
         print(f"problem: {problem}", file=sys.stderr)
     return 1 if problems else 0

@@ -4,12 +4,12 @@ proportion of energy sub-metered, dropout, uptime and top appliances.
 
 Useful against locally supplied datasets (e.g. an AMPds or REDD conversion):
 
-    python scripts/dataset_report.py path/to/dataset [--gap-threshold S]
+    python scripts/dataset_report.py path/to/dataset [--gap-threshold S] [--top-k K]
 """
 
 import argparse
 
-from nilmbench.cli import gap_threshold_arg
+from nilmbench.cli import count_arg, gap_threshold_arg
 from nilmbench.diagnostics import diagnose
 from nilmbench.io import load_dataset_dir
 from nilmbench.pipeline import select_buildings
@@ -20,7 +20,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("dataset")
     parser.add_argument("--gap-threshold", type=gap_threshold_arg, default=None)
-    parser.add_argument("--top-k", type=int, default=5)
+    parser.add_argument("--top-k", type=count_arg, default=5)
     args = parser.parse_args()
 
     ds = load_dataset_dir(args.dataset)

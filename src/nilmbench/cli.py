@@ -20,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import io as nio
@@ -149,9 +149,7 @@ def cmd_synth(args) -> int:
             raise ConfigError(f"--seed: {e}") from None
     ds, _states = generate(spec)
     nio.save_dataset_dir(ds, args.output)
-    (Path(args.output) / "synth_spec.json").write_text(
-        spec.to_json_text() + "\n", encoding="utf-8"
-    )
+    nio.write_json(Path(args.output) / "synth_spec.json", asdict(spec))
     if not args.quiet:
         print(f"generated {args.output} (seed {spec.seed})")
     return EXIT_OK
@@ -177,10 +175,7 @@ def cmd_diagnose(args) -> int:
 def cmd_stats(args) -> int:
     b = _load_building(args.input, args.building)
     ranked = top_k_appliances(b, args.top_k)
-    lines = ["appliance,energy_joules,fraction"]
-    for name, energy, fraction in ranked:
-        lines.append(f"{name},{energy!r},{fraction!r}")
-    table = "\n".join(lines) + "\n"
+    table = nio.csv_text(("appliance", "energy_joules", "fraction"), ranked)
     submetered = proportion_energy_submetered(b) if b.mains else float("nan")
     regression = None
     if args.weather:
@@ -195,9 +190,7 @@ def cmd_stats(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         (out / f"top_k_house_{args.building}.csv").write_text(table, encoding="utf-8")
         summary = {"building": args.building, "proportion_energy_submetered": submetered}
-        (out / f"stats_house_{args.building}.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        nio.write_json(out / f"stats_house_{args.building}.json", summary)
         for name, c in b.appliances.items():
             hist = power_histogram(c, args.bins)
             (out / f"power_histogram_{name}.csv").write_text(

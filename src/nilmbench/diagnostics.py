@@ -9,14 +9,13 @@ is a ``(start, end)`` pair of sample times (:class:`data.Gap`).
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import Building, Channel, Gap
+from .io import csv_text, json_text
 
 # One lost packet should not register as a gap, hence the 3x default.
 DEFAULT_GAP_FACTOR = 3.0
@@ -124,26 +123,25 @@ class DiagnosticReport:
 
     # CSV headers follow the naming used in dataset summary tables.
     _CSV_HEADER = (
-        "Building,Role,Channel,Number of gaps,Dropout rate (percent),"
-        "Dropout rate (percent) ignoring gaps,Up-time (days),Percentage up-time"
+        "Building", "Role", "Channel", "Number of gaps", "Dropout rate (percent)",
+        "Dropout rate (percent) ignoring gaps", "Up-time (days)", "Percentage up-time",
     )
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        buf.write(self._CSV_HEADER + "\n")
-        for d in self.channels:
-            buf.write(
-                f"{self.building_id},{d.role},{d.channel},{len(d.gaps)},"
-                f"{100.0 * d.dropout_rate!r},{100.0 * d.dropout_rate_ignoring_gaps!r},"
-                f"{d.uptime_seconds / 86400.0!r},{100.0 * d.percent_uptime!r}\n"
+        return csv_text(self._CSV_HEADER, [
+            (
+                self.building_id, d.role, d.channel, len(d.gaps),
+                100.0 * d.dropout_rate, 100.0 * d.dropout_rate_ignoring_gaps,
+                d.uptime_seconds / 86400.0, 100.0 * d.percent_uptime,
             )
-        return buf.getvalue()
+            for d in self.channels
+        ])
 
     def to_json_text(self) -> str:
         payload = {"building": self.building_id, "gap_threshold": self.gap_threshold}
         # A channel's JSON is its fields, each gap a [start, end] pair.
         payload["channels"] = [asdict(d) for d in self.channels]
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json_text(payload)
 
 
 def diagnose_channel(

@@ -40,6 +40,12 @@ rows in the :class:`ImportReport`.
 Learned models persist as JSON: an ``algorithm`` tag plus per-appliance state
 means/stds, and for the factorial model additionally pi, the transition
 matrix and the aggregate noise variance.
+
+Text formats.  Every JSON file is :func:`json_text` (sorted keys, indent 2)
+plus a newline, in UTF-8 (:func:`write_json`).  Every report CSV is
+:func:`csv_text`: a float cell, Python or numpy, is ``repr(float(x))``, which
+reads back bit for bit; an integer cell is its digits; any other cell is
+``str(x)``.
 """
 
 from __future__ import annotations
@@ -75,6 +81,35 @@ _CHANNEL_FILE = re.compile(r"^channel_(\d+)\.dat$")
 
 class SchemaError(ValueError):
     """A dataset directory or model file violates the expected schema."""
+
+
+# ---------------------------------------------------------------------------
+# Text formats
+# ---------------------------------------------------------------------------
+
+
+def json_text(obj) -> str:
+    """``obj`` as JSON text: keys sorted, indent 2, no trailing newline."""
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write :func:`json_text` of ``obj`` and a newline to ``path`` as UTF-8."""
+    Path(path).write_text(json_text(obj) + "\n", encoding="utf-8")
+
+
+def _csv_cell(x) -> str:
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return str(x)
+
+
+def csv_text(header, rows) -> str:
+    """A header line of the names in ``header``, then one line per row."""
+    lines = [",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +301,7 @@ def save_dataset_dir(ds: DataSet, root: str | Path) -> None:
             raise ValueError(f"building {b.id}: a circuit id is repeated")
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    (root / "metadata.json").write_text(
-        json.dumps({"name": ds.name, "metadata": ds.metadata}, indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
+    write_json(root / "metadata.json", {"name": ds.name, "metadata": ds.metadata})
     for bid in sorted(ds.buildings):
         b = ds.buildings[bid]
         house = root / f"house_{bid}"
@@ -288,19 +319,10 @@ def save_dataset_dir(ds: DataSet, root: str | Path) -> None:
         for group in _timestamp_groups(channels):
             _write_csv_group(elec, group)
         periods = {key: c.nominal_period for key, c in channels}
-        (elec / "wiring.json").write_text(
-            json.dumps({"edges": [list(e) for e in b.wiring]}, indent=2, sort_keys=True)
-            + "\n",
-            encoding="utf-8",
-        )
-        (house / "metadata.json").write_text(
-            json.dumps(
-                {"id": b.id, "metadata": b.metadata, "channel_periods": periods},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
+        write_json(elec / "wiring.json", {"edges": [list(e) for e in b.wiring]})
+        write_json(
+            house / "metadata.json",
+            {"id": b.id, "metadata": b.metadata, "channel_periods": periods},
         )
 
 
@@ -536,7 +558,7 @@ def export_model_json(model: COModel | FHMMModel) -> str:
     if isinstance(model, FHMMModel):
         payload["algorithm"] = "fhmm"
         payload["noise_variance"] = float(model.noise_variance)
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json_text(payload)
 
 
 def _appliance_to_json(a: ApplianceStateModel | ApplianceHMM) -> dict:

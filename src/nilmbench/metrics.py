@@ -17,14 +17,13 @@ Conventions:
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .data import Building, Measurement, POWER_ACTIVE
 from .disaggregate import Predictions
+from .io import csv_text, json_text
 from .stats import DEFAULT_ON_THRESHOLD_W, appliance_on_threshold
 from .training import assign_states
 
@@ -262,6 +261,8 @@ class MetricReport:
     disaggregate_seconds: float | None = None
     algorithm: str = ""
 
+    CSV_HEADER = ("appliance", "metric", "algorithm", "value")
+
     def appliance(self, name: str) -> ApplianceMetrics:
         for a in self.appliances:
             if a.name == name:
@@ -290,47 +291,36 @@ class MetricReport:
             "averages": self.averages(),
             "appliances": {a.name: a.as_dict() for a in self.appliances},
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json_text(payload)
 
-    def to_csv_text(self, metrics: tuple[str, ...] | None = None) -> str:
-        """CSV rows (appliance, metric, algorithm, value).
+    def csv_rows(self, metrics: tuple[str, ...] | None = None) -> list[tuple]:
+        """Rows (appliance, metric, algorithm, value) in report order.
 
-        ``metrics`` restricts the per-appliance rows to the named metric
-        keys (e.g. ("nep", "fte", "f_score")); None emits everything.
+        ``metrics`` keeps only the rows of the named metric keys (e.g.
+        ("nep", "fte", "confusion")); None keeps all.  Timings are always kept.
         """
-        buf = io.StringIO()
-        buf.write("appliance,metric,algorithm,value\n")
-
-        def wanted(metric: str) -> bool:
-            return metrics is None or metric in metrics
-
-        def row(appliance: str, metric: str, value, always: bool = False) -> None:
-            if not (always or wanted(metric)):
-                return
-            name = METRIC_DISPLAY_NAMES.get(metric, metric)
-            buf.write(f"{appliance},{name},{self.algorithm},{value!r}\n")
-
+        rows = []  # (key that selects the row or None, appliance, metric, value)
         for a in self.appliances:
             d = a.as_dict()
-            for key in APPLIANCE_METRICS:
-                row(a.name, key, d[key])
-            if wanted("confusion"):
-                K = a.confusion.shape[0]
-                for i in range(K):
-                    for j in range(K):
-                        row(a.name, f"confusion[{i}][{j}]", int(a.confusion[i, j]), always=True)
-        for key, value in self.averages().items():
-            row("(average)", key, value)
-        row("(building)", "fte", self.fte)
-        row("(building)", "hamming_loss", self.hamming_loss)
-        if self.train_seconds is not None:
-            row("(building)", "train_seconds", round(self.train_seconds, 2), always=True)
-        if self.disaggregate_seconds is not None:
-            row(
-                "(building)", "disaggregate_seconds",
-                round(self.disaggregate_seconds, 2), always=True,
-            )
-        return buf.getvalue()
+            rows += [(k, a.name, k, d[k]) for k in APPLIANCE_METRICS]
+            rows += [
+                ("confusion", a.name, f"confusion[{i}][{j}]", int(n))
+                for (i, j), n in np.ndenumerate(a.confusion)
+            ]
+        rows += [(k, "(average)", k, v) for k, v in self.averages().items()]
+        rows += [(k, "(building)", k, getattr(self, k)) for k in ("fte", "hamming_loss")]
+        rows += [
+            (None, "(building)", k, round(getattr(self, k), 2))
+            for k in ("train_seconds", "disaggregate_seconds") if getattr(self, k) is not None
+        ]
+        return [
+            (name, METRIC_DISPLAY_NAMES.get(m, m), self.algorithm, v)
+            for key, name, m, v in rows if key is None or metrics is None or key in metrics
+        ]
+
+    def to_csv_text(self, metrics: tuple[str, ...] | None = None) -> str:
+        """The :meth:`csv_rows` under a header line."""
+        return csv_text(self.CSV_HEADER, self.csv_rows(metrics))
 
 
 def evaluate(

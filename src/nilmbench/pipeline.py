@@ -424,11 +424,8 @@ def run(cfg: RunConfig, raw_config: dict | None = None, quiet: bool = False) -> 
         # The next algorithm decodes without this one's series alive.
         del predictions
 
-    merged = "appliance,metric,algorithm,value\n" + "".join(
-        "".join(reports[alg].to_csv_text(cfg.metrics).splitlines(keepends=True)[1:])
-        for alg in cfg.algorithms
-    )
-    (out / "metrics.csv").write_text(merged, encoding="utf-8")
+    merged = [row for alg in cfg.algorithms for row in reports[alg].csv_rows(cfg.metrics)]
+    (out / "metrics.csv").write_text(nio.csv_text(MetricReport.CSV_HEADER, merged), encoding="utf-8")
     manifest = {
         "config_hash": config_hash(raw_config if raw_config is not None else {}),
         "seed": cfg.seed,
@@ -436,7 +433,5 @@ def run(cfg: RunConfig, raw_config: dict | None = None, quiet: bool = False) -> 
         "algorithms": list(cfg.algorithms),
         "timings_seconds": {k: round(v, 2) for k, v in timings.items()},
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    nio.write_json(out / "manifest.json", manifest)
     return RunResult(reports=reports, timings=timings, output_dir=out)

@@ -192,8 +192,6 @@ def intersect_with_mains(b: Building) -> Building:
     if not b.mains:
         raise ValueError(f"building {b.id} has no mains channel")
     used = list(b.mains) + list(b.appliances.values())
-    if not used:
-        return b
     common = used[0].timestamps
     for c in used[1:]:
         common = np.intersect1d(common, c.timestamps, assume_unique=True)

@@ -7,13 +7,13 @@ contribute no energy, so sensor downtime never fabricates consumption.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .data import POWER_ACTIVE, Building, Channel, Measurement, outside_gaps
 from .diagnostics import detect_gaps, gap_breaks
+from .io import csv_text
 
 # Exceeds typical standby draw; per-appliance override via metadata.
 DEFAULT_ON_THRESHOLD_W = 10.0
@@ -110,11 +110,8 @@ class Histogram:
             raise ValueError("histogram counts must be non-negative")
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        buf.write("bin_left,bin_right,count\n")
-        for lo, hi, n in zip(self.bin_edges[:-1], self.bin_edges[1:], self.counts):
-            buf.write(f"{lo!r},{hi!r},{int(n)}\n")
-        return buf.getvalue()
+        rows = zip(self.bin_edges[:-1], self.bin_edges[1:], self.counts)
+        return csv_text(("bin_left", "bin_right", "count"), rows)
 
 
 def power_histogram(
@@ -190,10 +187,7 @@ class RegressionResult:
             raise ValueError("regression needs n >= 2 points")
 
     def to_csv_text(self) -> str:
-        return (
-            "slope,intercept,r_squared,n\n"
-            f"{self.slope!r},{self.intercept!r},{self.r_squared!r},{self.n}\n"
-        )
+        return csv_text([f.name for f in fields(self)], [astuple(self)])
 
 
 def daily_energy(

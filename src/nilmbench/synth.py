@@ -27,6 +27,7 @@ from .data import (
     integer,
     outside_gaps,
 )
+from .io import json_text
 from .training import check_chain
 
 
@@ -129,7 +130,7 @@ class SynthSpec:
             raise ValueError("period and duration must be finite and > 0")
 
     def to_json_text(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return json_text(asdict(self))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SynthSpec":

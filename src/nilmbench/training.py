@@ -156,9 +156,9 @@ def _kmeans_1d(x: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _cluster_bounds(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Slice bounds of the nearest-centroid clusters of ascending ``x``; a
-    value on a midpoint joins the upper cluster."""
+    value on a midpoint joins the lower cluster, as in :func:`assign_states`."""
     cuts = 0.5 * (centroids[:-1] + centroids[1:])
-    return np.concatenate(([0], np.searchsorted(x, cuts, side="left"), [x.size]))
+    return np.concatenate(([0], np.searchsorted(x, cuts, side="right"), [x.size]))
 
 
 def learn_states(

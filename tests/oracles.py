@@ -89,7 +89,7 @@ def kmeans_1d_masks(values, K):
         centroids = np.quantile(np.unique(x), qs)
     for _ in range(KMEANS_MAX_ITER):
         cuts = 0.5 * (centroids[:-1] + centroids[1:])
-        assign = np.searchsorted(cuts, x, side="right")
+        assign = np.searchsorted(cuts, x, side="left")
         new_centroids = []
         for k in range(centroids.size):
             members = x[assign == k]
@@ -103,7 +103,7 @@ def kmeans_1d_masks(values, K):
             break
         centroids = new_centroids
     cuts = 0.5 * (centroids[:-1] + centroids[1:])
-    return centroids, np.searchsorted(cuts, x, side="right")
+    return centroids, np.searchsorted(cuts, x, side="left")
 
 
 def learn_states_three_sorts(c, K=2, feature=POWER_ACTIVE):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from nilmbench import pipeline
 from nilmbench.cli import main
 from nilmbench.data import POWER_ACTIVE, POWER_REACTIVE, DataSet
-from nilmbench.io import import_model_json, load_dataset_dir, save_dataset_dir
+from nilmbench.io import import_model_json, json_text, load_dataset_dir, save_dataset_dir
 from nilmbench.metrics import evaluate
 from nilmbench.preprocess import map_channels, train_test_split
 from nilmbench.synth import default_benchmark_spec, generate
@@ -150,6 +150,11 @@ class TestRun:
                 / "appliances" / "fridge.csv").is_file()
         manifest = json.loads((out / "manifest.json").read_text())
         assert "config_hash" in manifest and "timings_seconds" in manifest
+        paths = sorted(out.rglob("*.json"))
+        assert len(paths) > 5
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            assert text == json_text(json.loads(text)) + "\n", path
 
     def test_config_hash_ignores_output_path(self, tmp_path):
         cfg = base_config(tmp_path, algorithms=["co"])
@@ -711,6 +716,23 @@ class TestStatsWeather:
         ) == 0
         assert (out / "correlation_fridge.csv").is_file()
         assert "r_squared" in capsys.readouterr().out
+
+    def test_output_csvs_hold_plain_numbers(self, tmp_path):
+        data = tmp_path / "data"
+        assert run_cli("--quiet", "synth", "--output", str(data), "--seed", "3") == 0
+        weather = tmp_path / "weather.csv"
+        weather.write_text("date,tmax\n1970-01-01,10.0\n1970-01-02,20.0\n", encoding="utf-8")
+        out = tmp_path / "stats"
+        assert run_cli(
+            "--quiet", "stats", "--input", str(data), "--weather", str(weather),
+            "--correlate", "fridge", "--output", str(out),
+        ) == 0
+        paths = sorted(out.glob("power_histogram_*.csv")) + [out / "correlation_fridge.csv"]
+        assert len(paths) > 1
+        for path in paths:
+            for line in path.read_text(encoding="utf-8").splitlines()[1:]:
+                for cell in line.split(","):
+                    float(cell)
 
     def test_weather_without_target_is_config_error(self, tmp_path, synth_dir):
         weather = tmp_path / "weather.csv"

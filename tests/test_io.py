@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -15,6 +16,7 @@ from nilmbench.io import (
     _CSV_BLOCK_ROWS,
     _format_timestamp,
     _read_body_lines,
+    csv_text,
     export_model_json,
     import_model_json,
     import_redd_style,
@@ -622,3 +624,36 @@ class TestDailySeriesCsv:
         p = tmp_path / "weather.csv"
         p.write_text("12,3.0\n", encoding="utf-8")
         assert load_daily_series_csv(p) == {12: 3.0}
+
+
+# Finite floats (zeros and subnormals among them) plus the canonical NaN and
+# both infinities; a NaN's sign and payload do not survive any text format.
+CSV_FLOATS = st.floats(allow_nan=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, math.nan, math.inf, -math.inf]
+)
+CSV_INTS = st.integers(-(2**63), 2**63 - 1)
+CSV_CELLS = st.one_of(
+    CSV_FLOATS, CSV_FLOATS.map(np.float64), CSV_INTS, CSV_INTS.map(np.int64),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_ ()\[\]]*", fullmatch=True),
+)
+
+
+class TestCsvText:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.lists(CSV_CELLS, min_size=1, max_size=4), max_size=5))
+    def test_every_cell_reads_back_bit_equal(self, rows):
+        lines = csv_text(("name", "value"), rows).split("\n")
+        assert lines[0] == "name,value" and lines[-1] == ""
+        assert len(lines) == len(rows) + 2
+        for row, line in zip(rows, lines[1:]):
+            cells = line.split(",")
+            assert len(cells) == len(row)
+            for x, cell in zip(row, cells):
+                if isinstance(x, (float, np.floating)):
+                    assert np.float64(float(cell)).tobytes() == np.float64(x).tobytes()
+                elif isinstance(x, (int, np.integer)):
+                    assert int(cell) == int(x)
+                else:
+                    assert cell == x
+                if type(x) in (float, int):
+                    assert cell == f"{x!r}"

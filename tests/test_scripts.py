@@ -44,6 +44,11 @@ def test_dataset_report_invalid_gap_threshold_is_usage_error(tmp_path):
     assert "gap threshold must be > 0" in err
 
 
+def test_dataset_report_top_k_zero_is_usage_error(tmp_path):
+    err = run_script("dataset_report.py", str(tmp_path), "--top-k", "0", returncode=2)
+    assert "--top-k" in err and "must be >= 1" in err
+
+
 def test_long_trace():
     out = run_script("long_trace.py", "--days", "0.05", "--period", "60")
     fields = dict(line.split() for line in out.splitlines() if not line.startswith("#"))
@@ -88,6 +93,11 @@ def test_bench_pairs(tmp_path):
     rows = {line.split()[0]: line.split() for line in out.splitlines() if not line.startswith("#")}
     assert rows["run_s"][1:] == ["0.3", "[0.3,", "0.3]", "0.2", "[0.2,", "0.2]", "3/3"]
     assert rows["cpu_s"][-1] == "0/3"
+    pairs = [line for line in out.splitlines() if line.startswith("pair ")]
+    assert pairs == [
+        f"pair {i}  {first} first  run_s 0.3 0.2  cpu_s 0.25 0.25"
+        for i, first in ((1, "parent"), (2, "change"), (3, "parent"))
+    ]
 
 
 def test_bench_pairs_names_failed_runs(tmp_path):

@@ -12,6 +12,7 @@ from nilmbench.training import (
     ApplianceStateModel,
     COModel,
     FHMMModel,
+    _kmeans_1d,
     assign_states,
     learn_building_states,
     learn_hmm,
@@ -300,6 +301,16 @@ class TestLearnStatesOracle:
     @example(values=np.array([0.0, 0.5, 1.0, 1.5, 2.0]), K=4)
     def test_sort_once_matches_three_sorts_bit_for_bit(self, values, K):
         assert learnt(learn_states, values, K) == learnt(learn_states_three_sorts, values, K)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=channel_values(), K=st.integers(1, 4))
+    @example(values=np.array([0.0, 0.0, 1.0, 3.0]), K=2)
+    def test_cluster_sizes_match_assign_states(self, values, K):
+        # One nearest-state rule: a value on a midpoint joins the lower state.
+        x = np.sort(values)
+        means, bounds = _kmeans_1d(x, min(K, np.unique(x).size))
+        counts = np.bincount(assign_states(x, means), minlength=means.size)
+        assert np.diff(bounds).tolist() == counts.tolist()
 
     @settings(max_examples=50, deadline=None)
     @given(values=channel_values(), K=st.integers(1, 4), at=st.integers(0, 10_000))
