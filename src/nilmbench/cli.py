@@ -176,7 +176,7 @@ def cmd_stats(args) -> int:
     b = _load_building(args.input, args.building)
     ranked = top_k_appliances(b, args.top_k)
     table = nio.csv_text(("appliance", "energy_joules", "fraction"), ranked)
-    submetered = proportion_energy_submetered(b) if b.mains else float("nan")
+    submetered = proportion_energy_submetered(b) if b.mains else None  # JSON null
     regression = None
     if args.weather:
         if not args.correlate:

@@ -38,9 +38,9 @@ def gap_breaks(c: Channel, threshold: float | None = None) -> np.ndarray:
 
 
 def check_gap_threshold(threshold: float) -> float:
-    """``threshold`` if it is > 0, else ValueError (NaN included)."""
-    if not threshold > 0:
-        raise ValueError("gap threshold must be > 0")
+    """``threshold`` if it is finite and > 0, else ValueError (NaN included)."""
+    if not 0 < threshold < math.inf:
+        raise ValueError("gap threshold must be > 0 and finite")
     return threshold
 
 

@@ -35,22 +35,25 @@ Both text formats read here, channel CSVs and the whitespace-separated
 ``np.loadtxt`` parse checked on the arrays.  A file that fails the parse or
 a check is read again line by line: that loop alone reports bad rows,
 raising on the first bad CSV line and skipping and counting bad ``.dat``
-rows in the :class:`ImportReport`.
+rows in the :class:`ImportReport`.  The JSON side files, ``metadata.json``
+and ``wiring.json``, are read and checked by one helper that names the file
+in its errors.
 
 Learned models persist as JSON: an ``algorithm`` tag plus per-appliance state
 means/stds, and for the factorial model additionally pi, the transition
 matrix and the aggregate noise variance.
 
-Text formats.  Every JSON file is :func:`json_text` (sorted keys, indent 2)
-plus a newline, in UTF-8 (:func:`write_json`).  Every report CSV is
-:func:`csv_text`: a float cell, Python or numpy, is ``repr(float(x))``, which
-reads back bit for bit; an integer cell is its digits; any other cell is
-``str(x)``.
+Text formats.  Every JSON file is :func:`json_text` (sorted keys, indent 2,
+strict: no NaN or infinity) plus a newline, in UTF-8 (:func:`write_json`).
+Every report CSV is :func:`csv_text`: a float cell, Python or numpy, is
+``repr(float(x))``, which reads back bit for bit; an integer cell is its
+digits; any other cell is ``str(x)``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import warnings
 from contextlib import ExitStack
@@ -89,8 +92,9 @@ class SchemaError(ValueError):
 
 
 def json_text(obj) -> str:
-    """``obj`` as JSON text: keys sorted, indent 2, no trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """``obj`` as JSON text: keys sorted, indent 2, no trailing newline.  A
+    NaN or infinity, which strict JSON has no text for, is a ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
 def write_json(path: str | Path, obj) -> None:
@@ -335,7 +339,7 @@ def load_dataset_dir(root: str | Path) -> DataSet:
     metadata: dict = {}
     meta_path = root / "metadata.json"
     if meta_path.exists():
-        raw = json.loads(meta_path.read_text(encoding="utf-8"))
+        raw = _read_side_file(meta_path)
         name = raw.get("name", name)
         metadata = raw.get("metadata", {})
     buildings: dict[int, Building] = {}
@@ -348,12 +352,46 @@ def load_dataset_dir(root: str | Path) -> DataSet:
     return DataSet(name=name, buildings=buildings, metadata=metadata)
 
 
+def _read_side_file(path: Path) -> dict:
+    """The JSON object in a dataset's ``metadata.json`` or ``wiring.json``.
+
+    A file that is not JSON or not an object, a ``metadata`` that is not an
+    object, a period (``channel_periods`` entry or ``metadata.nominal_period``)
+    that is not finite and > 0, or an ``edges`` entry that is not a [parent,
+    child] pair raises :class:`SchemaError` naming the file.
+    """
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as e:
+        raise SchemaError(f"{path}: not valid JSON: {e}") from None
+
+    def check(ok: bool, what: str) -> None:
+        if not ok:
+            raise SchemaError(f"{path}: {what}")
+
+    check(isinstance(raw, dict), f"must be a JSON object, got {raw!r}")
+    meta = raw.get("metadata", {})
+    check(isinstance(meta, dict), f"'metadata' must be a JSON object, got {meta!r}")
+    periods = raw.get("channel_periods", {})
+    check(isinstance(periods, dict), f"'channel_periods' must be a JSON object, got {periods!r}")
+    named = {f"channel_periods[{k!r}]": v for k, v in periods.items()}
+    if "nominal_period" in meta:
+        named["metadata.nominal_period"] = meta["nominal_period"]
+    for where, period in named.items():
+        ok = isinstance(period, (int, float)) and not isinstance(period, bool)
+        check(ok and 0 < period < math.inf, f"{where} must be finite and > 0, got {period!r}")
+    edges = raw.get("edges", [])
+    pairs = isinstance(edges, list) and all(isinstance(e, list) and len(e) == 2 for e in edges)
+    check(pairs, f"'edges' must be a list of [parent, child] pairs, got {edges!r}")
+    return raw
+
+
 def _load_house(house: Path, bid: int) -> Building:
     meta_path = house / "metadata.json"
     b_meta: dict = {}
     periods: dict[str, float] = {}
     if meta_path.exists():
-        raw = json.loads(meta_path.read_text(encoding="utf-8"))
+        raw = _read_side_file(meta_path)
         b_meta = raw.get("metadata", {})
         periods = raw.get("channel_periods", {})
     elec = house / "utility" / "electricity"
@@ -370,8 +408,8 @@ def _load_house(house: Path, bid: int) -> Building:
     wiring: tuple = ()
     wiring_path = elec / "wiring.json"
     if wiring_path.exists():
-        raw = json.loads(wiring_path.read_text(encoding="utf-8"))
-        wiring = tuple((str(p), str(c)) for p, c in raw.get("edges", []))
+        edges = _read_side_file(wiring_path).get("edges", [])
+        wiring = tuple((str(p), str(c)) for p, c in edges)
     else:
         warnings.warn(f"{wiring_path} missing; assuming empty wiring", stacklevel=2)
     return Building(

@@ -3,7 +3,8 @@
 Conventions:
 
 * Rates with zero denominators are reported as 0 and flagged ``undefined``
-  instead of NaN, so reports serialize cleanly.
+  instead of NaN, so reports serialize cleanly; so is a report's FTE when
+  the total actual or predicted appliance energy is not positive.
 * The fraction of total energy assigned correctly compares per-appliance
   energy fractions: sum over appliances of min(actual fraction, predicted
   fraction).
@@ -93,17 +94,21 @@ def fraction_energy_assigned_correctly(
     if not Y:
         raise ValueError("need at least one appliance")
     names = sorted(Y)
-    return _fte_of_energies(
+    fte = _fte_of_energies(
         [float(np.sum(Y[n])) for n in names],
         [float(np.sum(Y_hat.get(n, np.zeros(1)))) for n in names],
     )
-
-
-def _fte_of_energies(actual: list[float], predicted: list[float]) -> float:
-    """FTE from per-appliance actual and predicted energy sums, in one order."""
-    actual, predicted = np.array(actual), np.array(predicted)
-    if actual.sum() <= 0 or predicted.sum() <= 0:
+    if fte is None:
         raise ValueError("total actual and predicted energies must be positive")
+    return fte
+
+
+def _fte_of_energies(actual: list[float], predicted: list[float]) -> float | None:
+    """FTE from per-appliance actual and predicted energy sums, in one order;
+    None, as undefined, unless both totals are positive."""
+    actual, predicted = np.array(actual), np.array(predicted)
+    if not (actual.sum() > 0 and predicted.sum() > 0):
+        return None
     diff = np.abs(actual / actual.sum() - predicted / predicted.sum())
     return max(0.0, 1.0 - 0.5 * float(np.sum(diff)))
 
@@ -252,7 +257,8 @@ _AVERAGED_KEYS = tuple(k for k in APPLIANCE_METRICS if k not in _COUNT_KEYS)
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Per-appliance metrics plus averaged and building-level values."""
+    """Per-appliance metrics plus averaged and building-level values;
+    ``undefined`` names the building-level ones reported as 0."""
 
     appliances: tuple[ApplianceMetrics, ...]
     fte: float
@@ -260,6 +266,7 @@ class MetricReport:
     train_seconds: float | None = None
     disaggregate_seconds: float | None = None
     algorithm: str = ""
+    undefined: frozenset[str] = frozenset()
 
     CSV_HEADER = ("appliance", "metric", "algorithm", "value")
 
@@ -280,14 +287,17 @@ class MetricReport:
         return out
 
     def to_json_text(self) -> str:
+        building = {
+            "fte": self.fte,
+            "hamming_loss": self.hamming_loss,
+            "train_seconds": self.train_seconds,
+            "disaggregate_seconds": self.disaggregate_seconds,
+        }
+        if self.undefined:
+            building["undefined"] = sorted(self.undefined)
         payload = {
             "algorithm": self.algorithm,
-            "building": {
-                "fte": self.fte,
-                "hamming_loss": self.hamming_loss,
-                "train_seconds": self.train_seconds,
-                "disaggregate_seconds": self.disaggregate_seconds,
-            },
+            "building": building,
             "averages": self.averages(),
             "appliances": {a.name: a.as_dict() for a in self.appliances},
         }
@@ -402,11 +412,13 @@ def evaluate(
         )
     if not per_appliance:
         raise ValueError("predictions and ground truth share no timestamps")
+    fte = _fte_of_energies(energy, energy_hat)
     return MetricReport(
         appliances=tuple(per_appliance),
-        fte=_fte_of_energies(energy, energy_hat),
+        fte=0.0 if fte is None else fte,
         hamming_loss=float(np.mean(mismatch)),
         train_seconds=train_seconds,
         disaggregate_seconds=disaggregate_seconds,
         algorithm=algorithm,
+        undefined=frozenset() if fte is not None else frozenset({"fte"}),
     )

@@ -25,7 +25,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -80,11 +80,14 @@ class ConfigError(ValueError):
     """The run config is missing or misuses a field."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """One run.  Each field is read by its config field's converter, for a config
+    built in Python as for JSON; a converter accepts its own result."""
+
     dataset_path: str | None
     dataset_format: str = "dataset-dir"
-    synth_spec: SynthSpec | None = None
+    synth_spec: SynthSpec | None = None  # synthetic and None: default_benchmark_spec(seed)
     building: int = 1
     feature: Measurement = POWER_ACTIVE
     preprocess: list[dict] = field(default_factory=list)  # as preprocess_steps reads them
@@ -96,42 +99,49 @@ class RunConfig:
     output: str = "out"
     seed: int = 42
 
+    def __post_init__(self) -> None:
+        def read(name: str, convert, key: str | None = None) -> None:
+            value = _convert(key or name, getattr(self, name), convert)
+            object.__setattr__(self, name, value)
+
+        # The seed first: a synthetic run without a spec draws its default from it.
+        read("seed", integer)
+        read("dataset_format", _dataset_format, "dataset.format")
+        if self.dataset_format != "synth":
+            read("dataset_path", lambda v: _valid(v, bool(v), "is required"), "dataset.path")
+        elif self.synth_spec is None:
+            spec = _convert("seed", self.seed, default_benchmark_spec)
+            object.__setattr__(self, "synth_spec", spec)
+        else:
+            read("synth_spec", SynthSpec.from_dict, "dataset.synth_spec")
+        read("building", integer)
+        read("feature", _measurement)
+        read("preprocess", preprocess_steps)
+        read("split_fraction", open_fraction)
+        read("algorithms", _algorithms)
+        read("states", state_count)
+        read("on_threshold", finite)
+        read("metrics", _optional(lambda v: _entries(v, canonical_metric)))
+        read("output", str)
+
     @classmethod
     def from_dict(cls, raw: dict, data_dir: str | None = None) -> "RunConfig":
-        def get(name: str, convert, default=None):
-            return _convert(name, raw.get(name, default), convert)
-
-        seed = get("seed", integer, 42)
-        dataset = get("dataset", lambda v: _valid(v, isinstance(v, dict), "is required"))
-        fmt = _convert("dataset.format", dataset.get("format", "dataset-dir"), _dataset_format)
-        path = dataset.get("path", data_dir)
-        spec = None
-        if fmt != "synth":
-            path = _convert("dataset.path", path, lambda v: _valid(v, bool(v), "is required"))
-        elif dataset.get("synth_spec") is None:
-            spec = _convert("seed", seed, default_benchmark_spec)
-        else:
+        """The config of JSON object ``raw``.  Its ``dataset`` object gives the
+        first three fields, with ``data_dir`` as the path it may omit; each
+        later field is the top-level key of its name.  Other keys are ignored."""
+        dataset = raw.get("dataset")
+        _convert("dataset", dataset, lambda v: _valid(v, isinstance(v, dict), "is required"))
+        spec = dataset.get("synth_spec")
+        if isinstance(spec, dict) and "seed" in raw:
             # A run-level seed wins over the spec's, for reproducible sweeps.
-            override = {"seed": seed} if "seed" in raw else {}
-            spec = _convert(
-                "dataset.synth_spec", dataset["synth_spec"],
-                lambda s: SynthSpec.from_dict({**s, **override}),
-            )
-        return cls(
-            dataset_path=path,
-            dataset_format=fmt,
-            synth_spec=spec,
-            building=get("building", integer, 1),
-            feature=get("feature", _measurement, "power_active"),
-            preprocess=get("preprocess", preprocess_steps, []),
-            split_fraction=get("split_fraction", open_fraction, 0.5),
-            algorithms=get("algorithms", _algorithms, ["co", "fhmm"]),
-            states=get("states", state_count, 2),
-            on_threshold=get("on_threshold", finite, DEFAULT_ON_THRESHOLD_W),
-            metrics=get("metrics", lambda v: None if v is None else _entries(v, canonical_metric)),
-            output=get("output", str, "out"),
-            seed=seed,
-        )
+            spec = {**spec, "seed": raw["seed"]}
+        given = {"dataset_path": dataset.get("path", data_dir), "synth_spec": spec}
+        if "format" in dataset:
+            given["dataset_format"] = dataset["format"]
+        for f in fields(cls)[3:]:  # the fields after the dataset's three
+            if f.name in raw:
+                given[f.name] = raw[f.name]
+        return cls(**given)
 
 
 _REQUIRED = object()
@@ -161,8 +171,8 @@ def _valid(value, ok: bool, reason: str):
 
 
 def _entries(value, convert) -> tuple:
-    """The entries of a list-valued field, each through ``convert``."""
-    _valid(value, isinstance(value, list), f"must be a list, got {value!r}")
+    """The entries of a list (or tuple) field, each through ``convert``."""
+    _valid(value, isinstance(value, (list, tuple)), f"must be a list, got {value!r}")
     return tuple(map(convert, value))
 
 
@@ -175,7 +185,7 @@ def _aggregation(agg: str) -> str:
 
 
 def _measurement(value) -> Measurement:
-    return Measurement.from_column_name(str(value))
+    return value if isinstance(value, Measurement) else Measurement.from_column_name(str(value))
 
 
 def open_fraction(value) -> float:

@@ -128,6 +128,9 @@ class SynthSpec:
             raise ValueError("noise_std must be finite and >= 0, dropout_probability in [0, 1)")
         if not (0 < self.period < math.inf and 0 < self.duration < math.inf):
             raise ValueError("period and duration must be finite and > 0")
+        # JSON has no text for a non-finite value, so synth_spec.json could not hold one.
+        if not all(-math.inf < t < math.inf for t in (self.start, *sum(self.gaps, ()))):
+            raise ValueError("start and every gap bound must be finite")
 
     def to_json_text(self) -> str:
         return json_text(asdict(self))

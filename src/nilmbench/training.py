@@ -217,12 +217,20 @@ def learn_hmm(
 
     pi and the transition rows use add-one (Laplace) smoothing over hard
     state assignments, keeping Viterbi well-defined on unseen transitions.
+    pi counts every sample; the transitions count only the consecutive pairs
+    that :func:`~nilmbench.diagnostics.gap_breaks` does not mark as a gap.
     """
+    from .diagnostics import gap_breaks  # diagnostics -> io -> training
+
     k = base.K
     states = assign_states(c.values(feature), base.means)
     counts = np.bincount(states, minlength=k).astype(np.float64)
     pi = (counts + 1.0) / (counts.sum() + k)
-    trans = np.bincount(states[:-1] * k + states[1:], minlength=k * k).reshape(k, k) + 1.0
+    breaks = gap_breaks(c)
+    pairs = states[:-1] * k + states[1:]
+    # Count every pair, then take back the few that straddle a gap.
+    moves = np.bincount(pairs, minlength=k * k) - np.bincount(pairs[breaks], minlength=k * k)
+    trans = moves.reshape(k, k) + 1.0
     A = trans / trans.sum(axis=1, keepdims=True)
     return ApplianceHMM(base=base, pi=pi, A=A)
 

@@ -1,11 +1,12 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import tracemalloc
 import warnings
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from nilmbench import pipeline
 from nilmbench.cli import main
-from nilmbench.data import POWER_ACTIVE, POWER_REACTIVE, DataSet
+from nilmbench.data import POWER_ACTIVE, POWER_REACTIVE, DataSet, is_aligned
 from nilmbench.io import import_model_json, json_text, load_dataset_dir, save_dataset_dir
 from nilmbench.metrics import evaluate
-from nilmbench.preprocess import map_channels, train_test_split
+from nilmbench.preprocess import map_channels, normalize_voltage, train_test_split
+from nilmbench.stats import top_k_appliances
 from nilmbench.synth import default_benchmark_spec, generate
 
 from conftest import mk_building, mk_channel
@@ -261,6 +263,21 @@ class TestRun:
         report = json.loads((tmp_path / "out" / "metrics_co.json").read_text())
         assert report["appliances"]["fridge"]["confusion"] == [[50, 0], [0, 150]]
 
+    def test_appliances_never_on_score_fte_undefined(self, tmp_path):
+        # Two appliances that stay off: neither the truth nor a decoder has
+        # appliance energy, and every algorithm is still scored.
+        off = {"means": [0.0, 100.0], "stds": [0.0, 1.0], "pi": [1, 0], "A": [[1, 0], [0.5, 0.5]]}
+        spec = {"appliances": [{"name": n, **off} for n in ("fridge", "kettle")], "seed": 1,
+                "noise_std": 0, "period": 60, "duration": 86400}
+        cfg = base_config(tmp_path, dataset={"format": "synth", "synth_spec": spec})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # learn_states reduces K to the one level seen
+            assert run_cli("--quiet", "run", "--config", str(cfg)) == 0
+        for alg in ("co", "fhmm"):
+            report = json.loads((tmp_path / "out" / f"metrics_{alg}.json").read_text())
+            assert report["building"]["fte"] == 0.0
+            assert report["building"]["undefined"] == ["fte"], alg
+
     def test_working_set_a_small_multiple_of_the_data(self, tmp_path):
         # CO and FHMM on 2 days at 6 s: 4 channels of 28 800 rows, 1.84 MB
         # of timestamps and values with each channel counted in full.  The
@@ -418,7 +435,46 @@ class TestFeatureOption:
         assert "unknown measurement 'foo'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def strict_json(path):
+    """The JSON in ``path``, read by a parser that rejects NaN and Infinity."""
+    def reject(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
+def test_every_json_file_written_is_strict(synth_dir, tmp_path):
+    # A building without mains has no sub-metered proportion: null, not NaN.
+    ds = load_dataset_dir(synth_dir)
+    no_mains = tmp_path / "no_mains"
+    save_dataset_dir(replace(ds, buildings={1: replace(ds.buildings[1], mains=())}), no_mains)
+    out, prep = tmp_path / "out", tmp_path / "out" / "prep"
+    commands = [
+        ["diagnose", "--input", synth_dir, "--gap-threshold", "600", "--output", out / "diag"],
+        ["stats", "--input", synth_dir, "--output", out / "stats"],
+        ["stats", "--input", no_mains, "--output", out / "stats_no_mains"],
+        ["preprocess", "--input", synth_dir, "--split-fraction", "0.5", "--output", prep],
+        ["train", "--input", prep / "train", "--algorithm", "fhmm", "--output", out / "m.json"],
+        ["disaggregate", "--input", prep / "test", "--model", out / "m.json",
+         "--output", out / "preds"],
+        ["evaluate", "--predictions", out / "preds", "--truth", prep / "test",
+         "--model", out / "m.json", "--algorithm", "fhmm", "--output", out / "metrics"],
+        ["run", "--config", base_config(tmp_path, output=str(out / "run"))],
+    ]
+    for argv in commands:
+        assert run_cli("--quiet", *map(str, argv)) == 0, argv[0]
+    written = sorted(out.rglob("*.json")) + [synth_dir / "synth_spec.json"]
+    assert {p.name for p in written} == {
+        "diagnostics_house_1.json", "stats_house_1.json", "metadata.json", "wiring.json",
+        "m.json", "metrics_fhmm.json", "model_co.json", "model_fhmm.json", "metrics_co.json",
+        "manifest.json", "synth_spec.json",
+    }
+    for path in written:
+        strict_json(path)
+    summary = strict_json(out / "stats_no_mains" / "stats_house_1.json")
+    assert summary["proportion_energy_submetered"] is None
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 def test_invalid_gap_threshold_is_usage_error(capsys, value):
     with pytest.raises(SystemExit) as e:
         run_cli("--quiet", "diagnose", "--input", "data", "--gap-threshold", value)
@@ -491,29 +547,45 @@ class TestRunOnReddStyleData:
         assert "fridge" in report["appliances"]
 
 
+# (field, value, reason): a config giving ``value`` for ``field`` fails with
+# "config field '<field>'<reason>", whether read from JSON or built in Python.
+MISTYPED_FIELDS = [
+    ("states", "two", ""),
+    ("split_fraction", "half", ""),
+    ("building", "one", ""),
+    ("on_threshold", "x", ""),
+    ("seed", "s", ""),
+    # A string is not read as a list of one-character entries.
+    ("algorithms", "co", " must be a list"),
+    ("metrics", "nep", " must be a list"),
+    ("preprocess", [1], ""),
+    ("feature", 5, ""),
+    # Integer fields take integral numbers only.
+    ("states", 2.7, " must be an integer"),
+    ("building", True, " must be an integer"),
+    ("seed", "3", " must be an integer"),
+    # Out of range: each field is read by one converter, the CLI options too.
+    ("states", 0, " must be >= 1"),
+    ("on_threshold", float("nan"), " must be finite"),
+    ("on_threshold", float("inf"), " must be finite"),
+    # The default synthetic spec checks the seed it is given.
+    ("seed", -1, " seed must be >= 0, got -1"),
+]
+
+# (step, message): a preprocess step that fails with ``message``.
+MALFORMED_STEPS = [
+    ({"op": "bogus"}, "unknown preprocess op 'bogus'"),
+    ({"op": "filter_top_k"}, "'preprocess[filter_top_k].k' is required"),
+    ({"op": "filter_top_k", "k": 2.7}, "'preprocess[filter_top_k].k' must be an integer"),
+    ({"op": "filter_top_k", "k": True}, "'preprocess[filter_top_k].k' must be an integer"),
+    ({"op": "downsample", "period": "1 min"}, "'preprocess[downsample].period'"),
+    ({"op": "downsample", "period": 60, "agg": "max"}, "'preprocess[downsample].agg' unknown"),
+    ({"op": "filter_implausible", "measurement": "x"}, "'preprocess[filter_implausible]"),
+]
+
+
 class TestMistypedConfigField:
-    @pytest.mark.parametrize("field, value, reason", [
-        ("states", "two", ""),
-        ("split_fraction", "half", ""),
-        ("building", "one", ""),
-        ("on_threshold", "x", ""),
-        ("seed", "s", ""),
-        # A string is not read as a list of one-character entries.
-        ("algorithms", "co", " must be a list"),
-        ("metrics", "nep", " must be a list"),
-        ("preprocess", [1], ""),
-        ("feature", 5, ""),
-        # Integer fields take integral numbers only.
-        ("states", 2.7, " must be an integer"),
-        ("building", True, " must be an integer"),
-        ("seed", "3", " must be an integer"),
-        # Out of range: each field is read by one converter, the CLI options too.
-        ("states", 0, " must be >= 1"),
-        ("on_threshold", float("nan"), " must be finite"),
-        ("on_threshold", float("inf"), " must be finite"),
-        # The default synthetic spec checks the seed it is given.
-        ("seed", -1, " seed must be >= 0, got -1"),
-    ])
+    @pytest.mark.parametrize("field, value, reason", MISTYPED_FIELDS)
     def test_exit_2_naming_the_field(self, tmp_path, capsys, field, value, reason):
         cfg = base_config(tmp_path, **{field: value})
         assert run_cli("--quiet", "run", "--config", str(cfg)) == 2
@@ -527,15 +599,7 @@ class TestMistypedConfigField:
 
 
 class TestMalformedPreprocessStep:
-    @pytest.mark.parametrize("step, message", [
-        ({"op": "bogus"}, "unknown preprocess op 'bogus'"),
-        ({"op": "filter_top_k"}, "'preprocess[filter_top_k].k' is required"),
-        ({"op": "filter_top_k", "k": 2.7}, "'preprocess[filter_top_k].k' must be an integer"),
-        ({"op": "filter_top_k", "k": True}, "'preprocess[filter_top_k].k' must be an integer"),
-        ({"op": "downsample", "period": "1 min"}, "'preprocess[downsample].period'"),
-        ({"op": "downsample", "period": 60, "agg": "max"}, "'preprocess[downsample].agg' unknown"),
-        ({"op": "filter_implausible", "measurement": "x"}, "'preprocess[filter_implausible]"),
-    ])
+    @pytest.mark.parametrize("step, message", MALFORMED_STEPS)
     @pytest.mark.parametrize("entry", ["run", "preprocess"])
     def test_exit_2_naming_op_and_field(self, tmp_path, capsys, entry, step, message):
         data = negative_mean_dataset(tmp_path)
@@ -561,6 +625,185 @@ class TestMalformedPreprocessStep:
             "--steps", str(steps), "--output", str(tmp_path / "prep"),
         ) == 2
         assert "must be a list of {op: ...}" in capsys.readouterr().err
+
+
+class TestConfigBuiltInPython:
+    # RunConfig(...) reads every field through the converter from_dict uses,
+    # so a config built in Python fails, or is read, as its JSON would be.
+    @pytest.mark.parametrize("field, value, reason", MISTYPED_FIELDS)
+    def test_mistyped_field_naming_it(self, field, value, reason):
+        with pytest.raises(pipeline.ConfigError) as e:
+            pipeline.RunConfig(None, dataset_format="synth", **{field: value})
+        assert f"config field {field!r}{reason}" in str(e.value)
+
+    @pytest.mark.parametrize("step, message", MALFORMED_STEPS)
+    def test_malformed_step_naming_op_and_field(self, step, message):
+        with pytest.raises(pipeline.ConfigError, match=re.escape(message)):
+            pipeline.RunConfig(None, dataset_format="synth", preprocess=[step])
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"metrics": ("nepp",)}, "config field 'metrics' unknown entry"),
+        ({"on_threshold": float("nan")}, "config field 'on_threshold' must be finite"),
+        ({"algorithms": ("cc",)}, "config field 'algorithms' unknown entry: 'cc'"),
+        ({"states": 0}, "config field 'states' must be >= 1"),
+        ({"preprocess": [{"op": "downsample"}]}, "'preprocess[downsample].period' is required"),
+        ({"dataset_format": "csv"}, "config field 'dataset.format' unknown: 'csv'"),
+        ({"dataset_format": "dataset-dir"}, "config field 'dataset.path' is required"),
+        ({"synth_spec": {"appliances": []}}, "config field 'dataset.synth_spec'"),
+    ])
+    def test_rejected_before_any_stage(self, tmp_path, kwargs, message):
+        kwargs = {"dataset_format": "synth", "output": str(tmp_path / "out"), **kwargs}
+        with pytest.raises(pipeline.ConfigError, match=re.escape(message)):
+            pipeline.run(pipeline.RunConfig(None, **kwargs), quiet=True)
+        assert not (tmp_path / "out").exists()
+
+    def test_metric_alias_read_and_run_as_from_json(self, tmp_path):
+        spec = replace(default_benchmark_spec(seed=1), duration=21600.0)
+        cfg = pipeline.RunConfig(None, "synth", spec, metrics=("f1",), output=str(tmp_path))
+        raw = {"dataset": {"format": "synth", "synth_spec": json.loads(spec.to_json_text())},
+               "metrics": ["f1"], "output": str(tmp_path)}
+        assert cfg.metrics == ("f_score",)
+        assert cfg == pipeline.RunConfig.from_dict(raw)
+        pipeline.run(cfg, quiet=True)
+        rows = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
+        # Per algorithm: three appliances and their average, then two timings.
+        assert len(rows) == 12
+        assert sum(",F-score," in row for row in rows) == 8
+
+    def test_synthetic_without_spec_takes_the_default_from_the_seed(self):
+        cfg = pipeline.RunConfig(None, dataset_format="synth", seed=5)
+        assert cfg.synth_spec == default_benchmark_spec(seed=5)
+
+    @pytest.mark.parametrize("dataset, data_dir, built", [
+        ({"format": "synth"}, None, lambda: pipeline.RunConfig(None, "synth")),
+        ({"path": "d"}, "env", lambda: pipeline.RunConfig("d")),
+        ({}, "env", lambda: pipeline.RunConfig("env")),
+    ])
+    def test_from_dict_takes_every_default_from_the_dataclass(self, dataset, data_dir, built):
+        cfg = pipeline.RunConfig.from_dict({"dataset": dataset}, data_dir=data_dir)
+        assert cfg == built()
+
+    def test_replace_rechecks_every_field(self):
+        cfg = pipeline.RunConfig(
+            None, "synth", feature="power_reactive", metrics=["f1", "nep"],
+            preprocess=[{"op": "filter_implausible", "measurement": "power_active"}],
+        )
+        assert replace(cfg, output="elsewhere") == replace(cfg, output="elsewhere")
+        assert replace(cfg, states=3).preprocess == cfg.preprocess
+        with pytest.raises(pipeline.ConfigError, match="config field 'states' must be >= 1"):
+            replace(cfg, states=0)
+
+    def test_fields_cannot_be_reassigned(self):
+        cfg = pipeline.RunConfig(None, "synth")
+        with pytest.raises(FrozenInstanceError):
+            cfg.states = 0
+
+
+@pytest.fixture
+def unaligned_dir(tmp_path):
+    """A 2 d, 60 s synthetic household with a 2 h outage and 5 % dropout in
+    each channel, so no two channels are aligned, and a mains voltage column."""
+    spec = replace(default_benchmark_spec(seed=3), period=60.0, gaps=((30000.0, 37200.0),),
+                   dropout_probability=0.05)
+    ds, _ = generate(spec)
+    b = ds.buildings[1]
+    m = b.mains[0]
+    volts = 230.0 + 5.0 * np.sin(m.timestamps / 3600.0)
+    mains = mk_channel(m.timestamps, m.values(POWER_ACTIVE), period=60.0, cid=m.id, voltage=volts)
+    data = tmp_path / "unaligned"
+    save_dataset_dir(replace(ds, buildings={1: replace(b, mains=(mains,))}), data)
+    return data
+
+
+class TestPreprocessOpsInRun:
+    # Each op as a ``run`` step on unaligned, gapped data.  No step aligns
+    # the channels, so the split intersects them with the mains itself.
+    @staticmethod
+    def run(tmp_path, data, steps):
+        out = tmp_path / f"out_{len(list(tmp_path.glob('out_*')))}"
+        cfg = base_config(tmp_path, dataset={"format": "dataset-dir", "path": str(data)},
+                          preprocess=steps, output=str(out))
+        assert run_cli("--quiet", "run", "--config", str(cfg)) == 0
+        return out
+
+    @staticmethod
+    def scored(out, alg="co"):
+        """Appliance name -> rows scored, from the run's report."""
+        report = json.loads((out / f"metrics_{alg}.json").read_text())
+        return {name: sum(a[k] for k in ("tp", "fp", "fn", "tn"))
+                for name, a in report["appliances"].items()}
+
+    def test_split_intersects_unaligned_channels(self, tmp_path, unaligned_dir):
+        b = load_dataset_dir(unaligned_dir).buildings[1]
+        assert not is_aligned(b)
+        _, test = pipeline.align_and_split(b, 0.5)
+        assert is_aligned(test)
+        rows = self.scored(self.run(tmp_path, unaligned_dir, []))
+        assert rows == {name: len(test.mains[0]) for name in b.appliances}
+
+    def test_normalize_voltage_scales_the_mains(self, tmp_path, unaligned_dir):
+        def noise_variance(out):
+            return json.loads((out / "model_fhmm.json").read_text())["noise_variance"]
+
+        plain = noise_variance(self.run(tmp_path, unaligned_dir, []))
+        step = {"op": "normalize_voltage", "v_nominal": 230.0}
+        got = noise_variance(self.run(tmp_path, unaligned_dir, [step]))
+        # By hand: only the mains carry voltage, so only they are scaled.
+        b = load_dataset_dir(unaligned_dir).buildings[1]
+        b = replace(b, mains=tuple(normalize_voltage(c, 230.0, 2.0) for c in b.mains))
+        train, _ = pipeline.align_and_split(b, 0.5)
+        residual = train.mains[0].values(POWER_ACTIVE) - sum(
+            c.values(POWER_ACTIVE) for c in train.appliances.values())
+        assert got == pytest.approx(float(residual.var()), rel=1e-9)
+        assert got != pytest.approx(plain, rel=1e-3)
+
+    def test_interpolate_small_gaps_fills_dropout(self, tmp_path, unaligned_dir):
+        plain = self.scored(self.run(tmp_path, unaligned_dir, []))
+        step = {"op": "interpolate_small_gaps", "max_gap": 600.0}
+        filled = self.scored(self.run(tmp_path, unaligned_dir, [step]))
+        # The test half is the second day: at most 1440 rows at 60 s.
+        assert all(plain[n] < filled[n] <= 1440 for n in plain)
+
+    def test_filter_top_k_keeps_k_appliances(self, tmp_path, unaligned_dir):
+        out = self.run(tmp_path, unaligned_dir, [{"op": "filter_top_k", "k": 2}])
+        b = load_dataset_dir(unaligned_dir).buildings[1]
+        top = {name for name, _, _ in top_k_appliances(b, 2)}
+        assert len(top) == 2
+        for alg in ("co", "fhmm"):
+            assert set(self.scored(out, alg)) == top, alg
+
+    def test_filter_contribution_keeps_large_shares(self, tmp_path, unaligned_dir):
+        out = self.run(tmp_path, unaligned_dir, [{"op": "filter_contribution", "x": 0.5}])
+        b = load_dataset_dir(unaligned_dir).buildings[1]
+        kept = {name for name, _, share in top_k_appliances(b, 3) if share > 0.5}
+        assert kept == {"air_conditioner"}
+        assert set(self.scored(out)) == kept
+
+
+class TestSetOverrides:
+    def test_missing_equals_sign_is_config_error(self, tmp_path, capsys):
+        argv = ["run", "--config", str(base_config(tmp_path)), "--set", "states"]
+        assert run_cli("--quiet", *argv) == 2
+        assert "--set expects key=value, got 'states'" in capsys.readouterr().err
+
+    def test_value_that_is_not_json_is_a_string(self, tmp_path):
+        out = tmp_path / "not json"
+        argv = ["run", "--config", str(base_config(tmp_path, algorithms=["co"])),
+                "--set", f"output={out}"]
+        assert run_cli("--quiet", *argv) == 0
+        assert (out / "metrics_co.json").is_file()
+
+    def test_dotted_key_sets_a_nested_field(self, tmp_path):
+        cfg = base_config(tmp_path, dataset={"format": "dataset-dir", "path": "missing"},
+                          algorithms=["co"])
+        argv = ["run", "--config", str(cfg), "--set", 'dataset.format="synth"']
+        assert run_cli("--quiet", *argv) == 0
+        assert (tmp_path / "out" / "metrics_co.json").is_file()
+
+    def test_dotted_key_into_a_non_object_is_config_error(self, tmp_path, capsys):
+        argv = ["run", "--config", str(base_config(tmp_path)), "--set", "states.k=3"]
+        assert run_cli("--quiet", *argv) == 2
+        assert "--set cannot descend into 'states'" in capsys.readouterr().err
 
 
 class TestBenchmarkCallSites:

@@ -59,7 +59,7 @@ GAP_CONSUMERS = {
 
 
 @pytest.mark.parametrize("n", [10, 1])
-@pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan"), float("inf")])
 @pytest.mark.parametrize("consumer", sorted(GAP_CONSUMERS))
 def test_invalid_gap_threshold_rejected(consumer, threshold, n):
     c = mk_channel(np.arange(float(n)), np.full(n, 100.0))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -20,6 +21,7 @@ from nilmbench.io import (
     export_model_json,
     import_model_json,
     import_redd_style,
+    json_text,
     load_daily_series_csv,
     load_dataset_dir,
     save_dataset_dir,
@@ -283,6 +285,51 @@ class TestDatasetDirRoundTrip:
         with pytest.warns(UserWarning, match="wiring"):
             again = load_dataset_dir(tmp_path / "ds")
         assert again.buildings[1].wiring == ()
+
+    # A malformed side file is a SchemaError naming it, not an AttributeError
+    # or a bare JSONDecodeError from inside the load.
+    SIDE_FILES = ["metadata.json", "house_1/metadata.json", "house_1/utility/electricity/wiring.json"]
+
+    @pytest.mark.parametrize("side", SIDE_FILES)
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "must be a JSON object, got [1, 2]"),
+        ("[]", "must be a JSON object, got []"),
+        ('{"name": ', "not valid JSON"),
+        ('{"metadata": [1]}', "'metadata' must be a JSON object"),
+    ])
+    def test_malformed_side_file_names_it(self, tmp_path, side, text, message):
+        save_dataset_dir(build_dataset(), tmp_path / "ds")
+        path = tmp_path / "ds" / side
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: {message}")):
+            load_dataset_dir(tmp_path / "ds")
+
+    @pytest.mark.parametrize("entry, period", [
+        ("channel_periods", 0), ("channel_periods", -6.0), ("channel_periods", "60"),
+        ("channel_periods", True), ("nominal_period", 0), ("nominal_period", float("inf")),
+    ])
+    def test_period_not_finite_and_positive_names_the_file(self, tmp_path, entry, period):
+        save_dataset_dir(build_dataset(), tmp_path / "ds")
+        path = tmp_path / "ds" / "house_1" / "metadata.json"
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        if entry == "channel_periods":
+            raw["channel_periods"]["mains/mains_1"] = period
+            where = "channel_periods['mains/mains_1']"
+        else:
+            raw["metadata"]["nominal_period"] = period
+            where = "metadata.nominal_period"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        message = f"{path}: {where} must be finite and > 0, got {period!r}"
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            load_dataset_dir(tmp_path / "ds")
+
+    @pytest.mark.parametrize("edges", [[["mains_1", "kitchen", "x"]], [["mains_1"]], [5], {"a": 1}])
+    def test_edges_not_pairs_names_the_file(self, tmp_path, edges):
+        save_dataset_dir(build_dataset(), tmp_path / "ds")
+        path = tmp_path / "ds" / "house_1" / "utility" / "electricity" / "wiring.json"
+        path.write_text(json.dumps({"edges": edges}), encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: 'edges' must be a list of")):
+            load_dataset_dir(tmp_path / "ds")
 
     def test_duplicate_timestamp_names_file(self, tmp_path):
         save_dataset_dir(build_dataset(), tmp_path / "ds")
@@ -636,6 +683,13 @@ CSV_CELLS = st.one_of(
     CSV_FLOATS, CSV_FLOATS.map(np.float64), CSV_INTS, CSV_INTS.map(np.int64),
     st.from_regex(r"[A-Za-z_][A-Za-z0-9_ ()\[\]]*", fullmatch=True),
 )
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+def test_json_text_rejects_non_finite(value):
+    # Strict JSON parsers reject NaN and Infinity, so no file may hold them.
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        json_text({"x": [1.0, value]})
 
 
 class TestCsvText:

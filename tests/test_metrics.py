@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -255,6 +257,18 @@ class TestEvaluate:
         assert "Disaggregate time (s)" in csv_text
         json_text = report.to_json_text()
         assert '"fte": 1.0' in json_text
+        assert "undefined" not in json.loads(json_text)["building"]
+
+    def test_fte_without_energy_is_zero_and_undefined(self):
+        # No appliance ever on: FTE has no energy to share out, so it is
+        # reported as 0 and flagged, as a rate with a zero denominator is.
+        t = np.arange(10.0)
+        b = mk_building(appliances={n: mk_channel(t, np.zeros(10), cid=n) for n in ("a", "b")})
+        report = evaluate(predictions_from_truth(b), b, algorithm="co")
+        assert (report.fte, report.undefined) == (0.0, frozenset({"fte"}))
+        building = json.loads(report.to_json_text())["building"]
+        assert (building["fte"], building["undefined"]) == (0.0, ["fte"])
+        assert "(building),FTE,co,0.0" in report.to_csv_text().splitlines()
 
 
 @st.composite

@@ -132,6 +132,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=field):
             SynthSpec(appliances=(two_state("a", 100.0),), **{"seed": 1, **change})
 
+    @pytest.mark.parametrize("change", [
+        {"gaps": ((10.0, float("inf")),)},
+        {"gaps": ((float("-inf"), 20.0),)},
+        {"gaps": ((10.0, 20.0), (float("nan"), 40.0))},
+        {"start": float("nan")},
+        {"start": float("inf")},
+    ])
+    def test_non_finite_times_rejected(self, change):
+        # synth_spec.json is strict JSON, which has no text for them.
+        with pytest.raises(ValueError, match="start and every gap bound must be finite"):
+            SynthSpec(appliances=(two_state("a", 100.0),), seed=1, **change)
+
     def test_missing_appliance_field_is_a_type_error(self):
         text = json.dumps({"appliances": [{"name": "a", "stds": [0.0]}], "seed": 1})
         with pytest.raises((TypeError, ValueError), match="means"):

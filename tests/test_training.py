@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from nilmbench.data import POWER_ACTIVE
 from nilmbench.preprocess import downsample
-from nilmbench.synth import ApplianceSynthSpec, SynthSpec, generate
+from nilmbench.synth import ApplianceSynthSpec, SynthSpec, default_benchmark_spec, generate
 from nilmbench.training import (
     ApplianceHMM,
     ApplianceStateModel,
@@ -152,6 +153,30 @@ class TestLearnHmm:
         c = ds.buildings[1].appliances["fridge"]
         hmm = learn_hmm(c, learn_states(c, 2))
         np.testing.assert_allclose(hmm.A, np.asarray(A_true), atol=0.05)
+
+    def test_transitions_skip_pairs_across_gaps(self):
+        # Two 6 h outages in a 7 d, 60 s household: the pair straddling each
+        # is no 60 s transition, so A is the add-one-smoothed counts of the
+        # other pairs, while pi still counts every sample.
+        day = 86400.0
+        spec = replace(
+            default_benchmark_spec(seed=4), duration=7 * day, period=60.0,
+            gaps=((2 * day, 2 * day + 21600.0), (5 * day, 5 * day + 21600.0)),
+        )
+        b = generate(spec)[0].buildings[1]
+        for base in learn_building_states(b, POWER_ACTIVE, 2):
+            c = b.appliances[base.name]
+            states = assign_states(c.values(POWER_ACTIVE), base.means)
+            across = np.diff(c.timestamps) > 3 * 60.0
+            assert across.sum() == 2, base.name
+            pairs = states[:-1] * 2 + states[1:]
+            counted = np.bincount(pairs[~across], minlength=4).reshape(2, 2) + 1.0
+            every = np.bincount(pairs, minlength=4).reshape(2, 2) + 1.0
+            hmm = learn_hmm(c, base)
+            np.testing.assert_array_equal(hmm.A, counted / counted.sum(axis=1, keepdims=True))
+            assert not np.array_equal(hmm.A, every / every.sum(axis=1, keepdims=True))
+            pi = (np.bincount(states, minlength=2) + 1.0) / (len(c) + 2)
+            np.testing.assert_array_equal(hmm.pi, pi)
 
     def test_stochastic_invariants(self):
         rng = np.random.default_rng(4)
