@@ -40,7 +40,15 @@ monotone, so both give bit-identical scores:
   digits 0 .. n-1 predecessor digits.  The backtrack reads digit n with
   the digits below n already set to predecessor digits, so the flat
   predecessor is composed only along the backtracked path, one digit at a
-  time.
+  time.  Each stage's log A_n is expanded once to the (K_n, K_n, S / K_n)
+  shape of the stage's scratch, 8 * S * K_n bytes (768 KiB over the 12
+  stages at S = 4096), so the add into the scratch reads no operand with
+  a zero stride: broadcast from (K_n, K_n, 1), that add took about 75 % of
+  a stage at S = 4096.  Called directly on two-state appliances (two runs
+  of 15 alternating pairs, 2 vCPUs), the expanded tables took the step
+  from 174-209 to 144-170 us/step at S = 4096 and from 38-41 to 35-36 at
+  S = 512; at S = 16384 the 14 tables of 256 KiB outgrow the L2 cache and
+  the step went from 536-542 to 573-595.
 
 Tie-breaking is deterministic everywhere: combinatorial ties prefer the
 smaller total power, then the lexicographically smallest state vector;
@@ -231,12 +239,25 @@ def _log(p: np.ndarray) -> np.ndarray:
 
 def _emission_chunks(m: FHMMModel, y: np.ndarray, rows: int):
     """Yield ``(lo, em)``: the Gaussian emission log-likelihoods of steps
-    ``lo`` .. ``lo + rows - 1`` as a (rows, S) table over product states."""
+    ``lo`` .. ``lo + rows - 1`` as a (rows, S) table over product states.
+
+    Every chunk is a view of one (rows, S) buffer, so the next chunk
+    overwrites a yielded one: read each before asking for the next.  The
+    buffer is filled in place, in the order of
+    ``-0.5 * (LOG_2PI + log(var) + (y - mean) ** 2 / var)``, so no chunk
+    allocates and every value is bit-identical to that expression."""
     em_mean = _product_sum(a.means for a in m.appliances)
     em_var = _product_sum(a.stds**2 for a in m.appliances) + m.noise_variance
-    log_var = np.log(em_var)
+    log_norm = LOG_2PI + np.log(em_var)
+    buf = np.empty((min(rows, y.size), em_mean.size))
     for lo in range(0, y.size, rows):
-        yield lo, -0.5 * (LOG_2PI + log_var + (y[lo : lo + rows, None] - em_mean) ** 2 / em_var)
+        em = buf[: y.size - lo]
+        np.subtract(y[lo : lo + rows, None], em_mean, out=em)
+        np.square(em, out=em)
+        np.divide(em, em_var, out=em)
+        np.add(log_norm, em, out=em)
+        np.multiply(-0.5, em, out=em)
+        yield lo, em
 
 
 def disaggregate_fhmm(
@@ -303,6 +324,7 @@ def _viterbi_dense(m: FHMMModel, y: np.ndarray) -> np.ndarray:
             add(flat_table[flat], e, delta)
         codes[lo : lo + len(em)] = preds[: len(em)]
         first = 0
+    em = e = None  # the emission buffer is not needed by the backtrack
 
     path = np.empty(y.size, dtype=np.int64)
     idx = path[-1] = int(np.argmax(delta))
@@ -320,15 +342,17 @@ def _viterbi_staged(m: FHMMModel, y: np.ndarray) -> np.ndarray:
 
     # Steps run in chunks of ``rows`` sharing one emission table.  Stage k
     # maximises appliance N-1-k, the trailing digit of the current layout:
-    # the scores viewed as (K_i, S / K) take log A as (K_i, K_j, 1) into a
-    # (K_i, K_j, S / K) scratch, and the max over i leaves the successor
-    # digit j in front.  Stages with the same K share their scratch and
-    # result buffers, as a scratch is filled from the input before the
-    # result is written; a one-state appliance adds straight into its
-    # result.  For 1 <= i < K a mask marks, per chunk, where the argmax
-    # digit is >= i.  Stage 0 reads ``delta`` and every later stage the
-    # result of the one before, all fixed buffers, so each stage's views
-    # are built once here and not at every step.
+    # the scores viewed as (K_i, S / K) take log A into a (K_i, K_j, S / K)
+    # scratch, and the max over i leaves the successor digit j in front.
+    # log A is expanded once to the scratch's shape, as broadcasting it
+    # from (K_i, K_j, 1) gives the add a stride-0 inner operand, which made
+    # the add about 75 % of a stage at S = 4096.  Stages with the same K
+    # share their scratch and result buffers, as a scratch is filled from
+    # the input before the result is written; a one-state appliance adds
+    # straight into its result.  For 1 <= i < K a mask marks, per chunk,
+    # where the argmax digit is >= i.  Stage 0 reads ``delta`` and every
+    # later stage the result of the one before, all fixed buffers, so each
+    # stage's views are built once here and not at every step.
     rows = max(1, 2**16 // S)
     buffers = {}
     for K in set(sizes):
@@ -346,7 +370,8 @@ def _viterbi_staged(m: FHMMModel, y: np.ndarray) -> np.ndarray:
         ]
         checks = list(zip(scratch, masks[-1]))
         pred = scores.reshape(-1, K).T[:, None]
-        stages.append((pred, _log(a.A)[:, :, None], scratch, maxima, best, checks))
+        log_A = np.ascontiguousarray(np.broadcast_to(_log(a.A)[:, :, None], scratch.shape))
+        stages.append((pred, log_A, scratch, maxima, best, checks))
         scores = best
     last = scores.reshape(S)
 
@@ -372,6 +397,7 @@ def _viterbi_staged(m: FHMMModel, y: np.ndarray) -> np.ndarray:
         for stage_masks, stride in zip(masks, reversed(strides)):
             for mk in stage_masks[:, : len(code)]:
                 code += mk.reshape(code.shape) * np.uint16(stride)
+    del em  # the emission buffer is not needed by the backtrack
 
     # Compose the predecessor along the path only.  Digit n was stored in
     # the layout after its stage, whose leading digits n .. N-1 are

@@ -87,7 +87,7 @@ class RunConfig:
 
     dataset_path: str | None
     dataset_format: str = "dataset-dir"
-    synth_spec: SynthSpec | None = None  # synthetic and None: default_benchmark_spec(seed)
+    synth_spec: SynthSpec | None = None  # synthetic only; None: default_benchmark_spec(seed)
     building: int = 1
     feature: Measurement = POWER_ACTIVE
     preprocess: list[dict] = field(default_factory=list)  # as preprocess_steps reads them
@@ -109,6 +109,8 @@ class RunConfig:
         read("dataset_format", _dataset_format, "dataset.format")
         if self.dataset_format != "synth":
             read("dataset_path", lambda v: _valid(v, bool(v), "is required"), "dataset.path")
+            only_synth = f"is read for format 'synth' only, not {self.dataset_format!r}"
+            read("synth_spec", lambda v: _valid(v, v is None, only_synth), "dataset.synth_spec")
         elif self.synth_spec is None:
             spec = _convert("seed", self.seed, default_benchmark_spec)
             object.__setattr__(self, "synth_spec", spec)
@@ -131,13 +133,15 @@ class RunConfig:
         later field is the top-level key of its name.  Other keys are ignored."""
         dataset = raw.get("dataset")
         _convert("dataset", dataset, lambda v: _valid(v, isinstance(v, dict), "is required"))
-        spec = dataset.get("synth_spec")
-        if isinstance(spec, dict) and "seed" in raw:
-            # A run-level seed wins over the spec's, for reproducible sweeps.
-            spec = {**spec, "seed": raw["seed"]}
-        given = {"dataset_path": dataset.get("path", data_dir), "synth_spec": spec}
+        given = {"dataset_path": dataset.get("path", data_dir)}
         if "format" in dataset:
             given["dataset_format"] = dataset["format"]
+        if dataset.get("format") == "synth":  # other formats ignore a spec
+            spec = dataset.get("synth_spec")
+            if isinstance(spec, dict) and "seed" in raw:
+                # A run-level seed wins over the spec's, for reproducible sweeps.
+                spec = {**spec, "seed": raw["seed"]}
+            given["synth_spec"] = spec
         for f in fields(cls)[3:]:  # the fields after the dataset's three
             if f.name in raw:
                 given[f.name] = raw[f.name]

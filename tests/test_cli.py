@@ -698,6 +698,21 @@ class TestConfigBuiltInPython:
         with pytest.raises(FrozenInstanceError):
             cfg.states = 0
 
+    @pytest.mark.parametrize("fmt", ["dataset-dir", "redd"])
+    def test_synth_spec_rejected_for_other_formats(self, fmt):
+        message = f"config field 'dataset.synth_spec' is read for format 'synth' only, not {fmt!r}"
+        with pytest.raises(pipeline.ConfigError, match=re.escape(message)):
+            pipeline.RunConfig("d", fmt, synth_spec=[1])
+        with pytest.raises(pipeline.ConfigError, match=re.escape(message)):
+            pipeline.RunConfig("d", fmt, synth_spec=default_benchmark_spec(seed=1))
+
+    def test_from_dict_ignores_a_synth_spec_of_other_formats(self):
+        raw = {"dataset": {"format": "dataset-dir", "path": "d", "synth_spec": [1]}, "seed": 3}
+        cfg = pipeline.RunConfig.from_dict(raw)
+        assert cfg.synth_spec is None
+        assert cfg == pipeline.RunConfig("d", seed=3)
+        assert pipeline.RunConfig.from_dict({"dataset": {"path": "d", "synth_spec": {}}}).synth_spec is None
+
 
 @pytest.fixture
 def unaligned_dir(tmp_path):

@@ -332,10 +332,11 @@ class TestFHMM:
 
     def test_staged_working_set_beyond_the_codes(self):
         # Twelve two-state appliances (S = 4096) over a day of minutes: the
-        # uint16 codes take T * S * 2 bytes, and the emission chunk, masks
-        # and stage buffers must stay within 3 MiB on top.  A scratch and
-        # result buffer per stage instead of per distinct K adds about
-        # 1.1 MiB.
+        # uint16 codes take T * S * 2 bytes, and the emission buffer, masks,
+        # stage buffers and log-A tables must stay within 3 MiB on top; they
+        # take 2.38 MiB (2.58 with a new emission array per chunk and log A
+        # broadcast from (K, K, 1)).  A scratch and result buffer per stage
+        # instead of per distinct K adds about 1.1 MiB.
         rng = np.random.default_rng(4)
         T, on = 1440, np.sort(rng.choice(np.arange(40.0, 3000.0, 10.0), 12, replace=False))
         apps = tuple(
@@ -354,9 +355,11 @@ class TestFHMM:
 
     def test_dense_working_set_beyond_the_codes(self):
         # Three two-state appliances (S = 8) over a week at 12 s: the uint16
-        # codes take T * S * 2 bytes, and the emission chunk, score table and
-        # step buffers must stay within 3 MiB on top.  A list of each chunk's
-        # 8192 row views, or a chunk of (S, S) tables, would not.
+        # codes take T * S * 2 bytes, and the emission buffer, score table and
+        # step buffers must stay within 3 MiB on top; they take 2.04 MiB
+        # (2.12 with a new emission array per chunk, 2.54 if the 512 KiB
+        # emission buffer outlived the steps).  A list of each chunk's 8192
+        # row views, or a chunk of (S, S) tables, would not.
         rng = np.random.default_rng(5)
         T, S, on = 50_400, 8, np.array([150.0, 700.0, 2000.0])
         apps = tuple(
@@ -567,6 +570,29 @@ def test_fhmm_matches_oracle_across_emission_chunks():
     got = states_matrix(p, m)
     got_idx = np.array([product_index(row, ph.sizes) for row in got])
     assert np.array_equal(got_idx, path)
+
+
+@pytest.mark.parametrize("S", [8, 4096])
+@pytest.mark.parametrize("T_of_rows", [lambda r: 1, lambda r: r - 1, lambda r: r, lambda r: 2 * r + 1],
+                         ids=["1", "rows-1", "rows", "2rows+1"])
+def test_emission_chunks_equal_the_expression_bit_for_bit(S, T_of_rows):
+    # The chunks share one buffer, so each is compared before the next is
+    # asked for; together they must cover every step once, in order.
+    rng = np.random.default_rng(S)
+    apps = tuple(random_hmm(rng, f"a{n}", 2, mean_scale=700.0) for n in range(S.bit_length() - 1))
+    m = FHMMModel(appliances=apps, noise_variance=37.0)
+    rows = max(1, 2**16 // S)
+    T = T_of_rows(rows)
+    y = rng.uniform(-100.0, 4000.0, T)
+    mean = _product_sum(a.means for a in apps)
+    var = _product_sum(a.stds**2 for a in apps) + m.noise_variance
+    want = -0.5 * (disaggregate.LOG_2PI + np.log(var) + (y[:, None] - mean) ** 2 / var)
+    los = []
+    for lo, em in _emission_chunks(m, y, rows):
+        assert em.shape == (min(rows, T - lo), S)
+        assert em.tobytes() == want[lo : lo + rows].tobytes()
+        los.append(lo)
+    assert los == list(range(0, T, rows))
 
 
 def near_tie_rows(rng, K, kind, n_rows):

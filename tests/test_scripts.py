@@ -58,18 +58,23 @@ def test_long_trace():
     assert float(fields["wall_s"]) >= 0
 
 
-STUB_RUN = """import json, sys
+STUB_RUN = """import json, os, sys
 from pathlib import Path
 with open({log!r}, "a", encoding="utf-8") as f:
     f.write(Path.cwd().name + " " + " ".join(sys.argv[1:]) + "\\n")
+result = {result!r}
+pad = len(os.environ.get("BENCH_PAIRS_PAD", ""))
+for m in result["metrics"].values():
+    m["value"] += pad / 1000
 print("# information")
-print(json.dumps({result!r}))
+print(json.dumps(result))
 """
 
 
 def stub_checkout(root, log, correct=True, failed=0, **values):
     """A checkout whose ``perfbench/run.py`` logs its directory and arguments
-    to ``log`` and prints a fixed result line with the metrics ``values``."""
+    to ``log`` and prints a result line with the metrics ``values``, each
+    raised by a thousandth per byte of the ``BENCH_PAIRS_PAD`` padding."""
     result = {
         "correct": correct, "attempted": 10, "failed": failed,
         "metrics": {name: {"value": v, "unit": "s"} for name, v in values.items()},
@@ -113,3 +118,30 @@ def test_bench_pairs_names_failed_runs(tmp_path):
     err = run_script("bench_pairs.py", parent, str(tmp_path / "broken"), "--workload", "w",
                      "--pairs", "1", returncode=1)
     assert "problem: change run of pair 1: exit 1: no inputs" in err
+
+
+def test_bench_pairs_pads(tmp_path):
+    log = tmp_path / "runs.log"
+    parent = stub_checkout(tmp_path / "parent", log, run_s=0.5)
+    change = stub_checkout(tmp_path / "change", log, run_s=0.25)
+    out = run_script("bench_pairs.py", parent, change, "--workload", "w", "--pairs", "2",
+                     "--pad", "0,100,300")
+    # Each pair runs each side once per padding, parent first in pair 1.
+    assert [r.split()[0] for r in log.read_text().splitlines()] == (
+        ["parent", "change"] * 3 + ["change", "parent"] * 3
+    )
+    # Over all six runs a side: parent 0.5, 0.6 and 0.8 twice each, change
+    # 0.25, 0.35 and 0.55.
+    row = next(line for line in out.splitlines() if line.startswith("run_s"))
+    assert row.split()[1:7] == ["0.6", "[0.525,", "0.75]", "0.35", "[0.275,", "0.5]"]
+    assert row.endswith("6/6 (pad 0: 2/2, pad 100: 2/2, pad 300: 2/2)")
+    pairs = [line for line in out.splitlines() if line.startswith("pair ")]
+    assert pairs[1] == "pair 1  parent first  pad 100  run_s 0.6 0.35"
+    assert pairs[5] == "pair 2  change first  pad 300  run_s 0.8 0.55"
+
+
+def test_bench_pairs_pad_is_checked(tmp_path):
+    for pad in ("0,x", "-1"):
+        err = run_script("bench_pairs.py", str(tmp_path), str(tmp_path), "--workload", "w",
+                         "--pairs", "1", "--pad", pad, returncode=2)
+        assert "--pad" in err
