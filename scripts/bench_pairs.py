@@ -2,15 +2,19 @@
 """Run the benchmark in two checkouts by turns and compare their metrics.
 
 Each pair runs ``perfbench/run.py --workload W --seed S --seconds X
---trace 0`` once in PARENT and once in CHANGE per padding in ``--pad``,
-each in its own checkout directory; the side that runs first alternates,
-parent first in pair 1.  A padding of n adds the environment variable
+--trace 0`` once in PARENT and once in CHANGE per padding in ``--pad`` and
+per workload W in the comma-separated ``--workload``, each in its own
+checkout directory; the side that runs first alternates, parent first in
+pair 1, and every workload of a pair runs its sides in that pair's order.
+One series thus shows a claimed gain on one workload next to every other
+workload's reading.  A padding of n adds the environment variable
 ``BENCH_PAIRS_PAD`` holding n bytes, which shifts where the process's
 memory lands: the same commit can read up to about 13 % apart from one
 environment size to another, so a series over several paddings averages
 that layout effect out.  The last line of each run's stdout is its JSON
 result.  For every metric in the results (with ``--trace 0``, the
-end-to-end metrics) this prints each side's median and quartiles over all
+end-to-end metrics), named ``<workload>/<metric>`` when there are several
+workloads, this prints each side's median and quartiles over all
 runs and the number of runs in which CHANGE read lower than PARENT under
 the same pair and padding, with that count per padding when there are
 several; then one line per pair and padding with each metric's PARENT and
@@ -28,7 +32,7 @@ in 8 of 8 at padding 4096, yet 0.282 against 0.283 s over all 24 runs.  A
 difference no larger than the A/A one is no difference.
 
 Usage:
-    python scripts/bench_pairs.py PARENT CHANGE --workload household_7d_6s --pairs 10 [--seed 1 --seconds 30 --pad 0,512,4096]
+    python scripts/bench_pairs.py PARENT CHANGE --workload household_7d_6s[,ingest_1s_day ...] --pairs 10 [--seed 1 --seconds 30 --pad 0,512,4096]
 """
 
 import argparse
@@ -44,10 +48,10 @@ SIDES = ("parent", "change")
 PAD_VARIABLE = "BENCH_PAIRS_PAD"
 
 
-def run_once(checkout: Path, pad: int, args) -> tuple[dict | None, str]:
+def run_once(checkout: Path, workload: str, pad: int, args) -> tuple[dict | None, str]:
     """(result, problem): the run's parsed last line, or None and why not."""
     cmd = [
-        sys.executable, "perfbench/run.py", "--workload", args.workload,
+        sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0",
     ]
     env = {**os.environ, PAD_VARIABLE: "x" * pad}
@@ -75,6 +79,14 @@ def paddings(text: str) -> list[int]:
     return pads
 
 
+def workloads(text: str) -> list[str]:
+    """The comma-separated workload names of ``--workload``, none empty."""
+    names = text.split(",")
+    if not all(names):
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of workload names: {text!r}")
+    return names
+
+
 def lower_count(per_side: dict[str, list], runs: range) -> str:
     """``k/n``: of the ``runs`` in which both sides gave a value, the number
     in which CHANGE read lower."""
@@ -87,7 +99,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", type=workloads, required=True,
+                        help="comma-separated workload names")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=30.0)
@@ -108,20 +121,24 @@ def main() -> int:
     # values[metric][side][run]; a run that gave no result holds None.
     values: dict[str, dict[str, list]] = {}
     problems = []
+    several = len(args.workload) > 1
     for k, (pair, pad) in enumerate(runs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
-        for side in order:
-            result, problem = run_once(checkouts[side], pad, args)
-            if problem:
-                where = ", ".join(filter(None, [f"pair {pair + 1}", label(pad)]))
-                problems.append(f"{side} run of {where}: {problem}")
-            for name, m in (result or {}).get("metrics", {}).items():
-                per_side = values.setdefault(name, {s: [None] * len(runs) for s in SIDES})
-                per_side[side][k] = m["value"]
+        for workload in args.workload:
+            for side in order:
+                result, problem = run_once(checkouts[side], workload, pad, args)
+                if problem:
+                    where = [workload if several else "", f"pair {pair + 1}", label(pad)]
+                    problems.append(f"{side} run of {', '.join(filter(None, where))}: {problem}")
+                for name, m in (result or {}).get("metrics", {}).items():
+                    name = f"{workload}/{name}" if several else name
+                    per_side = values.setdefault(name, {s: [None] * len(runs) for s in SIDES})
+                    per_side[side][k] = m["value"]
         if k % len(pads) == len(pads) - 1:
             print(f"# pair {pair + 1}/{args.pairs} done, {order[0]} first", flush=True)
 
-    print(f"{'metric':<14}{'parent median [q1, q3]':>32}{'change median [q1, q3]':>32}  change lower")
+    width = max([14] + [len(name) + 2 for name in values])
+    print(f"{'metric':<{width}}{'parent median [q1, q3]':>32}{'change median [q1, q3]':>32}  change lower")
     for name, per_side in values.items():
         cells = []
         for side in SIDES:
@@ -138,7 +155,7 @@ def main() -> int:
                 for j, pad in enumerate(pads)
             )
             lower += f" ({by_pad})"
-        print(f"{name:<14}{cells[0]:>32}{cells[1]:>32}  {lower}")
+        print(f"{name:<{width}}{cells[0]:>32}{cells[1]:>32}  {lower}")
     for k, (pair, pad) in enumerate(runs):
         cells = list(filter(None, [f"pair {pair + 1}", f"{SIDES[pair % 2]} first", label(pad)]))
         for name, per_side in values.items():

@@ -164,9 +164,7 @@ def cmd_diagnose(args) -> int:
             (out / f"diagnostics_house_{bid}.csv").write_text(
                 report.to_csv_text(), encoding="utf-8"
             )
-            (out / f"diagnostics_house_{bid}.json").write_text(
-                report.to_json_text() + "\n", encoding="utf-8"
-            )
+            nio.write_json(out / f"diagnostics_house_{bid}.json", report.payload())
         if not args.quiet:
             print(report.to_csv_text(), end="")
     return EXIT_OK

@@ -137,11 +137,17 @@ class DiagnosticReport:
             for d in self.channels
         ])
 
-    def to_json_text(self) -> str:
-        payload = {"building": self.building_id, "gap_threshold": self.gap_threshold}
+    def payload(self) -> dict:
+        """The report as the JSON object written to file."""
         # A channel's JSON is its fields, each gap a [start, end] pair.
-        payload["channels"] = [asdict(d) for d in self.channels]
-        return json_text(payload)
+        return {
+            "building": self.building_id,
+            "gap_threshold": self.gap_threshold,
+            "channels": [asdict(d) for d in self.channels],
+        }
+
+    def to_json_text(self) -> str:
+        return json_text(self.payload())
 
 
 def diagnose_channel(

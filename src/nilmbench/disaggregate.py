@@ -324,7 +324,8 @@ def _viterbi_dense(m: FHMMModel, y: np.ndarray) -> np.ndarray:
             add(flat_table[flat], e, delta)
         codes[lo : lo + len(em)] = preds[: len(em)]
         first = 0
-    em = e = None  # the emission buffer is not needed by the backtrack
+    # Neither the emission buffer nor the step rows are needed by the backtrack.
+    em = e = preds = pred = None
 
     path = np.empty(y.size, dtype=np.int64)
     idx = path[-1] = int(np.argmax(delta))

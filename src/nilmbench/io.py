@@ -22,13 +22,19 @@ save/load cycle preserves timestamps and values bit-for-bit.  Loading
 rejects non-numeric or non-finite values and timestamps, and timestamps that
 do not strictly increase, naming the file and line.
 
-Channels are written in blocks of whole columns.  A building's channels
-that share a timestamp column (one array, or arrays equal bit for bit, so
-0.0 and -0.0 differ) are written together with all their files open, and
-each block's timestamp texts are formatted once for all of them.  A circuit
-id or appliance name must be one path component
-(:func:`~nilmbench.data.check_channel_id`); every one is checked before
-anything is written.
+Channels are written in blocks of 4096 rows.  A building's channels that
+share a timestamp column (one array, or arrays equal bit for bit, so 0.0
+and -0.0 differ) are written together with all their files open, and each
+block's timestamp texts are formatted once for all of them.  A block's
+lines are assembled in one (rows, width) byte buffer and written with one
+``write``: a block of whole stamps >= 0 as digit columns, any other block
+from each stamp's text; each value column by gathering the ``repr`` of each
+distinct float in it; commas and newlines as constant columns.  Texts
+shorter than their column are padded with NUL bytes, which are dropped
+before the write.  The bytes are those of formatting every cell on its own
+by the rules above.  A circuit id or appliance name must be one path
+component (:func:`~nilmbench.data.check_channel_id`); every one is checked
+before anything is written.
 
 Both text formats read here, channel CSVs and the whitespace-separated
 ``channel_<j>.dat`` files of :func:`import_redd_style`, go through one
@@ -121,7 +127,7 @@ def csv_text(header, rows) -> str:
 # ---------------------------------------------------------------------------
 
 
-# Rows formatted and written per block, so the text held at once stays small.
+# Rows assembled and written per block, so the bytes held at once stay small.
 _CSV_BLOCK_ROWS = 4096
 
 # np.loadtxt strips these ASCII separators around a CSV field as whitespace;
@@ -138,25 +144,61 @@ def _format_timestamp(t: float) -> str:
     return s if float(s) == t else repr(t)
 
 
-def _timestamp_texts(t: np.ndarray) -> list[str]:
-    """:func:`_format_timestamp` of each element of ``t``."""
-    # Whole numbers print as str(int), except -0.0, which formats as "-0".
-    # The range test comes first: it is False for NaN and inf.
-    if (
-        (np.abs(t) < 2.0**63).all()
-        and (t == np.trunc(t)).all()
-        and not ((t == 0) & np.signbit(t)).any()
-    ):
-        return list(map(str, t.astype(np.int64).tolist()))
-    return list(map(_format_timestamp, t.tolist()))
+def _timestamp_table(t: np.ndarray) -> np.ndarray:
+    """:func:`_format_timestamp` of each element of ``t``: a (rows, width)
+    uint8 array of ASCII texts, each padded with NUL bytes to the widest.
+
+    A block of whole stamps >= 0, the regular case, is written digit column
+    by digit column, as a whole float's text is ``str(int(x))``, with NUL
+    in place of leading zeros.  ``signbit`` sends -0.0, whose text is "-0",
+    to the per-stamp texts, and the range test is False for NaN and inf.
+    """
+    hi = t.max()
+    if hi < 2.0**63 and not np.signbit(t).any() and (t == np.trunc(t)).all():
+        ints = t.astype(np.int64)
+        width = len(str(int(hi)))
+        digits = np.empty((t.size, width), np.uint8)
+        rest, digit = ints.copy(), np.empty_like(ints)
+        for k in range(width - 1, -1, -1):
+            np.divmod(rest, 10, out=(rest, digit))
+            digits[:, k] = digit
+        digits += ord("0")
+        if len(str(int(t.min()))) < width:
+            # Column k < width - 1 is a leading zero where the stamp is
+            # below 10 ** (width - 1 - k).
+            digits[:, :-1][ints[:, None] < 10 ** np.arange(width - 1, 0, -1)] = 0
+        return digits
+    texts = np.array(list(map(_format_timestamp, t.tolist())), dtype="S")
+    return texts.view(np.uint8).reshape(t.size, texts.itemsize)
 
 
-def _value_texts(v: np.ndarray) -> list[str]:
-    """``repr`` of each element of ``v``, computed once per distinct float."""
+def _value_table(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(texts, index): the ``repr`` of each distinct float of ``v`` as a
+    NUL-padded ``S`` array, and for each element of ``v`` its text's index."""
     # Distinct bit patterns, so that 0.0 and -0.0 keep their own text.
-    bits, inverse = np.unique(v.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return texts[inverse].tolist()
+    bits, index = np.unique(v.view(np.int64), return_inverse=True)
+    return np.array(list(map(repr, bits.view(np.float64).tolist())), dtype="S"), index
+
+
+def _block_lines(stamps: np.ndarray, values) -> np.ndarray:
+    """The bytes of one block of CSV lines: row r of ``stamps``, then for
+    each (texts, index) of ``values`` the text ``texts[index[r]]``,
+    comma-separated.
+
+    Every field is copied or gathered into its columns of one (rows, width)
+    uint8 buffer, and the NUL bytes that pad the shorter texts are then
+    dropped, unless no field has any.
+    """
+    rows, end = stamps.shape
+    buf = np.empty((rows, end + sum(texts.itemsize + 1 for texts, _ in values) + 1), np.uint8)
+    buf[:, :end] = stamps
+    for texts, index in values:
+        buf[:, end] = ord(",")
+        start, end = end + 1, end + 1 + texts.itemsize
+        np.take(texts, index, out=buf[:, start:end].view(texts.dtype)[:, 0], mode="clip")
+    buf[:, end] = ord("\n")
+    padded = not stamps.all() or not all(texts.view(np.uint8).all() for texts, _ in values)
+    return buf[buf != 0] if padded else buf
 
 
 def _timestamp_groups(entries):
@@ -179,22 +221,22 @@ def _timestamp_groups(entries):
 def _write_csv_group(elec: Path, group) -> None:
     """Write each (key, channel) of ``group``, channels sharing one timestamp
     column, to ``elec/<key>.csv``: block by block with every file open, each
-    block's timestamp texts formatted once."""
+    block's timestamp texts formatted once and each file's lines written as
+    one buffer."""
     t = group[0][1].timestamps
     with ExitStack() as stack:
         outs = []
         for key, c in group:
-            path = elec / f"{key}.csv"
-            f = stack.enter_context(path.open("w", encoding="utf-8", newline="\n"))
+            f = stack.enter_context((elec / f"{key}.csv").open("wb"))
             measurements = sorted(c.columns, key=lambda m: m.column_name)
-            f.write(",".join(["timestamp"] + [m.column_name for m in measurements]) + "\n")
+            header = ",".join(["timestamp"] + [m.column_name for m in measurements])
+            f.write(header.encode("utf-8") + b"\n")
             outs.append((f, [c.columns[m] for m in measurements]))
         for start in range(0, t.size, _CSV_BLOCK_ROWS):
             rows = slice(start, start + _CSV_BLOCK_ROWS)
-            stamps = _timestamp_texts(t[rows])
+            stamps = _timestamp_table(t[rows])
             for f, cols in outs:
-                texts = [stamps] + [_value_texts(v[rows]) for v in cols]
-                f.write("\n".join(map(",".join, zip(*texts))) + "\n")
+                f.write(_block_lines(stamps, [_value_table(v[rows]) for v in cols]))
 
 
 def _read_channel_csv(path: Path, channel_id: str, nominal_period: float) -> Channel:

@@ -286,7 +286,8 @@ class MetricReport:
             out[key] = float(np.mean(values)) if values else 0.0
         return out
 
-    def to_json_text(self) -> str:
+    def payload(self) -> dict:
+        """The report as the JSON object written to file."""
         building = {
             "fte": self.fte,
             "hamming_loss": self.hamming_loss,
@@ -295,13 +296,15 @@ class MetricReport:
         }
         if self.undefined:
             building["undefined"] = sorted(self.undefined)
-        payload = {
+        return {
             "algorithm": self.algorithm,
             "building": building,
             "averages": self.averages(),
             "appliances": {a.name: a.as_dict() for a in self.appliances},
         }
-        return json_text(payload)
+
+    def to_json_text(self) -> str:
+        return json_text(self.payload())
 
     def csv_rows(self, metrics: tuple[str, ...] | None = None) -> list[tuple]:
         """Rows (appliance, metric, algorithm, value) in report order.

@@ -383,7 +383,7 @@ def write_report(report: MetricReport, out: Path, suffix: str = "", metrics=None
     """Write ``metrics<suffix>.json`` and ``metrics<suffix>.csv`` under ``out``."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / f"metrics{suffix}.json").write_text(report.to_json_text() + "\n", encoding="utf-8")
+    nio.write_json(out / f"metrics{suffix}.json", report.payload())
     (out / f"metrics{suffix}.csv").write_text(report.to_csv_text(metrics), encoding="utf-8")
 
 

@@ -2,15 +2,16 @@
 
 These stay deliberately naive: exhaustive enumeration for the combinatorial
 search, an explicitly materialised product chain with a textbook dense
-Viterbi over it, and the literal sum-of-minimum-fractions energy overlap.
-None of them shares code with the decoders they check, except
-``staged_viterbi_loop``: an earlier FHMM step kept to pin the current one bit
-for bit, so it takes its emission table from the decoder module and differs
-only in the step.  Earlier forms of fast code that must stay bit-identical
-are kept here as well: ``co_states_matrix``, ``mask_train_test_split``,
-``learn_states_three_sorts`` and ``write_channel_csv_blocks``, the last with
-the writer's own text helpers, so it pins how channels are grouped, not how
-numbers are formatted.
+Viterbi over it, the literal sum-of-minimum-fractions energy overlap, and a
+channel CSV written a line per row (``write_channel_csv_rows``), each cell
+formatted on its own by the text rules.  None of them shares code with the
+code they check, except ``staged_viterbi_loop``: an earlier FHMM step kept to
+pin the current one bit for bit, so it takes its emission table from the
+decoder module and differs only in the step; and the CSV oracle, which takes
+``_format_timestamp``, the definition of a timestamp's text, from ``io``.
+Earlier forms of fast code that must stay bit-identical are kept here as
+well: ``co_states_matrix``, ``mask_train_test_split`` and
+``learn_states_three_sorts``.
 """
 
 import itertools
@@ -23,7 +24,7 @@ import numpy as np
 
 from nilmbench.data import POWER_ACTIVE
 from nilmbench.disaggregate import _emission_chunks, _product_sum
-from nilmbench.io import _CSV_BLOCK_ROWS, _timestamp_texts, _value_texts
+from nilmbench.io import _format_timestamp
 from nilmbench.preprocess import map_channels
 from nilmbench.training import KMEANS_MAX_ITER, KMEANS_TOL_W, STD_FLOOR_W, ApplianceStateModel
 
@@ -132,19 +133,16 @@ def learn_states_three_sorts(c, K=2, feature=POWER_ACTIVE):
     return ApplianceStateModel(name=c.id, means=means, stds=stds)
 
 
-def write_channel_csv_blocks(path, c) -> None:
-    """One channel's CSV written on its own, in blocks of whole columns,
-    formatting its timestamp texts itself."""
+def write_channel_csv_rows(path, c) -> None:
+    """One channel's CSV written on its own, one line per row: the
+    timestamp's :func:`_format_timestamp` text, then ``repr`` of each value."""
     measurements = sorted(c.columns, key=lambda m: m.column_name)
     header = ",".join(["timestamp"] + [m.column_name for m in measurements])
-    cols = [c.columns[m] for m in measurements]
+    cols = [c.columns[m].tolist() for m in measurements]
     with path.open("w", encoding="utf-8", newline="\n") as f:
         f.write(header + "\n")
-        for start in range(0, len(c), _CSV_BLOCK_ROWS):
-            rows = slice(start, start + _CSV_BLOCK_ROWS)
-            texts = [_timestamp_texts(c.timestamps[rows])]
-            texts += [_value_texts(v[rows]) for v in cols]
-            f.write("\n".join(map(",".join, zip(*texts))) + "\n")
+        for t, *values in zip(c.timestamps.tolist(), *cols):
+            f.write(",".join([_format_timestamp(t)] + [repr(float(v)) for v in values]) + "\n")
 
 
 def dense_viterbi(pi, A, emission_means, emission_variances, y):

@@ -355,11 +355,12 @@ class TestFHMM:
 
     def test_dense_working_set_beyond_the_codes(self):
         # Three two-state appliances (S = 8) over a week at 12 s: the uint16
-        # codes take T * S * 2 bytes, and the emission buffer, score table and
-        # step buffers must stay within 3 MiB on top; they take 2.04 MiB
-        # (2.12 with a new emission array per chunk, 2.54 if the 512 KiB
-        # emission buffer outlived the steps).  A list of each chunk's 8192
-        # row views, or a chunk of (S, S) tables, would not.
+        # codes take T * S * 2 bytes, and the emission buffer, score table,
+        # step buffers and backtrack must stay within 1.75 MiB on top; they
+        # take 1.54 MiB (2.04 if the 512 KiB (rows, S) step rows outlived
+        # the steps, 2.54 if the emission buffer did as well).  A list of
+        # each chunk's 8192 row views, or a chunk of (S, S) tables, would
+        # not.
         rng = np.random.default_rng(5)
         T, S, on = 50_400, 8, np.array([150.0, 700.0, 2000.0])
         apps = tuple(
@@ -374,7 +375,7 @@ class TestFHMM:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - T * S * 2 <= 3 * 2**20
+        assert peak - T * S * 2 <= 1.75 * 2**20
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -30,7 +30,7 @@ from nilmbench.synth import default_benchmark_spec, generate
 from nilmbench.training import ApplianceHMM, ApplianceStateModel, COModel, FHMMModel
 
 from conftest import assert_dataset_equal, mk_building, mk_channel
-from oracles import write_channel_csv_blocks
+from oracles import write_channel_csv_rows
 
 
 def write_redd_house(root: Path, n: int, labels: dict[int, str], rows: dict[int, list[str]]):
@@ -513,15 +513,43 @@ class TestChannelCsv:
 TIMESTAMP_KINDS = ("shared", "bit-equal copy", "float-equal", "different")
 
 
-@settings(max_examples=60, deadline=None)
+NAN, INF = float("nan"), float("inf")
+
+# Starts that put a block's stamps on each side of the writer's digit path:
+# fractional, -0.0, negative whole, whole from 0 up across 9 999 -> 10 000
+# inside the first block, and whole at and above 2**53 and past int64.
+STARTS = [0.0, -0.0, 1303132929.5, -7.25, -5000.0, 9000.0, 2.0**53, 1e17, 1e19]
+
+# Value mixes: few repeating levels (with 0.0 next to -0.0, and NaN and
+# +-inf, which the writer formats although loading rejects them), levels of
+# one text width, so that with one-width stamps no byte is padding, and
+# all-distinct values.
+VALUE_MIXES = {
+    "levels": lambda rng, n: rng.choice([0.0, -0.0, 150.0, 1 / 3, 1600.25, NAN, INF, -INF], n),
+    "one width": lambda rng, n: rng.choice([150.0, 700.0], n),
+    "mixed": lambda rng, n: np.where(
+        rng.random(n) < 0.5, rng.choice([0.0, -0.0, 150.0, 1 / 3], n), rng.normal(0.0, 1000.0, n)
+    ),
+    "distinct": lambda rng, n: rng.normal(0.0, 1000.0, n),
+}
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_shared_timestamp_columns_written_as_one_channel_at_a_time(data):
     # Channels with one timestamp column are written together; each file
-    # must hold the bytes of that channel written on its own.
-    n = data.draw(st.one_of(st.integers(0, 20), st.integers(0, 9000)), label="rows")
-    start = data.draw(st.sampled_from([0.0, -0.0, 1303132929.5, -7.25]), label="start")
-    period = data.draw(st.sampled_from([1.0, 6.0, 0.1]), label="period")
+    # must hold the bytes of that channel written on its own, a line per row.
+    n = data.draw(
+        st.one_of(st.integers(0, 20), st.integers(0, 9000), st.sampled_from([4097, 8193])),
+        label="rows",
+    )
+    start = data.draw(st.sampled_from(STARTS), label="start")
+    # Above 2**53 a step of 1 or less rounds away.
+    periods = [6.0, 4096.0] if start >= 2.0**53 else [1.0, 6.0, 0.1]
+    period = data.draw(st.sampled_from(periods), label="period")
     base = start + np.arange(n) * period
+    if data.draw(st.booleans(), label="fractional after the first block"):
+        base[_CSV_BLOCK_ROWS:] += 0.25
     base.setflags(write=False)  # so channels share it
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     mains, appliances = [], {}
@@ -542,11 +570,7 @@ def test_shared_timestamp_columns_written_as_one_channel_at_a_time(data):
             min_size=1, max_size=3, unique=True,
         ))
         columns = {
-            name: np.where(
-                rng.random(t.size) < 0.5,
-                rng.choice([0.0, -0.0, 150.0, 1 / 3, 1600.25], t.size),
-                rng.normal(0.0, 1000.0, t.size),
-            )
+            name: VALUE_MIXES[data.draw(st.sampled_from(sorted(VALUE_MIXES)), label="values")](rng, t.size)
             for name in names
         }
         c = mk_channel(t, cid=f"app_{i}", **columns)
@@ -563,7 +587,7 @@ def test_shared_timestamp_columns_written_as_one_channel_at_a_time(data):
         assert written == sorted(expected)
         for rel, c in expected.items():
             oracle = Path(tmp, "oracle.csv")
-            write_channel_csv_blocks(oracle, c)
+            write_channel_csv_rows(oracle, c)
             assert (elec / rel).read_bytes() == oracle.read_bytes(), rel
 
 
@@ -588,8 +612,6 @@ def fhmm_model():
         noise_variance=31.41592653589793,
     )
 
-
-NAN, INF = float("nan"), float("inf")
 
 # Edits that each make an exported FHMM model invalid.
 INVALID_MODEL_EDITS = {

@@ -140,6 +140,27 @@ def test_bench_pairs_pads(tmp_path):
     assert pairs[5] == "pair 2  change first  pad 300  run_s 0.8 0.55"
 
 
+def test_bench_pairs_workloads(tmp_path):
+    log = tmp_path / "runs.log"
+    parent = stub_checkout(tmp_path / "parent", log, run_s=0.3)
+    change = stub_checkout(tmp_path / "change", log, run_s=0.2)
+    out = run_script("bench_pairs.py", parent, change, "--workload", "a,b", "--pairs", "2")
+    # Every workload of a pair runs its sides in the pair's order.
+    runs = [r.split()[:3:2] for r in log.read_text().splitlines()]
+    assert runs == [
+        ["parent", "a"], ["change", "a"], ["parent", "b"], ["change", "b"],
+        ["change", "a"], ["parent", "a"], ["change", "b"], ["parent", "b"],
+    ]
+    rows = {line.split()[0]: line.split() for line in out.splitlines() if not line.startswith("#")}
+    for name in ("a/run_s", "b/run_s"):
+        assert rows[name][1:] == ["0.3", "[0.3,", "0.3]", "0.2", "[0.2,", "0.2]", "2/2"]
+    pairs = [line for line in out.splitlines() if line.startswith("pair ")]
+    assert pairs[1] == "pair 2  change first  a/run_s 0.3 0.2  b/run_s 0.3 0.2"
+    err = run_script("bench_pairs.py", parent, change, "--workload", "a,", "--pairs", "1",
+                     returncode=2)
+    assert "--workload" in err
+
+
 def test_bench_pairs_pad_is_checked(tmp_path):
     for pad in ("0,x", "-1"):
         err = run_script("bench_pairs.py", str(tmp_path), str(tmp_path), "--workload", "w",
