@@ -210,7 +210,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    steps = _read_json_file(args.steps, "steps file", preprocess_steps) if args.steps else []
+    steps = _read_json_file(args.steps, "steps file", preprocess_steps) if args.steps else ()
     ds = nio.load_dataset_dir(args.input)
     buildings = {
         bid: preprocess_building(b, steps)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Building, Channel, Gap
-from .io import csv_text, json_text
+from .io import csv_text
 
 # One lost packet should not register as a gap, hence the 3x default.
 DEFAULT_GAP_FACTOR = 3.0
@@ -145,9 +145,6 @@ class DiagnosticReport:
             "gap_threshold": self.gap_threshold,
             "channels": [asdict(d) for d in self.channels],
         }
-
-    def to_json_text(self) -> str:
-        return json_text(self.payload())
 
 
 def diagnose_channel(

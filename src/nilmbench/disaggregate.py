@@ -60,6 +60,10 @@ dense step would.
 
 Both decoders reject an aggregate with a NaN or infinite reading, naming
 how many there are and the index of the first.
+
+A decode keeps N * T bytes: each appliance's states are a contiguous row of
+an (N, T) uint8 matrix (wider past 256 states) beside one power per state,
+and the powers ``levels[states]`` are built only where they are read.
 """
 
 from __future__ import annotations
@@ -83,18 +87,19 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class AppliancePrediction:
-    """Estimated state index and power series for one appliance."""
+    """One appliance's estimate: a state per aggregate timestamp, the power
+    level of each state, and the model's state means (empty without one)."""
 
     states: np.ndarray
-    powers: np.ndarray
+    levels: np.ndarray
     state_means: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", np.asarray(self.states, dtype=np.int64))
-        object.__setattr__(self, "powers", np.asarray(self.powers, dtype=np.float64))
-        object.__setattr__(
-            self, "state_means", np.asarray(self.state_means, dtype=np.float64)
-        )
+    @property
+    def powers(self) -> np.ndarray:
+        """``levels[states]``, built on each read; read-only, so a channel shares it."""
+        powers = self.levels[self.states]
+        powers.setflags(write=False)
+        return powers
 
 
 @dataclass(frozen=True)
@@ -123,10 +128,11 @@ def _strides(sizes: list[int]) -> list[int]:
 
 
 def _digits(path: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """(N, T) mixed-radix digits of the product-state indices ``path``: row
-    n, contiguous, holds appliance n's states."""
-    digits = path // np.array(_strides(sizes), dtype=np.int64)[:, None]
-    digits %= np.array(sizes, dtype=np.int64)[:, None]
+    """(N, T) mixed-radix digits of the product-state indices ``path`` in the
+    smallest unsigned dtype: row n, contiguous, holds appliance n's states."""
+    digits = np.empty((len(sizes), path.size), np.min_scalar_type(max(sizes) - 1))
+    for row, K, stride in zip(digits, sizes, _strides(sizes)):
+        np.remainder(path // stride, K, out=row, casting="unsafe")
     return digits
 
 
@@ -154,28 +160,19 @@ def _readings(aggregate: Channel, feature: Measurement) -> np.ndarray:
 
 
 def state_powers(means: np.ndarray) -> np.ndarray:
-    """The power written for each state: its mean floored at 0 W.
-
-    The decoders write these values and ``pipeline.predictions_from_dataset``
-    recovers states by assigning read-back powers to them.
+    """The power level of each state, its mean floored at 0 W: what the
+    decoders predict, and all ``pipeline.predictions_from_dataset`` reads back.
     """
     return np.maximum(means, 0.0)
 
 
 def _predictions_from_states(model, aggregate: Channel, states) -> Predictions:
-    """Assemble Predictions from one int64 state array per appliance, in
-    model order, such as the rows of an (N, T) matrix.  The powers are
-    read-only, so the channels ``predictions_to_power`` builds share them."""
-    appliances: dict[str, AppliancePrediction] = {}
-    for a, s in zip(model.appliances, states, strict=True):
-        powers = state_powers(a.means)[s]
-        powers.setflags(write=False)
-        appliances[a.name] = AppliancePrediction(states=s, powers=powers, state_means=a.means)
-    return Predictions(
-        timestamps=aggregate.timestamps,
-        nominal_period=aggregate.nominal_period,
-        appliances=appliances,
-    )
+    """Assemble Predictions from one state row per appliance, in model
+    order, such as the rows of the (N, T) matrix of :func:`_digits`."""
+    return Predictions(aggregate.timestamps, aggregate.nominal_period, {
+        a.name: AppliancePrediction(states=s, levels=state_powers(a.means), state_means=a.means)
+        for a, s in zip(model.appliances, states, strict=True)
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +419,7 @@ def _viterbi_staged(m: FHMMModel, y: np.ndarray) -> np.ndarray:
 def predictions_to_power(
     p: Predictions, feature: Measurement = POWER_ACTIVE
 ) -> dict[str, Channel]:
-    """One ``feature`` channel per appliance, on the aggregate timestamps."""
+    """One ``feature`` channel of built powers per appliance, on the aggregate timestamps."""
     return {
         name: Channel(
             id=name,

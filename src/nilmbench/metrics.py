@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Building, Measurement, POWER_ACTIVE
 from .disaggregate import Predictions
-from .io import csv_text, json_text
+from .io import csv_text
 from .stats import DEFAULT_ON_THRESHOLD_W, appliance_on_threshold
 from .training import assign_states
 
@@ -303,9 +303,6 @@ class MetricReport:
             "appliances": {a.name: a.as_dict() for a in self.appliances},
         }
 
-    def to_json_text(self) -> str:
-        return json_text(self.payload())
-
     def csv_rows(self, metrics: tuple[str, ...] | None = None) -> list[tuple]:
         """Rows (appliance, metric, algorithm, value) in report order.
 
@@ -378,7 +375,7 @@ def evaluate(
         y = truth.values(feature)[truth_idx]
         on_truth = power_to_states(y, threshold=threshold)
         pred = predictions.appliances.get(name)
-        y_hat = np.zeros_like(y) if pred is None else pred.powers[pred_idx]
+        y_hat = np.zeros_like(y) if pred is None else pred.levels[pred.states[pred_idx]]
         on_hat = power_to_states(y_hat, threshold=threshold)
         if pred is None or pred.state_means.size == 0:
             states_hat, truth_states, K = on_hat, on_truth, 2

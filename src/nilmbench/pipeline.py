@@ -16,7 +16,8 @@ trainer; a report's ``train_seconds`` is that stage plus its ``train_<alg>``.
 ``run`` and the staged ``preprocess``, ``train``, ``disaggregate`` and
 ``evaluate`` commands call these same functions and split through
 :func:`align_and_split`.  ``run`` scores the decoder's predictions in
-memory; the staged ``evaluate`` reads them back.
+memory; the staged ``evaluate`` reads them back.  Predictions hold states
+and a power per state; powers are built only to be written or scored.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -90,7 +92,7 @@ class RunConfig:
     synth_spec: SynthSpec | None = None  # synthetic only; None: default_benchmark_spec(seed)
     building: int = 1
     feature: Measurement = POWER_ACTIVE
-    preprocess: list[dict] = field(default_factory=list)  # as preprocess_steps reads them
+    preprocess: tuple[MappingProxyType, ...] = ()  # as preprocess_steps reads them
     split_fraction: float = 0.5
     algorithms: tuple[str, ...] = ("co", "fhmm")
     states: int = 2
@@ -270,11 +272,14 @@ _STEP_FIELDS = {
 PREPROCESS_OPS = tuple(_STEP_FIELDS)
 
 
-def preprocess_steps(steps: list) -> list[dict]:
-    """Read steps before any data is loaded: each becomes ``{"op": ...,
-    field: value}`` with every field of its op converted or defaulted.  An
-    unknown op, or a missing or mistyped field, is a ConfigError naming both."""
-    ok = isinstance(steps, list) and all(isinstance(s, dict) and "op" in s for s in steps)
+def preprocess_steps(steps: list) -> tuple[MappingProxyType, ...]:
+    """Read steps before any data is loaded: each becomes a read-only
+    ``{"op": ..., field: value}`` with every field of its op converted or
+    defaulted.  An unknown op, or a missing or mistyped field, is a
+    ConfigError naming both."""
+    ok = isinstance(steps, (list, tuple)) and all(
+        isinstance(s, (dict, MappingProxyType)) and "op" in s for s in steps
+    )
     read = []
     for step in _valid(steps, ok, "must be a list of {op: ...}"):
         op = step["op"]
@@ -283,11 +288,11 @@ def preprocess_steps(steps: list) -> list[dict]:
         fields = {"op": op}
         for name, (convert, default) in _STEP_FIELDS[op].items():
             fields[name] = _convert(f"preprocess[{op}].{name}", step.get(name, default), convert)
-        read.append(fields)
-    return read
+        read.append(MappingProxyType(fields))
+    return tuple(read)
 
 
-def apply_preprocess_step(b: Building, step: dict) -> Building:
+def apply_preprocess_step(b: Building, step: MappingProxyType) -> Building:
     """Apply one step, as :func:`preprocess_steps` returns it, to a building.
 
     Range checks stay with the preprocess functions and fail the stage.  A
@@ -315,7 +320,7 @@ def apply_preprocess_step(b: Building, step: dict) -> Building:
     return filter_contribution(b, step["x"], step["gap_threshold"])
 
 
-def preprocess_building(b: Building, steps: list[dict]) -> Building:
+def preprocess_building(b: Building, steps: tuple[MappingProxyType, ...]) -> Building:
     for step in steps:
         b = apply_preprocess_step(b, step)
     return b
@@ -338,7 +343,7 @@ def read_model(path: Path) -> COModel | FHMMModel:
 
 
 def write_predictions(p: Predictions, building_id: int, feature: Measurement, root: Path) -> None:
-    """Save predicted powers as a one-building dataset directory."""
+    """Save predicted powers, built for the save, as a one-building dataset directory."""
     appliances = predictions_to_power(p, feature)
     b = Building(id=building_id, appliances=appliances, metadata={"kind": "predictions"})
     nio.save_dataset_dir(DataSet(name="predictions", buildings={building_id: b}), root)
@@ -347,14 +352,13 @@ def write_predictions(p: Predictions, building_id: int, feature: Measurement, ro
 def predictions_from_dataset(
     b: Building, model=None, feature: Measurement = POWER_ACTIVE
 ) -> Predictions:
-    """Rebuild a Predictions object from saved power channels plus a model.
+    """Rebuild a Predictions object from saved power channels.
 
-    Each power is assigned to the nearest of the powers the decoder writes
-    for the model's states (:func:`state_powers`), so this reproduces the
-    decoder's states unless two of an appliance's state means are at or
-    below 0 W, which are written alike.
-    Without a model the predictions carry no state means, and evaluation
-    scores on/off states from the on-threshold instead.
+    With a model, an appliance's levels are its decoder's (:func:`state_powers`)
+    and each power reads back as the lowest state it is the level of; a power
+    that is no level was not written by that decoder and is a ValueError.
+    Without a model the levels are the distinct powers read and there are no
+    state means, so evaluation scores on/off states from the on-threshold.
     """
     channels = b.appliances
     if not channels:
@@ -365,13 +369,18 @@ def predictions_from_dataset(
     for name, c in channels.items():
         if model is not None and name not in means_by_name:
             raise ValueError(f"model has no appliance {name!r}")
-        means = means_by_name.get(name, np.empty(0))
-        powers = c.values(feature)
-        appliances[name] = AppliancePrediction(
-            states=assign_states(powers, state_powers(means)),
-            powers=powers,
-            state_means=means,
-        )
+        means, powers = means_by_name.get(name, np.empty(0)), c.values(feature)
+        if model is None:
+            levels, states = np.unique(powers, return_inverse=True)
+        else:
+            levels = state_powers(means)
+            states = assign_states(powers, levels)
+            bad = np.flatnonzero(levels[states] != powers)
+            if bad.size:
+                i = bad[0]
+                raise ValueError(f"{name}: power {powers[i]} at timestamp {c.timestamps[i]} is "
+                                 f"none of the model's state powers {levels.tolist()}")
+        appliances[name] = AppliancePrediction(states=states, levels=levels, state_means=means)
     return Predictions(
         timestamps=first.timestamps,
         nominal_period=first.nominal_period,

@@ -16,11 +16,13 @@ from hypothesis import given, settings, strategies as st
 from nilmbench import pipeline
 from nilmbench.cli import main
 from nilmbench.data import POWER_ACTIVE, POWER_REACTIVE, DataSet, is_aligned
+from nilmbench.disaggregate import disaggregate_co, disaggregate_fhmm
 from nilmbench.io import import_model_json, json_text, load_dataset_dir, save_dataset_dir
 from nilmbench.metrics import evaluate
 from nilmbench.preprocess import map_channels, normalize_voltage, train_test_split
 from nilmbench.stats import top_k_appliances
 from nilmbench.synth import default_benchmark_spec, generate
+from nilmbench.training import ApplianceHMM, ApplianceStateModel, COModel, FHMMModel
 
 from conftest import mk_building, mk_channel
 from test_io import simple_rows, write_redd_house
@@ -281,10 +283,10 @@ class TestRun:
     def test_working_set_a_small_multiple_of_the_data(self, tmp_path):
         # CO and FHMM on 2 days at 6 s: 4 channels of 28 800 rows, 1.84 MB
         # of timestamps and values with each channel counted in full.  The
-        # traced peak measured 3.33 MB, 1.81x that (seeds 1-3), against 3.98x
-        # when every channel copied its arrays and the split copied both
-        # halves; the 2.5x bound leaves a 38 % margin.  A tiny run first
-        # loads what the first run imports lazily.
+        # traced peak measured 2.60-2.61 MB, 1.41x that (seeds 1-3), against
+        # 3.98x when every channel copied its arrays and the split copied
+        # both halves; the 1.75x bound leaves a 24 % margin.  A tiny run
+        # first loads what the first run imports lazily.
         def run(days, out):
             spec = replace(default_benchmark_spec(seed=1), duration=days * 86400.0, period=6.0)
             pipeline.run(pipeline.RunConfig(
@@ -298,7 +300,7 @@ class TestRun:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 4 * 28_800 * 16
+        assert peak <= 1.75 * 4 * 28_800 * 16
 
 
 @st.composite
@@ -961,6 +963,76 @@ class TestEvaluateWithoutModel:
         assert report["appliances"]["fridge"]["confusion"] == [[2, 0], [0, 2]]
 
 
+@st.composite
+def decoded_household(draw):
+    """A random CO or FHMM model, some appliances with one state mean at or
+    below 0 W, and an aggregate of T rows for it to decode."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    appliances = []
+    for n in range(draw(st.integers(1, 3))):
+        K = draw(st.integers(1, 3))
+        means = np.sort(rng.choice(np.arange(1, 40) * 10.0, K, replace=False))
+        # A mean far below 0 W is nearer to the next state's level than to 0 W.
+        means[0] = draw(st.sampled_from([means[0], 0.0, -5.0, -300.0]))
+        pi, A = rng.dirichlet(np.ones(K)), rng.dirichlet(np.ones(K), size=K)
+        appliances.append(ApplianceHMM(ApplianceStateModel(f"a{n}", means, rng.uniform(2.0, 30.0, K)), pi, A))
+    model = FHMMModel(tuple(appliances), noise_variance=100.0)
+    if draw(st.booleans()):
+        model = COModel(tuple(a.base for a in appliances))
+    T = draw(st.integers(1, 120))
+    t = draw(st.sampled_from([0.0, 0.1234567, 1.3e9])) + draw(st.sampled_from([0.1, 6.0])) * np.arange(T)
+    on = [rng.choice(a.means, T) for a in appliances]
+    aggregate = mk_channel(t, sum(on) + rng.normal(0.0, 10.0, T), cid="mains_1")
+    truth = mk_building(appliances={
+        a.name: mk_channel(t, np.maximum(y, 0.0) + rng.uniform(0.0, 5.0, T), cid=a.name)
+        for a, y in zip(appliances, on)
+    })
+    return model, aggregate, truth
+
+
+class TestPredictionsReadBack:
+    @settings(max_examples=60, deadline=None)
+    @given(household=decoded_household())
+    def test_written_predictions_read_back_as_decoded(self, household):
+        # decode -> write -> load -> read back with the model: the same
+        # states and levels, so the same report.
+        model, aggregate, truth = household
+        decode = disaggregate_co if isinstance(model, COModel) else disaggregate_fhmm
+        decoded = decode(model, aggregate)
+        with tempfile.TemporaryDirectory() as tmp:
+            pipeline.write_predictions(decoded, 1, POWER_ACTIVE, Path(tmp))
+            read = pipeline.predictions_from_dataset(load_dataset_dir(tmp).buildings[1], model)
+        assert np.array_equal(read.timestamps, decoded.timestamps)
+        assert list(read.appliances) == list(decoded.appliances)
+        for name, want in decoded.appliances.items():
+            got = read.appliances[name]
+            assert np.array_equal(got.states, want.states)
+            assert np.array_equal(got.levels, want.levels)
+            assert np.array_equal(got.state_means, want.state_means)
+        assert json_text(evaluate(read, truth).payload()) == json_text(evaluate(decoded, truth).payload())
+
+    def test_power_of_another_model_is_rejected(self, tmp_path, capsys):
+        # 7.5 W is no state power of this model (0 and 20 W): the file was
+        # not written by its decoder, so it is not snapped to a state.
+        t = [0.0, 1.0, 2.0, 3.0]
+        b = mk_building(
+            mains=[mk_channel(t, [0.0, 20.0, 20.0, 7.5], cid="mains_1")],
+            appliances={"fridge": mk_channel(t, [0.0, 20.0, 20.0, 7.5], cid="fridge")},
+        )
+        save_dataset_dir(DataSet("preds", {1: b}), tmp_path / "preds")
+        model = COModel((ApplianceStateModel("fridge", [-30.0, 20.0], [1.0, 1.0]),))
+        pipeline.write_model(model, tmp_path / "model.json")
+        message = "fridge: power 7.5 at timestamp 3.0 is none of the model's state powers [0.0, 20.0]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pipeline.predictions_from_dataset(b, model)
+        # The staged command fails likewise, and scores the powers without a model.
+        argv = ["--quiet", "evaluate", "--predictions", str(tmp_path / "preds"),
+                "--truth", str(tmp_path / "preds"), "--output", str(tmp_path / "m")]
+        assert run_cli(*argv, "--model", str(tmp_path / "model.json")) == 1
+        assert message in capsys.readouterr().err
+        assert run_cli(*argv) == 0
+
+
 class TestStatsWeather:
     def test_correlation_output(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -1143,10 +1215,20 @@ class TestStepsReadBeforeData:
             {"op": "downsample", "period": 60},
             {"op": "filter_top_k", "k": 3.0, "note": "ignored"},
         ])
-        assert steps == [
+        assert steps == (
             {"op": "downsample", "period": 60.0, "agg": "mean"},
             {"op": "filter_top_k", "k": 3, "gap_threshold": None},
-        ]
+        )
+        assert pipeline.preprocess_steps(steps) == steps
+
+    def test_read_steps_cannot_change_after_the_check(self):
+        cfg = pipeline.RunConfig(None, "synth", preprocess=[{"op": "downsample", "period": 60}])
+        with pytest.raises(AttributeError):
+            cfg.preprocess.append({"op": "bogus"})
+        with pytest.raises(TypeError):
+            cfg.preprocess[0]["period"] = -1.0
+        assert pipeline.RunConfig(None, "synth").preprocess == ()
+        assert cfg.preprocess == ({"op": "downsample", "period": 60.0, "agg": "mean"},)
 
 
 def test_readme_example_config_is_read():

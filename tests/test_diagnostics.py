@@ -13,6 +13,7 @@ from nilmbench.diagnostics import (
     gap_breaks,
     uptime,
 )
+from nilmbench.io import json_text
 from nilmbench.stats import (
     daily_energy,
     energy_joules,
@@ -226,7 +227,7 @@ class TestDiagnose:
         fridge = mk_channel(keep[::2], np.ones(len(keep[::2])), period=2.0, cid="fridge")
         report = diagnose(mk_building(mains=[mains], appliances={"fridge": fridge}), 3.0)
         assert report.channels[0].gaps == (Gap(50.0, 90.0),)
-        got = json.loads(report.to_json_text())
+        got = json.loads(json_text(report.payload()))
         assert got["building"] == report.building_id
         assert got["gap_threshold"] == report.gap_threshold
         assert len(got["channels"]) == len(report.channels) == 2

@@ -138,8 +138,15 @@ class TestCO:
         want = co_states_matrix(m, y)
         for n, a in enumerate(models):
             states = p.appliances[a.name].states
-            assert states.dtype == np.int64 and states.flags.c_contiguous
+            assert states.dtype == np.uint8 and states.flags.c_contiguous
             assert np.array_equal(states, want[:, n])
+
+    def test_states_widen_past_256(self):
+        m = COModel(appliances=(state_model("a", np.arange(300.0) * 10.0), state_model("b", [0.0, 1.0])))
+        p = disaggregate_co(m, aggregate_channel([2990.0, 0.0, 1231.0]))
+        assert p.appliances["a"].states.dtype == p.appliances["b"].states.dtype == np.uint16
+        assert p.appliances["a"].states.tolist() == [299, 0, 123]
+        assert p.appliances["b"].states.tolist() == [0, 0, 1]
 
     def test_slices_are_independent(self):
         rng = np.random.default_rng(3)
@@ -170,20 +177,24 @@ class TestCO:
         assert p.appliances["a"].powers[0] == 0.0
 
     def test_working_set(self):
-        # The (N, T) digits and the N power rows are 6 T-float arrays at N = 3;
-        # the nearest-total search must not still be live next to them.
-        T = 50_400
+        # The nearest-total search must not still be live next to the (N, T)
+        # digits, and the predictions keep only those: N * T bytes of uint8
+        # states, 0.38 T-floats at N = 3, where an int64 state and a float64
+        # power per row and appliance kept 6.01.
+        T, N = 50_400, 3
         m = COModel(appliances=tuple(
-            state_model(f"a{n}", [0.0, 100.0 * (n + 1), 300.0 * (n + 1)]) for n in range(3)
+            state_model(f"a{n}", [0.0, 100.0 * (n + 1), 300.0 * (n + 1)]) for n in range(N)
         ))
         agg = aggregate_channel(np.random.default_rng(4).uniform(0.0, 1000.0, T))
         tracemalloc.start()
         try:
-            disaggregate_co(m, agg)
-            peak = tracemalloc.get_traced_memory()[1]
+            p = disaggregate_co(m, agg)
+            live, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 8 * T * 8
+        assert live <= N * T + 2**13
+        assert sum(a.states.nbytes for a in p.appliances.values()) == N * T
 
 
 class TestFHMM:

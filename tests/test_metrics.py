@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from nilmbench.data import POWER_ACTIVE
 from nilmbench.disaggregate import AppliancePrediction, Predictions
+from nilmbench.io import json_text
 from nilmbench.metrics import (
     ClassificationCounts,
     classification_counts,
@@ -190,17 +191,18 @@ class TestHamming:
 
 
 def predictions_from_truth(b):
-    """Predictions that copy the ground truth exactly."""
+    """Predictions that copy the ground truth exactly: each distinct power is
+    a level and a state mean."""
     first = next(iter(b.appliances.values()))
     apps = {}
     for name, c in b.appliances.items():
-        powers = c.values(POWER_ACTIVE)
-        means = np.unique(powers)
+        levels, states = np.unique(c.values(POWER_ACTIVE), return_inverse=True)
         apps[name] = AppliancePrediction(
-            states=(powers > 10.0).astype(np.int64),
-            powers=powers,
-            state_means=means if means.size >= 2 else np.array([0.0, 1.0]),
+            states=states,
+            levels=levels,
+            state_means=levels if levels.size >= 2 else np.array([0.0, 1.0]),
         )
+        assert np.array_equal(apps[name].powers, c.values(POWER_ACTIVE))
     return Predictions(
         timestamps=first.timestamps,
         nominal_period=first.nominal_period,
@@ -255,9 +257,9 @@ class TestEvaluate:
         assert "F-score" in csv_text
         assert "Train time (s)" in csv_text
         assert "Disaggregate time (s)" in csv_text
-        json_text = report.to_json_text()
-        assert '"fte": 1.0' in json_text
-        assert "undefined" not in json.loads(json_text)["building"]
+        text = json_text(report.payload())
+        assert '"fte": 1.0' in text
+        assert "undefined" not in json.loads(text)["building"]
 
     def test_fte_without_energy_is_zero_and_undefined(self):
         # No appliance ever on: FTE has no energy to share out, so it is
@@ -266,7 +268,7 @@ class TestEvaluate:
         b = mk_building(appliances={n: mk_channel(t, np.zeros(10), cid=n) for n in ("a", "b")})
         report = evaluate(predictions_from_truth(b), b, algorithm="co")
         assert (report.fte, report.undefined) == (0.0, frozenset({"fte"}))
-        building = json.loads(report.to_json_text())["building"]
+        building = json.loads(json_text(report.payload()))["building"]
         assert (building["fte"], building["undefined"]) == (0.0, ["fte"])
         assert "(building),FTE,co,0.0" in report.to_csv_text().splitlines()
 
@@ -293,10 +295,9 @@ def aligned_and_extra_truth(draw):
         if kind == "missing":
             continue
         means = np.sort(rng.choice(levels, draw(st.integers(2, 4)), replace=False))
-        states = rng.integers(0, means.size, T)
         predicted[name] = AppliancePrediction(
-            states=states,
-            powers=means[states] + rng.uniform(0.0, 3.0, T),
+            states=rng.integers(0, means.size, T).astype(np.uint8),
+            levels=means + rng.uniform(0.0, 3.0, means.size),
             state_means=means if kind == "means" else np.empty(0),
         )
     p = Predictions(timestamps=t, nominal_period=6.0, appliances=predicted)
@@ -305,7 +306,7 @@ def aligned_and_extra_truth(draw):
 
 def report_or_error(p, b):
     try:
-        return evaluate(p, b, algorithm="co").to_json_text()
+        return json_text(evaluate(p, b, algorithm="co").payload())
     except ValueError as e:
         return f"ValueError: {e}"
 
@@ -356,7 +357,7 @@ class TestAverages:
         assert avg["nep"] == 0.0
         assert avg["f_score"] == 1.0
         assert "(average)" in report.to_csv_text()
-        assert '"averages"' in report.to_json_text()
+        assert '"averages"' in json_text(report.payload())
 
     def test_undefined_metrics_excluded_from_average(self, simple_building):
         import numpy as np
@@ -376,8 +377,8 @@ class TestAverages:
         truth = replace(simple_building, appliances=zeroed)
         apps = dict(p.appliances)
         apps["fridge"] = AppliancePrediction(
-            states=np.zeros(len(fridge), dtype=np.int64),
-            powers=np.zeros(len(fridge)),
+            states=np.zeros(len(fridge), dtype=np.uint8),
+            levels=np.array([0.0, 1.0]),
             state_means=np.array([0.0, 1.0]),
         )
         report = evaluate(

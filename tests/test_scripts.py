@@ -166,3 +166,71 @@ def test_bench_pairs_pad_is_checked(tmp_path):
         err = run_script("bench_pairs.py", str(tmp_path), str(tmp_path), "--workload", "w",
                          "--pairs", "1", "--pad", pad, returncode=2)
         assert "--pad" in err
+
+
+STUB_WORKLOADS = """import json
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+
+
+def setup(work, seed, tiny):
+    (work / "config.json").write_text(json.dumps({{"seed": seed, "output": str(work / "out")}}))
+    np.savez(work / "truth.npz", states=np.arange(seed + 3))
+
+
+def operation(work, raw):
+    if {fail!r}:
+        raise SystemExit("no inputs")
+    out = Path(raw["output"])
+    out.mkdir()
+    timings = {{"train_seconds": {seconds!r}, "disaggregate_seconds": 0.1}}
+    (out / "metrics_co.json").write_text(json.dumps({{"building": {{"fte": 0.5, **timings}}}}))
+    (out / "metrics.csv").write_text(
+        "appliance,metric,algorithm,value\\n"
+        "fridge,NEP,co,{nep!r}\\n"
+        "(building),Train time (s),co,{seconds!r}\\n"
+    )
+    power = {seed_2_power!r} if raw["seed"] == 2 else 1.0
+    (out / "predictions.csv").write_text(f"timestamp,power_active\\n0,{{power}}\\n")
+
+
+WORKLOADS = {{name: SimpleNamespace(setup=setup, operation=operation) for name in ("a", "b")}}
+"""
+
+
+def workloads_checkout(root, seconds, nep=0.25, seed_2_power=1.0, fail=False):
+    """A checkout whose two workloads ``a`` and ``b`` write a config naming
+    their work directory, an ``.npz``, and reports whose timing fields hold
+    ``seconds``; ``nep`` is a metric, ``seed_2_power`` a prediction at seed 2."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "workloads.py").write_text(
+        STUB_WORKLOADS.format(seconds=seconds, nep=nep, seed_2_power=seed_2_power, fail=fail)
+    )
+    return str(root)
+
+
+def test_artifact_diff_ignores_timings(tmp_path):
+    # The config names the work directory, so the two sides agree only if
+    # they ran in the same one.
+    out = run_script("artifact_diff.py", workloads_checkout(tmp_path / "parent", 1.25),
+                     workloads_checkout(tmp_path / "change", 0.5))
+    assert out.splitlines() == [
+        f"{w} seed {s}: 5 files identical" for w in ("a", "b") for s in (1, 2)
+    ]
+
+
+def test_artifact_diff_names_the_first_difference(tmp_path):
+    parent = workloads_checkout(tmp_path / "parent", 1.25)
+    err = run_script("artifact_diff.py", parent,
+                     workloads_checkout(tmp_path / "change", 1.25, seed_2_power=2.0), returncode=1)
+    assert err.splitlines() == [
+        f"{w} seed 2: out/predictions.csv differs (5 files)" for w in ("a", "b")
+    ]
+    err = run_script("artifact_diff.py", parent,
+                     workloads_checkout(tmp_path / "metric", 1.25, nep=0.5), returncode=1)
+    assert err.splitlines()[0] == "a seed 1: out/metrics.csv differs (5 files)"
+    err = run_script("artifact_diff.py", parent,
+                     workloads_checkout(tmp_path / "broken", 1.25, fail=True), returncode=1)
+    assert err.splitlines()[0] == "a seed 1: change run failed: no inputs"
