@@ -11,6 +11,10 @@ a temporary directory, and prints:
     rss_before_mb  peak RSS of this process before the run (interpreter,
                    numpy and nilmbench imported)
     peak_rss_mb    peak RSS of this process after the run
+    fhmm_backpointer_mb
+                   backpointers the FHMM decode kept, from
+                   ``disaggregate.fhmm_backpointer_bytes`` for the trained
+                   model over the decoded steps (one per prediction row)
     wall_s         wall time of the run
 
 Peak RSS is the process high-water mark, so run one trace per process.
@@ -25,8 +29,10 @@ import sys
 import tempfile
 import time
 from dataclasses import replace
+from pathlib import Path
 
-from nilmbench.pipeline import RunConfig, run
+from nilmbench.disaggregate import fhmm_backpointer_bytes
+from nilmbench.pipeline import RunConfig, read_model, run
 from nilmbench.synth import default_benchmark_spec
 
 
@@ -34,6 +40,15 @@ def peak_rss_mb() -> float:
     # ru_maxrss is in KiB on Linux and in bytes on macOS.
     scale = 2**20 if sys.platform == "darwin" else 2**10
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
+
+
+def fhmm_backpointer_mb(out: Path) -> float:
+    """Backpointer MB of the FHMM decode whose model and predictions are in ``out``."""
+    sizes = [a.K for a in read_model(out / "model_fhmm.json").appliances]
+    series = min((out / "predictions_fhmm").rglob("*.csv"))
+    with open(series, "rb") as f:
+        steps = sum(block.count(b"\n") for block in iter(lambda: f.read(2**20), b"")) - 1
+    return fhmm_backpointer_bytes(sizes, steps) / 2**20
 
 
 def main() -> None:
@@ -59,11 +74,14 @@ def main() -> None:
         t0 = time.perf_counter()
         run(cfg, quiet=True)
         wall = time.perf_counter() - t0
+        peak = peak_rss_mb()
+        backpointer_mb = fhmm_backpointer_mb(Path(out))
     print(f"# {args.days:g} d at {args.period:g} s, seed {args.seed}, {channels} channels")
     print(f"rows {rows}")
     print(f"data_mb {rows * channels * 16 / 2**20:.1f}")
     print(f"rss_before_mb {before:.1f}")
-    print(f"peak_rss_mb {peak_rss_mb():.1f}")
+    print(f"peak_rss_mb {peak:.1f}")
+    print(f"fhmm_backpointer_mb {backpointer_mb:.4g}")
     print(f"wall_s {wall:.2f}")
 
 

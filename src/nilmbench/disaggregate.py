@@ -9,17 +9,17 @@ so each slice resolves by binary search instead of a full scan.
 The factorial decoder runs exact Viterbi on the product chain implied by the
 per-appliance HMMs.  Emissions are Gaussian with mean equal to the sum of
 state means and variance equal to the sum of state variances plus the
-aggregate noise variance.  All scores are kept in log space, and every step
-keeps one uint16 backpointer code per product state (T x S x 2 bytes).  The
-product log-transition score is a sum of per-appliance terms, added in the
-same order (appliance N-1 first) by both step kinds; float rounding is
-monotone, so both give bit-identical scores:
+aggregate noise variance.  All scores are kept in log space.  The product
+log-transition score is a sum of per-appliance terms, added in the same
+order (appliance N-1 first) by both step kinds; float rounding is monotone,
+so both give bit-identical scores:
 
 - Product spaces of S <= 64 states take a dense step: each per-appliance
   log A_n is expanded once to an (S, S) table over product indices.  A
   step assigns the scores to every row of one preallocated (S, S) score
   table, adds the N tables to it in place and takes one argmax per
-  successor, so a code is the flat predecessor.  The new scores are read
+  successor, so a code is the flat predecessor, kept as one uint8 per
+  product state per step (T x S bytes).  The new scores are read
   from the table at those codes, as the score at the lowest-index argmax
   is the row maximum, so the table is reduced once.  At this size the
   cost is per-call overhead: N + 5 numpy calls per step, and every add in
@@ -34,21 +34,36 @@ monotone, so both give bit-identical scores:
   and puts the successor digit in front, so the layout rotates right by
   one digit per stage, every stage runs its inner loops over rows of
   S / K_n scores, and after N stages the layout is canonical again.
-  Digit n of a code (mixed radix, code // stride_n % K_n) is the argmax of
-  the stage that maximised over appliance n, stored in that stage's output
-  layout, whose leading digits n .. N-1 are successor digits and trailing
-  digits 0 .. n-1 predecessor digits.  The backtrack reads digit n with
-  the digits below n already set to predecessor digits, so the flat
-  predecessor is composed only along the backtracked path, one digit at a
-  time.  Each stage's log A_n is expanded once to the (K_n, K_n, S / K_n)
-  shape of the stage's scratch, 8 * S * K_n bytes (768 KiB over the 12
-  stages at S = 4096), so the add into the scratch reads no operand with
-  a zero stride: broadcast from (K_n, K_n, 1), that add took about 75 % of
-  a stage at S = 4096.  Called directly on two-state appliances (two runs
-  of 15 alternating pairs, 2 vCPUs), the expanded tables took the step
-  from 174-209 to 144-170 us/step at S = 4096 and from 38-41 to 35-36 at
-  S = 512; at S = 16384 the 14 tables of 256 KiB outgrow the L2 cache and
-  the step went from 536-542 to 573-595.
+  Predecessor digit n is the argmax of the stage that maximised over
+  appliance n, stored in that stage's output layout, whose leading digits
+  n .. N-1 are successor digits and trailing digits 0 .. n-1 predecessor
+  digits.  The backtrack reads digit n with the digits below n already
+  set to predecessor digits, so the flat predecessor is composed only
+  along the backtracked path, one digit at a time.  Each stage's log A_n
+  is expanded once to the (K_n, K_n, S / K_n) shape of the stage's
+  scratch, 8 * S * K_n bytes (768 KiB over the 12 stages at S = 4096), so
+  the add into the scratch reads no operand with a zero stride: broadcast
+  from (K_n, K_n, 1), that add took about 75 % of a stage at S = 4096.
+  Called directly on two-state appliances (two runs of 15 alternating
+  pairs, 2 vCPUs), the expanded tables took the step from 174-209 to
+  144-170 us/step at S = 4096 and from 38-41 to 35-36 at S = 512; at
+  S = 16384 the 14 tables of 256 KiB outgrow the L2 cache and the step
+  went from 536-542 to 573-595.
+- The staged step keeps each stage's argmax digit n as ceil(log2 K_n) bit
+  planes over the S positions of the stage's output layout, packed 8
+  positions a byte with ``np.packbits(..., bitorder="little")`` once per
+  emission chunk: a (T, sum of ceil(log2 K_n), ceil(S / 8)) uint8 array,
+  sum(ceil(log2 K_n)) * ceil(S / 8) bytes per step.  A two-state
+  appliance's plane is its stage's one ``>`` mask; with more states the
+  planes are the bits of the digit, the count of its K_n - 1 masks.  The
+  backtrack reads one bit per plane.  Twelve two-state appliances take
+  12 bits per product state where one uint16 code per state took 16, but
+  a K that is not a power of two leaves part of its planes unused: eight
+  three-state appliances and one two-state appliance (S = 13122) take 17
+  bits.  At S = 4096 over 1440 steps the planes take 8.44 MiB against
+  11.25 MiB of uint16 codes, and the decode's ``tracemalloc`` peak fell
+  from 13.63 to 10.74 MiB.  :func:`fhmm_backpointer_bytes` counts both
+  decoders' layouts.
 
 Tie-breaking is deterministic everywhere: combinatorial ties prefer the
 smaller total power, then the lexicographically smallest state vector;
@@ -257,6 +272,21 @@ def _emission_chunks(m: FHMMModel, y: np.ndarray, rows: int):
         yield lo, em
 
 
+def _plane_counts(sizes: list[int]) -> list[int]:
+    """Bits of each appliance's digit in a staged code: ceil(log2 K_n)."""
+    return [(K - 1).bit_length() for K in sizes]
+
+
+def fhmm_backpointer_bytes(sizes: list[int], steps: int) -> int:
+    """Bytes of backpointers an FHMM decode of ``steps`` steps keeps, for
+    appliances of ``sizes`` states: ``steps * S`` for the dense step and
+    ``steps * sum(ceil(log2 K_n)) * ceil(S / 8)`` for the staged one."""
+    S = math.prod(sizes)
+    if S <= _DENSE_MAX_STATES:
+        return steps * S
+    return steps * sum(_plane_counts(sizes)) * -(-S // 8)
+
+
 def disaggregate_fhmm(
     m: FHMMModel, aggregate: Channel, feature: Measurement = POWER_ACTIVE
 ) -> Predictions:
@@ -270,9 +300,10 @@ def disaggregate_fhmm(
         )
     y = _readings(aggregate, feature)
     T = y.size
-    if T * S * 2 > FHMM_BACKPOINTER_LIMIT:
+    needed = fhmm_backpointer_bytes(sizes, T)
+    if needed > FHMM_BACKPOINTER_LIMIT:
         raise ValueError(
-            f"decoding T={T} steps over S={S} product states needs {T * S * 2} "
+            f"decoding T={T} steps over S={S} product states needs {needed} "
             f"bytes of backpointers, over the limit ({FHMM_BACKPOINTER_LIMIT}); "
             "split the aggregate into shorter spans or filter to fewer appliances"
         )
@@ -297,7 +328,7 @@ def _viterbi_dense(m: FHMMModel, y: np.ndarray) -> np.ndarray:
     ][::-1]
 
     rows = max(1, 2**16 // S)
-    codes = np.empty((y.size, S), dtype=np.uint16)
+    codes = np.empty((y.size, S), dtype=np.uint8)
     preds = np.zeros((rows, S), dtype=np.intp)
     table = np.empty((S, S))
     flat_table = table.reshape(-1)
@@ -373,7 +404,23 @@ def _viterbi_staged(m: FHMMModel, y: np.ndarray) -> np.ndarray:
         scores = best
     last = scores.reshape(S)
 
-    codes = np.empty((y.size, S), dtype=np.uint16)
+    # Appliance n's digit takes ceil(log2 K_n) bit planes from plane
+    # ``first[n]`` on, each plane one bit per position of its stage's
+    # output layout, 8 positions a byte, lowest position in the lowest bit.
+    # The masks m_i (digit >= i) are a thermometer code of the digit, so
+    # bit j of the digit is the parity of the m_i whose i is a multiple of
+    # 2**j.  Each mask is packed once per chunk, copied into the plane of
+    # which it is the lowest such mask (the one mask of a two-state
+    # appliance is its plane) and XORed into the others.
+    counts = _plane_counts(sizes)
+    first = [sum(counts[:n]) for n in range(len(sizes))]
+    width = -(-S // 8)
+    bits = np.empty((y.size, sum(counts), width), np.uint8)
+    packing = [
+        (mk.reshape(rows, S), [(first[n] + j, i > 2**j) for j in range(counts[n]) if i % 2**j == 0])
+        for n, stage_masks in zip(reversed(range(len(sizes))), masks)
+        for i, mk in enumerate(stage_masks, 1)
+    ]
     for lo, em in _emission_chunks(m, y, rows):
         for r in range(em.shape[0]):
             if lo + r > 0:
@@ -388,30 +435,42 @@ def _viterbi_staged(m: FHMMModel, y: np.ndarray) -> np.ndarray:
                 np.add(last, em[r], out=delta)
             else:
                 delta += em[r]
-        # A code is the sum over masks of their appliance's stride, each
-        # mask in its own stage's layout; digit n is code // stride_n % K_n.
-        code = codes[lo : lo + em.shape[0]]
-        code[...] = 0
-        for stage_masks, stride in zip(masks, reversed(strides)):
-            for mk in stage_masks[:, : len(code)]:
-                code += mk.reshape(code.shape) * np.uint16(stride)
+        chunk = bits[lo : lo + em.shape[0]]
+        for mk, planes in packing:
+            packed = np.packbits(mk[: len(chunk)], axis=1, bitorder="little")
+            for plane, xor in planes:
+                if xor:
+                    np.bitwise_xor(chunk[:, plane], packed, out=chunk[:, plane])
+                else:
+                    chunk[:, plane] = packed
     del em  # the emission buffer is not needed by the backtrack
 
     # Compose the predecessor along the path only.  Digit n was stored in
     # the layout after its stage, whose leading digits n .. N-1 are
     # successor digits and trailing digits 0 .. n-1 predecessor digits: at
     # (idx % P_n) * (S // P_n) + idx // P_n with P_n = K_n * stride_n, where
-    # idx already holds the predecessor digits below n.
+    # idx already holds the predecessor digits below n.  Digit n of idx is
+    # cleared, then bit j of each plane's byte at that position adds
+    # stride_n << j.  A memoryview reads a byte faster than ``ndarray.item``.
+    step = sum(counts) * width
+    digits = [
+        (stride, K * stride, S // (K * stride),
+         [((first[n] + j) * width, stride << j) for j in range(counts[n])])
+        for n, (K, stride) in enumerate(zip(sizes, strides))
+        if K > 1
+    ]
+    flat = memoryview(bits.reshape(-1))
     path = np.empty(y.size, dtype=np.int64)
     idx = path[-1] = int(np.argmax(delta))
-    cur = [idx // stride % K for K, stride in zip(sizes, strides)]
     for t in range(y.size - 1, 0, -1):
-        code_t = codes[t]
-        for n, (K, stride) in enumerate(zip(sizes, strides)):
-            P = K * stride
-            s_n = code_t.item((idx % P) * (S // P) + idx // P) // stride % K
-            idx += (s_n - cur[n]) * stride
-            cur[n] = s_n
+        base = t * step
+        for stride, P, Q, planes in digits:
+            low = idx % P
+            pos = low * Q + idx // P
+            byte, shift = base + (pos >> 3), pos & 7
+            idx -= low - low % stride
+            for plane, weight in planes:
+                idx += (flat[byte + plane] >> shift & 1) * weight
         path[t - 1] = idx
     return _digits(path, sizes)
 

@@ -188,7 +188,9 @@ def generate(spec: SynthSpec) -> tuple[DataSet, dict[str, np.ndarray]]:
     Per appliance: a Markov chain from (pi, A), power = state mean plus
     Gaussian state noise.  Mains = sum of appliance powers plus aggregate
     noise, floored at 0 W.  Fault injection (gaps, dropout) runs last, so
-    true states always cover the full grid.
+    true states always cover the full grid.  Each appliance's true states
+    are in the smallest unsigned dtype that holds K - 1 (uint8 up to 256
+    states).
     """
     rng = np.random.default_rng(np.random.PCG64(spec.seed))
     n = int(round(spec.duration / spec.period))
@@ -202,12 +204,14 @@ def generate(spec: SynthSpec) -> tuple[DataSet, dict[str, np.ndarray]]:
     appliance_channels: dict[str, Channel] = {}
     total = np.zeros(n, dtype=np.float64)
     for a in spec.appliances:
+        # The int64 chain indexes faster than a narrow one (3-5 % of
+        # ``generate``), so only the kept copy is narrowed.
         states = _sample_chain(rng, a, n)
         power = np.asarray(a.means, dtype=np.float64)[states]
         stds = np.asarray(a.stds)[states]
         power += rng.standard_normal(n) * stds if np.any(stds) else 0.0
         power.setflags(write=False)
-        true_states[a.name] = states
+        true_states[a.name] = states.astype(np.min_scalar_type(a.K - 1))
         total += power
         appliance_channels[a.name] = Channel(
             id=a.name,

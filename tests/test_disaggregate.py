@@ -17,6 +17,7 @@ from nilmbench.disaggregate import (
     _viterbi_staged,
     disaggregate_co,
     disaggregate_fhmm,
+    fhmm_backpointer_bytes,
     predictions_to_power,
 )
 from nilmbench.pipeline import RunConfig, StageFailure, run
@@ -300,12 +301,12 @@ class TestFHMM:
 
     def test_backpointer_limit_enforced_before_allocating(self):
         # 14 two-state appliances: S = 16384, so 40 000 steps would need
-        # 1.3 GB of backpointers.
+        # 14 bit planes of 2048 bytes a step, 1.15 GB of backpointers.
         rng = np.random.default_rng(3)
         apps = tuple(random_hmm(rng, f"a{n}", 2) for n in range(14))
         m = FHMMModel(appliances=apps, noise_variance=25.0)
         agg = aggregate_channel(np.zeros(40_000))
-        assert 40_000 * 2**14 * 2 > FHMM_BACKPOINTER_LIMIT
+        assert fhmm_backpointer_bytes([2] * 14, 40_000) == 1_146_880_000 > FHMM_BACKPOINTER_LIMIT
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="T=40000.*S=16384.*split the aggregate"):
@@ -343,11 +344,11 @@ class TestFHMM:
 
     def test_staged_working_set_beyond_the_codes(self):
         # Twelve two-state appliances (S = 4096) over a day of minutes: the
-        # uint16 codes take T * S * 2 bytes, and the emission buffer, masks,
-        # stage buffers and log-A tables must stay within 3 MiB on top; they
-        # take 2.38 MiB (2.58 with a new emission array per chunk and log A
-        # broadcast from (K, K, 1)).  A scratch and result buffer per stage
-        # instead of per distinct K adds about 1.1 MiB.
+        # codes take one bit plane of S / 8 bytes per appliance per step,
+        # and the emission buffer, masks, stage buffers and log-A tables
+        # must stay within 3 MiB on top; they take 2.31 MiB.  A scratch and
+        # result buffer per stage instead of per distinct K adds about
+        # 1.1 MiB.
         rng = np.random.default_rng(4)
         T, on = 1440, np.sort(rng.choice(np.arange(40.0, 3000.0, 10.0), 12, replace=False))
         apps = tuple(
@@ -362,14 +363,16 @@ class TestFHMM:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - T * 4096 * 2 <= 3 * 2**20
+        codes = fhmm_backpointer_bytes([2] * 12, T)
+        assert codes == T * 12 * 512 == 8_847_360
+        assert peak - codes <= 3 * 2**20
 
     def test_dense_working_set_beyond_the_codes(self):
-        # Three two-state appliances (S = 8) over a week at 12 s: the uint16
-        # codes take T * S * 2 bytes, and the emission buffer, score table,
-        # step buffers and backtrack must stay within 1.75 MiB on top; they
-        # take 1.54 MiB (2.04 if the 512 KiB (rows, S) step rows outlived
-        # the steps, 2.54 if the emission buffer did as well).  A list of
+        # Three two-state appliances (S = 8) over a week at 12 s: the uint8
+        # codes take T * S bytes, and the emission buffer, score table,
+        # step buffers and backtrack must stay within 1.375 MiB on top; they
+        # take 1.13 MiB (1.48 if the 512 KiB (rows, S) step rows outlived
+        # the steps, 1.98 if the emission buffer did as well).  A list of
         # each chunk's 8192 row views, or a chunk of (S, S) tables, would
         # not.
         rng = np.random.default_rng(5)
@@ -386,7 +389,8 @@ class TestFHMM:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - T * S * 2 <= 1.75 * 2**20
+        assert fhmm_backpointer_bytes([2] * 3, T) == T * S
+        assert peak - T * S <= 1.375 * 2**20
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -736,7 +740,7 @@ def test_dense_step_matches_loop_oracle(sizes, kinds, shared_means, columns, see
 
 @settings(max_examples=200, deadline=None)
 @given(
-    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=8).filter(
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=8).filter(
         lambda ks: math.prod(ks) <= 1024
     ),
     kinds=NEAR_TIE_KINDS,
@@ -746,11 +750,20 @@ def test_dense_step_matches_loop_oracle(sizes, kinds, shared_means, columns, see
 )
 @example(sizes=[4, 4, 4, 2, 2, 2, 2], kinds=["ulp", "rare", "uniform", "random"] * 2, shared_means=True, seed=1, T=150)
 @example(sizes=[4, 1, 3, 4, 4, 4], kinds=["rare", "ulp"] * 4, shared_means=False, seed=2, T=100)
+@example(sizes=[5, 5, 5, 5], kinds=["ulp", "random"] * 4, shared_means=True, seed=3, T=150)
+@example(sizes=[5, 1, 3, 3, 4, 5], kinds=["random", "uniform"] * 4, shared_means=False, seed=4, T=150)
+@example(sizes=[3] * 6, kinds=["rare", "random"] * 4, shared_means=True, seed=5, T=120)
+@example(sizes=[1, 1, 5], kinds=["random"] * 8, shared_means=False, seed=6, T=30)
+@example(sizes=[1], kinds=["random"] * 8, shared_means=False, seed=7, T=5)
 def test_staged_step_matches_canonical_layout_oracle(sizes, kinds, shared_means, seed, T):
     # The rotated-layout step does the same float additions and maximums in
     # the same order as the canonical-layout step, so states agree exactly,
-    # exact ties included.  S = 1024 decodes in chunks of 64 steps and
-    # S = 768 in chunks of 85, so the examples cross chunk boundaries.
+    # exact ties included.  A digit of K states is kept in ceil(log2 K) bit
+    # planes: none for K = 1, one for K = 2, two for K = 3 or 4 and three
+    # for K = 5.  S = 1024 decodes in chunks of 64 steps, S = 900 in chunks
+    # of 72, S = 768 in chunks of 85, S = 729 in chunks of 89 and S = 625
+    # in chunks of 104, so the examples cross chunk boundaries, most of
+    # them with S not a multiple of 8.
     m, y = near_tie_model(sizes, kinds, shared_means, seed, T)
     assert np.array_equal(_viterbi_staged(m, y).T, staged_viterbi_loop(m, y))
 

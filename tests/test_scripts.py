@@ -55,6 +55,8 @@ def test_long_trace():
     assert fields["rows"] == "72"
     assert float(fields["data_mb"]) == round(72 * 4 * 16 / 2**20, 1)
     assert float(fields["peak_rss_mb"]) >= float(fields["rss_before_mb"]) > 0
+    # Three two-state appliances (S = 8) over the 36-row test half: 288 bytes.
+    assert fields["fhmm_backpointer_mb"] == f"{36 * 8 / 2**20:.4g}" == "0.0002747"
     assert float(fields["wall_s"]) >= 0
 
 
