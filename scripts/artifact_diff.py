@@ -10,11 +10,14 @@ names a path come out the same for the same program.  Then it compares every
 file either side left in the work directory, the set-up's inputs included,
 with the wall-clock fields removed as ``perfbench/checks.artifact_digest``
 removes them.  An ``.npz`` file is compared by its arrays, since its zip
-entries carry the time they were written.
+entries carry the time they were written: by their names, shapes and
+values, and then by their dtypes, so an array stored in another dtype
+with the same values is named as differing in dtype only.
 
-It prints one line per workload and seed whose files are all identical.  A
-difference (the first differing file, in path order) or a side that failed
-is printed on stderr instead, and then the script exits 1.  The artifact
+It prints one line per workload and seed whose files are all identical.
+Otherwise it prints on stderr one line per file that differs or is
+missing on one side, in path order, or one line for a side that failed,
+and then the script exits 1.  The artifact
 digest ``perfbench/run.py`` prints cannot show this: its work directory's
 name holds the process id, and that path enters the config hash.
 
@@ -68,25 +71,43 @@ def run_child(checkout: Path, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def canonical_bytes(path: Path) -> bytes:
-    if path.suffix == ".npz":
-        with np.load(path) as arrays:
-            return repr([(k, arrays[k].dtype.str, arrays[k].shape, arrays[k].tobytes())
-                         for k in sorted(arrays.files)]).encode()
-    return checks._canonical_bytes(path)
+def npz_arrays(path: Path) -> dict[str, np.ndarray]:
+    with np.load(path) as arrays:
+        return {k: arrays[k] for k in arrays.files}
 
 
-def first_difference(trees: dict[str, Path]) -> tuple[str | None, int]:
-    """(the first file, in path order, that differs between the trees or is
-    in one only, or None; the number of files compared)."""
+def same_values(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and values: bit for bit in one dtype, by value across two."""
+    if a.dtype == b.dtype:
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    return np.array_equal(a, b)
+
+
+def compare(paths: list[Path]) -> str | None:
+    """None when the files are the same, else how they differ."""
+    if paths[0].suffix == ".npz":
+        first, *others = map(npz_arrays, paths)
+        for arrays in others:
+            if arrays.keys() != first.keys() or not all(same_values(first[k], arrays[k]) for k in first):
+                return "differs"
+        if any(arrays[k].dtype != first[k].dtype for arrays in others for k in first):
+            return "differs in dtype only"
+        return None
+    return "differs" if len({checks._canonical_bytes(p) for p in paths}) > 1 else None
+
+
+def differences(trees: dict[str, Path]) -> tuple[list[str], int]:
+    """(every file, in path order, that differs between the trees or is in
+    one only, with how; the number of files compared)."""
     files = sorted({p.relative_to(t) for t in trees.values() for p in t.rglob("*") if p.is_file()})
+    found = []
     for rel in files:
         missing = [side for side, t in trees.items() if not (t / rel).is_file()]
         if missing:
-            return f"{rel} is missing on the {missing[0]} side", len(files)
-        if len({canonical_bytes(t / rel) for t in trees.values()}) > 1:
-            return f"{rel} differs", len(files)
-    return None, len(files)
+            found.append(f"{rel} is missing on the {missing[0]} side")
+        elif how := compare([t / rel for t in trees.values()]):
+            found.append(f"{rel} {how}")
+    return found, len(files)
 
 
 def main() -> int:
@@ -119,11 +140,11 @@ def main() -> int:
                     problems += 1
                     print(f"{where}: " + "; ".join(failed), file=sys.stderr)
                     continue
-                difference, compared = first_difference(trees)
-                if difference:
-                    problems += 1
+                found, compared = differences(trees)
+                problems += len(found)
+                for difference in found:
                     print(f"{where}: {difference} ({compared} files)", file=sys.stderr)
-                else:
+                if not found:
                     print(f"{where}: {compared} files identical", flush=True)
     return 1 if problems else 0
 

@@ -12,9 +12,13 @@ a temporary directory, and prints:
                    numpy and nilmbench imported)
     peak_rss_mb    peak RSS of this process after the run
     fhmm_backpointer_mb
-                   backpointers the FHMM decode kept, from
+                   backpointers an FHMM decode keeps at most, from
                    ``disaggregate.fhmm_backpointer_bytes`` for the trained
                    model over the decoded steps (one per prediction row)
+    fhmm_decode_peak_mb
+                   ``tracemalloc`` peak of a second FHMM decode of the run's
+                   model and aggregate, made after the run so that the run
+                   stays untraced; the live size before it is not counted
     wall_s         wall time of the run
 
 Peak RSS is the process high-water mark, so run one trace per process.
@@ -28,10 +32,12 @@ import resource
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
-from nilmbench.disaggregate import fhmm_backpointer_bytes
+from nilmbench import pipeline
+from nilmbench.disaggregate import disaggregate_fhmm, fhmm_backpointer_bytes
 from nilmbench.pipeline import RunConfig, read_model, run
 from nilmbench.synth import default_benchmark_spec
 
@@ -51,6 +57,29 @@ def fhmm_backpointer_mb(out: Path) -> float:
     return fhmm_backpointer_bytes(sizes, steps) / 2**20
 
 
+def keep_fhmm_inputs() -> list:
+    """Rebind the run's FHMM decoder to one that also keeps its arguments,
+    in the returned list, for :func:`fhmm_decode_peak_mb`."""
+    kept = []
+
+    def decode(*args, **kwargs):
+        kept.append((args, kwargs))
+        return disaggregate_fhmm(*args, **kwargs)
+
+    pipeline.disaggregate_fhmm = decode
+    return kept
+
+
+def fhmm_decode_peak_mb(args, kwargs) -> float:
+    """``tracemalloc`` peak MB of one FHMM decode, over the live size before it."""
+    tracemalloc.start()
+    try:
+        disaggregate_fhmm(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--days", type=float, required=True)
@@ -66,6 +95,7 @@ def main() -> None:
     rows = int(round(spec.duration / spec.period))
     channels = len(spec.appliances) + 1
     before = peak_rss_mb()
+    fhmm_inputs = keep_fhmm_inputs()
     with tempfile.TemporaryDirectory() as out:
         cfg = RunConfig(
             dataset_path=None, dataset_format="synth", synth_spec=spec,
@@ -76,12 +106,14 @@ def main() -> None:
         wall = time.perf_counter() - t0
         peak = peak_rss_mb()
         backpointer_mb = fhmm_backpointer_mb(Path(out))
+    decode_peak_mb = fhmm_decode_peak_mb(*fhmm_inputs[0])
     print(f"# {args.days:g} d at {args.period:g} s, seed {args.seed}, {channels} channels")
     print(f"rows {rows}")
     print(f"data_mb {rows * channels * 16 / 2**20:.1f}")
     print(f"rss_before_mb {before:.1f}")
     print(f"peak_rss_mb {peak:.1f}")
     print(f"fhmm_backpointer_mb {backpointer_mb:.4g}")
+    print(f"fhmm_decode_peak_mb {decode_peak_mb:.4g}")
     print(f"wall_s {wall:.2f}")
 
 

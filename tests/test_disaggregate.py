@@ -366,15 +366,18 @@ class TestFHMM:
         codes = fhmm_backpointer_bytes([2] * 12, T)
         assert codes == T * 12 * 512 == 8_847_360
         assert peak - codes <= 3 * 2**20
+        # The decode keeps a window of codes, not all of them: it peaks at
+        # 4.51 MiB, a 2 MiB window of 341 steps and 2.51 MiB of the rest.
+        assert peak <= disaggregate._WINDOW_BYTES + 3 * 2**20
 
     def test_dense_working_set_beyond_the_codes(self):
         # Three two-state appliances (S = 8) over a week at 12 s: the uint8
-        # codes take T * S bytes, and the emission buffer, score table,
-        # step buffers and backtrack must stay within 1.375 MiB on top; they
-        # take 1.13 MiB (1.48 if the 512 KiB (rows, S) step rows outlived
-        # the steps, 1.98 if the emission buffer did as well).  A list of
-        # each chunk's 8192 row views, or a chunk of (S, S) tables, would
-        # not.
+        # codes take T * S bytes, all in one window, and the emission
+        # buffer, score table, step buffers, the (N, T) states and the
+        # window's uint8 path block must stay within 1.375 MiB on top; they
+        # take 1.32 MiB, 1 MiB of it the (rows, S) emission buffer and step
+        # rows.  A list of each chunk's 8192 row views, a chunk of (S, S)
+        # tables or an int64 path would not.
         rng = np.random.default_rng(5)
         T, S, on = 50_400, 8, np.array([150.0, 700.0, 2000.0])
         apps = tuple(
@@ -391,6 +394,30 @@ class TestFHMM:
             tracemalloc.stop()
         assert fhmm_backpointer_bytes([2] * 3, T) == T * S
         assert peak - T * S <= 1.375 * 2**20
+
+    def test_dense_working_set_beyond_the_states(self):
+        # Three two-state appliances (S = 8) over 600 000 steps: all codes
+        # would take 4.6 MiB and an int64 path 4.6 MiB, but the decode keeps
+        # a window of codes and emits the path block by block into the
+        # (N, T) uint8 state matrix, so beyond that matrix and the window
+        # only the emission buffer, step buffers and a window-long path
+        # block may be live: 1.51 MiB.
+        rng = np.random.default_rng(6)
+        T, N, on = 600_000, 3, np.array([150.0, 700.0, 2000.0])
+        apps = tuple(
+            ApplianceHMM(ApplianceStateModel(f"a{n}", [0.0, p], [1.0, 0.01 * p]), [0.7, 0.3], [[0.97, 0.03], [0.06, 0.94]])
+            for n, p in enumerate(on)
+        )
+        m = FHMMModel(appliances=apps, noise_variance=900.0)
+        agg = aggregate_channel((rng.random((T, N)) < 0.3) @ on + rng.normal(0.0, 30.0, T), period=12.0)
+        tracemalloc.start()
+        try:
+            p = disaggregate_fhmm(m, agg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.appliances["a0"].states.dtype == np.uint8
+        assert peak <= N * T + disaggregate._WINDOW_BYTES + 2 * 2**20
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -840,3 +867,106 @@ def test_fhmm_step_boundary_matches_oracle(monkeypatch, sizes, step):
     path, _ = dense_viterbi(ph.pi, ph.A, ph.emission_means, ph.emission_variances, y)
     got = states_matrix(p, m)
     assert np.array_equal([product_index(row, ph.sizes) for row in got], path)
+
+
+def twin_model(extra):
+    """Two identical sticky appliances, then ``extra`` distinct two-state
+    ones.  Read at the one-on level of the twins, the survivors at (0, 1,
+    ...) and (1, 0, ...) mirror each other bit for bit and stay put, and
+    every other state descends from one of them, so they never meet."""
+    twin = ApplianceStateModel("twin", [0.0, 100.0], [5.0, 5.0])
+    sticky = dict(pi=[0.5, 0.5], A=[[0.99, 0.01], [0.01, 0.99]])
+    apps = [ApplianceHMM(twin, **sticky), ApplianceHMM(ApplianceStateModel("twin2", twin.means, twin.stds), **sticky)]
+    apps += [
+        ApplianceHMM(ApplianceStateModel(f"x{k}", [0.0, 1000.0 * (k + 1)], [5.0, 5.0]), **sticky)
+        for k in range(extra)
+    ]
+    return FHMMModel(appliances=tuple(apps), noise_variance=25.0)
+
+
+def oracle_states(m, y):
+    """(T, N) states by the loop oracle of the step kind ``m`` decodes with."""
+    S = math.prod(a.K for a in m.appliances)
+    return (staged_viterbi_loop if S > disaggregate._DENSE_MAX_STATES else dense_step_loop)(m, y)
+
+
+def decode_in_windows(m, y, rows, window_steps):
+    """``disaggregate_fhmm`` states, (T, N), with emission chunks of
+    ``rows`` steps and a window of ``window_steps`` steps of codes."""
+    sizes = [a.K for a in m.appliances]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(disaggregate, "_CHUNK_CELLS", rows * math.prod(sizes))
+        mp.setattr(disaggregate, "_WINDOW_BYTES", window_steps * fhmm_backpointer_bytes(sizes, 1))
+        return states_matrix(disaggregate_fhmm(m, aggregate_channel(y)), m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=8).filter(
+        lambda ks: math.prod(ks) <= 1024
+    ),
+    kinds=NEAR_TIE_KINDS,
+    shared_means=st.booleans(),
+    twins=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 6),
+    window_steps=st.integers(1, 16),
+    T=st.integers(1, 120),
+)
+@example(sizes=[2, 2], kinds=["random"] * 8, shared_means=False, twins=True, seed=1, rows=3, window_steps=4, T=100)
+@example(sizes=[2] * 7, kinds=["uniform"] * 8, shared_means=True, twins=False, seed=2, rows=2, window_steps=5, T=120)
+@example(sizes=[4, 4, 4], kinds=["ulp", "rare"] * 4, shared_means=True, twins=True, seed=3, rows=1, window_steps=1, T=60)
+@example(sizes=[5, 1, 3, 4, 4], kinds=["rare", "random"] * 4, shared_means=False, twins=False, seed=4, rows=5, window_steps=7, T=97)
+def test_fhmm_windowed_decode_matches_loop_oracles(sizes, kinds, shared_means, twins, seed, rows, window_steps, T):
+    # Chunks of 1-6 steps and windows of 1-16 steps of codes make decodes
+    # of up to 120 steps drain many times, at every lag; ``twins`` gives
+    # appliances 0 and 1 the same parameters, whose survivors may never
+    # meet, so the window must grow.  The states equal the loop oracle of
+    # the step kind: dense at S <= 64, staged above.
+    m, y = near_tie_model(sizes, kinds, shared_means, seed, T)
+    if twins and len(sizes) > 1 and sizes[0] == sizes[1]:
+        a0 = m.appliances[0]
+        twin = ApplianceHMM(ApplianceStateModel("twin", a0.means, a0.stds), a0.pi, a0.A)
+        m = FHMMModel(appliances=(a0, twin, *m.appliances[2:]), noise_variance=m.noise_variance)
+    assert np.array_equal(decode_in_windows(m, y, rows, window_steps), oracle_states(m, y))
+
+
+@pytest.mark.parametrize("extra", [0, 5], ids=["dense", "staged"])
+def test_window_grows_while_survivors_do_not_meet(monkeypatch, extra):
+    m = twin_model(extra)
+    y = np.full(200, 100.0)
+    meets = []
+
+    def survivors_meet(*args, real=disaggregate._survivors_meet):
+        meets.append(real(*args))
+        return meets[-1]
+
+    monkeypatch.setattr(disaggregate, "_survivors_meet", survivors_meet)
+    got = decode_in_windows(m, y, 4, 4)
+    # Windows of 4, 8, ..., 128 steps fill and grow; the last holds all 200.
+    assert meets == [None] * 6
+    assert np.array_equal(got, oracle_states(m, y))
+    assert set(map(tuple, got[:, :2])) == {(0, 1)}
+
+
+@pytest.mark.parametrize("sizes", [(2, 3, 2), (2,) * 8], ids=["dense", "staged"])
+def test_walk_must_reach_where_the_survivors_met(monkeypatch, sizes):
+    # A drain that emitted the wrong met state is caught by the next walk,
+    # which reaches the step after it from the real survivors.
+    rng = np.random.default_rng(len(sizes))
+    m = FHMMModel(
+        appliances=tuple(random_hmm(rng, f"a{n}", K, mean_scale=900.0) for n, K in enumerate(sizes)),
+        noise_variance=50.0,
+    )
+    y = rng.uniform(0.0, 900.0 * len(sizes), 200)
+    met = []
+
+    def survivors_meet(kernel, *args, real=disaggregate._survivors_meet):
+        r, x = real(kernel, *args)
+        met.append(r)
+        return r, (x + 1) % kernel.S
+
+    monkeypatch.setattr(disaggregate, "_survivors_meet", survivors_meet)
+    with pytest.raises(RuntimeError, match="step ") as e:
+        decode_in_windows(m, y, 8, 16)
+    assert f"at step {met[0]}," in str(e.value)

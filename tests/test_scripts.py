@@ -57,6 +57,9 @@ def test_long_trace():
     assert float(fields["peak_rss_mb"]) >= float(fields["rss_before_mb"]) > 0
     # Three two-state appliances (S = 8) over the 36-row test half: 288 bytes.
     assert fields["fhmm_backpointer_mb"] == f"{36 * 8 / 2**20:.4g}" == "0.0002747"
+    # A second decode of those 36 rows holds at least their (3, 36) uint8
+    # states and a window of their codes.
+    assert 36 * (3 + 8) / 2**20 <= float(fields["fhmm_decode_peak_mb"]) < 1
     assert float(fields["wall_s"]) >= 0
 
 
@@ -179,7 +182,7 @@ import numpy as np
 
 def setup(work, seed, tiny):
     (work / "config.json").write_text(json.dumps({{"seed": seed, "output": str(work / "out")}}))
-    np.savez(work / "truth.npz", states=np.arange(seed + 3))
+    np.savez(work / "truth.npz", states=np.arange(seed + 3, dtype={truth_dtype!r}) + {truth_offset!r})
 
 
 def operation(work, raw):
@@ -202,13 +205,17 @@ WORKLOADS = {{name: SimpleNamespace(setup=setup, operation=operation) for name i
 """
 
 
-def workloads_checkout(root, seconds, nep=0.25, seed_2_power=1.0, fail=False):
+def workloads_checkout(root, seconds, nep=0.25, seed_2_power=1.0, fail=False, truth_dtype="int64", truth_offset=0):
     """A checkout whose two workloads ``a`` and ``b`` write a config naming
-    their work directory, an ``.npz``, and reports whose timing fields hold
-    ``seconds``; ``nep`` is a metric, ``seed_2_power`` a prediction at seed 2."""
+    their work directory, an ``.npz`` of ``truth_dtype`` whose values start
+    at ``truth_offset``, and reports whose timing fields hold ``seconds``;
+    ``nep`` is a metric, ``seed_2_power`` a prediction at seed 2."""
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "workloads.py").write_text(
-        STUB_WORKLOADS.format(seconds=seconds, nep=nep, seed_2_power=seed_2_power, fail=fail)
+        STUB_WORKLOADS.format(
+            seconds=seconds, nep=nep, seed_2_power=seed_2_power, fail=fail,
+            truth_dtype=truth_dtype, truth_offset=truth_offset,
+        )
     )
     return str(root)
 
@@ -236,3 +243,27 @@ def test_artifact_diff_names_the_first_difference(tmp_path):
     err = run_script("artifact_diff.py", parent,
                      workloads_checkout(tmp_path / "broken", 1.25, fail=True), returncode=1)
     assert err.splitlines()[0] == "a seed 1: change run failed: no inputs"
+
+
+def test_artifact_diff_lists_every_difference(tmp_path):
+    # The truth array holds the same values in another dtype, which is
+    # named as such, and every differing file is listed, not only the first.
+    parent = workloads_checkout(tmp_path / "parent", 1.25)
+    change = workloads_checkout(tmp_path / "change", 1.25, nep=0.5, seed_2_power=2.0, truth_dtype="uint8")
+    err = run_script("artifact_diff.py", parent, change, returncode=1)
+    assert err.splitlines() == [
+        f"{w} seed {s}: {line} (5 files)"
+        for w in ("a", "b") for s in (1, 2)
+        for line in ["out/metrics.csv differs"]
+        + ["out/predictions.csv differs"] * (s == 2)
+        + ["truth.npz differs in dtype only"]
+    ]
+
+
+def test_artifact_diff_compares_npz_values_across_dtypes(tmp_path):
+    # Values that differ are a difference whether or not the dtype does too.
+    parent = workloads_checkout(tmp_path / "parent", 1.25)
+    for name, dtype in (("same", "int64"), ("other", "uint8")):
+        change = workloads_checkout(tmp_path / name, 1.25, truth_dtype=dtype, truth_offset=1)
+        err = run_script("artifact_diff.py", parent, change, returncode=1)
+        assert err.splitlines() == [f"{w} seed {s}: truth.npz differs (5 files)" for w in ("a", "b") for s in (1, 2)]
