@@ -13,12 +13,7 @@ from .data import (
     validate_building,
 )
 from .diagnostics import DiagnosticReport, detect_gaps, diagnose, dropout_rate, uptime
-from .disaggregate import (
-    Predictions,
-    disaggregate_co,
-    disaggregate_fhmm,
-    predictions_to_power,
-)
+from .disaggregate import Predictions, disaggregate_co, disaggregate_fhmm
 from .io import (
     ImportReport,
     export_model_json,

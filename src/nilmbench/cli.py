@@ -24,7 +24,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import io as nio
-from .data import Measurement, mains_total
+from .data import Measurement, check_period, mains_total
 from .diagnostics import check_gap_threshold, diagnose
 from .metrics import evaluate
 from .pipeline import (
@@ -241,10 +241,7 @@ def cmd_train(args) -> int:
 def cmd_disaggregate(args) -> int:
     b = _load_building(args.input, args.building)
     model = read_model(args.model)
-    disaggregator = next(
-        decode for _, decode, model_type in algorithms().values()
-        if isinstance(model, model_type)
-    )
+    _, disaggregator, _ = algorithms()[model.algorithm]
     predictions = disaggregator(model, mains_total(b, args.feature), args.feature)
     write_predictions(predictions, args.building, args.feature, args.output)
     if not args.quiet:
@@ -306,7 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=False)
     p.add_argument("--output", required=True)
     p.add_argument("--name", default="REDD")
-    p.add_argument("--period", type=float, default=3.0, help="nominal sample period (s)")
+    # A period that is not finite and > 0 is a usage error, before anything is written.
+    p.add_argument("--period", type=_arg(lambda text: check_period(float(text))), default=3.0,
+                   help="nominal sample period (s)")
     p.set_defaults(func=cmd_import)
 
     p = sub.add_parser("synth", parents=[quiet_parent], help="generate a synthetic dataset")

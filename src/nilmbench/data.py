@@ -17,6 +17,7 @@ view.  Every other input is copied once on the way in.
 
 from __future__ import annotations
 
+import math
 import numbers
 import re
 from dataclasses import dataclass, field
@@ -128,9 +129,9 @@ class Channel:
     list, another dtype) is copied.  A caller that turns ``WRITEABLE`` back
     on for an array it owns, after a channel took it, breaks that contract.
 
-    Structural invariants (column lengths, positive period) are enforced
-    here.  Data-quality invariants (monotone timestamps, finite values) are
-    enforced by loaders and reported by :func:`validate_building`.
+    Structural invariants (column lengths, a finite positive period) are
+    enforced here.  Data-quality invariants (monotone timestamps, finite
+    values) are enforced by loaders and reported by :func:`validate_building`.
     """
 
     id: str
@@ -151,8 +152,7 @@ class Channel:
                     f"channel {self.id}: column {m.column_name} has length "
                     f"{v.size}, expected {self.timestamps.size}"
                 )
-        if not (self.nominal_period > 0):
-            raise ValueError(f"channel {self.id}: nominal_period must be > 0")
+        check_period(self.nominal_period, f"channel {self.id}: nominal_period")
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
@@ -210,6 +210,14 @@ def outside_gaps(t: np.ndarray, gaps) -> np.ndarray:
     for start, end in gaps:
         keep &= ~((t > start) & (t < end))
     return keep
+
+
+def check_period(period: float, name: str = "period") -> float:
+    """``period`` if it is finite and > 0, else a ValueError naming it ``name``:
+    the one rule for a sample period or bin width, in seconds."""
+    if not (math.isfinite(period) and period > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {period!r}")
+    return period
 
 
 def integer(value) -> int:

@@ -109,9 +109,11 @@ Both decoders reject an aggregate with a NaN or infinite reading, naming
 how many there are and the index of the first.
 
 A decode returns N * T bytes: each appliance's states are a contiguous row
-of an (N, T) uint8 matrix (wider past 256 states) beside one power per
-state, and the powers ``levels[states]`` are built only where they are
-read.  The FHMM writes that matrix one drained block at a time.
+of an (N, T) uint8 matrix (wider past 256 states) beside one power level
+per state.  A prediction holds no power series: ``levels[states]`` is
+gathered only where powers are read, by ``pipeline.write_predictions`` for
+the file and by ``metrics.evaluate`` for the rows it scores.  The FHMM
+writes the state matrix one drained block at a time.
 """
 
 from __future__ import annotations
@@ -149,13 +151,6 @@ class AppliancePrediction:
     states: np.ndarray
     levels: np.ndarray
     state_means: np.ndarray
-
-    @property
-    def powers(self) -> np.ndarray:
-        """``levels[states]``, built on each read; read-only, so a channel shares it."""
-        powers = self.levels[self.states]
-        powers.setflags(write=False)
-        return powers
 
 
 @dataclass(frozen=True)
@@ -352,26 +347,13 @@ def disaggregate_fhmm(
             f"bytes of backpointers, over the limit ({FHMM_BACKPOINTER_LIMIT}); "
             "split the aggregate into shorter spans or filter to fewer appliances"
         )
-    if T == 0:
-        return _predictions_from_states(m, aggregate, _digits(np.empty(0, np.int64), sizes))
-    decode = _viterbi_dense if S <= _DENSE_MAX_STATES else _viterbi_staged
-    return _predictions_from_states(m, aggregate, decode(m, y))
-
-
-def _viterbi_dense(m: FHMMModel, y: np.ndarray) -> np.ndarray:
-    """(N, T) MAP states by one (S, S) score table per step; T > 0."""
-    return _decode(m, y, _DenseStep)
-
-
-def _viterbi_staged(m: FHMMModel, y: np.ndarray) -> np.ndarray:
-    """(N, T) MAP states by one maximisation per appliance axis per step;
-    T > 0."""
-    return _decode(m, y, _StagedStep)
+    kernel_type = _DenseStep if S <= _DENSE_MAX_STATES else _StagedStep
+    return _predictions_from_states(m, aggregate, _decode(m, y, kernel_type))
 
 
 def _decode(m: FHMMModel, y: np.ndarray, kernel_type) -> np.ndarray:
-    """(N, T) MAP states of ``m`` on ``y``, T > 0, by the step and code
-    layout of ``kernel_type``.
+    """(N, T) MAP states of ``m`` on ``y`` by the step and code layout of
+    ``kernel_type``; (N, 0) for T = 0.
 
     Window row r holds the codes of step ``start + r``.  The states of the
     steps before ``start`` are already in the state matrix, and ``anchor``
@@ -382,7 +364,8 @@ def _decode(m: FHMMModel, y: np.ndarray, kernel_type) -> np.ndarray:
     sizes = _sizes(m)
     T = y.size
     rows = max(1, _CHUNK_CELLS // math.prod(sizes))
-    kernel = kernel_type(m, rows)
+    # The step buffers hold one chunk, and no chunk is longer than the decode.
+    kernel = kernel_type(m, min(T, rows))
     states = np.empty((len(sizes), T), np.min_scalar_type(max(sizes) - 1))
     cap = min(T, max(rows, _WINDOW_BYTES // fhmm_backpointer_bytes(sizes, 1)))
     window = np.empty((cap, *kernel.code_shape), np.uint8)
@@ -419,7 +402,7 @@ def _decode(m: FHMMModel, y: np.ndarray, kernel_type) -> np.ndarray:
         kernel.forward(em, int(lo == 0), window[n : n + len(em)])
         n += len(em)
     idx = int(np.argmax(kernel.delta))
-    del em  # the emission buffer is not needed by the last walk
+    em = None  # the emission buffer is not needed by the last walk
     emit(n, idx)
     return states
 
@@ -652,17 +635,3 @@ class _StagedStep:
                 idx += weighted[8 * byte :].take(pos)
         return idx
 
-
-def predictions_to_power(
-    p: Predictions, feature: Measurement = POWER_ACTIVE
-) -> dict[str, Channel]:
-    """One ``feature`` channel of built powers per appliance, on the aggregate timestamps."""
-    return {
-        name: Channel(
-            id=name,
-            timestamps=p.timestamps,
-            columns={feature: ap.powers},
-            nominal_period=p.nominal_period,
-        )
-        for name, ap in p.appliances.items()
-    }

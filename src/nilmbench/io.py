@@ -628,15 +628,15 @@ def _read_flat_lines(path: Path, f, report: ImportReport) -> np.ndarray:
 
 
 def export_model_json(model: COModel | FHMMModel) -> str:
-    """Serialize a trained model; floats survive a round trip exactly."""
+    """Serialize a trained model, tagged with its type's ``algorithm``;
+    floats survive a round trip exactly."""
     if not isinstance(model, (COModel, FHMMModel)):
         raise TypeError(f"cannot export {type(model).__name__}")
     payload = {
-        "algorithm": "co",
+        "algorithm": model.algorithm,
         "appliances": [_appliance_to_json(a) for a in model.appliances],
     }
     if isinstance(model, FHMMModel):
-        payload["algorithm"] = "fhmm"
         payload["noise_variance"] = float(model.noise_variance)
     return json_text(payload)
 
@@ -668,14 +668,15 @@ def import_model_json(text: str) -> COModel | FHMMModel:
     entries = raw.get("appliances")
     if not entries:
         raise SchemaError("model JSON has no appliances")
-    if algorithm not in ("co", "fhmm"):
+    model_type = next((t for t in (COModel, FHMMModel) if t.algorithm == algorithm), None)
+    if model_type is None:
         raise SchemaError(f"unknown algorithm {algorithm!r}")
     appliances = tuple(
-        _appliance_from_json(e, i, with_chain=algorithm == "fhmm")
+        _appliance_from_json(e, i, with_chain=model_type is FHMMModel)
         for i, e in enumerate(entries)
     )
     try:
-        if algorithm == "co":
+        if model_type is COModel:
             return COModel(appliances=appliances)
         return FHMMModel(
             appliances=appliances,

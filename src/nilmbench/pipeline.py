@@ -34,20 +34,19 @@ import numpy as np
 
 from . import io as nio
 from .data import (
-    Building, DataSet, Measurement, POWER_ACTIVE, VOLTAGE, integer, is_aligned, mains_total,
+    Building, Channel, DataSet, Measurement, POWER_ACTIVE, VOLTAGE, check_period, integer,
+    is_aligned, mains_total,
 )
 from .disaggregate import (
     AppliancePrediction,
     Predictions,
     disaggregate_co,
     disaggregate_fhmm,
-    predictions_to_power,
     state_powers,
 )
 from .metrics import MetricReport, canonical_metric, evaluate
 from .preprocess import (
     AGGREGATIONS,
-    check_period,
     downsample,
     filter_contribution,
     filter_out_implausible,
@@ -64,14 +63,15 @@ from .training import COModel, FHMMModel, assign_states, learn_building_states, 
 
 
 def algorithms() -> dict[str, tuple]:
-    """Algorithm name -> (trainer, decoder, model type); ``trainer(b, states, feature)``.
+    """Algorithm name, the model type's ``algorithm``, -> (trainer, decoder,
+    model type); ``trainer(b, states, feature)``.
 
     Built on each call from this module's bindings, so a tracer that rebinds
     ``train_co``, ``disaggregate_co`` etc. here sees the calls ``run`` makes.
     """
     return {
-        "co": (train_co, disaggregate_co, COModel),
-        "fhmm": (train_fhmm, disaggregate_fhmm, FHMMModel),
+        COModel.algorithm: (train_co, disaggregate_co, COModel),
+        FHMMModel.algorithm: (train_fhmm, disaggregate_fhmm, FHMMModel),
     }
 
 
@@ -94,7 +94,7 @@ class RunConfig:
     feature: Measurement = POWER_ACTIVE
     preprocess: tuple[MappingProxyType, ...] = ()  # as preprocess_steps reads them
     split_fraction: float = 0.5
-    algorithms: tuple[str, ...] = ("co", "fhmm")
+    algorithms: tuple[str, ...] = VALID_ALGORITHMS
     states: int = 2
     on_threshold: float = DEFAULT_ON_THRESHOLD_W
     metrics: tuple[str, ...] | None = None
@@ -343,8 +343,13 @@ def read_model(path: Path) -> COModel | FHMMModel:
 
 
 def write_predictions(p: Predictions, building_id: int, feature: Measurement, root: Path) -> None:
-    """Save predicted powers, built for the save, as a one-building dataset directory."""
-    appliances = predictions_to_power(p, feature)
+    """Save each appliance's predicted ``feature`` channel, its powers
+    ``levels[states]`` built for the save, as a one-building dataset directory."""
+    appliances = {}
+    for name, ap in p.appliances.items():
+        powers = ap.levels[ap.states]
+        powers.setflags(write=False)  # so the channel shares it
+        appliances[name] = Channel(name, p.timestamps, {feature: powers}, p.nominal_period)
     b = Building(id=building_id, appliances=appliances, metadata={"kind": "predictions"})
     nio.save_dataset_dir(DataSet(name="predictions", buildings={building_id: b}), root)
 

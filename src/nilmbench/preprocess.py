@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Building, Channel, Measurement, VOLTAGE, is_aligned
+from .data import Building, Channel, Measurement, VOLTAGE, check_period, is_aligned
 from .stats import top_k_appliances
 
 # The interpolation cap has no authoritative value; 5 sample periods keeps
@@ -46,12 +46,6 @@ AGGREGATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "mode": _mode,
     "first": lambda blocks: blocks[:, 0],
 }
-
-
-def check_period(period: float) -> None:
-    """Raise ValueError unless the bin width ``period`` is finite and > 0."""
-    if not (math.isfinite(period) and period > 0):
-        raise ValueError(f"period must be finite and > 0, got {period!r}")
 
 
 def downsample(c: Channel, period: float, agg: str = "mean") -> Channel:

@@ -11,7 +11,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .data import POWER_ACTIVE, Building, Channel, Measurement, outside_gaps
+from .data import POWER_ACTIVE, Building, Channel, Measurement, check_period, outside_gaps
 from .diagnostics import detect_gaps, gap_breaks
 from .io import csv_text
 
@@ -262,7 +262,7 @@ def pearson_correlation(
     authoritative; this uses the mean-resampled ``feature`` on a shared
     ``period`` grid, restricted to bins where both channels have data.
     """
-    from .preprocess import check_period, downsample
+    from .preprocess import downsample
 
     check_period(period)
     da = downsample(a, period, "mean") if a.nominal_period < period else a

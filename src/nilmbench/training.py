@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -101,6 +102,8 @@ class ApplianceHMM:
 
 @dataclass(frozen=True)
 class COModel:
+    algorithm: ClassVar[str] = "co"  # the name that selects it in configs and model JSON
+
     appliances: tuple[ApplianceStateModel, ...]
 
     def __post_init__(self) -> None:
@@ -110,6 +113,8 @@ class COModel:
 
 @dataclass(frozen=True)
 class FHMMModel:
+    algorithm: ClassVar[str] = "fhmm"
+
     appliances: tuple[ApplianceHMM, ...]
     noise_variance: float = NOISE_VARIANCE_FLOOR_W2
 

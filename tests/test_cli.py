@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from nilmbench import pipeline
 from nilmbench.cli import main
-from nilmbench.data import POWER_ACTIVE, POWER_REACTIVE, DataSet, is_aligned
+from nilmbench.data import POWER_ACTIVE, POWER_REACTIVE, DataSet, is_aligned, mains_total
 from nilmbench.disaggregate import disaggregate_co, disaggregate_fhmm
 from nilmbench.io import import_model_json, json_text, load_dataset_dir, save_dataset_dir
 from nilmbench.metrics import evaluate
@@ -128,6 +128,26 @@ class TestSubcommands:
         out = tmp_path / "canonical"
         assert run_cli("--quiet", "import", "--input", str(raw), "--output", str(out)) == 0
         assert (out / "house_1" / "utility" / "electricity" / "appliances" / "fridge.csv").is_file()
+
+    @pytest.mark.parametrize("algorithm", pipeline.VALID_ALGORITHMS)
+    def test_disaggregate_decodes_a_saved_model(self, synth_dir, tmp_path, algorithm):
+        # The model file's tag picks the decoder; the written powers are its
+        # in-memory predictions' levels at their states.
+        model, preds = tmp_path / "model.json", tmp_path / "preds"
+        assert run_cli("--quiet", "train", "--input", str(synth_dir), "--algorithm", algorithm,
+                       "--output", str(model)) == 0
+        assert run_cli("--quiet", "disaggregate", "--input", str(synth_dir), "--model", str(model),
+                       "--output", str(preds)) == 0
+        m = pipeline.read_model(model)
+        assert m.algorithm == algorithm
+        decode = {"co": disaggregate_co, "fhmm": disaggregate_fhmm}[algorithm]
+        b = load_dataset_dir(synth_dir).buildings[1]
+        expected = decode(m, mains_total(b, POWER_ACTIVE))
+        written = load_dataset_dir(preds).buildings[1].appliances
+        assert sorted(written) == sorted(expected.appliances)
+        for name, ap in expected.appliances.items():
+            assert np.array_equal(written[name].values(POWER_ACTIVE), ap.levels[ap.states])
+            assert np.array_equal(written[name].timestamps, expected.timestamps)
 
     def test_missing_input_is_config_error(self, monkeypatch, capsys):
         monkeypatch.delenv("NILM_DATA_DIR", raising=False)
@@ -1308,6 +1328,22 @@ class TestRangeOptions:
                     f"--on-threshold={value}")
         assert e.value.code == 2
         assert "argument --on-threshold: must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "0", "nan", "-3"])
+    def test_import_period_out_of_range_is_usage_error_before_writing(self, tmp_path, capsys, value):
+        raw = tmp_path / "redd"
+        raw.mkdir()
+        write_redd_house(
+            raw, 1,
+            {1: "mains", 2: "mains", 3: "refrigerator"},
+            {1: simple_rows(), 2: simple_rows(), 3: simple_rows()},
+        )
+        out = tmp_path / "canonical"
+        with pytest.raises(SystemExit) as e:
+            run_cli("--quiet", "import", "--input", str(raw), "--output", str(out), f"--period={value}")
+        assert e.value.code == 2
+        assert "argument --period: period must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_synth_negative_seed_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "data"

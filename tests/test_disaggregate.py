@@ -11,16 +11,17 @@ from nilmbench import disaggregate
 from nilmbench.data import POWER_ACTIVE
 from nilmbench.disaggregate import (
     FHMM_BACKPOINTER_LIMIT,
+    _DenseStep,
+    _StagedStep,
+    _decode,
     _emission_chunks,
     _product_sum,
-    _viterbi_dense,
-    _viterbi_staged,
     disaggregate_co,
     disaggregate_fhmm,
     fhmm_backpointer_bytes,
-    predictions_to_power,
 )
-from nilmbench.pipeline import RunConfig, StageFailure, run
+from nilmbench.io import load_dataset_dir
+from nilmbench.pipeline import RunConfig, StageFailure, run, write_predictions
 from nilmbench.synth import ApplianceSynthSpec, SynthSpec, generate
 from nilmbench.training import ApplianceHMM, ApplianceStateModel, COModel, FHMMModel
 
@@ -64,6 +65,11 @@ def aggregate_channel(y, period=1.0):
     return mk_channel(np.arange(len(y), dtype=float) * period, y, period=period, cid="mains")
 
 
+def powers(ap):
+    """An appliance prediction's powers, its levels gathered at its states."""
+    return ap.levels[ap.states]
+
+
 def states_matrix(predictions, model):
     return np.stack(
         [predictions.appliances[a.name].states for a in model.appliances], axis=1
@@ -75,7 +81,7 @@ class TestCO:
         m = COModel(appliances=(state_model("kettle", [0.0, 100.0]),))
         p = disaggregate_co(m, aggregate_channel([90.0]))
         assert p.appliances["kettle"].states[0] == 1
-        assert p.appliances["kettle"].powers[0] == 100.0
+        assert powers(p.appliances["kettle"])[0] == 100.0
 
     def test_two_appliance_hand_case(self):
         m = COModel(
@@ -98,7 +104,7 @@ class TestCO:
         p = disaggregate_co(m, aggregate_channel([0.0, 0.0, 0.0]))
         for ap in p.appliances.values():
             assert np.all(ap.states == 0)
-            assert np.all(ap.powers == 0.0)
+            assert np.all(powers(ap) == 0.0)
 
     def test_matches_bruteforce_with_ties(self):
         rng = np.random.default_rng(42)
@@ -175,7 +181,7 @@ class TestCO:
         m = COModel(appliances=(state_model("a", [-3.0, 100.0]),))
         p = disaggregate_co(m, aggregate_channel([0.0]))
         assert p.appliances["a"].states[0] == 0
-        assert p.appliances["a"].powers[0] == 0.0
+        assert powers(p.appliances["a"])[0] == 0.0
 
     def test_working_set(self):
         # The nearest-total search must not still be live next to the (N, T)
@@ -342,6 +348,22 @@ class TestFHMM:
         p = disaggregate_fhmm(m, aggregate_channel([]))
         assert p.appliances["a"].states.size == 0
 
+    @pytest.mark.parametrize("n, step", [(1, "_StagedStep"), (7, "_DenseStep")])
+    def test_empty_aggregate_either_step(self, monkeypatch, n, step):
+        # S = 2 decodes by the dense step and S = 128 by the staged one; with
+        # no readings each gives one empty uint8 row of states per appliance.
+        def unused(m, rows):
+            raise AssertionError(f"{step} used at S = {2**n}")
+
+        monkeypatch.setattr(disaggregate, step, unused)
+        rng = np.random.default_rng(n)
+        m = FHMMModel(appliances=tuple(random_hmm(rng, f"a{k}", 2) for k in range(n)), noise_variance=25.0)
+        p = disaggregate_fhmm(m, aggregate_channel([]))
+        assert p.timestamps.size == 0
+        for a in m.appliances:
+            states = p.appliances[a.name].states
+            assert states.shape == (0,) and states.dtype == np.uint8
+
     def test_staged_working_set_beyond_the_codes(self):
         # Twelve two-state appliances (S = 4096) over a day of minutes: the
         # codes take one bit plane of S / 8 bytes per appliance per step,
@@ -463,27 +485,33 @@ class TestProductHMM:
             build_product_hmm(FHMMModel(appliances=apps, noise_variance=25.0))
 
 
-class TestPredictionsToPower:
-    def test_all_off_gives_zero_channel(self):
+class TestWritePredictions:
+    """The power channels ``write_predictions`` saves, read back."""
+
+    def written(self, p, tmp_path):
+        write_predictions(p, 1, POWER_ACTIVE, tmp_path / "preds")
+        return load_dataset_dir(tmp_path / "preds").buildings[1].appliances
+
+    def test_all_off_gives_zero_channel(self, tmp_path):
         m = COModel(appliances=(state_model("a", [0.0, 100.0]),))
         p = disaggregate_co(m, aggregate_channel([0.0, 0.0]))
-        channels = predictions_to_power(p)
+        channels = self.written(p, tmp_path)
         assert np.all(channels["a"].values(POWER_ACTIVE) == 0.0)
 
-    def test_timestamps_follow_aggregate(self):
+    def test_timestamps_follow_aggregate(self, tmp_path):
         m = COModel(appliances=(state_model("a", [0.0, 100.0]),))
         agg = mk_channel([5.0, 9.0, 140.0], [0.0, 100.0, 100.0], period=4.0)
         p = disaggregate_co(m, agg)
-        channels = predictions_to_power(p)
+        channels = self.written(p, tmp_path)
         assert np.array_equal(channels["a"].timestamps, agg.timestamps)
         assert channels["a"].nominal_period == 4.0
 
-    def test_exact_fit_sums_to_aggregate(self):
+    def test_exact_fit_sums_to_aggregate(self, tmp_path):
         models = (state_model("a", [0.0, 100.0]), state_model("b", [0.0, 60.0]))
         m = COModel(appliances=models)
         y = [0.0, 100.0, 60.0, 160.0]
         p = disaggregate_co(m, aggregate_channel(y))
-        channels = predictions_to_power(p)
+        channels = self.written(p, tmp_path)
         total = channels["a"].values(POWER_ACTIVE) + channels["b"].values(POWER_ACTIVE)
         assert np.array_equal(total, np.asarray(y))
 
@@ -762,7 +790,7 @@ def test_dense_step_matches_loop_oracle(sizes, kinds, shared_means, columns, see
     # ending exactly at its first chunk's end or one row into its second.
     m, y = near_tie_model(sizes, kinds, shared_means, seed, T)
     m = with_unentered_states(m, columns)
-    assert np.array_equal(_viterbi_dense(m, y).T, dense_step_loop(m, y))
+    assert np.array_equal(_decode(m, y, _DenseStep).T, dense_step_loop(m, y))
 
 
 @settings(max_examples=200, deadline=None)
@@ -792,7 +820,7 @@ def test_staged_step_matches_canonical_layout_oracle(sizes, kinds, shared_means,
     # in chunks of 104, so the examples cross chunk boundaries, most of
     # them with S not a multiple of 8.
     m, y = near_tie_model(sizes, kinds, shared_means, seed, T)
-    assert np.array_equal(_viterbi_staged(m, y).T, staged_viterbi_loop(m, y))
+    assert np.array_equal(_decode(m, y, _StagedStep).T, staged_viterbi_loop(m, y))
 
 
 def test_dense_and_staged_steps_split_an_exact_tie():
@@ -811,8 +839,8 @@ def test_dense_and_staged_steps_split_an_exact_tie():
     )
     m = FHMMModel(appliances=(a0, a1), noise_variance=25.0)
     y = np.array([50.0, 1000.0])
-    assert _viterbi_dense(m, y).T.tolist() == [[0, 0], [1, 0]]
-    assert _viterbi_staged(m, y).T.tolist() == [[0, 1], [1, 0]]
+    assert _decode(m, y, _DenseStep).T.tolist() == [[0, 0], [1, 0]]
+    assert _decode(m, y, _StagedStep).T.tolist() == [[0, 1], [1, 0]]
     assert_dense_matches_staged(m, y)
 
 
@@ -821,8 +849,8 @@ def assert_dense_matches_staged(m, y):
     sums let the staged step keep a higher predecessor than the dense one."""
     sizes = [a.K for a in m.appliances]
     T = len(y)
-    dense = _viterbi_dense(m, y).T
-    staged = _viterbi_staged(m, y).T
+    dense = _decode(m, y, _DenseStep).T
+    staged = _decode(m, y, _StagedStep).T
     assert dense.shape == staged.shape == (T, len(sizes))
     assert np.array_equal(dense[-1], staged[-1])
     tables = staged_order_tables(m, y)
@@ -845,13 +873,13 @@ def assert_dense_matches_staged(m, y):
 
 
 @pytest.mark.parametrize(
-    "sizes, step", [((2,) * 6, "_viterbi_staged"), ((3, 3, 2, 4), "_viterbi_dense")]
+    "sizes, step", [((2,) * 6, "_StagedStep"), ((3, 3, 2, 4), "_DenseStep")]
 )
 def test_fhmm_step_boundary_matches_oracle(monkeypatch, sizes, step):
     # S = 64 is the largest product space the dense step decodes, S = 72 the
     # smallest above it that the staged step decodes; the other step kind
     # must not run.
-    def unused(m, y):
+    def unused(m, rows):
         raise AssertionError(f"{step} used at S = {math.prod(sizes)}")
 
     monkeypatch.setattr(disaggregate, step, unused)

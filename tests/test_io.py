@@ -656,6 +656,23 @@ class TestModelJson:
                     assert np.array_equal(a.pi, b.pi)
                     assert np.array_equal(a.A, b.A)
 
+    def test_tag_is_the_model_types_algorithm(self):
+        for model in (co_model(), fhmm_model()):
+            raw = json.loads(export_model_json(model))
+            assert raw["algorithm"] == type(model).algorithm
+            assert type(import_model_json(export_model_json(model))) is type(model)
+
+    @pytest.mark.parametrize("tag", ["hmm", "CO", ["co"], None])
+    def test_unknown_algorithm_rejected(self, tag):
+        raw = json.loads(export_model_json(co_model()))
+        raw["algorithm"] = tag
+        with pytest.raises(SchemaError, match=f"unknown algorithm {re.escape(repr(tag))}"):
+            import_model_json(json.dumps(raw))
+
+    def test_export_rejects_a_non_model(self):
+        with pytest.raises(TypeError, match="cannot export ApplianceStateModel"):
+            export_model_json(co_model().appliances[0])
+
     def test_bad_pi_rejected(self):
         raw = json.loads(export_model_json(fhmm_model()))
         raw["appliances"][0]["pi"] = [0.6, 0.5]

@@ -202,7 +202,7 @@ def predictions_from_truth(b):
             levels=levels,
             state_means=levels if levels.size >= 2 else np.array([0.0, 1.0]),
         )
-        assert np.array_equal(apps[name].powers, c.values(POWER_ACTIVE))
+        assert np.array_equal(levels[states], c.values(POWER_ACTIVE))
     return Predictions(
         timestamps=first.timestamps,
         nominal_period=first.nominal_period,
