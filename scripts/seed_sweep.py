@@ -14,6 +14,7 @@ import argparse
 
 import numpy as np
 
+from nilmbench.cli import count_arg
 from nilmbench.data import POWER_ACTIVE, mains_total
 from nilmbench.metrics import evaluate
 from nilmbench.pipeline import algorithms
@@ -39,7 +40,7 @@ def nep_for(seed: int) -> dict[str, float]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=20)
+    parser.add_argument("--seeds", type=count_arg, default=20)
     parser.add_argument("--first-seed", type=int, default=3000)
     args = parser.parse_args()
 

@@ -24,8 +24,8 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import io as nio
-from .data import Measurement, check_period, mains_total
-from .diagnostics import check_gap_threshold, diagnose
+from .data import Measurement, check_count, check_finite, check_fraction, check_period, mains_total
+from .diagnostics import diagnose
 from .metrics import evaluate
 from .pipeline import (
     VALID_ALGORITHMS,
@@ -34,15 +34,12 @@ from .pipeline import (
     StageFailure,
     algorithms,
     align_and_split,
-    finite,
-    open_fraction,
     predictions_from_dataset,
     preprocess_building,
     preprocess_steps,
     read_model,
     run,
     select_buildings,
-    state_count,
     write_model,
     write_predictions,
     write_report,
@@ -97,10 +94,10 @@ def _arg(convert):
     return parse
 
 
-# ``--gap-threshold``: a value that is not > 0.
-gap_threshold_arg = _arg(lambda text: check_gap_threshold(float(text)))
+# ``--gap-threshold``: a value that is not finite and > 0, named as the gap rule names it.
+gap_threshold_arg = _arg(lambda text: check_period(float(text), "gap threshold"))
 # ``--states``, ``--top-k``, ``--bins``: an integer that is not >= 1.
-count_arg = _arg(lambda text: state_count(int(text)))
+count_arg = _arg(lambda text: check_count(int(text)))
 
 
 def _read_json_file(path: str, what: str, convert):
@@ -281,6 +278,13 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _parent(*names, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option, for the subparsers that share it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nilmbench",
@@ -289,87 +293,74 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     # Accept --quiet after the subcommand too; SUPPRESS keeps the root value
     # when the flag is absent there.
-    quiet_parent = argparse.ArgumentParser(add_help=False)
-    quiet_parent.add_argument(
-        "--quiet", action="store_true", default=argparse.SUPPRESS,
-        help="suppress progress output",
-    )
+    quiet_parent = _parent("--quiet", action="store_true", default=argparse.SUPPRESS,
+                           help="suppress progress output")
     # An unknown measurement is a usage error (exit 2), like a bad config.
-    feature_parent = argparse.ArgumentParser(add_help=False)
-    feature_parent.add_argument("--feature", type=_arg(Measurement.from_column_name), default="power_active")
+    feature_parent = _parent("--feature", type=_arg(Measurement.from_column_name), default="power_active")
+    # A missing --input reads the data directory from the environment.
+    input_parent = _parent("--input", default=os.environ.get(DATA_DIR_ENV) or None)
+    # One parent per default: set_defaults would change a shared parent's action for all.
+    one_building, every_building = (_parent("--building", type=int, default=d) for d in (1, None))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("import", parents=[quiet_parent], help="convert a raw dataset to the canonical layout")
-    p.add_argument("--input", required=False)
+    def command(name: str, func, help: str, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[quiet_parent, *parents], help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("import", cmd_import, "convert a raw dataset to the canonical layout", input_parent)
     p.add_argument("--output", required=True)
     p.add_argument("--name", default="REDD")
     # A period that is not finite and > 0 is a usage error, before anything is written.
     p.add_argument("--period", type=_arg(lambda text: check_period(float(text))), default=3.0,
                    help="nominal sample period (s)")
-    p.set_defaults(func=cmd_import)
 
-    p = sub.add_parser("synth", parents=[quiet_parent], help="generate a synthetic dataset")
+    p = command("synth", cmd_synth, "generate a synthetic dataset")
     p.add_argument("--spec", help="synth spec JSON (default: built-in benchmark spec)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("diagnose", parents=[quiet_parent], help="report gaps, dropout and uptime")
-    p.add_argument("--input", required=False)
-    p.add_argument("--building", type=int, default=None)
+    p = command("diagnose", cmd_diagnose, "report gaps, dropout and uptime", input_parent, every_building)
     p.add_argument("--gap-threshold", type=gap_threshold_arg, default=None)
     p.add_argument("--output")
-    p.set_defaults(func=cmd_diagnose)
 
-    p = sub.add_parser("stats", parents=[quiet_parent], help="appliance usage statistics")
-    p.add_argument("--input", required=False)
-    p.add_argument("--building", type=int, default=1)
+    p = command("stats", cmd_stats, "appliance usage statistics", input_parent, one_building)
     p.add_argument("--top-k", type=count_arg, default=5)
     p.add_argument("--bins", type=count_arg, default=20)
     p.add_argument("--weather", help="daily external series CSV (date,value)")
     p.add_argument("--correlate", help="appliance to regress against --weather")
     p.add_argument("--output")
-    p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("preprocess", parents=[quiet_parent], help="apply preprocessing steps, optionally split")
-    p.add_argument("--input", required=False)
+    p = command("preprocess", cmd_preprocess, "apply preprocessing steps, optionally split",
+                input_parent, every_building)
     p.add_argument("--output", required=True)
     p.add_argument("--steps", help="JSON file with a list of preprocessing steps")
-    p.add_argument("--building", type=int, default=None)
-    p.add_argument("--split-fraction", type=_arg(open_fraction), default=None)
-    p.set_defaults(func=cmd_preprocess)
+    p.add_argument("--split-fraction", type=_arg(check_fraction), default=None)
 
-    p = sub.add_parser("train", parents=[quiet_parent, feature_parent], help="learn appliance models")
-    p.add_argument("--input", required=False)
-    p.add_argument("--building", type=int, default=1)
+    p = command("train", cmd_train, "learn appliance models", feature_parent, input_parent, one_building)
     p.add_argument("--algorithm", required=True, choices=VALID_ALGORITHMS)
     p.add_argument("--states", type=count_arg, default=2)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("disaggregate", parents=[quiet_parent, feature_parent], help="run a model on a dataset's mains")
-    p.add_argument("--input", required=False)
-    p.add_argument("--building", type=int, default=1)
+    p = command("disaggregate", cmd_disaggregate, "run a model on a dataset's mains",
+                feature_parent, input_parent, one_building)
     p.add_argument("--model", required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_disaggregate)
 
-    p = sub.add_parser("evaluate", parents=[quiet_parent, feature_parent], help="score predictions against ground truth")
+    p = command("evaluate", cmd_evaluate, "score predictions against ground truth",
+                feature_parent, one_building)
     p.add_argument("--predictions", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--building", type=int, default=1)
     p.add_argument("--model", help="model JSON for state reconstruction")
-    p.add_argument("--on-threshold", type=_arg(finite), default=DEFAULT_ON_THRESHOLD_W)
+    p.add_argument("--on-threshold", type=_arg(check_finite), default=DEFAULT_ON_THRESHOLD_W)
     p.add_argument("--algorithm", default="", help="label written into the report")
     p.add_argument("--output")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("run", parents=[quiet_parent], help="execute a full config-driven pipeline")
+    p = command("run", cmd_run, "execute a full config-driven pipeline")
     p.add_argument("--config", required=True)
     p.add_argument("--output")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.set_defaults(func=cmd_run)
 
     return parser
 
@@ -377,13 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "input") and args.input is None:
-        args.input = os.environ.get(DATA_DIR_ENV) or None
     try:
-        if hasattr(args, "input") and args.input is None:
-            raise ConfigError(
-                f"--input is required (or set ${DATA_DIR_ENV})"
-            )
+        if getattr(args, "input", "") is None:
+            raise ConfigError(f"--input is required (or set ${DATA_DIR_ENV})")
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

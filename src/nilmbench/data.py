@@ -3,8 +3,13 @@
 A household dataset is a tree: ``DataSet`` -> ``Building`` -> ``Channel``.
 A channel is a timestamped series of electrical measurements for one meter.
 Missing samples are represented by absent rows, never by NaN placeholders;
-downstream code treats inter-row spacing above a threshold as a gap, held
+spacing above a threshold is a gap (the gap rule, :func:`gap_breaks`), held
 as the ``(start, end)`` pair of sample times around it (:class:`Gap`).
+
+Each value rule is stated here once, for every stage, converter and option:
+:func:`check_period`, :func:`integer`, :func:`check_count`,
+:func:`check_fraction` and :func:`check_finite`.  Each fails with
+``<name> must be <requirement>, got <value>``; an empty name is left out.
 
 Timestamps are UTC epoch seconds stored as float64.  Timezone rendering, when
 needed at all, happens at the CLI edge.
@@ -201,6 +206,38 @@ def select_window(c: Channel, start: float, end: float) -> Channel:
     return c.take(mask)
 
 
+# One lost packet should not register as a gap, hence the 3x default.
+DEFAULT_GAP_FACTOR = 3.0
+
+
+class Gap(NamedTuple):
+    """``(start, end)`` times of consecutive samples further apart than the gap
+    threshold, as :func:`outside_gaps` and ``SynthSpec.gaps`` take them."""
+
+    start: float
+    end: float
+
+    @property
+    def duration(self) -> float:
+        return self.end - self.start
+
+
+def default_gap_threshold(c: Channel) -> float:
+    return DEFAULT_GAP_FACTOR * c.nominal_period
+
+
+def gap_breaks(c: Channel, threshold: float | None = None) -> np.ndarray:
+    """One flag per consecutive sample pair: True where the two samples are
+    more than ``threshold`` apart (default ``3 * nominal_period``).
+
+    This is the gap rule; every diagnostic, statistic and trainer that stops
+    at gaps reads it here.
+    """
+    if threshold is None:
+        threshold = default_gap_threshold(c)
+    return np.diff(c.timestamps) > check_period(threshold, "gap threshold")
+
+
 def outside_gaps(t: np.ndarray, gaps) -> np.ndarray:
     """Mask of the timestamps strictly inside none of the ``(start, end)`` gaps.
 
@@ -212,20 +249,46 @@ def outside_gaps(t: np.ndarray, gaps) -> np.ndarray:
     return keep
 
 
-def check_period(period: float, name: str = "period") -> float:
-    """``period`` if it is finite and > 0, else a ValueError naming it ``name``:
-    the one rule for a sample period or bin width, in seconds."""
-    if not (math.isfinite(period) and period > 0):
-        raise ValueError(f"{name} must be finite and > 0, got {period!r}")
-    return period
+def _require(value, ok: bool, requirement: str, name: str):
+    """``value`` if ``ok``, else ValueError ``<name> must be <requirement>, got <value>``."""
+    if not ok:
+        raise ValueError(f"{name} must be {requirement}, got {value!r}".lstrip())
+    return value
 
 
-def integer(value) -> int:
+def check_period(period, name: str = "period") -> float:
+    """``period`` if it is a number, not a bool, that is finite and > 0: the
+    rule for a sample period, bin width or gap threshold, in seconds."""
+    number = isinstance(period, numbers.Real) and not isinstance(period, bool)
+    return _require(period, number and math.isfinite(period) and period > 0, "finite and > 0", name)
+
+
+def integer(value, name: str = "") -> int:
     """An integral number, such as 2 or 2.0; not a bool, a string or 2.7."""
     ok = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not ok:
-        raise ValueError(f"must be an integer, got {value!r}")
-    return int(value)
+    return int(_require(value, ok and not isinstance(value, bool), "an integer", name))
+
+
+def check_count(value, name: str = "") -> int:
+    """``value`` as an integer if it is >= 1."""
+    k = integer(value, name)
+    return _require(k, k >= 1, ">= 1", name)
+
+
+def check_finite(value, name: str = "") -> float:
+    """``float(value)`` if that is finite; a value float() refuses is not."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    _require(value, math.isfinite(x), "finite", name)
+    return x
+
+
+def check_fraction(value, name: str = "") -> float:
+    """``value`` as a float if it lies in (0, 1)."""
+    x = check_finite(value, name)
+    return _require(x, 0 < x < 1, "in (0, 1)", name)
 
 
 def check_channel_id(name) -> None:
@@ -285,18 +348,6 @@ class DataSet:
     name: str
     buildings: dict[int, Building] = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
-
-
-class Gap(NamedTuple):
-    """``(start, end)`` times of consecutive samples further apart than the gap
-    threshold, as :func:`outside_gaps` and ``SynthSpec.gaps`` take them."""
-
-    start: float
-    end: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 def is_aligned(b: Building) -> bool:

@@ -4,7 +4,8 @@ Sign convention: a perfect channel has dropout rate 0, so the rate reported
 here is ``(expected - recorded) / expected`` (the fraction of expected
 samples that are missing).  Expected samples over a span are counted as
 ``floor(span / nominal_period) + 1``, i.e. both endpoints inclusive.  A gap
-is a ``(start, end)`` pair of sample times (:class:`data.Gap`).
+is a ``(start, end)`` pair of sample times (:class:`data.Gap`), found by the
+gap rule :func:`data.gap_breaks`, which also checks the threshold.
 """
 
 from __future__ import annotations
@@ -14,34 +15,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Building, Channel, Gap
+from .data import Building, Channel, Gap, gap_breaks
 from .io import csv_text
-
-# One lost packet should not register as a gap, hence the 3x default.
-DEFAULT_GAP_FACTOR = 3.0
-
-
-def default_gap_threshold(c: Channel) -> float:
-    return DEFAULT_GAP_FACTOR * c.nominal_period
-
-
-def gap_breaks(c: Channel, threshold: float | None = None) -> np.ndarray:
-    """One flag per consecutive sample pair: True where the two samples are
-    more than ``threshold`` apart (default ``3 * nominal_period``).
-
-    This is the gap rule; every diagnostic and statistic that stops at gaps
-    reads it here.
-    """
-    if threshold is None:
-        threshold = default_gap_threshold(c)
-    return np.diff(c.timestamps) > check_gap_threshold(threshold)
-
-
-def check_gap_threshold(threshold: float) -> float:
-    """``threshold`` if it is finite and > 0, else ValueError (NaN included)."""
-    if not 0 < threshold < math.inf:
-        raise ValueError("gap threshold must be > 0 and finite")
-    return threshold
 
 
 def detect_gaps(c: Channel, threshold: float | None = None) -> list[Gap]:

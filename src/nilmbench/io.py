@@ -59,7 +59,6 @@ digits; any other cell is ``str(x)``.
 from __future__ import annotations
 
 import json
-import math
 import re
 import warnings
 from contextlib import ExitStack
@@ -76,6 +75,7 @@ from .data import (
     POWER_ACTIVE,
     canonical_label,
     check_channel_id,
+    check_period,
 )
 from .training import (
     ApplianceHMM,
@@ -420,8 +420,10 @@ def _read_side_file(path: Path) -> dict:
     if "nominal_period" in meta:
         named["metadata.nominal_period"] = meta["nominal_period"]
     for where, period in named.items():
-        ok = isinstance(period, (int, float)) and not isinstance(period, bool)
-        check(ok and 0 < period < math.inf, f"{where} must be finite and > 0, got {period!r}")
+        try:
+            check_period(period, where)
+        except ValueError as e:
+            raise SchemaError(f"{path}: {e}") from None
     edges = raw.get("edges", [])
     pairs = isinstance(edges, list) and all(isinstance(e, list) and len(e) == 2 for e in edges)
     check(pairs, f"'edges' must be a list of [parent, child] pairs, got {edges!r}")
@@ -678,10 +680,9 @@ def import_model_json(text: str) -> COModel | FHMMModel:
     try:
         if model_type is COModel:
             return COModel(appliances=appliances)
-        return FHMMModel(
-            appliances=appliances,
-            noise_variance=float(raw.get("noise_variance", 0.0)),
-        )
+        return FHMMModel(appliances=appliances, noise_variance=raw["noise_variance"])
+    except KeyError as e:
+        raise SchemaError(f"model JSON: missing field {e}") from None
     except (TypeError, ValueError) as e:
         raise SchemaError(f"model JSON: {e}") from None
 

@@ -12,8 +12,8 @@ Conventions:
   threshold; the per-state confusion matrix uses nearest-state assignment
   against the model's state means, or the on/off states when there is no
   model.
-* Hamming loss is the mean state mismatch over appliances and time slices
-  (the multi-state generalisation of per-slice XOR).
+* Hamming loss is the mean over appliances of the fraction of time slices
+  whose states differ (per-slice XOR); a report compares on/off states.
 """
 
 from __future__ import annotations
@@ -213,18 +213,19 @@ def confusion_matrix(x: np.ndarray, x_hat: np.ndarray, K: int) -> np.ndarray:
     return np.bincount((x * K + x_hat).ravel(), minlength=K * K).reshape(K, K)
 
 
+def _mismatch(name: str, x, x_hat) -> float:
+    """Fraction of time slices whose states differ: one appliance's Hamming loss."""
+    x, x_hat = np.asarray(x), np.asarray(x_hat)
+    if x.shape != x_hat.shape:
+        raise ValueError(f"{name}: series must have equal length")
+    return float(np.mean(x != x_hat)) if x.size else 0.0
+
+
 def hamming_loss(X: dict[str, np.ndarray], X_hat: dict[str, np.ndarray]) -> float:
-    """Mean state mismatch over all appliances and time slices."""
+    """Mean over the appliances of ``X`` of their :func:`_mismatch` against ``X_hat``."""
     if not X:
         raise ValueError("need at least one appliance")
-    per_appliance = []
-    for name in sorted(X):
-        x = np.asarray(X[name])
-        xh = np.asarray(X_hat[name])
-        if x.shape != xh.shape:
-            raise ValueError(f"{name}: series must have equal length")
-        per_appliance.append(float(np.mean(x != xh)) if x.size else 0.0)
-    return float(np.mean(per_appliance))
+    return float(np.mean([_mismatch(name, X[name], X_hat[name]) for name in sorted(X)]))
 
 
 @dataclass(frozen=True)
@@ -388,7 +389,7 @@ def evaluate(
         undefined = set(r.undefined)
         energy.append(float(np.sum(y)))
         energy_hat.append(float(np.sum(y_hat)))
-        mismatch.append(float(np.mean(on_truth != on_hat)))
+        mismatch.append(_mismatch(name, on_truth, on_hat))
         if energy[-1] > 0:
             nep = normalized_error_assigned_power(y, y_hat)
         else:

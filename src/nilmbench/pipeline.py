@@ -18,13 +18,14 @@ trainer; a report's ``train_seconds`` is that stage plus its ``train_<alg>``.
 :func:`align_and_split`.  ``run`` scores the decoder's predictions in
 memory; the staged ``evaluate`` reads them back.  Predictions hold states
 and a power per state; powers are built only to be written or scored.
+The value rules of :mod:`nilmbench.data` check every config field and step
+value; a config field's message gives its name, so the rule leaves it out.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -34,8 +35,8 @@ import numpy as np
 
 from . import io as nio
 from .data import (
-    Building, Channel, DataSet, Measurement, POWER_ACTIVE, VOLTAGE, check_period, integer,
-    is_aligned, mains_total,
+    Building, Channel, DataSet, Measurement, POWER_ACTIVE, VOLTAGE, check_count, check_finite,
+    check_fraction, check_period, integer, is_aligned, mains_total,
 )
 from .disaggregate import (
     AppliancePrediction,
@@ -121,10 +122,10 @@ class RunConfig:
         read("building", integer)
         read("feature", _measurement)
         read("preprocess", preprocess_steps)
-        read("split_fraction", open_fraction)
+        read("split_fraction", check_fraction)
         read("algorithms", _algorithms)
-        read("states", state_count)
-        read("on_threshold", finite)
+        read("states", check_count)
+        read("on_threshold", check_finite)
         read("metrics", _optional(lambda v: _entries(v, canonical_metric)))
         read("output", str)
 
@@ -192,24 +193,6 @@ def _aggregation(agg: str) -> str:
 
 def _measurement(value) -> Measurement:
     return value if isinstance(value, Measurement) else Measurement.from_column_name(str(value))
-
-
-def open_fraction(value) -> float:
-    """``value`` as a float if it lies in (0, 1), else a ValueError."""
-    fraction = float(value)
-    return _valid(fraction, 0 < fraction < 1, "must be in (0, 1)")
-
-
-def state_count(value) -> int:
-    """``value`` as an integer if it is >= 1, else a ValueError."""
-    k = integer(value)
-    return _valid(k, k >= 1, "must be >= 1")
-
-
-def finite(value) -> float:
-    """``value`` as a float if it is finite, else a ValueError."""
-    x = float(value)
-    return _valid(x, math.isfinite(x), "must be finite")
 
 
 def _optional(convert):
@@ -303,7 +286,8 @@ def apply_preprocess_step(b: Building, step: MappingProxyType) -> Building:
         m, lo, hi = step["measurement"], step["lo"], step["hi"]
         return map_channels(b, lambda c: filter_out_implausible(c, m, lo, hi) if c.has(m) else c)
     if op == "normalize_voltage":
-        v_nom, beta = step["v_nominal"], step["beta"]
+        v_nom = check_period(step["v_nominal"], "v_nominal")  # first, as the period below
+        beta = check_finite(step["beta"], "beta")
         return map_channels(b, lambda c: normalize_voltage(c, v_nom, beta) if c.has(VOLTAGE) else c)
     if op == "downsample":
         period, agg = step["period"], step["agg"]

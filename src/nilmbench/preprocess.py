@@ -8,7 +8,9 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Building, Channel, Measurement, VOLTAGE, check_period, is_aligned
+from .data import (
+    Building, Channel, Measurement, VOLTAGE, check_finite, check_fraction, check_period, is_aligned,
+)
 from .stats import top_k_appliances
 
 # The interpolation cap has no authoritative value; 5 sample periods keeps
@@ -86,8 +88,8 @@ def normalize_voltage(c: Channel, v_nominal: float, beta: float = 2.0) -> Channe
     beta=2 suits linear resistive loads; beta around 0.7 suits loads such as
     fridges.  The voltage column is left untouched.
     """
-    if not v_nominal > 0:
-        raise ValueError("v_nominal must be > 0")
+    check_period(v_nominal, "v_nominal")
+    check_finite(beta, "beta")
     if not c.has(VOLTAGE):
         raise ValueError(f"channel {c.id} has no voltage column")
     factor = (v_nominal / c.values(VOLTAGE)) ** beta
@@ -164,8 +166,7 @@ def filter_contribution(
     sum of appliance energies rather than mains, since sub-metering is rarely
     complete; the two denominators diverge when coverage is poor.
     """
-    if not 0 < x < 1:
-        raise ValueError("contribution threshold must be in (0, 1)")
+    check_fraction(x, "contribution threshold x")
     ranked = top_k_appliances(b, len(b.appliances) or 1, gap_threshold)
     return _keep_appliances(b, {name for name, _, share in ranked if share > x})
 
@@ -204,8 +205,7 @@ def train_test_split(b: Building, fraction: float = 0.5) -> tuple[Building, Buil
 
     The first ``fraction`` of the common samples goes to the training half.
     """
-    if not 0 < fraction < 1:
-        raise ValueError("fraction must be in (0, 1)")
+    check_fraction(fraction, "fraction")
     if not is_aligned(b):
         raise ValueError(
             f"building {b.id} channels are not aligned; run intersect_with_mains first"

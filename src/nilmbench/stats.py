@@ -1,7 +1,7 @@
 """Descriptive statistics over appliance usage.
 
 Energy is integrated with the trapezoidal rule over the irregular timestamp
-grid; sample pairs that :func:`diagnostics.gap_breaks` marks as a gap
+grid; sample pairs that :func:`data.gap_breaks` marks as a gap
 contribute no energy, so sensor downtime never fabricates consumption.
 """
 
@@ -11,8 +11,11 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .data import POWER_ACTIVE, Building, Channel, Measurement, check_period, outside_gaps
-from .diagnostics import detect_gaps, gap_breaks
+from .data import (
+    POWER_ACTIVE, Building, Channel, Measurement, check_count, check_finite, check_period,
+    gap_breaks, outside_gaps,
+)
+from .diagnostics import detect_gaps
 from .io import csv_text
 
 # Exceeds typical standby draw; per-appliance override via metadata.
@@ -26,10 +29,12 @@ def appliance_on_threshold(
 
     Building metadata can override the default, either per appliance
     (``{"on_thresholds": {"fridge": 5.0}}``) or building-wide
-    (``{"on_threshold": 15.0}``).
+    (``{"on_threshold": 15.0}``).  The threshold must be finite.
     """
     overrides = b.metadata.get("on_thresholds", {})
-    return float(overrides.get(name, b.metadata.get("on_threshold", default)))
+    if name in overrides:
+        return check_finite(overrides[name], f"building {b.id} on_thresholds[{name!r}]")
+    return check_finite(b.metadata.get("on_threshold", default), f"building {b.id} on_threshold")
 
 
 def _trapezoids(
@@ -84,8 +89,7 @@ def top_k_appliances(
 
     Sorted by energy descending, ties broken by name ascending.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = check_count(k, "k")
     energies = {
         name: energy_joules(c, gap_threshold) for name, c in b.appliances.items()
     }
@@ -118,8 +122,7 @@ def power_histogram(
     c: Channel, bins: int, feature: Measurement = POWER_ACTIVE
 ) -> Histogram:
     """Equal-width histogram spanning [min, max] of the power values."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
+    bins = check_count(bins, "bins")
     if len(c) == 0:
         raise ValueError(f"channel {c.id} is empty")
     counts, edges = np.histogram(c.values(feature), bins=bins)

@@ -24,6 +24,8 @@ from .data import (
     DataSet,
     POWER_ACTIVE,
     check_channel_id,
+    check_finite,
+    check_period,
     integer,
     outside_gaps,
 )
@@ -76,16 +78,14 @@ class ApplianceSynthSpec:
     def __post_init__(self) -> None:
         check_channel_id(self.name)
         _set_fields(
-            self, f"{self.name}: ", means=_floats, stds=_floats, pi=_floats,
-            A=lambda rows: tuple(map(_floats, rows)),
+            self, f"{self.name}: ", means=lambda means: tuple(map(check_finite, means)),
+            stds=_floats, pi=_floats, A=lambda rows: tuple(map(_floats, rows)),
         )
         K = len(self.means)
         if len(self.stds) != K or any(len(row) != K for row in self.A):
             raise ValueError(f"{self.name}: stds and each row of A need {K} entries")
-        # Written as "inside" tests, so NaN fails too; a zero std is a
+        # Written as an "inside" test, so NaN fails too; a zero std is a
         # noise-free state.
-        if not all(-math.inf < mu < math.inf for mu in self.means):
-            raise ValueError(f"{self.name}: means must be finite")
         if not all(0 <= sd < math.inf for sd in self.stds):
             raise ValueError(f"{self.name}: stds must be finite and >= 0")
         check_chain(self.name, K, np.asarray(self.pi), np.asarray(self.A), 1e-9)
@@ -126,11 +126,11 @@ class SynthSpec:
         # Written as "inside" tests, so NaN fails too.
         if not (0 <= self.noise_std < math.inf and 0 <= self.dropout_probability < 1):
             raise ValueError("noise_std must be finite and >= 0, dropout_probability in [0, 1)")
-        if not (0 < self.period < math.inf and 0 < self.duration < math.inf):
-            raise ValueError("period and duration must be finite and > 0")
+        check_period(self.period)
+        check_period(self.duration, "duration")
         # JSON has no text for a non-finite value, so synth_spec.json could not hold one.
-        if not all(-math.inf < t < math.inf for t in (self.start, *sum(self.gaps, ()))):
-            raise ValueError("start and every gap bound must be finite")
+        for t in (self.start, *sum(self.gaps, ())):
+            check_finite(t, "start and every gap bound")
 
     def to_json_text(self) -> str:
         return json_text(asdict(self))

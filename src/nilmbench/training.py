@@ -19,7 +19,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .data import Building, Channel, Measurement, POWER_ACTIVE, is_aligned, mains_total
+from .data import (
+    Building, Channel, Measurement, POWER_ACTIVE, check_count, check_finite, gap_breaks, is_aligned,
+    mains_total,
+)
 
 KMEANS_TOL_W = 1e-6
 KMEANS_MAX_ITER = 300
@@ -121,10 +124,8 @@ class FHMMModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "appliances", tuple(self.appliances))
         _check_names(self.appliances)
-        if not np.isfinite(self.noise_variance):
-            raise ValueError("noise_variance must be finite")
-        if self.noise_variance < NOISE_VARIANCE_FLOOR_W2:
-            object.__setattr__(self, "noise_variance", NOISE_VARIANCE_FLOOR_W2)
+        noise = check_finite(self.noise_variance, "noise_variance")
+        object.__setattr__(self, "noise_variance", max(noise, NOISE_VARIANCE_FLOOR_W2))
 
 
 def _check_names(appliances) -> None:
@@ -175,8 +176,7 @@ def learn_states(
     reduced with a warning.  Stds are within-cluster standard deviations,
     floored at 1 W.  Every step reads slices of the values sorted once.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    K = check_count(K, "K")
     if len(c) == 0:
         raise ValueError(f"channel {c.id} is empty")
     x = np.sort(c.values(feature))
@@ -223,10 +223,8 @@ def learn_hmm(
     pi and the transition rows use add-one (Laplace) smoothing over hard
     state assignments, keeping Viterbi well-defined on unseen transitions.
     pi counts every sample; the transitions count only the consecutive pairs
-    that :func:`~nilmbench.diagnostics.gap_breaks` does not mark as a gap.
+    that :func:`~nilmbench.data.gap_breaks` does not mark as a gap.
     """
-    from .diagnostics import gap_breaks  # diagnostics -> io -> training
-
     k = base.K
     states = assign_states(c.values(feature), base.means)
     counts = np.bincount(states, minlength=k).astype(np.float64)

@@ -501,7 +501,7 @@ def test_invalid_gap_threshold_is_usage_error(capsys, value):
     with pytest.raises(SystemExit) as e:
         run_cli("--quiet", "diagnose", "--input", "data", "--gap-threshold", value)
     assert e.value.code == 2
-    assert "gap threshold must be > 0" in capsys.readouterr().err
+    assert "gap threshold must be finite and > 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["1.5", "0", "-0.2"])
@@ -777,6 +777,19 @@ class TestPreprocessOpsInRun:
         assert is_aligned(test)
         rows = self.scored(self.run(tmp_path, unaligned_dir, []))
         assert rows == {name: len(test.mains[0]) for name in b.appliances}
+
+    @pytest.mark.parametrize("step, name", [
+        ({"op": "normalize_voltage", "v_nominal": float("inf")}, "v_nominal"),
+        ({"op": "normalize_voltage", "v_nominal": 230.0, "beta": float("nan")}, "beta"),
+    ])
+    def test_non_finite_voltage_step_fails_preprocess(self, tmp_path, unaligned_dir, step, name):
+        # json reads NaN and Infinity; the stage that takes them refuses them.
+        cfg = base_config(tmp_path, dataset={"format": "dataset-dir", "path": str(unaligned_dir)},
+                          preprocess=[step], algorithms=["co"])
+        raw = json.loads(cfg.read_text())
+        with pytest.raises(pipeline.StageFailure, match=f"{name} must be finite") as e:
+            pipeline.run(pipeline.RunConfig.from_dict(raw), raw_config=raw, quiet=True)
+        assert e.value.stage == "preprocess"
 
     def test_normalize_voltage_scales_the_mains(self, tmp_path, unaligned_dir):
         def noise_variance(out):

@@ -50,6 +50,11 @@ class TestChannel:
         with pytest.raises(ValueError, match=f"channel ch: nominal_period must be finite and > 0, got {period!r}"):
             mk_channel([0.0], [5.0], period=period)
 
+    @pytest.mark.parametrize("period", [True, "3"])
+    def test_period_must_be_a_number(self, period):
+        with pytest.raises(ValueError, match=f"channel ch: nominal_period must be finite and > 0, got {period!r}"):
+            mk_channel([0.0], [5.0], period=period)
+
     def test_arrays_are_immutable(self):
         c = mk_channel([0.0, 1.0], [5.0, 6.0])
         with pytest.raises(ValueError):

@@ -64,7 +64,7 @@ GAP_CONSUMERS = {
 @pytest.mark.parametrize("consumer", sorted(GAP_CONSUMERS))
 def test_invalid_gap_threshold_rejected(consumer, threshold, n):
     c = mk_channel(np.arange(float(n)), np.full(n, 100.0))
-    with pytest.raises(ValueError, match="gap threshold must be > 0"):
+    with pytest.raises(ValueError, match="gap threshold must be finite and > 0"):
         GAP_CONSUMERS[consumer](c, threshold)
 
 

@@ -628,6 +628,7 @@ INVALID_MODEL_EDITS = {
     "noise-variance-inf": lambda r: r.update(noise_variance=INF),
     "missing-mean": lambda r: r["appliances"][0]["states"][0].pop("mean"),
     "missing-name": lambda r: r["appliances"][0].pop("name"),
+    "missing-noise-variance": lambda r: r.pop("noise_variance"),
 }
 
 
@@ -672,6 +673,12 @@ class TestModelJson:
     def test_export_rejects_a_non_model(self):
         with pytest.raises(TypeError, match="cannot export ApplianceStateModel"):
             export_model_json(co_model().appliances[0])
+
+    def test_missing_noise_variance_named(self):
+        raw = json.loads(export_model_json(fhmm_model()))
+        del raw["noise_variance"]
+        with pytest.raises(SchemaError, match="missing field 'noise_variance'"):
+            import_model_json(json.dumps(raw))
 
     def test_bad_pi_rejected(self):
         raw = json.loads(export_model_json(fhmm_model()))

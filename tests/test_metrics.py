@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -234,6 +235,19 @@ class TestEvaluate:
         assert tv.counts.tp == 0
         assert tv.nep == 1.0  # all actual on-energy missed
 
+    def test_hamming_loss_is_that_of_the_on_off_series_scored(self, simple_building):
+        # The fridge is predicted a slice late, the television not at all.
+        fridge = simple_building.appliances["fridge"]
+        late = np.roll(fridge.values(POWER_ACTIVE), 1)
+        levels, states = np.unique(late, return_inverse=True)
+        p = Predictions(fridge.timestamps, fridge.nominal_period, {
+            "fridge": AppliancePrediction(states=states, levels=levels, state_means=levels),
+        })
+        truth = {name: power_to_states(c.values(POWER_ACTIVE), threshold=10.0)
+                 for name, c in simple_building.appliances.items()}
+        scored = {"fridge": power_to_states(late, threshold=10.0), "television": np.zeros(100)}
+        assert evaluate(p, simple_building).hamming_loss == hamming_loss(truth, scored) > 0
+
     def test_disjoint_timestamps_rejected(self, simple_building):
         p = predictions_from_truth(simple_building)
         shifted = Predictions(
@@ -333,6 +347,20 @@ class TestThresholdOverrides:
         )
         assert appliance_on_threshold(tuned, "fridge") == 200.0
         assert appliance_on_threshold(tuned, "television") == 15.0
+
+    @pytest.mark.parametrize("value, reason", [
+        (float("nan"), "must be finite, got nan"), ("x", "must be finite, got 'x'"),
+    ])
+    @pytest.mark.parametrize("metadata, key", [
+        (lambda v: {"on_thresholds": {"fridge": v}}, "on_thresholds['fridge']"),
+        (lambda v: {"on_threshold": v}, "on_threshold"),
+    ], ids=["per-appliance", "building-wide"])
+    def test_override_must_be_finite(self, simple_building, metadata, key, value, reason):
+        from dataclasses import replace
+
+        tuned = replace(simple_building, metadata=metadata(value))
+        with pytest.raises(ValueError, match=re.escape(f"building 1 {key} {reason}")):
+            evaluate(predictions_from_truth(simple_building), tuned)
 
     def test_evaluate_honors_override(self, simple_building):
         from dataclasses import replace

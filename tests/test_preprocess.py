@@ -182,6 +182,18 @@ class TestNormalizeVoltage:
         with pytest.raises(ValueError, match="voltage"):
             normalize_voltage(c, 230.0)
 
+    @pytest.mark.parametrize("v_nominal", [math.inf, math.nan, 0.0, -230.0])
+    def test_nominal_voltage_must_be_finite_and_positive(self, v_nominal):
+        c = self._channel([1000.0], [230.0])
+        with pytest.raises(ValueError, match="v_nominal must be finite and > 0"):
+            normalize_voltage(c, v_nominal)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_beta_must_be_finite(self, beta):
+        c = self._channel([1000.0], [230.0])
+        with pytest.raises(ValueError, match="beta must be finite"):
+            normalize_voltage(c, 230.0, beta)
+
 
 class TestFilterImplausible:
     def test_in_range_is_identity(self):

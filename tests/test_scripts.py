@@ -27,6 +27,11 @@ def test_seed_sweep():
     assert "FHMM at or below CO on" in run_script("seed_sweep.py", "--seeds", "1")
 
 
+def test_seed_sweep_zero_seeds_is_usage_error():
+    err = run_script("seed_sweep.py", "--seeds", "0", returncode=2)
+    assert "argument --seeds: must be >= 1, got 0" in err
+
+
 def test_run_default_benchmark(tmp_path):
     out = tmp_path / "out"
     assert "fhmm" in run_script("run_default_benchmark.py", "--output", str(out))
@@ -41,7 +46,7 @@ def test_dataset_report(tmp_path):
 
 def test_dataset_report_invalid_gap_threshold_is_usage_error(tmp_path):
     err = run_script("dataset_report.py", str(tmp_path), "--gap-threshold", "0", returncode=2)
-    assert "gap threshold must be > 0" in err
+    assert "gap threshold must be finite and > 0" in err
 
 
 def test_dataset_report_top_k_zero_is_usage_error(tmp_path):

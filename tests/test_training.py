@@ -115,6 +115,12 @@ class TestLearnStates:
         with pytest.raises(ValueError, match="empty"):
             learn_states(mk_channel([], []), 2)
 
+    @pytest.mark.parametrize("K", [2.5, True, 0])
+    def test_state_count_must_be_an_integer_at_least_1(self, K):
+        c = mk_channel(np.arange(4.0), [0.0, 5.0, 100.0, 105.0])
+        with pytest.raises(ValueError, match=f"^K must be (an integer|>= 1), got {K!r}$"):
+            learn_states(c, K)
+
 
 class TestLearnHmm:
     def test_alternating_chain_counts(self):
