@@ -12,9 +12,10 @@ a temporary directory, and prints:
                    numpy and nilmbench imported)
     peak_rss_mb    peak RSS of this process after the run
     fhmm_backpointer_mb
-                   backpointers an FHMM decode keeps at most, from
-                   ``disaggregate.fhmm_backpointer_bytes`` for the trained
-                   model over the decoded steps (one per prediction row)
+                   backpointers of every decoded step (one per prediction
+                   row), from ``disaggregate.fhmm_backpointer_bytes`` for
+                   the trained model: what the decode would keep if its
+                   survivors never met, not what it keeps
     fhmm_decode_peak_mb
                    ``tracemalloc`` peak of a second FHMM decode of the run's
                    model and aggregate, made after the run so that the run
@@ -49,7 +50,8 @@ def peak_rss_mb() -> float:
 
 
 def fhmm_backpointer_mb(out: Path) -> float:
-    """Backpointer MB of the FHMM decode whose model and predictions are in ``out``."""
+    """Backpointer MB of every step of the FHMM decode whose model and
+    predictions are in ``out``."""
     sizes = [a.K for a in read_model(out / "model_fhmm.json").appliances]
     series = min((out / "predictions_fhmm").rglob("*.csv"))
     with open(series, "rb") as f:

@@ -335,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
                 input_parent, every_building)
     p.add_argument("--output", required=True)
     p.add_argument("--steps", help="JSON file with a list of preprocessing steps")
-    p.add_argument("--split-fraction", type=_arg(check_fraction), default=None)
+    p.add_argument("--split-fraction", type=_arg(lambda text: check_fraction(float(text))),
+                   default=None)
 
     p = command("train", cmd_train, "learn appliance models", feature_parent, input_parent, one_building)
     p.add_argument("--algorithm", required=True, choices=VALID_ALGORITHMS)
@@ -352,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--model", help="model JSON for state reconstruction")
-    p.add_argument("--on-threshold", type=_arg(check_finite), default=DEFAULT_ON_THRESHOLD_W)
+    p.add_argument("--on-threshold", type=_arg(lambda text: check_finite(float(text))),
+                   default=DEFAULT_ON_THRESHOLD_W)
     p.add_argument("--algorithm", default="", help="label written into the report")
     p.add_argument("--output")
 

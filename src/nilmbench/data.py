@@ -8,8 +8,10 @@ as the ``(start, end)`` pair of sample times around it (:class:`Gap`).
 
 Each value rule is stated here once, for every stage, converter and option:
 :func:`check_period`, :func:`integer`, :func:`check_count`,
-:func:`check_fraction` and :func:`check_finite`.  Each fails with
-``<name> must be <requirement>, got <value>``; an empty name is left out.
+:func:`check_fraction`, :func:`check_finite` and :func:`check_nonnegative`.
+Each fails with ``<name> must be <requirement>, got <value>``; an empty name
+is left out.  The rules on real values take numbers only, not their text
+or a bool.
 
 Timestamps are UTC epoch seconds stored as float64.  Timezone rendering, when
 needed at all, happens at the CLI edge.
@@ -256,11 +258,15 @@ def _require(value, ok: bool, requirement: str, name: str):
     return value
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is a real number: not a bool, and not text."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_period(period, name: str = "period") -> float:
-    """``period`` if it is a number, not a bool, that is finite and > 0: the
-    rule for a sample period, bin width or gap threshold, in seconds."""
-    number = isinstance(period, numbers.Real) and not isinstance(period, bool)
-    return _require(period, number and math.isfinite(period) and period > 0, "finite and > 0", name)
+    """``period`` if it is finite and > 0: the rule for a sample period, bin
+    width or gap threshold, in seconds."""
+    return _require(period, _real(period) and math.isfinite(period) and period > 0, "finite and > 0", name)
 
 
 def integer(value, name: str = "") -> int:
@@ -276,19 +282,19 @@ def check_count(value, name: str = "") -> int:
 
 
 def check_finite(value, name: str = "") -> float:
-    """``float(value)`` if that is finite; a value float() refuses is not."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    _require(value, math.isfinite(x), "finite", name)
-    return x
+    """``value`` as a float if it is finite."""
+    return float(_require(value, _real(value) and math.isfinite(value), "finite", name))
+
+
+def check_nonnegative(value, name: str = "") -> float:
+    """``value`` as a float if it is finite and >= 0: the rule for a
+    standard deviation."""
+    return float(_require(value, _real(value) and 0 <= value < math.inf, "finite and >= 0", name))
 
 
 def check_fraction(value, name: str = "") -> float:
     """``value`` as a float if it lies in (0, 1)."""
-    x = check_finite(value, name)
-    return _require(x, 0 < x < 1, "in (0, 1)", name)
+    return float(_require(value, _real(value) and 0 < value < 1, "in (0, 1)", name))
 
 
 def check_channel_id(name) -> None:

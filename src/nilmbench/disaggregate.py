@@ -78,13 +78,15 @@ codes after tau.  The walk that later reads step tau + 1 must arrive at x;
 if it does not, the decode raises a RuntimeError naming tau.  If the
 survivors do not meet within the window, as those of two appliances with
 identical parameters may never do, the window doubles, up to the steps
-still to decode, so it never holds more codes than one backtrack over the
-whole trace would; :func:`fhmm_backpointer_bytes` counts that worst case
-for both layouts.  The forward pass and its codes do not depend on the
-window, so the states are those of that one backtrack.  Each step kind
-walks its own codes: a range walk follows one state back over a span of
-steps in a tight loop over a ``memoryview`` of the window, and a
-vectorised lookup gives the predecessors of a set of states at one step.
+still to decode.  That growth is the decode's one memory rule: a window
+whose codes, :func:`fhmm_backpointer_bytes` of its steps, would exceed
+``FHMM_BACKPOINTER_LIMIT`` (1 GiB) is refused with a ValueError before it
+is allocated, whatever the length of the trace.  The forward pass and its
+codes do not depend on the window, so the states are those of one
+backtrack over the whole trace.  Each step kind walks its own codes: a
+range walk follows one state back over a span of steps in a tight loop
+over a ``memoryview`` of the window, and a vectorised lookup gives the
+predecessors of a set of states at one step.
 Sets of more than ``_VECTOR_SURVIVORS`` (16) survivors step back by one
 lookup, smaller ones by a one-step walk per state.
 
@@ -316,11 +318,10 @@ def _plane_counts(sizes: list[int]) -> list[int]:
 
 
 def fhmm_backpointer_bytes(sizes: list[int], steps: int) -> int:
-    """Bytes of backpointers an FHMM decode of ``steps`` steps keeps at
-    most, for appliances of ``sizes`` states: ``steps * S`` for the dense
-    step and ``steps * sum(ceil(log2 K_n)) * ceil(S / 8)`` for the staged
-    one.  The decode keeps that much only while its survivors do not meet;
-    otherwise its window of codes stays near ``_WINDOW_BYTES``."""
+    """Bytes of the FHMM codes of ``steps`` steps, for appliances of
+    ``sizes`` states: ``steps * S`` for the dense step and
+    ``steps * sum(ceil(log2 K_n)) * ceil(S / 8)`` for the staged one.  The
+    decode's window holds the codes of the steps it has not yet emitted."""
     S = math.prod(sizes)
     if S <= _DENSE_MAX_STATES:
         return steps * S
@@ -339,14 +340,6 @@ def disaggregate_fhmm(
             "filter to fewer appliances or states first"
         )
     y = _readings(aggregate, feature)
-    T = y.size
-    needed = fhmm_backpointer_bytes(sizes, T)
-    if needed > FHMM_BACKPOINTER_LIMIT:
-        raise ValueError(
-            f"decoding T={T} steps over S={S} product states needs {needed} "
-            f"bytes of backpointers, over the limit ({FHMM_BACKPOINTER_LIMIT}); "
-            "split the aggregate into shorter spans or filter to fewer appliances"
-        )
     kernel_type = _DenseStep if S <= _DENSE_MAX_STATES else _StagedStep
     return _predictions_from_states(m, aggregate, _decode(m, y, kernel_type))
 
@@ -393,9 +386,14 @@ def _decode(m: FHMMModel, y: np.ndarray, kernel_type) -> np.ndarray:
                 window[: n - r - 1] = window[r + 1 : n]
                 start, n, anchor = start + r + 1, n - r - 1, anchor_next
             if n + len(em) > cap:
-                # At most the rows still to decode, so never more than
-                # keeping every code would take.
                 cap = min(2 * cap, T - start)
+                size = fhmm_backpointer_bytes(sizes, cap)
+                if size > FHMM_BACKPOINTER_LIMIT:
+                    raise ValueError(
+                        f"FHMM survivors over S={kernel.S} product states have not met "
+                        f"from step {start} on: a window of {cap} steps would hold "
+                        f"{size} bytes of codes, over the limit ({FHMM_BACKPOINTER_LIMIT})"
+                    )
                 grown = np.empty((cap, *kernel.code_shape), np.uint8)
                 grown[:n] = window[:n]
                 window, path = grown, np.empty(cap, path.dtype)

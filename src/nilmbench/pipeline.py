@@ -201,6 +201,7 @@ def _optional(convert):
 
 def _algorithms(value: list) -> tuple[str, ...]:
     names = _entries(value, lambda a: _valid(a, a in VALID_ALGORITHMS, f"unknown entry: {a!r}"))
+    _valid(names, len(set(names)) == len(names), f"must be distinct, got {list(names)!r}")
     return _valid(names, bool(names), "must not be empty")
 
 
@@ -412,8 +413,12 @@ def run(cfg: RunConfig, raw_config: dict | None = None, quiet: bool = False) -> 
     buildings = stage("import", lambda: select_buildings(load_input_dataset(cfg), cfg.building))
     b = buildings[cfg.building]
     b = stage("preprocess", lambda: preprocess_building(b, cfg.preprocess))
-    train_b, test_b = stage("split", lambda: align_and_split(b, cfg.split_fraction))
-    aggregate = mains_total(test_b, cfg.feature)
+
+    def split():
+        train, test = align_and_split(b, cfg.split_fraction)
+        return train, test, mains_total(test, cfg.feature)
+
+    train_b, test_b, aggregate = stage("split", split)
     states = stage("learn_states", lambda: learn_building_states(train_b, cfg.feature, cfg.states))
 
     reports: dict[str, MetricReport] = {}

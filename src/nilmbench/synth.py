@@ -12,7 +12,6 @@ generation code.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, fields
 from itertools import accumulate
 
@@ -25,6 +24,7 @@ from .data import (
     POWER_ACTIVE,
     check_channel_id,
     check_finite,
+    check_nonnegative,
     check_period,
     integer,
     outside_gaps,
@@ -79,15 +79,13 @@ class ApplianceSynthSpec:
         check_channel_id(self.name)
         _set_fields(
             self, f"{self.name}: ", means=lambda means: tuple(map(check_finite, means)),
-            stds=_floats, pi=_floats, A=lambda rows: tuple(map(_floats, rows)),
+            # A zero std is a noise-free state.
+            stds=lambda stds: tuple(map(check_nonnegative, stds)),
+            pi=_floats, A=lambda rows: tuple(map(_floats, rows)),
         )
         K = len(self.means)
         if len(self.stds) != K or any(len(row) != K for row in self.A):
             raise ValueError(f"{self.name}: stds and each row of A need {K} entries")
-        # Written as an "inside" test, so NaN fails too; a zero std is a
-        # noise-free state.
-        if not all(0 <= sd < math.inf for sd in self.stds):
-            raise ValueError(f"{self.name}: stds must be finite and >= 0")
         check_chain(self.name, K, np.asarray(self.pi), np.asarray(self.A), 1e-9)
 
     @property
@@ -113,7 +111,7 @@ class SynthSpec:
         _set_fields(
             self, "",
             appliances=lambda apps: tuple(_from_fields(ApplianceSynthSpec, a) for a in apps),
-            seed=_seed, noise_std=float, period=float, duration=float, start=float,
+            seed=_seed, noise_std=check_nonnegative, period=float, duration=float, start=float,
             gaps=lambda gaps: tuple((float(a), float(b)) for a, b in gaps),
             dropout_probability=float,
         )
@@ -123,9 +121,9 @@ class SynthSpec:
         for i, name in enumerate(names):
             if name in names[:i]:
                 raise ValueError(f"appliance name {name!r} is repeated")
-        # Written as "inside" tests, so NaN fails too.
-        if not (0 <= self.noise_std < math.inf and 0 <= self.dropout_probability < 1):
-            raise ValueError("noise_std must be finite and >= 0, dropout_probability in [0, 1)")
+        # Written as an "inside" test, so NaN fails too.
+        if not 0 <= self.dropout_probability < 1:
+            raise ValueError(f"dropout_probability must be in [0, 1), got {self.dropout_probability!r}")
         check_period(self.period)
         check_period(self.duration, "duration")
         # JSON has no text for a non-finite value, so synth_spec.json could not hold one.

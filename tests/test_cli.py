@@ -247,6 +247,16 @@ class TestRun:
             pipeline.run(pipeline.RunConfig.from_dict(raw), raw_config=raw, quiet=True)
         assert e.value.stage == "preprocess"
 
+    def test_building_without_mains_fails_split(self, synth_dir, tmp_path):
+        ds = load_dataset_dir(synth_dir)
+        data = tmp_path / "no_mains"
+        save_dataset_dir(replace(ds, buildings={1: replace(ds.buildings[1], mains=())}), data)
+        cfg = base_config(tmp_path, dataset={"format": "dataset-dir", "path": str(data)}, algorithms=["co"])
+        raw = json.loads(cfg.read_text())
+        with pytest.raises(pipeline.StageFailure, match="building 1 has no mains channel") as e:
+            pipeline.run(pipeline.RunConfig.from_dict(raw), raw_config=raw, quiet=True)
+        assert e.value.stage == "split"
+
     @pytest.mark.parametrize(
         "grid", [{"start": 0.1234567}, {"period": 0.1}], ids=["start", "period"]
     )
@@ -592,6 +602,11 @@ MISTYPED_FIELDS = [
     ("on_threshold", float("inf"), " must be finite"),
     # The default synthetic spec checks the seed it is given.
     ("seed", -1, " seed must be >= 0, got -1"),
+    ("algorithms", ["co", "co"], " must be distinct, got ['co', 'co']"),
+    # A number field takes numbers only, not their text or a bool.
+    ("split_fraction", "0.5", " must be in (0, 1), got '0.5'"),
+    ("on_threshold", "15", " must be finite, got '15'"),
+    ("on_threshold", True, " must be finite, got True"),
 ]
 
 # (step, message): a preprocess step that fails with ``message``.

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from nilmbench import disaggregate
 from nilmbench.data import POWER_ACTIVE
 from nilmbench.disaggregate import (
-    FHMM_BACKPOINTER_LIMIT,
     _DenseStep,
     _StagedStep,
     _decode,
@@ -22,7 +22,7 @@ from nilmbench.disaggregate import (
 )
 from nilmbench.io import load_dataset_dir
 from nilmbench.pipeline import RunConfig, StageFailure, run, write_predictions
-from nilmbench.synth import ApplianceSynthSpec, SynthSpec, generate
+from nilmbench.synth import ApplianceSynthSpec, SynthSpec, default_benchmark_spec, generate
 from nilmbench.training import ApplianceHMM, ApplianceStateModel, COModel, FHMMModel
 
 from conftest import mk_channel
@@ -305,40 +305,43 @@ class TestFHMM:
         with pytest.raises(ValueError, match="filter"):
             disaggregate_fhmm(m, aggregate_channel([100.0]))
 
-    def test_backpointer_limit_enforced_before_allocating(self):
-        # 14 two-state appliances: S = 16384, so 40 000 steps would need
-        # 14 bit planes of 2048 bytes a step, 1.15 GB of backpointers.
-        rng = np.random.default_rng(3)
-        apps = tuple(random_hmm(rng, f"a{n}", 2) for n in range(14))
-        m = FHMMModel(appliances=apps, noise_variance=25.0)
-        agg = aggregate_channel(np.zeros(40_000))
-        assert fhmm_backpointer_bytes([2] * 14, 40_000) == 1_146_880_000 > FHMM_BACKPOINTER_LIMIT
+    def test_backpointer_limit_enforced_before_allocating(self, monkeypatch):
+        # The survivors of twin appliances never meet, so the window of
+        # codes doubles: 2340, 4680, 9360 steps of 112 bytes fit a 1 MiB
+        # limit, and 18 720 steps are refused before they are allocated.
+        # Chunks of 16 steps keep the rest of the working set small: the
+        # decode peaks at 1.73 MiB, and would pass 3 MiB with that window.
+        m = twin_model(5)
+        limit = 2**20
+        monkeypatch.setattr(disaggregate, "FHMM_BACKPOINTER_LIMIT", limit)
+        monkeypatch.setattr(disaggregate, "_WINDOW_BYTES", 2**18)
+        monkeypatch.setattr(disaggregate, "_CHUNK_CELLS", 16 * 128)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="T=40000.*S=16384.*split the aggregate"):
-                disaggregate_fhmm(m, agg)
+            with pytest.raises(ValueError) as e:
+                disaggregate_fhmm(m, aggregate_channel(np.full(20_000, 100.0)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**24
-
-    def test_backpointer_limit_names_stage_in_run(self, tmp_path):
-        spec = SynthSpec(
-            appliances=tuple(
-                ApplianceSynthSpec(
-                    name=f"load_{n:02d}", means=(0.0, 100.0 * (n + 1)), stds=(1.0, 5.0),
-                    pi=(0.5, 0.5), A=((0.9, 0.1), (0.1, 0.9)),
-                )
-                for n in range(14)
-            ),
-            seed=5, period=1.0, duration=80_000.0,
+        assert str(e.value) == (
+            "FHMM survivors over S=128 product states have not met from step 0 on: "
+            "a window of 18720 steps would hold 2096640 bytes of codes, over the limit (1048576)"
         )
+        assert peak < limit + 2 * 2**20
+
+    def test_backpointer_limit_names_stage_in_run(self, tmp_path, monkeypatch):
+        # Survivors that never meet, over a limit of 32 steps of codes for
+        # the three appliances (S = 8) of the default household.
+        monkeypatch.setattr(disaggregate, "_survivors_meet", lambda *args: None)
+        monkeypatch.setattr(disaggregate, "FHMM_BACKPOINTER_LIMIT", 32 * 8)
+        monkeypatch.setattr(disaggregate, "_WINDOW_BYTES", 8 * 8)
+        monkeypatch.setattr(disaggregate, "_CHUNK_CELLS", 4 * 8)
+        spec = replace(default_benchmark_spec(seed=2), period=60.0, duration=21600.0)
         cfg = RunConfig.from_dict({
             "dataset": {"format": "synth", "synth_spec": json.loads(spec.to_json_text())},
-            "split_fraction": 0.5, "algorithms": ["fhmm"],
-            "output": str(tmp_path / "out"), "seed": 5,
+            "algorithms": ["fhmm"], "output": str(tmp_path / "out"),
         })
-        with pytest.raises(StageFailure, match="backpointers") as e:
+        with pytest.raises(StageFailure, match="have not met from step 0 on") as e:
             run(cfg, quiet=True)
         assert e.value.stage == "disaggregate_fhmm"
 
@@ -975,6 +978,23 @@ def test_window_grows_while_survivors_do_not_meet(monkeypatch, extra):
     assert meets == [None] * 6
     assert np.array_equal(got, oracle_states(m, y))
     assert set(map(tuple, got[:, :2])) == {(0, 1)}
+
+
+@pytest.mark.parametrize("sizes", [(2, 3, 2), (2,) * 8], ids=["dense", "staged"])
+def test_trace_over_the_limit_decodes_while_the_window_fits(monkeypatch, sizes):
+    # All the codes of 200 steps would exceed a limit of 16 steps of codes,
+    # but the survivors meet often enough that a window of 4 steps never
+    # grows past it, and the decode gives the oracle's states.
+    rng = np.random.default_rng(len(sizes))
+    m = FHMMModel(
+        appliances=tuple(random_hmm(rng, f"a{n}", K, mean_scale=900.0) for n, K in enumerate(sizes)),
+        noise_variance=50.0,
+    )
+    y = rng.uniform(0.0, 900.0 * len(sizes), 200)
+    limit = fhmm_backpointer_bytes(list(sizes), 16)
+    monkeypatch.setattr(disaggregate, "FHMM_BACKPOINTER_LIMIT", limit)
+    assert fhmm_backpointer_bytes(list(sizes), y.size) > limit
+    assert np.array_equal(decode_in_windows(m, y, 4, 4), oracle_states(m, y))
 
 
 @pytest.mark.parametrize("sizes", [(2, 3, 2), (2,) * 8], ids=["dense", "staged"])

@@ -132,6 +132,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=field):
             SynthSpec(appliances=(two_state("a", 100.0),), **{"seed": 1, **change})
 
+    @pytest.mark.parametrize("change, message", [
+        ({"noise_std": float("nan")}, "noise_std must be finite and >= 0, got nan"),
+        ({"noise_std": -1.0}, "noise_std must be finite and >= 0, got -1.0"),
+        ({"dropout_probability": 1.0}, "dropout_probability must be in [0, 1), got 1.0"),
+    ])
+    def test_noise_and_dropout_fail_under_their_own_names(self, change, message):
+        with pytest.raises(ValueError) as e:
+            SynthSpec(appliances=(two_state("a", 100.0),), seed=1, **change)
+        assert str(e.value) == message
+
     @pytest.mark.parametrize("change", [
         {"gaps": ((10.0, float("inf")),)},
         {"gaps": ((float("-inf"), 20.0),)},
