@@ -78,15 +78,16 @@ codes after tau.  The walk that later reads step tau + 1 must arrive at x;
 if it does not, the decode raises a RuntimeError naming tau.  If the
 survivors do not meet within the window, as those of two appliances with
 identical parameters may never do, the window doubles, up to the steps
-still to decode.  That growth is the decode's one memory rule: a window
-whose codes, :func:`fhmm_backpointer_bytes` of its steps, would exceed
-``FHMM_BACKPOINTER_LIMIT`` (1 GiB) is refused with a ValueError before it
-is allocated, whatever the length of the trace.  The forward pass and its
-codes do not depend on the window, so the states are those of one
-backtrack over the whole trace.  Each step kind walks its own codes: a
-range walk follows one state back over a span of steps in a tight loop
-over a ``memoryview`` of the window, and a vectorised lookup gives the
-predecessors of a set of states at one step.
+still to decode.  That growth is the decode's one memory rule: the old
+window is copied into the new one, so a growth for which both windows'
+codes, :func:`fhmm_backpointer_bytes` of their steps, would exceed
+``FHMM_BACKPOINTER_LIMIT`` (1 GiB) together is refused with a ValueError
+before the new window is allocated, whatever the length of the trace.
+The forward pass and its codes do not depend on the window, so the
+states are those of one backtrack over the whole trace.  Each step kind
+walks its own codes: a range walk follows one state back over a span of
+steps in a tight loop over a ``memoryview`` of the window, and a
+vectorised lookup gives the predecessors of a set of states at one step.
 Sets of more than ``_VECTOR_SURVIVORS`` (16) survivors step back by one
 lookup, smaller ones by a one-step walk per state.
 
@@ -386,14 +387,17 @@ def _decode(m: FHMMModel, y: np.ndarray, kernel_type) -> np.ndarray:
                 window[: n - r - 1] = window[r + 1 : n]
                 start, n, anchor = start + r + 1, n - r - 1, anchor_next
             if n + len(em) > cap:
-                cap = min(2 * cap, T - start)
-                size = fhmm_backpointer_bytes(sizes, cap)
-                if size > FHMM_BACKPOINTER_LIMIT:
+                grown_cap = min(2 * cap, T - start)
+                size = fhmm_backpointer_bytes(sizes, grown_cap)
+                if window.nbytes + size > FHMM_BACKPOINTER_LIMIT:
                     raise ValueError(
                         f"FHMM survivors over S={kernel.S} product states have not met "
-                        f"from step {start} on: a window of {cap} steps would hold "
-                        f"{size} bytes of codes, over the limit ({FHMM_BACKPOINTER_LIMIT})"
+                        f"from step {start} on: growing the window of {cap} steps "
+                        f"({window.nbytes} bytes of codes) to {grown_cap} steps ({size} bytes) "
+                        f"would hold {window.nbytes + size} bytes of codes at once, "
+                        f"over the limit ({FHMM_BACKPOINTER_LIMIT})"
                     )
+                cap = grown_cap
                 grown = np.empty((cap, *kernel.code_shape), np.uint8)
                 grown[:n] = window[:n]
                 window, path = grown, np.empty(cap, path.dtype)

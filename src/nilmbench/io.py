@@ -27,12 +27,19 @@ share a timestamp column (one array, or arrays equal bit for bit, so 0.0
 and -0.0 differ) are written together with all their files open, and each
 block's timestamp texts are formatted once for all of them.  A block's
 lines are assembled in one (rows, width) byte buffer and written with one
-``write``: a block of whole stamps >= 0 as digit columns, any other block
-from each stamp's text; each value column by gathering the ``repr`` of each
-distinct float in it; commas and newlines as constant columns.  Texts
-shorter than their column are padded with NUL bytes, which are dropped
-before the write.  The bytes are those of formatting every cell on its own
-by the rules above.  A circuit id or appliance name must be one path
+``write``: a block of whole stamps >= 0 as groups of four digits looked up
+in a table, any other block from each stamp's text; each value column by
+gathering one text per distinct float in it; commas and newlines as
+constant columns.  In a block with at least ``_SHORTEST_MIN_VALUES`` (320)
+distinct values, the texts of those with 2**-4 <= |x| < 2**53 are made all
+at once by an exact shortest-digit routine in int64
+(:func:`_shortest_texts`); every other value, and every value of a smaller
+block, takes one ``repr`` call.  So the number of distinct values and each
+value's range choose the path, and either way a value's text is the
+``repr`` of its cell.  Texts hold NUL bytes where they are shorter than
+their columns, anywhere in the text, and these are dropped before the
+write.  The bytes are those of formatting every cell on its own by the
+rules above.  A circuit id or appliance name must be one path
 component (:func:`~nilmbench.data.check_channel_id`); every one is checked
 before anything is written.
 
@@ -136,6 +143,25 @@ _CSV_BLOCK_ROWS = 4096
 # characters included.
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
+# The floats whose texts :func:`_shortest_texts` makes: finite x with
+# 2**-4 <= |x| < 2**53, as the range of their bit patterns without the sign.
+# repr writes each of them without an exponent, and each is m / 2**s with a
+# 53-bit m and 0 <= s <= 56, so every quantity of the digit loop fits int64.
+_SHORTEST_LOW, _SHORTEST_HIGH = np.array([2.0**-4, 2.0**53]).view(np.int64).tolist()
+_SIGN_BIT = 1 << 63
+_MANTISSA_BITS = 52
+
+# Fraction digits of a text of 17 significant digits starting "0.0", the most
+# any such float needs; 10 ** 18 still fits int64.
+_FRACTION_DIGITS = 18
+_POW10 = 10 ** np.arange(_FRACTION_DIGITS + 1, dtype=np.int64)
+
+# A block with fewer distinct values than this takes one repr call per
+# value.  :func:`_shortest_texts` costs about 170 numpy calls for 15
+# fraction digits, whatever the number of values, and repr about 1 us per
+# value: the two took the same time at 256 to 352 distinct values.
+_SHORTEST_MIN_VALUES = 320
+
 
 def _format_timestamp(t: float) -> str:
     """Up to 6 decimal places when that text reads back as ``t``, else repr."""
@@ -144,40 +170,188 @@ def _format_timestamp(t: float) -> str:
     return s if float(s) == t else repr(t)
 
 
+def _four_digit_texts() -> np.ndarray:
+    """The text of every number below 10**4 in four ASCII bytes, each read
+    as one uint32: row 0 zero-padded, row 1 with NUL bytes in place of
+    leading zeros, row 2 as row 1 but with 0 as "0"."""
+    n = np.arange(10**4)[:, None]
+    places = 10 ** np.arange(3, -1, -1)
+    padded = (n // places % 10 + ord("0")).astype(np.uint8)
+    texts = np.stack([padded, padded * (n >= places), padded * (n >= places)])
+    texts[2, 0, 3] = ord("0")
+    return texts.view(np.uint32)[..., 0]
+
+
+_FOUR_DIGITS = _four_digit_texts()
+
+
+def _digit_texts(ints: np.ndarray) -> np.ndarray:
+    """Each whole number >= 0 of ``ints`` in its row of a (len(ints), width)
+    uint8 array, width the largest one's number of digits: right-aligned
+    ASCII digits with NUL bytes in place of leading zeros, 0 being "0".
+    The digits are looked up four at a time in ``_FOUR_DIGITS``."""
+    width = len(str(int(ints.max())))
+    groups = -(-width // 4)
+    parts = np.empty((groups, ints.size), np.int64)
+    rest = ints
+    for j in range(groups - 1, 0, -1):
+        rest, parts[j] = np.divmod(rest, 10**4)
+    parts[0] = rest
+    words = np.empty((ints.size, groups), np.uint32)
+    # A group is leading while every group before it is 0; the last group
+    # of a number keeps its "0".
+    leading = np.ones(ints.size, bool)
+    for j, part in enumerate(parts):
+        texts = _FOUR_DIGITS[2 if j == groups - 1 else 1][part]
+        if j:
+            texts = np.where(leading, texts, _FOUR_DIGITS[0][part])
+        words[:, j] = texts
+        leading &= part == 0
+    return words.view(np.uint8)[:, 4 * groups - width :]
+
+
 def _timestamp_table(t: np.ndarray) -> np.ndarray:
     """:func:`_format_timestamp` of each element of ``t``: a (rows, width)
-    uint8 array of ASCII texts, each padded with NUL bytes to the widest.
+    uint8 array of ASCII texts, each padded with NUL bytes.
 
-    A block of whole stamps >= 0, the regular case, is written digit column
-    by digit column, as a whole float's text is ``str(int(x))``, with NUL
-    in place of leading zeros.  ``signbit`` sends -0.0, whose text is "-0",
-    to the per-stamp texts, and the range test is False for NaN and inf.
+    A block of whole stamps >= 0, the regular case, is :func:`_digit_texts`
+    of the stamps, as a whole float's text is ``str(int(x))``.  ``signbit``
+    sends -0.0, whose text is "-0", to the per-stamp texts, and the range
+    test is False for NaN and inf.
     """
-    hi = t.max()
-    if hi < 2.0**63 and not np.signbit(t).any() and (t == np.trunc(t)).all():
-        ints = t.astype(np.int64)
-        width = len(str(int(hi)))
-        digits = np.empty((t.size, width), np.uint8)
-        rest, digit = ints.copy(), np.empty_like(ints)
-        for k in range(width - 1, -1, -1):
-            np.divmod(rest, 10, out=(rest, digit))
-            digits[:, k] = digit
-        digits += ord("0")
-        if len(str(int(t.min()))) < width:
-            # Column k < width - 1 is a leading zero where the stamp is
-            # below 10 ** (width - 1 - k).
-            digits[:, :-1][ints[:, None] < 10 ** np.arange(width - 1, 0, -1)] = 0
-        return digits
+    if t.max() < 2.0**63 and not np.signbit(t).any() and (t == np.trunc(t)).all():
+        return _digit_texts(t.astype(np.int64))
     texts = np.array(list(map(_format_timestamp, t.tolist())), dtype="S")
     return texts.view(np.uint8).reshape(t.size, texts.itemsize)
 
 
-def _value_table(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(texts, index): the ``repr`` of each distinct float of ``v`` as a
-    NUL-padded ``S`` array, and for each element of ``v`` its text's index."""
+class _ShortestScratch:
+    """The working arrays of :func:`_shortest_texts` for up to ``rows``
+    values, allocated once and overwritten by every call."""
+
+    def __init__(self, rows: int):
+        self.ints = np.empty((5, rows), np.int64)
+        self.flags = np.empty((2, rows), bool)
+        self.alive = np.empty((_FRACTION_DIGITS + 1, rows), bool)
+
+
+def _shortest_texts(bits: np.ndarray, scratch: _ShortestScratch) -> np.ndarray:
+    """``repr(x)`` of the float ``x`` of each bit pattern of ``bits``, sorted
+    and each finite with 2**-4 <= |x| < 2**53, as a (len(bits), width) uint8
+    array: a sign column, the integer part's :func:`_digit_texts`, "." and
+    the fraction's digits, with NUL wherever a text has no byte.
+
+    The fraction's digits are the fewest that read back as x, made as
+    dtoa's mode 0 makes them for repr (Steele & White's free-format
+    method), for all values at once in int64.  With |x| = m / 2**s, the
+    fraction's remainder R is kept over D = 2**(s+2), where half an ulp is
+    2; per digit k, R is multiplied by 10 and so is the margin M = 2 * 10**k.
+    The text ends at the first digit where rounding down stays within M of
+    x (R < M) or rounding up does (R > D - M).  The digit is rounded up when
+    only the second holds, or when both do and R > D / 2, a tie going to
+    the even digit.  The fraction of a whole x is "0".
+
+    dtoa's other rules cannot change a text in this range.  R never equals
+    M or D - M, as it has at least k + 2 factors of 2 and they have k + 1,
+    so the mantissa's parity, which decides whether a midpoint between x
+    and a neighbour reads back as x, never matters.  Below a power of two
+    the lower neighbour is nearer and M is halved there; in this range
+    that is x = 2**-1 .. 2**-4, whose R is 0 or at least D / 16, far above
+    M.  And a 9 is never rounded up: the text would then have ended one
+    digit sooner, or be a whole number that x, not whole, cannot read back
+    from.
+    """
+    n = bits.size
+    rem, first, tmp, shift, mask = (a[:n] for a in scratch.ints)
+    low, high = (a[:n] for a in scratch.flags)
+    alive = scratch.alive[:, :n]
+    # |x| = m / 2**s: m in tmp, s + 2 in shift, R before the first digit in
+    # first, and then the integer part m >> s in tmp.
+    np.bitwise_and(bits, _SIGN_BIT - 1, out=tmp)
+    np.right_shift(tmp, _MANTISSA_BITS, out=shift)
+    tmp &= (1 << _MANTISSA_BITS) - 1
+    tmp |= 1 << _MANTISSA_BITS
+    np.subtract(1023 + _MANTISSA_BITS + 2, shift, out=shift)
+    np.left_shift(1, shift, out=mask)
+    mask -= 1
+    np.left_shift(tmp, 2, out=first)
+    first &= mask
+    np.subtract(shift, 2, out=rem)
+    np.right_shift(tmp, rem, out=tmp)
+    integer = _digit_texts(tmp)
+    negative = bits[0] < 0  # sorted, so a negative comes first
+    width = int(negative) + integer.shape[1] + 1
+    cols = np.empty((width + _FRACTION_DIGITS, n), np.uint8)
+    if negative:
+        cols[0] = np.where(bits < 0, ord("-"), 0)
+    cols[int(negative) : width - 1] = integer.T
+    cols[width - 1] = ord(".")
+    fraction = cols[width:]
+    # alive[k]: no text has ended before fraction digit k.
+    np.copyto(rem, first)
+    alive[0] = True
+    for k in range(1, _FRACTION_DIGITS + 1):
+        np.multiply(rem, 10, out=tmp)
+        np.right_shift(tmp, shift, out=fraction[k - 1], casting="unsafe")
+        np.bitwise_and(tmp, mask, out=rem)
+        margin = 2 * _POW10[k]
+        np.less(rem, margin, out=low)
+        np.subtract(mask, margin - 1, out=tmp)
+        np.greater(rem, tmp, out=high)
+        low |= high
+        np.greater(alive[k - 1], low, out=alive[k])
+        if not alive[k].any():
+            break
+    digits = k
+    # Each text's last digit, with its R again (wrapping products keep the
+    # low s + 2 bits exact) and whether it rounds up.
+    last = np.add.reduce(alive[1 : digits + 1].view(np.uint8), axis=0, dtype=np.intp)
+    at_last = last * n + np.arange(n)
+    digit = fraction.ravel()[at_last]
+    scale = _POW10[last + 1]
+    np.multiply(first.view(np.uint64), scale.view(np.uint64), out=rem.view(np.uint64))
+    rem &= mask
+    mask += 1
+    up = rem >= 2 * scale
+    up |= (rem > mask - 2 * scale) & ((2 * rem > mask) | ((2 * rem == mask) & (digit % 2 == 1)))
+    fraction.ravel()[at_last] = digit + up
+    fraction = fraction[:digits]
+    fraction += ord("0")
+    fraction *= alive[:digits]
+    return np.ascontiguousarray(cols[: width + digits].T)
+
+
+def _repr_texts(bits: np.ndarray) -> np.ndarray:
+    """``repr`` of the float of each bit pattern of ``bits``, one call per
+    value, as a NUL-padded ``S`` array."""
+    return np.array(list(map(repr, bits.view(np.float64).tolist())), dtype="S")
+
+
+def _value_table(v: np.ndarray, scratch: _ShortestScratch) -> tuple[np.ndarray, np.ndarray]:
+    """(texts, index): the ``repr`` of each distinct float of ``v`` as an
+    ``S`` array, NUL bytes anywhere in a text, and for each element of
+    ``v`` its text's index.
+
+    With at least ``_SHORTEST_MIN_VALUES`` distinct values, those in
+    :func:`_shortest_texts`' range get their texts from it, in ``scratch``;
+    the rest, and every value of a smaller block, from :func:`_repr_texts`.
+    """
     # Distinct bit patterns, so that 0.0 and -0.0 keep their own text.
     bits, index = np.unique(v.view(np.int64), return_inverse=True)
-    return np.array(list(map(repr, bits.view(np.float64).tolist())), dtype="S"), index
+    if bits.size >= _SHORTEST_MIN_VALUES:
+        magnitude = bits & (_SIGN_BIT - 1)
+        vector = (magnitude >= _SHORTEST_LOW) & (magnitude < _SHORTEST_HIGH)
+        if vector.any():
+            table = _shortest_texts(bits[vector], scratch)
+            shortest = table.view(f"S{table.shape[1]}").ravel()
+            if vector.all():
+                return shortest, index
+            rest = _repr_texts(bits[~vector])
+            texts = np.empty(bits.size, f"S{max(shortest.itemsize, rest.itemsize)}")
+            texts[vector] = shortest
+            texts[~vector] = rest
+            return texts, index
+    return _repr_texts(bits), index
 
 
 def _block_lines(stamps: np.ndarray, values) -> np.ndarray:
@@ -186,8 +360,8 @@ def _block_lines(stamps: np.ndarray, values) -> np.ndarray:
     comma-separated.
 
     Every field is copied or gathered into its columns of one (rows, width)
-    uint8 buffer, and the NUL bytes that pad the shorter texts are then
-    dropped, unless no field has any.
+    uint8 buffer, and the NUL bytes anywhere in a text, which pad it to its
+    column, are then dropped, unless no field has any.
     """
     rows, end = stamps.shape
     buf = np.empty((rows, end + sum(texts.itemsize + 1 for texts, _ in values) + 1), np.uint8)
@@ -224,6 +398,7 @@ def _write_csv_group(elec: Path, group) -> None:
     block's timestamp texts formatted once and each file's lines written as
     one buffer."""
     t = group[0][1].timestamps
+    scratch = _ShortestScratch(min(t.size, _CSV_BLOCK_ROWS))
     with ExitStack() as stack:
         outs = []
         for key, c in group:
@@ -236,7 +411,7 @@ def _write_csv_group(elec: Path, group) -> None:
             rows = slice(start, start + _CSV_BLOCK_ROWS)
             stamps = _timestamp_table(t[rows])
             for f, cols in outs:
-                f.write(_block_lines(stamps, [_value_table(v[rows]) for v in cols]))
+                f.write(_block_lines(stamps, [_value_table(v[rows], scratch) for v in cols]))
 
 
 def _read_channel_csv(path: Path, channel_id: str, nominal_period: float) -> Channel:

@@ -307,27 +307,31 @@ class TestFHMM:
 
     def test_backpointer_limit_enforced_before_allocating(self, monkeypatch):
         # The survivors of twin appliances never meet, so the window of
-        # codes doubles: 2340, 4680, 9360 steps of 112 bytes fit a 1 MiB
-        # limit, and 18 720 steps are refused before they are allocated.
-        # Chunks of 16 steps keep the rest of the working set small: the
-        # decode peaks at 1.73 MiB, and would pass 3 MiB with that window.
+        # codes doubles while the old one is copied into the new: windows of
+        # 2340 and 4680 steps of 112 bytes fit a 1 MiB limit together, and
+        # 4680 and 9360 do not, so 9360 steps are refused before they are
+        # allocated.  Chunks of 16 steps keep the rest of the working set
+        # small: the decode peaks at 0.98 MiB with the (10, 20 000) state
+        # matrix, and would pass 1.7 MiB with the 9360-step window.
         m = twin_model(5)
         limit = 2**20
         monkeypatch.setattr(disaggregate, "FHMM_BACKPOINTER_LIMIT", limit)
         monkeypatch.setattr(disaggregate, "_WINDOW_BYTES", 2**18)
         monkeypatch.setattr(disaggregate, "_CHUNK_CELLS", 16 * 128)
+        aggregate = aggregate_channel(np.full(20_000, 100.0))
         tracemalloc.start()
         try:
             with pytest.raises(ValueError) as e:
-                disaggregate_fhmm(m, aggregate_channel(np.full(20_000, 100.0)))
+                disaggregate_fhmm(m, aggregate)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert str(e.value) == (
             "FHMM survivors over S=128 product states have not met from step 0 on: "
-            "a window of 18720 steps would hold 2096640 bytes of codes, over the limit (1048576)"
+            "growing the window of 4680 steps (524160 bytes of codes) to 9360 steps "
+            "(1048320 bytes) would hold 1572480 bytes of codes at once, over the limit (1048576)"
         )
-        assert peak < limit + 2 * 2**20
+        assert peak < limit + 2**18
 
     def test_backpointer_limit_names_stage_in_run(self, tmp_path, monkeypatch):
         # Survivors that never meet, over a limit of 32 steps of codes for

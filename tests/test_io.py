@@ -10,13 +10,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nilmbench import io as nio
 from nilmbench.data import POWER_ACTIVE, DataSet
 from nilmbench.io import (
     ImportReport,
     SchemaError,
     _CSV_BLOCK_ROWS,
+    _SHORTEST_HIGH,
+    _SHORTEST_LOW,
+    _SHORTEST_MIN_VALUES,
+    _ShortestScratch,
     _format_timestamp,
     _read_body_lines,
+    _value_table,
     csv_text,
     export_model_json,
     import_model_json,
@@ -589,6 +595,89 @@ def test_shared_timestamp_columns_written_as_one_channel_at_a_time(data):
             oracle = Path(tmp, "oracle.csv")
             write_channel_csv_rows(oracle, c)
             assert (elec / rel).read_bytes() == oracle.read_bytes(), rel
+
+
+def in_shortest_range(bits: np.ndarray) -> np.ndarray:
+    """Whether each bit pattern is a float x with 2**-4 <= |x| < 2**53."""
+    magnitude = bits & (2**63 - 1)
+    return (magnitude >= _SHORTEST_LOW) & (magnitude < _SHORTEST_HIGH)
+
+
+def _edge_values() -> np.ndarray:
+    """Floats at the edges of the digit routine's range and rules, with
+    both signs: zeros, subnormals, every power of two from 2**-4 to 2**53
+    and its neighbours, whole numbers, halves, short decimals, the
+    neighbours of powers of ten and ties between two shortest texts."""
+    powers = 2.0 ** np.arange(-4, 54)
+    tens = 10.0 ** np.arange(-2, 17)
+    rng = np.random.default_rng(0)
+    short = [round(x, k) for k in range(1, 8) for x in rng.uniform(0.0625, 1e4, 20).tolist()]
+    values = np.concatenate([
+        [0.0, 5e-324, 2.0**-1074 * 12345, 2.0**-1022 * (1 - 2.0**-52), 2.0**-1022],
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        np.arange(1.0, 200.0), np.arange(0.5, 100.0), short,
+        [0.1, 0.3, 0.7, 0.9999999999999999, 2.0**52 - 0.5, 2.0**53 - 1, 1e16, 1.5e300],
+        # Halfway between two shortest texts, so the even last digit is taken.
+        2.0**46 + np.array([0.125, 0.375]), 2.0**49 + np.array([0.25, 0.75]),
+    ])
+    return np.concatenate([values, -values])
+
+
+EDGE_VALUES = _edge_values()
+
+
+def value_blocks(data, finite: bool) -> np.ndarray:
+    """A block of at least ``_SHORTEST_MIN_VALUES`` distinct floats: random
+    bit patterns in the digit routine's range, with some replaced by edge
+    values and, drawn, by any bit patterns (NaN and inf only if not
+    ``finite``)."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = data.draw(st.integers(_SHORTEST_MIN_VALUES, _CSV_BLOCK_ROWS), label="rows")
+    bits = rng.integers(_SHORTEST_LOW, _SHORTEST_HIGH, n) | (rng.integers(0, 2, n) << 63)
+    # The first _SHORTEST_MIN_VALUES stay distinct in-range values.
+    rest = np.arange(_SHORTEST_MIN_VALUES, n)
+    edges = rest[rng.random(rest.size) < data.draw(st.floats(0, 1), label="edge share")]
+    bits[edges] = EDGE_VALUES[rng.integers(0, EDGE_VALUES.size, edges.size)].view(np.int64)
+    if data.draw(st.booleans(), label="any bit patterns"):
+        anywhere = rest[rng.random(rest.size) < 0.2]
+        bits[anywhere] = rng.integers(-(2**63), 2**63 - 1, anywhere.size, endpoint=True)
+    values = rng.permutation(bits).view(np.float64)
+    return values[np.isfinite(values)] if finite else values
+
+
+def repr_outside_shortest_range(bits: np.ndarray) -> np.ndarray:
+    """The repr fallback, failing on a value the digit routine should take."""
+    assert not in_shortest_range(bits).any(), "a block at or above the crossover skipped the digit routine"
+    return repr_texts(bits)
+
+
+repr_texts = nio._repr_texts
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_value_texts_are_repr_of_each_value(data):
+    v = value_blocks(data, finite=False)
+    with mock.patch.object(nio, "_repr_texts", repr_outside_shortest_range):
+        texts, index = _value_table(v, _ShortestScratch(v.size))
+    assert np.unique(v.view(np.int64)).size >= _SHORTEST_MIN_VALUES
+    for x, text in zip(v.tolist(), texts[index].tolist()):
+        assert text.replace(b"\0", b"") == repr(float(x)).encode()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_channel_of_distinct_values_saves_and_loads_bit_identical(data):
+    v = value_blocks(data, finite=True)
+    c = mk_channel(np.arange(v.size, dtype=float), v, cid="fridge")
+    with tempfile.TemporaryDirectory() as tmp:
+        with mock.patch.object(nio, "_repr_texts", repr_outside_shortest_range):
+            save_fridge(c, Path(tmp))
+        assert load_fridge(Path(tmp)).values(POWER_ACTIVE).tobytes() == v.tobytes()
+        oracle = Path(tmp, "oracle.csv")
+        write_channel_csv_rows(oracle, c)
+        assert fridge_csv(Path(tmp)).read_bytes() == oracle.read_bytes()
 
 
 def co_model():
