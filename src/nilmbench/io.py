@@ -173,13 +173,18 @@ def _format_timestamp(t: float) -> str:
 def _four_digit_texts() -> np.ndarray:
     """The text of every number below 10**4 in four ASCII bytes, each read
     as one uint32: row 0 zero-padded, row 1 with NUL bytes in place of
-    leading zeros, row 2 as row 1 but with 0 as "0"."""
-    n = np.arange(10**4)[:, None]
-    places = 10 ** np.arange(3, -1, -1)
-    padded = (n // places % 10 + ord("0")).astype(np.uint8)
-    texts = np.stack([padded, padded * (n >= places), padded * (n >= places)])
-    texts[2, 0, 3] = ord("0")
-    return texts.view(np.uint32)[..., 0]
+    leading zeros, row 2 as row 1 but with 0 as "0".  Built digit by digit
+    in place, so that importing this module allocates no more than the
+    table."""
+    texts = np.empty((3, 10, 10, 10, 10, 4), np.uint8)
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for place in range(4):
+        texts[..., place] = digits.reshape([10 if d == place else 1 for d in range(4)])
+    texts[1:, 0, :, :, :, 0] = 0
+    texts[1:, 0, 0, :, :, 1] = 0
+    texts[1:, 0, 0, 0, :, 2] = 0
+    texts[1, 0, 0, 0, 0, 3] = 0
+    return texts.reshape(3, 10**4, 4).view(np.uint32)[..., 0]
 
 
 _FOUR_DIGITS = _four_digit_texts()
@@ -329,12 +334,13 @@ def _repr_texts(bits: np.ndarray) -> np.ndarray:
 
 def _value_table(v: np.ndarray, scratch: _ShortestScratch) -> tuple[np.ndarray, np.ndarray]:
     """(texts, index): the ``repr`` of each distinct float of ``v`` as an
-    ``S`` array, NUL bytes anywhere in a text, and for each element of
-    ``v`` its text's index.
+    ``S`` array, each text with NUL bytes anywhere that its bytes do not
+    fill, and for each element of ``v`` its text's index.
 
     With at least ``_SHORTEST_MIN_VALUES`` distinct values, those in
-    :func:`_shortest_texts`' range get their texts from it, in ``scratch``;
-    the rest, and every value of a smaller block, from :func:`_repr_texts`.
+    :func:`_shortest_texts`' range get their texts from it, working in
+    ``scratch``; the rest, and every value of a smaller block, from
+    :func:`_repr_texts`.  The bytes are the same either way.
     """
     # Distinct bit patterns, so that 0.0 and -0.0 keep their own text.
     bits, index = np.unique(v.view(np.int64), return_inverse=True)
