@@ -646,13 +646,13 @@ def value_blocks(data, finite: bool) -> np.ndarray:
     return values[np.isfinite(values)] if finite else values
 
 
+repr_texts = nio._repr_texts
+
+
 def repr_outside_shortest_range(bits: np.ndarray) -> np.ndarray:
     """The repr fallback, failing on a value the digit routine should take."""
     assert not in_shortest_range(bits).any(), "a block at or above the crossover skipped the digit routine"
     return repr_texts(bits)
-
-
-repr_texts = nio._repr_texts
 
 
 @settings(max_examples=60, deadline=None)
