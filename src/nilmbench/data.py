@@ -11,10 +11,11 @@ Each value rule is stated here once, for every stage, converter and option:
 :func:`check_fraction`, :func:`check_finite` and :func:`check_nonnegative`.
 Each fails with ``<name> must be <requirement>, got <value>``; an empty name
 is left out.  The rules on real values take numbers only, not their text
-or a bool.
+or a bool.  So are the building preconditions, :func:`check_mains` and
+:func:`check_aligned`, and the timestamp order, :func:`first_out_of_order`.
 
-Timestamps are UTC epoch seconds stored as float64.  Timezone rendering, when
-needed at all, happens at the CLI edge.
+Timestamps are UTC epoch seconds stored as float64, in the order that
+:class:`Channel` enforces.  Timezone rendering happens at the CLI edge.
 
 Channel arrays are read-only float64, and each series is held once: a channel
 shares an input array that nothing can write (see :class:`Channel`), so the
@@ -123,10 +124,10 @@ def _read_only_chain(arr: np.ndarray) -> bool:
 class Channel:
     """Timestamped measurement series for one meter.
 
-    ``timestamps`` are epoch seconds, expected strictly increasing.  Every
-    column has the same length as ``timestamps``.  ``nominal_period`` is the
-    expected sample spacing in seconds, supplied at import time; dropout-rate
-    diagnostics need it to derive an expected sample count.
+    ``timestamps`` are epoch seconds, finite and strictly increasing
+    (:func:`first_out_of_order`); every column has their length.
+    ``nominal_period`` is the expected sample spacing in seconds, supplied at
+    import time; dropout-rate diagnostics derive an expected count from it.
 
     Instances are immutable; all operations return new channels.  The arrays
     are read-only float64.  An input array is shared, not copied, when it is
@@ -136,9 +137,10 @@ class Channel:
     list, another dtype) is copied.  A caller that turns ``WRITEABLE`` back
     on for an array it owns, after a channel took it, breaks that contract.
 
-    Structural invariants (column lengths, a finite positive period) are
-    enforced here.  Data-quality invariants (monotone timestamps, finite
-    values) are enforced by loaders and reported by :func:`validate_building`.
+    The timestamp order, column lengths and a finite positive period are
+    enforced at construction; the order's ``ValueError`` names the first
+    row that breaks it.  Finite values are enforced by loaders and reported
+    by :func:`validate_building`.
     """
 
     id: str
@@ -160,6 +162,10 @@ class Channel:
                     f"{v.size}, expected {self.timestamps.size}"
                 )
         check_period(self.nominal_period, f"channel {self.id}: nominal_period")
+        if (row := first_out_of_order(self.timestamps)) is not None:
+            t = self.timestamps.tolist()
+            raise ValueError(f"channel {self.id}: timestamps must be finite and strictly increasing, "
+                             f"got {t[row]!r}{f' after {t[row - 1]!r}' if row else ''} at row {row}")
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
@@ -180,9 +186,13 @@ class Channel:
         return self.columns[m]
 
     def take(self, selector) -> "Channel":
-        """New channel with rows selected by a boolean mask, an index array
-        or a slice.  A slice of unit step shares this channel's memory; a
-        mask or index array copies each row once."""
+        """Channel with rows selected by a boolean mask, an index array or a
+        slice.  A mask that keeps every row returns this channel itself; a
+        slice of unit step shares this channel's memory; any other mask or
+        index array copies each row once.  Rows must stay in time order."""
+        mask = isinstance(selector, np.ndarray) and selector.dtype == np.bool_
+        if mask and selector.shape == self.timestamps.shape and selector.all():
+            return self
 
         def rows(v: np.ndarray) -> np.ndarray:
             v = v[selector]
@@ -200,12 +210,24 @@ class Channel:
         return Channel(self.id, self.timestamps, columns, self.nominal_period)
 
 
+def first_out_of_order(t: np.ndarray) -> int | None:
+    """The order rule for timestamps: the index of the first one that is not
+    finite or not above the one before it (so ``-0.0`` after ``0.0`` is a
+    repeat), or None.  :class:`Channel` and the loaders' array parse apply it."""
+    rising = t[1:] > t[:-1]  # False at and after a NaN
+    # Stamps that rise between finite ends are all finite.
+    if t.size == 0 or math.isfinite(t[0]) and math.isfinite(t[-1]) and rising.all():
+        return None
+    bad = ~np.isfinite(t)
+    bad[1:] |= ~rising
+    return int(np.argmax(bad))
+
+
 def select_window(c: Channel, start: float, end: float) -> Channel:
-    """Rows with ``start <= t < end``.  An empty result is legal."""
+    """Rows with ``start <= t < end``, a view.  An empty result is legal."""
     if not start < end:
         raise ValueError("select_window requires start < end")
-    mask = (c.timestamps >= start) & (c.timestamps < end)
-    return c.take(mask)
+    return c.take(slice(*np.searchsorted(c.timestamps, [start, end], "left")))
 
 
 # One lost packet should not register as a gap, hence the 3x default.
@@ -224,10 +246,6 @@ class Gap(NamedTuple):
         return self.end - self.start
 
 
-def default_gap_threshold(c: Channel) -> float:
-    return DEFAULT_GAP_FACTOR * c.nominal_period
-
-
 def gap_breaks(c: Channel, threshold: float | None = None) -> np.ndarray:
     """One flag per consecutive sample pair: True where the two samples are
     more than ``threshold`` apart (default ``3 * nominal_period``).
@@ -236,7 +254,7 @@ def gap_breaks(c: Channel, threshold: float | None = None) -> np.ndarray:
     at gaps reads it here.
     """
     if threshold is None:
-        threshold = default_gap_threshold(c)
+        threshold = DEFAULT_GAP_FACTOR * c.nominal_period
     return np.diff(c.timestamps) > check_period(threshold, "gap threshold")
 
 
@@ -358,11 +376,18 @@ class DataSet:
 
 def is_aligned(b: Building) -> bool:
     """True when all mains and appliance channels share identical timestamps."""
-    used = list(b.mains) + list(b.appliances.values())
-    if len(used) <= 1:
-        return True
-    first = used[0].timestamps
-    return all(np.array_equal(c.timestamps, first) for c in used[1:])
+    used = [c.timestamps for c in (*b.mains, *b.appliances.values())]
+    return all(np.array_equal(t, used[0]) for t in used[1:])
+
+
+def check_mains(b: Building) -> None:
+    if not b.mains:
+        raise ValueError(f"building {b.id} has no mains channel")
+
+
+def check_aligned(b: Building) -> None:
+    if not is_aligned(b):
+        raise ValueError(f"building {b.id} channels are not aligned; run intersect_with_mains first")
 
 
 def mains_total(b: Building, feature: Measurement = POWER_ACTIVE) -> Channel:
@@ -371,8 +396,7 @@ def mains_total(b: Building, feature: Measurement = POWER_ACTIVE) -> Channel:
     Requires every mains channel to share an identical timestamp index
     (run intersect_with_mains first when phases disagree).
     """
-    if not b.mains:
-        raise ValueError(f"building {b.id} has no mains channel")
+    check_mains(b)
     first = b.mains[0]
     if len(b.mains) == 1:
         return first
@@ -574,31 +598,10 @@ class Violation:
         return f"{where}{self.rule}: {self.detail}"
 
 
-def _check_channel(name: str, c: Channel, out: list[Violation]) -> None:
-    t = c.timestamps
-    if t.size >= 2:
-        diffs = np.diff(t)
-        if np.any(diffs < 0):
-            out.append(
-                Violation(name, "non-monotone timestamps", "timestamps decrease")
-            )
-        elif np.any(diffs == 0):
-            out.append(
-                Violation(name, "non-monotone timestamps", "duplicate timestamps")
-            )
-    for m, v in c.columns.items():
-        if v.size and not np.all(np.isfinite(v)):
-            out.append(
-                Violation(
-                    name,
-                    "non-finite values",
-                    f"column {m.column_name} contains NaN or infinity",
-                )
-            )
-
-
 def validate_building(b: Building) -> list[Violation]:
-    """Check every type invariant; returns an empty list iff all hold.
+    """Check the invariants a :class:`Channel` does not enforce (a valid
+    id, finite values, canonical labels, a wiring forest); returns an empty
+    list iff all hold.
 
     Violations are data, not errors: callers decide whether to proceed.
     """
@@ -606,7 +609,10 @@ def validate_building(b: Building) -> list[Violation]:
     if b.id < 1:
         out.append(Violation(None, "invalid building id", f"id={b.id}"))
     for role, name, c in b.channels():
-        _check_channel(f"{role}/{name}", c, out)
+        for m, v in c.columns.items():
+            if not np.isfinite(v).all():
+                detail = f"column {m.column_name} contains NaN or infinity"
+                out.append(Violation(f"{role}/{name}", "non-finite values", detail))
     for name in b.appliances:
         if not is_canonical(name):
             out.append(

@@ -83,6 +83,7 @@ from .data import (
     canonical_label,
     check_channel_id,
     check_period,
+    first_out_of_order,
 )
 from .training import (
     ApplianceHMM,
@@ -141,7 +142,7 @@ _CSV_BLOCK_ROWS = 4096
 # float() rejects them, so a CSV body holding one goes to the line loop.  In
 # whitespace mode np.loadtxt splits fields where str.split() does, these
 # characters included.
-_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+_LOADTXT_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
 
 # The floats whose texts :func:`_shortest_texts` makes: finite x with
 # 2**-4 <= |x| < 2**53, as the range of their bit patterns without the sign.
@@ -448,37 +449,34 @@ def _read_channel_csv(path: Path, channel_id: str, nominal_period: float) -> Cha
 def _parse_body(f, n_fields: int, delimiter: str | None) -> np.ndarray | None:
     """The rest of ``f`` as one (rows, n_fields) array, or None when the
     parse fails or a row breaks the schema: a wrong field count, a
-    non-finite value or a timestamp that does not strictly increase.
+    non-finite value or timestamps that break the order rule
+    (:func:`~nilmbench.data.first_out_of_order`).
 
     ``delimiter`` is ``","`` for CSV and None for whitespace.  None sends
     the file to its line loop (:func:`_read_body_lines` or
     :func:`_read_flat_lines`), which reports the rows at fault; this parse
     accepts only files that loop reads without a report.
     """
-    start = f.tell()
-    try:
-        text = f.read()
-    except UnicodeDecodeError:
-        # The line loop decodes as it goes, so a bad row before the bad
-        # bytes is still the error it reports.
-        return None
-    if delimiter and any(c in text for c in _LOADTXT_ONLY_SPACE):
-        return None
-    del text
-    f.seek(start)
+    if delimiter:
+        # No byte of a multi-byte UTF-8 character is ASCII, so blocks of the
+        # body's bytes show these characters with no decode and no copy of the
+        # body.  Seeking the text layer, which reads ahead, moves the bytes too.
+        start = f.tell()
+        f.seek(start)
+        for block in iter(lambda: f.buffer.read(1 << 16), b""):
+            if any(c in block for c in _LOADTXT_ONLY_SPACE):
+                return None
+        f.seek(start)
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             body = np.loadtxt(f, delimiter=delimiter, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
+        # UnicodeDecodeError is a ValueError: the line loop decodes as it
+        # goes, so a bad row before the bad bytes is still the error it reports.
         return None
-    if (
-        body.shape[1] != n_fields
-        or not np.isfinite(body).all()
-        or not (np.diff(body[:, 0]) > 0).all()
-    ):
-        return None
-    return body
+    ok = body.shape[1] == n_fields and np.isfinite(body).all() and first_out_of_order(body[:, 0]) is None
+    return body if ok else None
 
 
 def _read_body_lines(path: Path, f, n_fields: int) -> np.ndarray:

@@ -9,7 +9,8 @@ from typing import Callable
 import numpy as np
 
 from .data import (
-    Building, Channel, Measurement, VOLTAGE, check_finite, check_fraction, check_period, is_aligned,
+    Building, Channel, Measurement, VOLTAGE, check_aligned, check_finite, check_fraction, check_mains,
+    check_period, is_aligned,
 )
 from .stats import top_k_appliances
 
@@ -69,8 +70,9 @@ def downsample(c: Channel, period: float, agg: str = "mean") -> Channel:
     t = c.timestamps
     t0 = t[0]
     bins = np.floor((t - t0) / period + 1e-9).astype(np.int64)
-    uniq_bins, starts = np.unique(bins, return_index=True)
-    edges = t0 + uniq_bins * period
+    # Bins count up from 0 with the timestamps: each starts where the index changes.
+    starts = np.flatnonzero(np.diff(bins, prepend=-1))
+    edges = t0 + bins[starts] * period
     counts = np.diff(starts, append=t.size)
     reduce = AGGREGATIONS[agg]
     columns = {m: np.empty(starts.size, dtype=np.float64) for m in c.columns}
@@ -136,19 +138,19 @@ def interpolate_small_gaps(c: Channel, max_gap: float | None = None) -> Channel:
         if not over.any():
             break
         n_new[over] -= 1
-    keep = n_new > 0
-    fill_at, n_new = fill_at[keep], n_new[keep]
-    if fill_at.size == 0:
+    if not n_new.any():
         return c
-    # Synthetic row j of a hole after row i sits at t[i] + j * period,
-    # j = 1 .. n_new; ``src`` is the row each one copies forward.
+    # Row i is followed by the fills of the hole after it: fill k (1 .. n_new)
+    # sits at t[i] + k * period and copies row i forward, at output row
+    # i + k + (fills before row i) = i + (its number among all fills).
+    counts = np.ones(t.size, dtype=np.int64)
+    counts[fill_at] += n_new
     src = np.repeat(fill_at, n_new)
     ks = np.arange(1, src.size + 1) - np.repeat(np.cumsum(n_new) - n_new, n_new)
-    new_t = np.concatenate([t, t[src] + ks.astype(np.float64) * period])
-    src = np.concatenate([np.arange(t.size, dtype=np.int64), src])
-    order = np.argsort(new_t, kind="stable")
-    columns = {m: v[src][order] for m, v in c.columns.items()}
-    return Channel(c.id, new_t[order], columns, c.nominal_period)
+    new_t = np.repeat(t, counts)
+    new_t[src + np.arange(1, src.size + 1)] = t[src] + ks.astype(np.float64) * period
+    columns = {m: np.repeat(v, counts) for m, v in c.columns.items()}
+    return Channel(c.id, new_t, columns, c.nominal_period)
 
 
 def filter_top_k(b: Building, k: int, gap_threshold: float | None = None) -> Building:
@@ -184,15 +186,13 @@ def intersect_with_mains(b: Building) -> Building:
     mains gaps drop appliance rows and vice versa.  Channels must share a
     sampling grid for the intersection to be meaningful (downsample first).
     """
-    if not b.mains:
-        raise ValueError(f"building {b.id} has no mains channel")
+    check_mains(b)
     used = list(b.mains) + list(b.appliances.values())
     common = used[0].timestamps
     for c in used[1:]:
         common = np.intersect1d(common, c.timestamps, assume_unique=True)
     def restrict(c: Channel) -> Channel:
-        mask = np.isin(c.timestamps, common, assume_unique=True)
-        return c.take(mask)
+        return c.take(np.isin(c.timestamps, common, assume_unique=True))
     return replace(
         b,
         mains=tuple(restrict(c) for c in b.mains),
@@ -206,10 +206,7 @@ def train_test_split(b: Building, fraction: float = 0.5) -> tuple[Building, Buil
     The first ``fraction`` of the common samples goes to the training half.
     """
     check_fraction(fraction, "fraction")
-    if not is_aligned(b):
-        raise ValueError(
-            f"building {b.id} channels are not aligned; run intersect_with_mains first"
-        )
+    check_aligned(b)
     used = list(b.mains) + list(b.appliances.values())
     if not used:
         raise ValueError(f"building {b.id} has no channels to split")
@@ -219,13 +216,12 @@ def train_test_split(b: Building, fraction: float = 0.5) -> tuple[Building, Buil
         raise ValueError(f"too few samples to split ({n})")
     t_split = float(used[0].timestamps[n_train])
     # Timestamps increase, so each half is a slice: a view, not a copy.
-    def head(c: Channel) -> Channel:
-        return c.take(slice(None, np.searchsorted(c.timestamps, t_split, "left")))
-    def tail(c: Channel) -> Channel:
-        return c.take(slice(np.searchsorted(c.timestamps, t_split, "left"), None))
-    train = map_channels(b, head)
-    test = map_channels(b, tail)
-    return train, test
+    def cut(c: Channel) -> int:
+        return np.searchsorted(c.timestamps, t_split, "left")
+    return (
+        map_channels(b, lambda c: c.take(slice(None, cut(c)))),
+        map_channels(b, lambda c: c.take(slice(cut(c), None))),
+    )
 
 
 def map_channels(b: Building, fn: Callable[[Channel], Channel]) -> Building:

@@ -12,8 +12,8 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .data import (
-    POWER_ACTIVE, Building, Channel, Measurement, check_count, check_finite, check_period,
-    gap_breaks, outside_gaps,
+    POWER_ACTIVE, Building, Channel, Measurement, check_count, check_finite, check_mains,
+    check_period, gap_breaks, outside_gaps,
 )
 from .diagnostics import detect_gaps
 from .io import csv_text
@@ -66,8 +66,7 @@ def proportion_energy_submetered(
     missing sub-meter data is attributed to the load being off.  Overlapping
     meters legitimately push the result above 1.
     """
-    if not b.mains:
-        raise ValueError(f"building {b.id} has no mains channel")
+    check_mains(b)
     mains_energy = 0.0
     mains_gaps = []
     for m in b.mains:
@@ -206,9 +205,11 @@ def daily_energy(
     """
     left, energy = _trapezoids(c, gap_threshold, feature)
     days = np.floor((left / 86400.0) + utc_offset_hours / 24.0).astype(int)
-    day_keys, day_index = np.unique(days, return_inverse=True)
+    # Timestamps increase, so each day's terms are a run.
+    new_day = np.diff(days, prepend=days[:1] - 1) != 0
     # bincount adds each day's terms left to right, starting from 0.0.
-    sums = np.bincount(day_index, weights=energy)
+    sums = np.bincount(np.cumsum(new_day) - 1, weights=energy)
+    day_keys = days[new_day]
     return dict(zip(day_keys.tolist(), sums.tolist()))
 
 

@@ -177,7 +177,7 @@ def _apply_faults(
     keep = outside_gaps(c.timestamps, spec.gaps)
     if spec.dropout_probability > 0:
         keep &= rng.random(len(c)) >= spec.dropout_probability
-    return c if keep.all() else c.take(keep)
+    return c.take(keep)
 
 
 def generate(spec: SynthSpec) -> tuple[DataSet, dict[str, np.ndarray]]:

@@ -20,8 +20,8 @@ from typing import ClassVar
 import numpy as np
 
 from .data import (
-    Building, Channel, Measurement, POWER_ACTIVE, check_count, check_finite, gap_breaks, is_aligned,
-    mains_total,
+    Building, Channel, Measurement, POWER_ACTIVE, check_aligned, check_count, check_finite,
+    gap_breaks, mains_total,
 )
 
 KMEANS_TOL_W = 1e-6
@@ -253,10 +253,7 @@ def train_fhmm(b: Building, states: tuple, feature: Measurement = POWER_ACTIVE) 
     agg = mains_total(b, feature)
     if not agg.has(feature):
         raise ValueError(f"mains lacks feature {feature.column_name}")
-    if not is_aligned(b):
-        raise ValueError(
-            f"building {b.id} channels are not aligned; run intersect_with_mains first"
-        )
+    check_aligned(b)
     residual = agg.values(feature).copy()
     for c in b.appliances.values():
         residual -= c.values(feature)

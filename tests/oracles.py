@@ -10,8 +10,8 @@ pin the current one bit for bit, so it takes its emission table from the
 decoder module and differs only in the step; and the CSV oracle, which takes
 ``_format_timestamp``, the definition of a timestamp's text, from ``io``.
 Earlier forms of fast code that must stay bit-identical are kept here as
-well: ``co_states_matrix``, ``mask_train_test_split`` and
-``learn_states_three_sorts``.
+well: ``co_states_matrix``, ``mask_train_test_split``,
+``learn_states_three_sorts`` and ``interpolate_small_gaps_argsort``.
 """
 
 import itertools
@@ -448,3 +448,26 @@ def interpolate_small_gaps_loop(t, v, period, max_gap) -> tuple[np.ndarray, np.n
     new_t = np.concatenate(pieces_t)
     order = np.argsort(new_t, kind="stable")
     return new_t[order], np.concatenate(pieces_v)[order]
+
+
+def interpolate_small_gaps_argsort(c, max_gap) -> tuple[np.ndarray, dict]:
+    """``interpolate_small_gaps`` in its earlier form: the filled rows are
+    appended to the real ones and every row is put in place by a stable
+    argsort of the timestamps.  Returns the timestamps and the columns."""
+    t, period = c.timestamps, c.nominal_period
+    diffs = np.diff(t)
+    fill_at = np.nonzero((diffs > period) & (diffs <= max_gap))[0]
+    n_new = np.ceil(diffs[fill_at] / period - 1e-9).astype(np.int64) - 1
+    while True:
+        over = (n_new > 0) & (t[fill_at] + n_new.astype(np.float64) * period >= t[fill_at + 1])
+        if not over.any():
+            break
+        n_new[over] -= 1
+    keep = n_new > 0
+    fill_at, n_new = fill_at[keep], n_new[keep]
+    src = np.repeat(fill_at, n_new)
+    ks = np.arange(1, src.size + 1) - np.repeat(np.cumsum(n_new) - n_new, n_new)
+    new_t = np.concatenate([t, t[src] + ks.astype(np.float64) * period])
+    src = np.concatenate([np.arange(t.size, dtype=np.int64), src])
+    order = np.argsort(new_t, kind="stable")
+    return new_t[order], {m: v[src][order] for m, v in c.columns.items()}

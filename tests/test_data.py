@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nilmbench.data import (
     Channel,
@@ -9,6 +11,7 @@ from nilmbench.data import (
     VOLTAGE,
     canonical_label,
     check_channel_id,
+    first_out_of_order,
     is_canonical,
     mains_total,
     outside_gaps,
@@ -63,6 +66,58 @@ class TestChannel:
             c.values(POWER_ACTIVE)[0] = 9.0
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def first_out_of_order_loop(t):
+    """The order rule one stamp at a time."""
+    for i, x in enumerate(t.tolist()):
+        if not math.isfinite(x) or (i and not x > t[i - 1]):
+            return i
+    return None
+
+
+class TestTimestampOrder:
+    """Timestamps are finite and strictly increasing, enforced at construction."""
+
+    @pytest.mark.parametrize("stamps, row", [
+        ([0.0, 10.0, 5.0, 15.0], 2),
+        ([0.0, 1.0, 1.0], 2),
+        ([0.0, -0.0], 1),
+        ([-0.0, 0.0], 1),
+    ])
+    def test_decrease_or_repeat_raises_naming_channel_and_row(self, stamps, row):
+        with pytest.raises(ValueError, match=rf"channel ch: timestamps must be .* at row {row}$"):
+            mk_channel(stamps, [0.0] * len(stamps))
+
+    @pytest.mark.parametrize("stamps, row", [
+        ([NAN], 0), ([NAN, 1.0], 0), ([0.0, NAN, 2.0], 1), ([0.0, 1.0, NAN], 2),
+        ([INF], 0), ([-INF], 0), ([-INF, 0.0], 0), ([0.0, INF], 1), ([0.0, 1.0, -INF], 2),
+    ])
+    def test_non_finite_stamp_raises(self, stamps, row):
+        with pytest.raises(ValueError, match=rf"at row {row}$"):
+            mk_channel(stamps, [0.0] * len(stamps))
+
+    @pytest.mark.parametrize("stamps", [[], [0.0], [-0.0], [1.3e9]])
+    def test_empty_and_one_row_channels_build(self, stamps):
+        assert len(mk_channel(stamps, [0.0] * len(stamps))) == len(stamps)
+
+    def test_take_that_reorders_rows_raises(self):
+        c = mk_channel([0.0, 1.0, 2.0], [5.0, 6.0, 7.0])
+        with pytest.raises(ValueError, match=r"got 0\.0 after 2\.0 at row 1"):
+            c.take(np.array([2, 0]))
+        with pytest.raises(ValueError, match="at row 1"):
+            c.take(np.array([1, 1]))
+        with pytest.raises(ValueError, match="at row 1"):
+            c.take(slice(None, None, -1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, 1e17, NAN, INF, -INF]), max_size=6))
+    def test_rule_matches_loop(self, stamps):
+        t = np.array(stamps, dtype=np.float64)
+        assert first_out_of_order(t) == first_out_of_order_loop(t)
+
+
 def frozen(values):
     a = np.array(values, dtype=np.float64)
     a.setflags(write=False)
@@ -111,6 +166,13 @@ class TestSharing:
         d = Channel("d", c.timestamps[1:], {POWER_ACTIVE: c.values(POWER_ACTIVE)[1:]}, 1.0)
         assert np.shares_memory(d.timestamps, t)
         assert np.shares_memory(d.values(POWER_ACTIVE), v)
+
+    def test_take_of_an_all_true_mask_is_the_channel(self):
+        c = mk_channel([0.0, 1.0, 2.0], [5.0, 6.0, 7.0])
+        assert c.take(np.ones(3, dtype=bool)) is c
+        assert mk_channel([], []).take(np.ones(0, dtype=bool)).timestamps.size == 0
+        with pytest.raises(IndexError):
+            c.take(np.ones(4, dtype=bool))
 
     def test_take_copies_a_mask_and_views_a_slice(self):
         c = Channel("c", frozen(np.arange(6.0)), {POWER_ACTIVE: frozen(np.arange(6.0) + 10)}, 1.0)
@@ -221,15 +283,14 @@ class TestValidateBuilding:
         assert validate_building(simple_building) == []
 
     def test_decreasing_timestamps_flagged(self):
-        bad = Channel(
-            id="bad",
-            timestamps=np.array([2.0, 1.0]),
-            columns={POWER_ACTIVE: np.array([0.0, 0.0])},
-            nominal_period=1.0,
-        )
-        b = mk_building(mains=[bad])
-        violations = validate_building(b)
-        assert any(v.rule == "non-monotone timestamps" for v in violations)
+        # The order is a Channel invariant, so such a channel is never built.
+        with pytest.raises(ValueError, match=r"channel bad: .* got 1\.0 after 2\.0 at row 1"):
+            Channel(
+                id="bad",
+                timestamps=np.array([2.0, 1.0]),
+                columns={POWER_ACTIVE: np.array([0.0, 0.0])},
+                nominal_period=1.0,
+            )
 
     def test_unmapped_label_flagged(self):
         c = mk_channel([0.0, 1.0], [0.0, 0.0], cid="FGE")

@@ -95,6 +95,18 @@ class TestReddImport:
         assert report.duplicates == 1
         assert list(ds.buildings[1].mains[0].values(POWER_ACTIVE)) == [1.0, 3.0]
 
+    def test_out_of_order_rows_skipped_and_counted(self, tmp_path):
+        # -0.0 after 0.0 is a repeat.
+        rows = ["0 1.0\n", "-0.0 2.0\n", "5 3.0\n", "4 4.0\n", "6 5.0\n"]
+        write_redd_house(tmp_path, 1, {1: "mains", 2: "refrigerator"}, {1: rows, 2: simple_rows()})
+        ds, report = import_redd_style(tmp_path, mains_channels=(1,))
+        assert (report.duplicates, report.skipped) == (1, 1)
+        assert report.details == [
+            f"{tmp_path / 'house_1' / 'channel_1.dat'}:2: duplicate timestamp",
+            f"{tmp_path / 'house_1' / 'channel_1.dat'}:4: out-of-order timestamp",
+        ]
+        assert ds.buildings[1].mains[0].timestamps.tolist() == [0.0, 5.0, 6.0]
+
     def test_repeated_labels_get_instance_suffix(self, tmp_path):
         write_redd_house(
             tmp_path,
@@ -502,6 +514,19 @@ class TestChannelCsv:
             load_dataset_dir(tmp_path / "ds")
         assert str(e.value) == f"{path}:3: duplicate timestamp 1"
 
+    @pytest.mark.parametrize("body, where", [
+        ("0,5\n-0.0,6\n", "3: duplicate timestamp -0.0"),
+        ("1,5\n3,6\n2,7\n4,8\n", "4: non-monotone timestamp 2"),
+        ("".join(f"{i},5\n" for i in range(1, 3001)) + "2999,6\n", "3002: non-monotone timestamp 2999"),
+        # Past the first block the text reader decodes.
+        ("".join(f"{i},5\n" for i in range(1, 3001)) + "3001,\x1c6\n", "3002: non-numeric value"),
+    ], ids=["negative-zero-repeat", "out-of-order", "out-of-order-late", "loadtxt-only-space-late"])
+    def test_order_and_separator_faults_name_the_line(self, tmp_path, body, where):
+        path = write_fridge_csv(tmp_path, body)
+        with pytest.raises(SchemaError) as e:
+            load_dataset_dir(tmp_path / "ds")
+        assert str(e.value) == f"{path}:{where}"
+
     @pytest.mark.parametrize(
         "body, rows", IRREGULAR_VALID_BODIES.values(), ids=IRREGULAR_VALID_BODIES
     )
@@ -550,8 +575,12 @@ def test_shared_timestamp_columns_written_as_one_channel_at_a_time(data):
         label="rows",
     )
     start = data.draw(st.sampled_from(STARTS), label="start")
-    # Above 2**53 a step of 1 or less rounds away.
-    periods = [6.0, 4096.0] if start >= 2.0**53 else [1.0, 6.0, 0.1]
+    # Above 2**53 a step of 1 or less rounds away, and a step under 2 ulp of
+    # the last stamp can repeat a stamp.
+    if start >= 2.0**53:
+        periods = [p for p in (6.0, 4096.0) if p >= 2 * np.spacing(start + n * p)]
+    else:
+        periods = [1.0, 6.0, 0.1]
     period = data.draw(st.sampled_from(periods), label="period")
     base = start + np.arange(n) * period
     if data.draw(st.booleans(), label="fractional after the first block"):

@@ -20,7 +20,9 @@ from nilmbench.preprocess import (
 from nilmbench.stats import energy_joules, top_k_appliances
 
 from conftest import mk_building, mk_channel
-from oracles import downsample_loop, interpolate_small_gaps_loop, mask_train_test_split
+from oracles import (
+    downsample_loop, interpolate_small_gaps_argsort, interpolate_small_gaps_loop, mask_train_test_split,
+)
 
 # Repeats make modes and median ties common; signed zeros, NaN and infinities
 # are the values whose bits a reducer can get wrong.
@@ -244,6 +246,16 @@ class TestInterpolate:
             t, want = interpolate_small_gaps_loop(c.timestamps, v, c.nominal_period, max_gap)
             assert_bits_equal(out.timestamps, t)
             assert_bits_equal(out.values(m), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dropout_channels(), st.floats(0.5, 40.0))
+    def test_places_rows_as_the_argsort_did(self, c, gap_factor):
+        out = interpolate_small_gaps(c, c.nominal_period * gap_factor)
+        t, columns = interpolate_small_gaps_argsort(c, c.nominal_period * gap_factor)
+        assert_bits_equal(out.timestamps, t)
+        assert list(out.columns) == list(columns)
+        for m, v in columns.items():
+            assert_bits_equal(out.values(m), v)
 
     @settings(max_examples=100, deadline=None)
     @given(dropout_channels(bases=(0.1,), t0s=(1.3e9,)), st.floats(1.5, 40.0))
