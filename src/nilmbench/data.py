@@ -7,11 +7,11 @@ spacing above a threshold is a gap (the gap rule, :func:`gap_breaks`), held
 as the ``(start, end)`` pair of sample times around it (:class:`Gap`).
 
 Each value rule is stated here once, for every stage, converter and option:
-:func:`check_period`, :func:`integer`, :func:`check_count`,
-:func:`check_fraction`, :func:`check_finite` and :func:`check_nonnegative`.
-Each fails with ``<name> must be <requirement>, got <value>``; an empty name
-is left out.  The rules on real values take numbers only, not their text
-or a bool.  So are the building preconditions, :func:`check_mains` and
+:func:`check_period`, :func:`integer`, :func:`check_count`, :func:`check_fraction`,
+:func:`check_finite`, :func:`check_number` and :func:`check_nonnegative`.  Each
+fails with ``<name> must be <requirement>, got <value>``; an empty name is
+left out.  The rules on real values take numbers only, not their text or a
+bool.  So are the building preconditions, :func:`check_mains` and
 :func:`check_aligned`, and the timestamp order, :func:`first_out_of_order`.
 
 Timestamps are UTC epoch seconds stored as float64, in the order that
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -282,9 +282,10 @@ def _real(value) -> bool:
 
 
 def check_period(period, name: str = "period") -> float:
-    """``period`` if it is finite and > 0: the rule for a sample period, bin
-    width or gap threshold, in seconds."""
-    return _require(period, _real(period) and math.isfinite(period) and period > 0, "finite and > 0", name)
+    """``period`` as a float if it is finite and > 0: the rule for a sample
+    period, bin width or gap threshold, in seconds."""
+    ok = _real(period) and math.isfinite(period) and period > 0
+    return float(_require(period, ok, "finite and > 0", name))
 
 
 def integer(value, name: str = "") -> int:
@@ -302,6 +303,12 @@ def check_count(value, name: str = "") -> int:
 def check_finite(value, name: str = "") -> float:
     """``value`` as a float if it is finite."""
     return float(_require(value, _real(value) and math.isfinite(value), "finite", name))
+
+
+def check_number(value, name: str = "") -> float:
+    """``value`` as a float if it is a number other than NaN: the rule for a
+    bound, which may be infinite."""
+    return float(_require(value, _real(value) and not math.isnan(value), "a number, not NaN", name))
 
 
 def check_nonnegative(value, name: str = "") -> float:
@@ -391,23 +398,20 @@ def check_aligned(b: Building) -> None:
 
 
 def mains_total(b: Building, feature: Measurement = POWER_ACTIVE) -> Channel:
-    """Sum the mains channels' ``feature`` into one aggregate channel.
+    """Sum the mains channels' ``feature`` into one aggregate channel; one
+    mains channel is its own total.
 
-    Requires every mains channel to share an identical timestamp index
+    Every mains channel must hold ``feature`` and share one timestamp index
     (run intersect_with_mains first when phases disagree).
     """
     check_mains(b)
-    first = b.mains[0]
-    if len(b.mains) == 1:
+    check_aligned(replace(b, appliances={}))  # the mains alone
+    first, *rest = b.mains
+    total = first.values(feature)  # a mains without ``feature`` fails here, one or many
+    if not rest:
         return first
-    total = first.values(feature).copy()
-    for c in b.mains[1:]:
-        if not np.array_equal(c.timestamps, first.timestamps):
-            raise ValueError(
-                f"building {b.id}: mains channels are not aligned; "
-                "run intersect_with_mains first"
-            )
-        total += c.values(feature)
+    for c in rest:
+        total = total + c.values(feature)
     total.setflags(write=False)
     return Channel(
         id="mains_total",

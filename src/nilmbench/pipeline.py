@@ -28,6 +28,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 from types import MappingProxyType
 
@@ -36,7 +37,7 @@ import numpy as np
 from . import io as nio
 from .data import (
     Building, Channel, DataSet, Measurement, POWER_ACTIVE, VOLTAGE, check_count, check_finite,
-    check_fraction, check_period, integer, is_aligned, mains_total,
+    check_fraction, check_number, check_period, integer, is_aligned, mains_total,
 )
 from .disaggregate import (
     AppliancePrediction,
@@ -241,26 +242,44 @@ def select_buildings(ds: DataSet, building: int | None) -> dict[int, Building]:
     return {building: ds.buildings[building]}
 
 
-# op -> {field: (convert, default)}; a field whose default is _REQUIRED must be given.
-_STEP_FIELDS = {
-    "filter_implausible": {
-        "measurement": (_measurement, _REQUIRED), "lo": (float, -np.inf), "hi": (float, np.inf),
-    },
-    "normalize_voltage": {"v_nominal": (float, _REQUIRED), "beta": (float, 2.0)},
-    "downsample": {"period": (float, _REQUIRED), "agg": (_aggregation, "mean")},
-    "interpolate_small_gaps": {"max_gap": (_optional(float), None)},
-    "intersect_with_mains": {},
-    "filter_top_k": {"k": (integer, _REQUIRED), "gap_threshold": (_optional(float), None)},
-    "filter_contribution": {"x": (float, _REQUIRED), "gap_threshold": (_optional(float), None)},
+# op -> ({field: (rule, default)}, apply(b, step)): one row per op.  A field
+# whose default is _REQUIRED must be given.  Each apply names its function in
+# a lambda body, looked up here when called, so a tracer that rebinds
+# ``downsample`` etc. in this module sees the calls ``run`` makes.
+_period = partial(check_period, name="")
+_PREPROCESS = {
+    "filter_implausible": (
+        {"measurement": (_measurement, _REQUIRED), "lo": (check_number, -np.inf),
+         "hi": (check_number, np.inf)},
+        lambda b, s: map_channels(b, lambda c: filter_out_implausible(
+            c, s["measurement"], s["lo"], s["hi"]) if c.has(s["measurement"]) else c)),
+    "normalize_voltage": (
+        {"v_nominal": (_period, _REQUIRED), "beta": (check_finite, 2.0)},
+        lambda b, s: map_channels(b, lambda c: normalize_voltage(
+            c, s["v_nominal"], s["beta"]) if c.has(VOLTAGE) else c)),
+    "downsample": (
+        {"period": (_period, _REQUIRED), "agg": (_aggregation, "mean")},
+        lambda b, s: map_channels(b, lambda c: downsample(
+            c, s["period"], s["agg"]) if c.nominal_period <= s["period"] else c)),
+    "interpolate_small_gaps": (
+        {"max_gap": (_optional(_period), None)},
+        lambda b, s: map_channels(b, lambda c: interpolate_small_gaps(c, s["max_gap"]))),
+    "intersect_with_mains": ({}, lambda b, s: intersect_with_mains(b)),
+    "filter_top_k": (
+        {"k": (check_count, _REQUIRED), "gap_threshold": (_optional(_period), None)},
+        lambda b, s: filter_top_k(b, s["k"], s["gap_threshold"])),
+    "filter_contribution": (
+        {"x": (check_fraction, _REQUIRED), "gap_threshold": (_optional(_period), None)},
+        lambda b, s: filter_contribution(b, s["x"], s["gap_threshold"])),
 }
-PREPROCESS_OPS = tuple(_STEP_FIELDS)
+PREPROCESS_OPS = tuple(_PREPROCESS)
 
 
 def preprocess_steps(steps: list) -> tuple[MappingProxyType, ...]:
     """Read steps before any data is loaded: each becomes a read-only
-    ``{"op": ..., field: value}`` with every field of its op converted or
-    defaulted.  An unknown op, or a missing or mistyped field, is a
-    ConfigError naming both."""
+    ``{"op": ..., field: value}`` with every field of its op read by its rule
+    or defaulted.  An unknown op, or a field that is missing, mistyped or out
+    of range, is a ConfigError naming both."""
     ok = isinstance(steps, (list, tuple)) and all(
         isinstance(s, (dict, MappingProxyType)) and "op" in s for s in steps
     )
@@ -270,39 +289,17 @@ def preprocess_steps(steps: list) -> tuple[MappingProxyType, ...]:
         if op not in PREPROCESS_OPS:
             raise ConfigError(f"unknown preprocess op {op!r} (valid: {', '.join(PREPROCESS_OPS)})")
         fields = {"op": op}
-        for name, (convert, default) in _STEP_FIELDS[op].items():
-            fields[name] = _convert(f"preprocess[{op}].{name}", step.get(name, default), convert)
+        for name, (rule, default) in _PREPROCESS[op][0].items():
+            fields[name] = _convert(f"preprocess[{op}].{name}", step.get(name, default), rule)
         read.append(MappingProxyType(fields))
     return tuple(read)
 
 
 def apply_preprocess_step(b: Building, step: MappingProxyType) -> Building:
     """Apply one step, as :func:`preprocess_steps` returns it, to a building.
-
-    Range checks stay with the preprocess functions and fail the stage.  A
-    tracer that rebinds ``downsample`` etc. here sees the calls ``run`` makes.
-    """
-    op = step["op"]
-    if op == "filter_implausible":
-        m, lo, hi = step["measurement"], step["lo"], step["hi"]
-        return map_channels(b, lambda c: filter_out_implausible(c, m, lo, hi) if c.has(m) else c)
-    if op == "normalize_voltage":
-        v_nom = check_period(step["v_nominal"], "v_nominal")  # first, as the period below
-        beta = check_finite(step["beta"], "beta")
-        return map_channels(b, lambda c: normalize_voltage(c, v_nom, beta) if c.has(VOLTAGE) else c)
-    if op == "downsample":
-        period, agg = step["period"], step["agg"]
-        check_period(period)  # first, so that a NaN period cannot pass unchecked
-        return map_channels(
-            b, lambda c: downsample(c, period, agg) if c.nominal_period <= period else c
-        )
-    if op == "interpolate_small_gaps":
-        return map_channels(b, lambda c: interpolate_small_gaps(c, step["max_gap"]))
-    if op == "intersect_with_mains":
-        return intersect_with_mains(b)
-    if op == "filter_top_k":
-        return filter_top_k(b, step["k"], step["gap_threshold"])
-    return filter_contribution(b, step["x"], step["gap_threshold"])
+    Its values were checked when read; only ``lo < hi``, which relates two of
+    them, is left to its function and fails the stage."""
+    return _PREPROCESS[step["op"]][1](b, step)
 
 
 def preprocess_building(b: Building, steps: tuple[MappingProxyType, ...]) -> Building:

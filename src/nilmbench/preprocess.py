@@ -115,12 +115,13 @@ def filter_out_implausible(
 def interpolate_small_gaps(c: Channel, max_gap: float | None = None) -> Channel:
     """Forward-fill short holes with synthetic rows at nominal-period spacing.
 
-    Holes wider than ``max_gap`` are left untouched (they remain gaps).
+    Holes wider than ``max_gap`` are left untouched (they remain gaps), as is
+    a hole whose fills would not rise strictly to the next row: below the
+    stamps' float spacing, ``t + k * period`` repeats a stamp.
     """
     if max_gap is None:
         max_gap = DEFAULT_MAX_GAP_FACTOR * c.nominal_period
-    if not max_gap > 0:
-        raise ValueError("max_gap must be > 0")
+    check_period(max_gap, "max_gap")
     if len(c) < 2:
         return c
     t = c.timestamps
@@ -128,27 +129,26 @@ def interpolate_small_gaps(c: Channel, max_gap: float | None = None) -> Channel:
     diffs = np.diff(t)
     fill_at = np.nonzero((diffs > period) & (diffs <= max_gap))[0]
     n_new = np.ceil(diffs[fill_at] / period - 1e-9).astype(np.int64) - 1
-    # ``n_new`` allows for 1e-9 periods of rounding, but epoch-sized
-    # timestamps with a sub-second period round to about 1e-6 of a period,
-    # so a hole's last row can land on the next real row: drop such rows.
-    while True:
-        over = (n_new > 0) & (
-            t[fill_at] + n_new.astype(np.float64) * period >= t[fill_at + 1]
-        )
-        if not over.any():
-            break
-        n_new[over] -= 1
-    if not n_new.any():
-        return c
-    # Row i is followed by the fills of the hole after it: fill k (1 .. n_new)
-    # sits at t[i] + k * period and copies row i forward, at output row
-    # i + k + (fills before row i) = i + (its number among all fills).
-    counts = np.ones(t.size, dtype=np.int64)
-    counts[fill_at] += n_new
     src = np.repeat(fill_at, n_new)
     ks = np.arange(1, src.size + 1) - np.repeat(np.cumsum(n_new) - n_new, n_new)
+    fill_t = t[src] + ks.astype(np.float64) * period
+    # Fill k of the hole after row i copies row i to t[i] + k * period.  The
+    # fills rise with k, but not always strictly: ``n_new`` allows for 1e-9
+    # periods of rounding, while epoch-sized timestamps with a sub-second
+    # period round to about 1e-6 of one, so a hole's last fills can land on
+    # the next row (they are dropped); and below the stamps' float spacing a
+    # fill repeats the stamp before it (its hole is left unfilled).
+    below = fill_t < t[src + 1]
+    repeats = below & (fill_t <= np.where(ks == 1, t[src], np.roll(fill_t, 1)))
+    keep = below & ~np.isin(src, src[repeats])
+    if not keep.any():
+        return c
+    src, fill_t = src[keep], fill_t[keep]
+    # Row i is followed by its fills, so a fill lands at output row i plus
+    # its number, from 1, among all fills.
+    counts = np.bincount(src, minlength=t.size) + 1
     new_t = np.repeat(t, counts)
-    new_t[src + np.arange(1, src.size + 1)] = t[src] + ks.astype(np.float64) * period
+    new_t[src + np.arange(1, src.size + 1)] = fill_t
     columns = {m: np.repeat(v, counts) for m, v in c.columns.items()}
     return Channel(c.id, new_t, columns, c.nominal_period)
 

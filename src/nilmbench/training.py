@@ -251,8 +251,6 @@ def train_fhmm(b: Building, states: tuple, feature: Measurement = POWER_ACTIVE) 
     """
     entries = tuple(learn_hmm(b.appliances[s.name], s, feature) for s in states)
     agg = mains_total(b, feature)
-    if not agg.has(feature):
-        raise ValueError(f"mains lacks feature {feature.column_name}")
     check_aligned(b)
     residual = agg.values(feature).copy()
     for c in b.appliances.values():

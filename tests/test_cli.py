@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import os
 import re
@@ -236,14 +238,12 @@ class TestRun:
         for metrics in report["appliances"].values():
             assert "f_score" in metrics
 
-    @pytest.mark.parametrize("period", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_invalid_downsample_period_fails_preprocess(self, tmp_path, period):
-        # json reads NaN and Infinity; no channel may pass through unchecked.
-        cfg = base_config(
-            tmp_path, preprocess=[{"op": "downsample", "period": period}], algorithms=["co"]
-        )
-        raw = json.loads(cfg.read_text())
-        with pytest.raises(pipeline.StageFailure, match="period") as e:
+    @pytest.mark.parametrize("lo, hi", [(10.0, 5.0), (5.0, 5.0)])
+    def test_filter_bounds_out_of_order_fail_preprocess(self, tmp_path, lo, hi):
+        # lo < hi relates two fields, so it is the one step rule the stage checks.
+        step = {"op": "filter_implausible", "measurement": "power_active", "lo": lo, "hi": hi}
+        raw = json.loads(base_config(tmp_path, preprocess=[step], algorithms=["co"]).read_text())
+        with pytest.raises(pipeline.StageFailure, match="filter bounds require lo < hi") as e:
             pipeline.run(pipeline.RunConfig.from_dict(raw), raw_config=raw, quiet=True)
         assert e.value.stage == "preprocess"
 
@@ -453,6 +453,21 @@ class TestReactiveFeature:
         one_shot = (out / f"metrics_{algorithm}.json").read_text()
         assert strip_timings(one_shot) == strip_timings(staged)
 
+    def test_mains_without_the_feature_fail_split(self, tmp_path):
+        ds, _ = generate(replace(default_benchmark_spec(seed=4), duration=21600.0))
+        b = ds.buildings[1]
+        appliances = {name: c.with_columns({**c.columns, POWER_REACTIVE: 0.3 * c.values(POWER_ACTIVE)})
+                      for name, c in b.appliances.items()}
+        data = tmp_path / "data"
+        save_dataset_dir(DataSet(ds.name, {1: replace(b, appliances=appliances)}, ds.metadata), data)
+        cfg = base_config(tmp_path, dataset={"format": "dataset-dir", "path": str(data)},
+                          feature="power_reactive")
+        raw = json.loads(cfg.read_text())
+        with pytest.raises(pipeline.StageFailure, match="channel mains_1 has no power_reactive") as e:
+            pipeline.run(pipeline.RunConfig.from_dict(raw), raw_config=raw, quiet=True)
+        assert e.value.stage == "split"
+        assert not list((tmp_path / "out").glob("model_*.json"))
+
 
 class TestFeatureOption:
     @pytest.mark.parametrize("argv", [
@@ -619,6 +634,27 @@ MALFORMED_STEPS = [
     ({"op": "downsample", "period": 60, "agg": "max"}, "'preprocess[downsample].agg' unknown"),
     ({"op": "filter_implausible", "measurement": "x"}, "'preprocess[filter_implausible]"),
 ]
+# (the op's other fields, number field, requirement, values): every number
+# field of every op refuses its text, a bool and an out-of-range value at read.
+NAN, INF = float("nan"), float("inf")
+BOUNDS = {"op": "filter_implausible", "measurement": "power_active"}
+STEP_NUMBERS = [
+    (BOUNDS, "lo", "a number, not NaN", ["0", True, NAN]),
+    (BOUNDS, "hi", "a number, not NaN", ["0", True, NAN]),
+    ({"op": "normalize_voltage"}, "v_nominal", "finite and > 0", ["230", True, INF]),
+    ({"op": "normalize_voltage", "v_nominal": 230.0}, "beta", "finite", ["2", True, NAN]),
+    ({"op": "downsample"}, "period", "finite and > 0", ["60", True, NAN, INF, 0.0, -1.0]),
+    ({"op": "interpolate_small_gaps"}, "max_gap", "finite and > 0", ["600", True, INF]),
+    ({"op": "filter_top_k"}, "k", "an integer", ["2"]),  # and True, above
+    ({"op": "filter_top_k"}, "k", ">= 1", [0]),
+    ({"op": "filter_top_k", "k": 2}, "gap_threshold", "finite and > 0", ["60", True, -1.0]),
+    ({"op": "filter_contribution"}, "x", "in (0, 1)", ["0.5", True, 1.0]),
+    ({"op": "filter_contribution", "x": 0.5}, "gap_threshold", "finite and > 0", ["60", True, 0.0]),
+]
+MALFORMED_STEPS += [
+    ({**other, name: value}, f"'preprocess[{other['op']}].{name}' must be {requirement}, got {value!r}")
+    for other, name, requirement, values in STEP_NUMBERS for value in values
+]
 
 
 class TestMistypedConfigField:
@@ -653,6 +689,7 @@ class TestMalformedPreprocessStep:
                     "--output", str(tmp_path / "prep")]
         assert run_cli("--quiet", *argv) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "prep").exists()
 
     def test_steps_file_must_list_steps(self, tmp_path, capsys):
         steps = tmp_path / "steps.json"
@@ -793,19 +830,6 @@ class TestPreprocessOpsInRun:
         rows = self.scored(self.run(tmp_path, unaligned_dir, []))
         assert rows == {name: len(test.mains[0]) for name in b.appliances}
 
-    @pytest.mark.parametrize("step, name", [
-        ({"op": "normalize_voltage", "v_nominal": float("inf")}, "v_nominal"),
-        ({"op": "normalize_voltage", "v_nominal": 230.0, "beta": float("nan")}, "beta"),
-    ])
-    def test_non_finite_voltage_step_fails_preprocess(self, tmp_path, unaligned_dir, step, name):
-        # json reads NaN and Infinity; the stage that takes them refuses them.
-        cfg = base_config(tmp_path, dataset={"format": "dataset-dir", "path": str(unaligned_dir)},
-                          preprocess=[step], algorithms=["co"])
-        raw = json.loads(cfg.read_text())
-        with pytest.raises(pipeline.StageFailure, match=f"{name} must be finite") as e:
-            pipeline.run(pipeline.RunConfig.from_dict(raw), raw_config=raw, quiet=True)
-        assert e.value.stage == "preprocess"
-
     def test_normalize_voltage_scales_the_mains(self, tmp_path, unaligned_dir):
         def noise_variance(out):
             return json.loads((out / "model_fhmm.json").read_text())["noise_variance"]
@@ -875,24 +899,21 @@ class TestBenchmarkCallSites:
     # perfbench attributes time to layers by patching these names; a run
     # that routed around one would silently read 0 for its per-layer metric.
     # Delete once the benchmark reads a trace the program records itself.
+    @staticmethod
+    def count_calls(monkeypatch, module, names, calls):
+        for name in names:
+            def wrapper(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
     def test_run_calls_every_patched_name(self, tmp_path, monkeypatch):
         from nilmbench import io as nio
 
         calls = {}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for module, names in (
-            (pipeline, ("train_test_split", "train_co", "train_fhmm",
-                        "disaggregate_co", "disaggregate_fhmm", "evaluate")),
-            (nio, ("save_dataset_dir", "export_model_json")),
-        ):
-            for name in names:
-                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        self.count_calls(monkeypatch, pipeline, ("train_test_split", "train_co", "train_fhmm",
+                                                 "disaggregate_co", "disaggregate_fhmm", "evaluate"), calls)
+        self.count_calls(monkeypatch, nio, ("save_dataset_dir", "export_model_json"), calls)
         spec = replace(default_benchmark_spec(seed=2), period=60.0, duration=21600.0)
         raw = {
             "dataset": {"format": "synth", "synth_spec": json.loads(spec.to_json_text())},
@@ -903,6 +924,39 @@ class TestBenchmarkCallSites:
             "train_test_split": 1, "train_co": 1, "train_fhmm": 1, "disaggregate_co": 1,
             "disaggregate_fhmm": 1, "evaluate": 2, "save_dataset_dir": 2, "export_model_json": 2,
         }
+
+    def test_each_op_calls_its_function_through_pipeline(self, tmp_path, monkeypatch, unaligned_dir):
+        functions = ("filter_out_implausible", "normalize_voltage", "downsample",
+                     "interpolate_small_gaps", "intersect_with_mains", "filter_top_k",
+                     "filter_contribution")
+        calls = {}
+        self.count_calls(monkeypatch, pipeline, functions, calls)
+        steps = [
+            {"op": "filter_implausible", "measurement": "voltage", "lo": 100.0},
+            {"op": "normalize_voltage", "v_nominal": 230.0},
+            {"op": "downsample", "period": 120.0},
+            {"op": "interpolate_small_gaps", "max_gap": 600.0},
+            {"op": "intersect_with_mains"},
+            {"op": "filter_top_k", "k": 2},
+            {"op": "filter_contribution", "x": 0.01},
+        ]
+        assert {s["op"] for s in steps} == set(pipeline.PREPROCESS_OPS)
+        cfg = base_config(tmp_path, dataset={"format": "dataset-dir", "path": str(unaligned_dir)},
+                          preprocess=steps, algorithms=["co"])
+        assert run_cli("--quiet", "run", "--config", str(cfg)) == 0
+        assert set(calls) == set(functions) and all(calls.values()), calls
+
+    def test_every_patched_name_is_bound(self):
+        # Read from the benchmark's source, so that nothing of it is imported.
+        source = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        call_sites = next(
+            ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["CALL_SITES"]
+        )
+        unbound = [f"{module}.{name}" for module, names in call_sites.items() for name in names
+                   if not hasattr(importlib.import_module(module), name)]
+        assert "nilmbench.pipeline" in call_sites and not unbound
 
 
 class TestStatesLearntOnce:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from nilmbench.data import (
     Channel,
     Measurement,
     POWER_ACTIVE,
+    POWER_REACTIVE,
     VOLTAGE,
     canonical_label,
     check_channel_id,
+    check_number,
+    check_period,
     first_out_of_order,
     is_canonical,
     mains_total,
@@ -203,6 +207,20 @@ class TestSharing:
         assert all(c.timestamps is mains.timestamps for _, _, c in appliances)
 
 
+class TestRealRules:
+    @pytest.mark.parametrize("value", [-math.inf, -1, 0.0, 2.5, math.inf])
+    def test_a_bound_is_any_number_but_nan(self, value):
+        assert check_number(value) == value and type(check_number(value)) is float
+
+    @pytest.mark.parametrize("value", [math.nan, "1", True])
+    def test_a_bound_refuses_nan_text_and_bool(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"lo must be a number, not NaN, got {value!r}")):
+            check_number(value, "lo")
+
+    def test_a_period_reads_as_a_float(self):
+        assert type(check_period(60)) is float and check_period(60) == 60.0
+
+
 class TestCheckChannelId:
     @pytest.mark.parametrize("name", ["fridge", "lighting_2", "a.b", "...", " ", "kühlschrank"])
     def test_one_path_component_accepted(self, name):
@@ -342,3 +360,20 @@ class TestMainsTotal:
     def test_no_mains_rejected(self):
         with pytest.raises(ValueError, match="no mains"):
             mains_total(mk_building())
+
+    def test_one_mains_is_its_own_total(self):
+        m = mk_channel([0.0, 1.0], [1.0, 2.0], cid="mains_1")
+        assert mains_total(mk_building(mains=[m])) is m
+
+    @pytest.mark.parametrize("n_mains", [1, 2])
+    def test_every_mains_must_hold_the_feature(self, n_mains):
+        mains = [mk_channel([0.0, 1.0], [1.0, 2.0], cid=f"mains_{i}") for i in range(1, n_mains + 1)]
+        with pytest.raises(KeyError, match="channel mains_1 has no power_reactive column"):
+            mains_total(mk_building(mains=mains), POWER_REACTIVE)
+
+    def test_unaligned_mains_give_the_building_rule_text(self):
+        m1 = mk_channel([0.0, 1.0], [1.0, 1.0], cid="mains_1")
+        m2 = mk_channel([0.0, 2.0], [1.0, 1.0], cid="mains_2")
+        with pytest.raises(ValueError) as e:
+            mains_total(mk_building(mains=[m1, m2]))
+        assert str(e.value) == "building 1 channels are not aligned; run intersect_with_mains first"

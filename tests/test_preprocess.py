@@ -237,6 +237,23 @@ class TestInterpolate:
         assert list(out.timestamps) == [0.0, 1.0, 2.0, 3.0, 3.5]
         assert list(out.values(POWER_ACTIVE)) == [10.0, 10.0, 10.0, 10.0, 20.0]
 
+    @pytest.mark.parametrize("period", [1.0, 10.0])
+    def test_hole_whose_fills_repeat_a_stamp_is_left(self, period):
+        # At 1e17 the float spacing is 16: 1e17 + 1 is 1e17, and with a 10 s
+        # period fills 1 and 2 both land on 1e17 + 16.
+        c = mk_channel([1e17, 1e17 + 64], [1.0, 2.0], period=period)
+        assert interpolate_small_gaps(c, 100.0) is c
+        mixed = mk_channel([0.0, 3 * period, 1e17, 1e17 + 64], [1.0, 2.0, 3.0, 4.0], period=period)
+        out = interpolate_small_gaps(mixed, 100.0)
+        assert out.timestamps.tolist() == [0.0, period, 2 * period, 3 * period, 1e17, 1e17 + 64]
+        assert out.values(POWER_ACTIVE).tolist() == [1.0, 1.0, 1.0, 2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("max_gap", [0.0, -1.0, math.inf, math.nan])
+    def test_max_gap_must_be_a_period(self, max_gap):
+        c = mk_channel([0.0, 3.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match=f"max_gap must be finite and > 0, got {max_gap!r}"):
+            interpolate_small_gaps(c, max_gap)
+
     @settings(max_examples=200, deadline=None)
     @given(dropout_channels(), st.floats(0.5, 40.0))
     def test_matches_per_gap_loop(self, c, gap_factor):
