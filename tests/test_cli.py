@@ -901,11 +901,14 @@ class TestBenchmarkCallSites:
     # Delete once the benchmark reads a trace the program records itself.
     @staticmethod
     def count_calls(monkeypatch, module, names, calls):
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
         for name in names:
-            def wrapper(*args, _name=name, _fn=getattr(module, name), **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(module, name, wrapper)
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
 
     def test_run_calls_every_patched_name(self, tmp_path, monkeypatch):
         from nilmbench import io as nio
