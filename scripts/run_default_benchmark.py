@@ -10,8 +10,6 @@ Usage:
 import argparse
 import tempfile
 
-import numpy as np
-
 from nilmbench.pipeline import RunConfig, run
 
 
@@ -38,11 +36,10 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for alg, report in result.reports.items():
-        nep = np.mean([a.nep for a in report.appliances if "nep" not in a.undefined])
-        f_score = np.mean([a.f_score for a in report.appliances])
+        averages = report.averages()
         print(
             f"{alg:<10}{report.train_seconds:>11.2f}{report.disaggregate_seconds:>12.2f}"
-            f"{nep:>8.2f}{report.fte:>8.2f}{f_score:>9.2f}"
+            f"{averages['nep']:>8.2f}{report.fte:>8.2f}{averages['f_score']:>9.2f}"
         )
     print("\nper-appliance NEP / F-score:")
     for alg, report in result.reports.items():

@@ -12,8 +12,6 @@ Usage:
 
 import argparse
 
-import numpy as np
-
 from nilmbench.cli import count_arg
 from nilmbench.data import POWER_ACTIVE, mains_total
 from nilmbench.metrics import evaluate
@@ -32,9 +30,7 @@ def nep_for(seed: int) -> dict[str, float]:
     for name, (trainer, decoder, _) in algorithms().items():
         model = trainer(train_b, states, POWER_ACTIVE)
         report = evaluate(decoder(model, aggregate), test_b)
-        out[name] = float(
-            np.mean([a.nep for a in report.appliances if "nep" not in a.undefined])
-        )
+        out[name] = report.averages()["nep"]
     return out
 
 

@@ -182,7 +182,7 @@ class Channel:
 
     def values(self, m: Measurement) -> np.ndarray:
         if m not in self.columns:
-            raise KeyError(f"channel {self.id} has no {m.column_name} column")
+            raise ValueError(f"channel {self.id} has no {m.column_name} column")
         return self.columns[m]
 
     def take(self, selector) -> "Channel":

@@ -46,11 +46,12 @@ before anything is written.
 Both text formats read here, channel CSVs and the whitespace-separated
 ``channel_<j>.dat`` files of :func:`import_redd_style`, go through one
 ``np.loadtxt`` parse checked on the arrays.  A file that fails the parse or
-a check is read again line by line: that loop alone reports bad rows,
-raising on the first bad CSV line and skipping and counting bad ``.dat``
-rows in the :class:`ImportReport`.  The JSON side files, ``metadata.json``
-and ``wiring.json``, are read and checked by one helper that names the file
-in its errors.
+a check is read again by one line loop, which alone reports bad rows: it
+skips and counts each in an :class:`ImportReport`, and the CSV reader
+raises the first of them.  Undecodable bytes read as U+FFFD, so their row
+is non-numeric.  The JSON side files, ``metadata.json`` and
+``wiring.json``, are read and checked by one helper that names the file in
+its errors.
 
 Learned models persist as JSON: an ``algorithm`` tag plus per-appliance state
 means/stds, and for the factorial model additionally pi, the transition
@@ -66,6 +67,7 @@ digits; any other cell is ``str(x)``.
 from __future__ import annotations
 
 import json
+import math
 import re
 import warnings
 from contextlib import ExitStack
@@ -422,7 +424,8 @@ def _write_csv_group(elec: Path, group) -> None:
 
 
 def _read_channel_csv(path: Path, channel_id: str, nominal_period: float) -> Channel:
-    with path.open("r", encoding="utf-8") as f:
+    # Undecodable bytes become U+FFFD, so their row is non-numeric.
+    with path.open("r", encoding="utf-8", errors="replace") as f:
         header = f.readline().strip()
         if not header:
             raise SchemaError(f"{path}: missing header row")
@@ -435,9 +438,12 @@ def _read_channel_csv(path: Path, channel_id: str, nominal_period: float) -> Cha
             raise SchemaError(f"{path}: unknown measurement ({e})") from None
         body_start = f.tell()
         body = _parse_body(f, len(names), ",")
+        report = ImportReport()
         if body is None:
             f.seek(body_start)
-            body = _read_body_lines(path, f, len(names))
+            body = _read_lines(path, f, len(names), ",", report, first_line=2)
+    if report.details:
+        raise SchemaError(report.details[0])
     return Channel(
         id=channel_id,
         timestamps=body[:, 0],
@@ -453,9 +459,8 @@ def _parse_body(f, n_fields: int, delimiter: str | None) -> np.ndarray | None:
     (:func:`~nilmbench.data.first_out_of_order`).
 
     ``delimiter`` is ``","`` for CSV and None for whitespace.  None sends
-    the file to its line loop (:func:`_read_body_lines` or
-    :func:`_read_flat_lines`), which reports the rows at fault; this parse
-    accepts only files that loop reads without a report.
+    the file to :func:`_read_lines`, which reports the rows at fault; this
+    parse accepts only files that loop reads without a report.
     """
     if delimiter:
         # No byte of a multi-byte UTF-8 character is ASCII, so blocks of the
@@ -472,38 +477,51 @@ def _parse_body(f, n_fields: int, delimiter: str | None) -> np.ndarray | None:
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             body = np.loadtxt(f, delimiter=delimiter, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
-        # UnicodeDecodeError is a ValueError: the line loop decodes as it
-        # goes, so a bad row before the bad bytes is still the error it reports.
         return None
     ok = body.shape[1] == n_fields and np.isfinite(body).all() and first_out_of_order(body[:, 0]) is None
     return body if ok else None
 
 
-def _read_body_lines(path: Path, f, n_fields: int) -> np.ndarray:
-    """The rows after the header, checked line by line; the first line that
-    breaks the schema raises :class:`SchemaError` naming it."""
+def _read_lines(
+    path: Path, f, n_fields: int, delimiter: str | None, report: ImportReport, first_line: int
+) -> np.ndarray:
+    """The rows of ``f``, numbered from ``first_line``, as a (rows, n_fields)
+    array; ``delimiter`` as for :func:`_parse_body`.  Every row that breaks
+    the schema is skipped and noted in ``report``, checked in this order: its
+    field count, numeric fields, finite values, a finite timestamp, and a
+    timestamp above the last kept row's (a repeat, -0.0 after 0.0 included,
+    is a duplicate)."""
     rows: list[list[float]] = []
-    for lineno, line in enumerate(f, start=2):
+
+    def skip(lineno: int, what: str) -> None:
+        report.skipped += 1
+        report.note(f"{path}:{lineno}: {what}")
+
+    for lineno, line in enumerate(f, start=first_line):
         line = line.strip()
         if not line:
             continue
-        parts = line.split(",")
+        parts = line.split(delimiter)
         if len(parts) != n_fields:
-            raise SchemaError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
+            skip(lineno, f"expected {n_fields} fields, got {len(parts)}")
+            continue
         try:
             row = [float(p) for p in parts]
         except ValueError:
-            raise SchemaError(f"{path}:{lineno}: non-numeric value") from None
+            skip(lineno, "non-numeric value")
+            continue
         t = row[0]
-        if rows and t <= rows[-1][0]:
-            kind = "duplicate" if t == rows[-1][0] else "non-monotone"
-            raise SchemaError(f"{path}:{lineno}: {kind} timestamp {parts[0]}")
-        if not all(np.isfinite(row[1:])):
-            raise SchemaError(f"{path}:{lineno}: non-finite value")
-        # Checked last, so a row that fails an earlier check keeps its message.
-        if not np.isfinite(t):
-            raise SchemaError(f"{path}:{lineno}: non-finite timestamp {parts[0]}")
-        rows.append(row)
+        if not all(map(math.isfinite, row[1:])):
+            skip(lineno, "non-finite value")
+        elif not math.isfinite(t):
+            skip(lineno, f"non-finite timestamp {parts[0]}")
+        elif rows and t == rows[-1][0]:
+            report.duplicates += 1
+            report.note(f"{path}:{lineno}: duplicate timestamp {parts[0]}")
+        elif rows and t < rows[-1][0]:
+            skip(lineno, f"non-monotone timestamp {parts[0]}")
+        else:
+            rows.append(row)
     return np.array(rows, dtype=np.float64).reshape(len(rows), n_fields)
 
 
@@ -749,58 +767,19 @@ def import_redd_style(
     return ds, report
 
 
-def _read_flat_file(
-    path: Path, nominal_period: float, report: ImportReport
-) -> Channel:
-    # Undecodable bytes become U+FFFD, so their row fails float() and is
-    # skipped like any other malformed row.
+def _read_flat_file(path: Path, nominal_period: float, report: ImportReport) -> Channel:
+    # Undecodable bytes become U+FFFD, so their row is non-numeric.
     with path.open("r", encoding="utf-8", errors="replace") as f:
         body = _parse_body(f, 2, None)
         if body is None:
             f.seek(0)
-            body = _read_flat_lines(path, f, report)
+            body = _read_lines(path, f, 2, None, report, first_line=1)
     return Channel(
         id=path.stem,
         timestamps=body[:, 0],
         columns={POWER_ACTIVE: body[:, 1]},
         nominal_period=nominal_period,
     )
-
-
-def _read_flat_lines(path: Path, f, report: ImportReport) -> np.ndarray:
-    """The ``<timestamp> <watts>`` rows of ``f`` as a (rows, 2) array; every
-    row that is malformed, non-finite, duplicate or out of order is skipped
-    and noted in ``report``."""
-    rows: list[tuple[float, float]] = []
-    for lineno, line in enumerate(f, start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 2:
-            report.skipped += 1
-            report.note(f"{path}:{lineno}: expected 2 fields")
-            continue
-        try:
-            t = float(parts[0])
-            p = float(parts[1])
-        except ValueError:
-            report.skipped += 1
-            report.note(f"{path}:{lineno}: non-numeric row")
-            continue
-        if not (np.isfinite(t) and np.isfinite(p)):
-            report.skipped += 1
-            report.note(f"{path}:{lineno}: non-finite row")
-            continue
-        if rows and t <= rows[-1][0]:
-            if t == rows[-1][0]:
-                report.duplicates += 1
-                report.note(f"{path}:{lineno}: duplicate timestamp")
-                continue
-            report.skipped += 1
-            report.note(f"{path}:{lineno}: out-of-order timestamp")
-            continue
-        rows.append((t, p))
-    return np.array(rows, dtype=np.float64).reshape(len(rows), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -295,10 +295,11 @@ def preprocess_steps(steps: list) -> tuple[MappingProxyType, ...]:
     return tuple(read)
 
 
-def apply_preprocess_step(b: Building, step: MappingProxyType) -> Building:
-    """Apply one step, as :func:`preprocess_steps` returns it, to a building.
-    Its values were checked when read; only ``lo < hi``, which relates two of
-    them, is left to its function and fails the stage."""
+def apply_preprocess_step(b: Building, step) -> Building:
+    """Apply one step to a building, read as :func:`preprocess_steps` reads
+    it; a step it returned reads as itself.  Only ``lo < hi``, which relates
+    two values, is left to its function and fails the stage."""
+    (step,) = preprocess_steps([step])
     return _PREPROCESS[step["op"]][1](b, step)
 
 

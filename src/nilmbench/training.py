@@ -202,10 +202,7 @@ def learn_building_states(b: Building, feature: Measurement, K: int) -> tuple:
         raise ValueError(f"building {b.id} has no appliance channels")
     out = []
     for name in sorted(b.appliances):
-        c = b.appliances[name]
-        if not c.has(feature):
-            raise ValueError(f"appliance {name!r} lacks feature {feature.column_name}")
-        out.append(replace(learn_states(c, K, feature), name=name))
+        out.append(replace(learn_states(b.appliances[name], K, feature), name=name))
     return tuple(out)
 
 

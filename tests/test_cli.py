@@ -466,6 +466,7 @@ class TestReactiveFeature:
         with pytest.raises(pipeline.StageFailure, match="channel mains_1 has no power_reactive") as e:
             pipeline.run(pipeline.RunConfig.from_dict(raw), raw_config=raw, quiet=True)
         assert e.value.stage == "split"
+        assert str(e.value) == "stage 'split' failed: channel mains_1 has no power_reactive column"
         assert not list((tmp_path / "out").glob("model_*.json"))
 
 
@@ -1325,6 +1326,17 @@ class TestStepsReadBeforeData:
             {"op": "filter_top_k", "k": 3, "gap_threshold": None},
         )
         assert pipeline.preprocess_steps(steps) == steps
+
+    def test_a_step_is_read_when_applied(self):
+        b = mk_building(mains=[mk_channel(np.arange(0.0, 120.0), np.arange(120.0), cid="mains_1")])
+        with pytest.raises(pipeline.ConfigError, match=r"'preprocess\[downsample\]\.period'"):
+            pipeline.apply_preprocess_step(b, {"op": "downsample", "period": float("nan"), "agg": "mean"})
+        # A step without its agg takes the default, as preprocess_steps reads it.
+        out = pipeline.apply_preprocess_step(b, {"op": "downsample", "period": 60})
+        (read,) = pipeline.preprocess_steps([{"op": "downsample", "period": 60}])
+        want = pipeline.apply_preprocess_step(b, read)
+        assert out.mains[0].timestamps.tolist() == want.mains[0].timestamps.tolist() == [0.0, 60.0]
+        assert out.mains[0].values(POWER_ACTIVE).tolist() == want.mains[0].values(POWER_ACTIVE).tolist()
 
     def test_read_steps_cannot_change_after_the_check(self):
         cfg = pipeline.RunConfig(None, "synth", preprocess=[{"op": "downsample", "period": 60}])

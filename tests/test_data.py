@@ -62,6 +62,10 @@ class TestChannel:
         with pytest.raises(ValueError, match=f"channel ch: nominal_period must be finite and > 0, got {period!r}"):
             mk_channel([0.0], [5.0], period=period)
 
+    def test_timestamps_must_be_1d(self):
+        with pytest.raises(ValueError, match="^channel ch: timestamps must be 1-D$"):
+            mk_channel([[0.0, 1.0]])
+
     def test_arrays_are_immutable(self):
         c = mk_channel([0.0, 1.0], [5.0, 6.0])
         with pytest.raises(ValueError):
@@ -368,7 +372,7 @@ class TestMainsTotal:
     @pytest.mark.parametrize("n_mains", [1, 2])
     def test_every_mains_must_hold_the_feature(self, n_mains):
         mains = [mk_channel([0.0, 1.0], [1.0, 2.0], cid=f"mains_{i}") for i in range(1, n_mains + 1)]
-        with pytest.raises(KeyError, match="channel mains_1 has no power_reactive column"):
+        with pytest.raises(ValueError, match="channel mains_1 has no power_reactive column"):
             mains_total(mk_building(mains=mains), POWER_REACTIVE)
 
     def test_unaligned_mains_give_the_building_rule_text(self):

@@ -21,7 +21,7 @@ from nilmbench.io import (
     _SHORTEST_MIN_VALUES,
     _ShortestScratch,
     _format_timestamp,
-    _read_body_lines,
+    _read_lines,
     _value_table,
     csv_text,
     export_model_json,
@@ -102,8 +102,8 @@ class TestReddImport:
         ds, report = import_redd_style(tmp_path, mains_channels=(1,))
         assert (report.duplicates, report.skipped) == (1, 1)
         assert report.details == [
-            f"{tmp_path / 'house_1' / 'channel_1.dat'}:2: duplicate timestamp",
-            f"{tmp_path / 'house_1' / 'channel_1.dat'}:4: out-of-order timestamp",
+            f"{tmp_path / 'house_1' / 'channel_1.dat'}:2: duplicate timestamp -0.0",
+            f"{tmp_path / 'house_1' / 'channel_1.dat'}:4: non-monotone timestamp 4",
         ]
         assert ds.buildings[1].mains[0].timestamps.tolist() == [0.0, 5.0, 6.0]
 
@@ -122,7 +122,7 @@ class TestReddImport:
         path = tmp_path / "house_1" / "channel_1.dat"
         path.write_bytes(b"100 1.0\n101 \xff2.0\n102 3.0\n")
         ds, report = import_redd_style(tmp_path, mains_channels=(1,))
-        assert (report.skipped, report.details) == (1, [f"{path}:2: non-numeric row"])
+        assert (report.skipped, report.details) == (1, [f"{path}:2: non-numeric value"])
         assert list(ds.buildings[1].mains[0].timestamps) == [100.0, 102.0]
 
     def test_non_decimal_channel_number_rejected(self, tmp_path):
@@ -144,7 +144,7 @@ class TestReddImport:
     def test_clean_file_takes_the_array_parse(self, tmp_path):
         rows = [" 100\t1.5\r\n", "\n", "  \t\n", "101   -2e3\r\n", "102.25 +7"]
         write_redd_house(tmp_path, 1, {1: "mains"}, {1: rows})
-        with mock.patch("nilmbench.io._read_flat_lines", side_effect=AssertionError):
+        with mock.patch("nilmbench.io._read_lines", side_effect=AssertionError):
             ds, report = import_redd_style(tmp_path, mains_channels=(1,))
         c = ds.buildings[1].mains[0]
         assert c.timestamps.tolist() == [100.0, 101.0, 102.25]
@@ -161,9 +161,10 @@ NON_FINITE = ["nan", "NaN", "inf", "-inf", "+Infinity", "1e400"]
 
 
 @st.composite
-def flat_bodies(draw):
-    """The bytes of a ``channel_<j>.dat`` file: clean ``<t> <watts>`` rows
-    mixed with a drawn set of faults, so that many bodies hold one kind."""
+def flat_bodies(draw, separators=FLAT_SEPARATORS):
+    """The bytes of a ``channel_<j>.dat`` file, or with ``separators`` of
+    commas a channel CSV's body: clean ``<t> <watts>`` rows mixed with a
+    drawn set of faults, so that many bodies hold one kind."""
     faults = sorted(draw(st.sets(st.sampled_from([
         "blank", "one-field", "three-fields", "odd-field", "non-finite-time",
         "non-finite-watts", "duplicate", "out-of-order", "bad-utf8",
@@ -171,7 +172,7 @@ def flat_bodies(draw):
     kinds = draw(st.lists(st.sampled_from(["clean"] + faults), max_size=30))
     eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     t = draw(st.sampled_from([0.0, -50.0, 1303132929.0, 0.1]))
-    sep, pad = st.sampled_from(FLAT_SEPARATORS), st.sampled_from(["", " ", "\t", "\x1f"])
+    sep, pad = st.sampled_from(separators), st.sampled_from(["", " ", "\t", "\x1f"])
     lines = []
     for kind in kinds:
         if kind not in ("duplicate", "out-of-order"):
@@ -456,9 +457,11 @@ class TestChannelCsv:
             for m, v in c.columns.items():
                 assert again.columns[m].tobytes() == v.tobytes(), m.column_name
             # The whole-array parse reads what the line loop reads.
+            report = ImportReport()
             with fridge_csv(one).open(encoding="utf-8") as f:
                 f.readline()
-                rows = _read_body_lines(fridge_csv(one), f, 1 + len(c.columns))
+                rows = _read_lines(fridge_csv(one), f, 1 + len(c.columns), ",", report, 2)
+            assert report == ImportReport()
             assert rows[:, 0].tobytes() == again.timestamps.tobytes()
             for j, v in enumerate(again.columns.values(), start=1):
                 assert rows[:, j].tobytes() == v.tobytes()
@@ -527,6 +530,27 @@ class TestChannelCsv:
             load_dataset_dir(tmp_path / "ds")
         assert str(e.value) == f"{path}:{where}"
 
+    def test_undecodable_byte_is_a_non_numeric_row(self, tmp_path):
+        path = write_fridge_csv(tmp_path, "")
+        path.write_bytes(b"timestamp,power_active\n1,5\n2,\xff6\n3,7\n")
+        with pytest.raises(SchemaError) as e:
+            load_dataset_dir(tmp_path / "ds")
+        assert str(e.value) == f"{path}:3: non-numeric value"
+
+    @pytest.mark.parametrize("text, what", [
+        (b"", "missing header row"),
+        (b"\n1,5\n", "missing header row"),
+        (b"power_active,timestamp\n5,1\n", "first column must be 'timestamp'"),
+        (b"time,power_active\n1,5\n", "first column must be 'timestamp'"),
+        (b"timestamp,power_\xffactive\n1,5\n", "unknown measurement"),
+    ], ids=["empty", "blank-first-line", "timestamp-second", "other-name", "undecodable"])
+    def test_bad_header_names_the_file(self, tmp_path, text, what):
+        path = write_fridge_csv(tmp_path, "")
+        path.write_bytes(text)
+        with pytest.raises(SchemaError) as e:
+            load_dataset_dir(tmp_path / "ds")
+        assert str(e.value).startswith(f"{path}: {what}")
+
     @pytest.mark.parametrize(
         "body, rows", IRREGULAR_VALID_BODIES.values(), ids=IRREGULAR_VALID_BODIES
     )
@@ -538,6 +562,35 @@ class TestChannelCsv:
         expected = np.array(rows, dtype=float).reshape(len(rows), 2)
         assert c.timestamps.tobytes() == expected[:, 0].tobytes()
         assert c.values(POWER_ACTIVE).tobytes() == expected[:, 1].tobytes()
+
+
+CSV_SEPARATORS = [",", " , ", ",\t", "\x1f,"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=flat_bodies(CSV_SEPARATORS))
+def test_csv_loader_raises_the_line_loops_first_note(body):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_fridge_csv(Path(tmp), "")
+        path.write_bytes(b"timestamp,power_active\n" + body)
+        report = ImportReport()
+        with path.open(encoding="utf-8", errors="replace") as f:
+            f.readline()
+            start = f.tell()
+            parsed = nio._parse_body(f, 2, ",")
+            f.seek(start)
+            rows = _read_lines(path, f, 2, ",", report, 2)
+        try:
+            c = load_fridge(Path(tmp) / "ds")
+        except SchemaError as e:
+            assert report.details and str(e) == report.details[0]
+            assert parsed is None
+            return
+    assert report == ImportReport()
+    assert c.timestamps.tobytes() == rows[:, 0].tobytes()
+    assert c.values(POWER_ACTIVE).tobytes() == rows[:, 1].tobytes()
+    if parsed is not None:
+        assert parsed.tobytes() == rows.tobytes()
 
 
 # How a channel's timestamps relate to the first channel's.
@@ -733,6 +786,7 @@ def fhmm_model():
 
 # Edits that each make an exported FHMM model invalid.
 INVALID_MODEL_EDITS = {
+    "no-appliances": lambda r: r.update(appliances=[]),
     "mean-nan": lambda r: r["appliances"][0]["states"][1].update(mean=NAN),
     "mean-inf": lambda r: r["appliances"][0]["states"][1].update(mean=INF),
     "means-descending": lambda r: r["appliances"][0]["states"][1].update(mean=-5.0),
@@ -811,6 +865,16 @@ class TestModelJson:
             with pytest.raises(SchemaError, match="algorithm"):
                 import_model_json(text)
 
+    @pytest.mark.parametrize("text, what", [
+        ("{", "model JSON is not valid JSON"),
+        ('{"algorithm": "co"}', "model JSON has no appliances"),
+        ('{"algorithm": "co", "appliances": []}', "model JSON has no appliances"),
+    ], ids=["not-json", "no-appliances-key", "empty-appliances"])
+    def test_unreadable_model_named(self, text, what):
+        with pytest.raises(SchemaError) as e:
+            import_model_json(text)
+        assert str(e.value).startswith(what)
+
     def test_negative_std_rejected(self):
         raw = json.loads(export_model_json(co_model()))
         raw["appliances"][0]["states"][0]["std"] = -1.0
@@ -835,6 +899,19 @@ class TestDailySeriesCsv:
         p = tmp_path / "weather.csv"
         p.write_text("12,3.0\n", encoding="utf-8")
         assert load_daily_series_csv(p) == {12: 3.0}
+
+    @pytest.mark.parametrize("text, where", [
+        ("date,tmax\n1970-01-01,warm\n", "2: non-numeric value"),
+        ("1970-01-01,5.5\n1970-01-02,\n", "2: non-numeric value"),
+        ("date,tmax\n1970-13-01,5.5\n", "2: bad date '1970-13-01'"),
+        ("yesterday,5.5\n", "1: bad date 'yesterday'"),
+    ], ids=["word-after-header", "empty-value", "bad-month", "not-a-date"])
+    def test_bad_row_names_the_line(self, tmp_path, text, where):
+        p = tmp_path / "weather.csv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError) as e:
+            load_daily_series_csv(p)
+        assert str(e.value) == f"{p}:{where}"
 
 
 # Finite floats (zeros and subnormals among them) plus the canonical NaN and

@@ -248,6 +248,14 @@ class TestInterpolate:
         assert out.timestamps.tolist() == [0.0, period, 2 * period, 3 * period, 1e17, 1e17 + 64]
         assert out.values(POWER_ACTIVE).tolist() == [1.0, 1.0, 1.0, 2.0, 3.0, 4.0]
 
+    @pytest.mark.parametrize("period", [1.0, 2.5])
+    def test_default_max_gap_is_five_periods(self, period):
+        # A 5-period hole is filled, a 6-period one is left.
+        c = mk_channel([0.0, 5 * period, 11 * period], [1.0, 2.0, 3.0], period=period)
+        out = interpolate_small_gaps(c)
+        assert out.timestamps.tolist() == [k * period for k in range(6)] + [11 * period]
+        assert out.values(POWER_ACTIVE).tolist() == [1.0] * 5 + [2.0, 3.0]
+
     @pytest.mark.parametrize("max_gap", [0.0, -1.0, math.inf, math.nan])
     def test_max_gap_must_be_a_period(self, max_gap):
         c = mk_channel([0.0, 3.0], [1.0, 2.0])

@@ -1,5 +1,6 @@
 """Smoke tests: each script in scripts/ runs to completion on small inputs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -34,8 +35,14 @@ def test_seed_sweep_zero_seeds_is_usage_error():
 
 def test_run_default_benchmark(tmp_path):
     out = tmp_path / "out"
-    assert "fhmm" in run_script("run_default_benchmark.py", "--output", str(out))
+    stdout = run_script("run_default_benchmark.py", "--output", str(out))
+    assert "fhmm" in stdout
     assert (out / "metrics.csv").is_file()
+    # The table's NEP and F-score are the averages of the written report.
+    for alg in ("co", "fhmm"):
+        averages = json.loads((out / f"metrics_{alg}.json").read_text())["averages"]
+        row = next(line.split() for line in stdout.splitlines() if line.startswith(f"{alg} "))
+        assert (row[3], row[5]) == (f"{averages['nep']:.2f}", f"{averages['f_score']:.2f}")
 
 
 def test_dataset_report(tmp_path):

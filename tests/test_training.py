@@ -237,7 +237,7 @@ class TestTrainBuilding:
     def test_missing_feature_names_channel(self):
         bad = mk_channel(np.arange(3.0), None, cid="fridge", voltage=[230.0] * 3)
         b = mk_building(appliances={"fridge": bad})
-        with pytest.raises(ValueError, match="fridge"):
+        with pytest.raises(ValueError, match="^channel fridge has no power_active column$"):
             train_co(b, learn_building_states(b, POWER_ACTIVE, 2))
 
     def test_empty_appliance_set_rejected(self):
