@@ -27,7 +27,7 @@ def nep_for(seed: int) -> dict[str, float]:
     aggregate = mains_total(test_b)
     out = {}
     states = learn_building_states(train_b, POWER_ACTIVE, 2)
-    for name, (trainer, decoder, _) in algorithms().items():
+    for name, (trainer, decoder) in algorithms().items():
         model = trainer(train_b, states, POWER_ACTIVE)
         report = evaluate(decoder(model, aggregate), test_b)
         out[name] = report.averages()["nep"]

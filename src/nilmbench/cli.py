@@ -168,14 +168,16 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    if args.weather and not args.correlate:
+        raise ConfigError("--weather needs --correlate <appliance>")
+    if args.correlate and not args.weather:
+        raise ConfigError("--correlate needs --weather <file>")
     b = _load_building(args.input, args.building)
     ranked = top_k_appliances(b, args.top_k)
     table = nio.csv_text(("appliance", "energy_joules", "fraction"), ranked)
     submetered = proportion_energy_submetered(b) if b.mains else None  # JSON null
     regression = None
     if args.weather:
-        if not args.correlate:
-            raise ConfigError("--weather needs --correlate <appliance>")
         if args.correlate not in b.appliances:
             raise ConfigError(f"--correlate: no appliance {args.correlate!r}")
         external = nio.load_daily_series_csv(args.weather)
@@ -227,7 +229,7 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train(args) -> int:
     b = _load_building(args.input, args.building)
-    trainer, _, _ = algorithms()[args.algorithm]
+    trainer, _ = algorithms()[args.algorithm]
     model = trainer(b, learn_building_states(b, args.feature, args.states), args.feature)
     write_model(model, args.output)
     if not args.quiet:
@@ -238,7 +240,7 @@ def cmd_train(args) -> int:
 def cmd_disaggregate(args) -> int:
     b = _load_building(args.input, args.building)
     model = read_model(args.model)
-    _, disaggregator, _ = algorithms()[model.algorithm]
+    _, disaggregator = algorithms()[model.algorithm]
     predictions = disaggregator(model, mains_total(b, args.feature), args.feature)
     write_predictions(predictions, args.building, args.feature, args.output)
     if not args.quiet:

@@ -15,7 +15,8 @@ bool.  So are the building preconditions, :func:`check_mains` and
 :func:`check_aligned`, and the timestamp order, :func:`first_out_of_order`.
 
 Timestamps are UTC epoch seconds stored as float64, in the order that
-:class:`Channel` enforces.  Timezone rendering happens at the CLI edge.
+:class:`Channel` enforces, as it enforces finite values in every column.
+Timezone rendering happens at the CLI edge.
 
 Channel arrays are read-only float64, and each series is held once: a channel
 shares an input array that nothing can write (see :class:`Channel`), so the
@@ -125,7 +126,8 @@ class Channel:
     """Timestamped measurement series for one meter.
 
     ``timestamps`` are epoch seconds, finite and strictly increasing
-    (:func:`first_out_of_order`); every column has their length.
+    (:func:`first_out_of_order`); every column has their length and holds
+    finite values only.
     ``nominal_period`` is the expected sample spacing in seconds, supplied at
     import time; dropout-rate diagnostics derive an expected count from it.
 
@@ -137,10 +139,9 @@ class Channel:
     list, another dtype) is copied.  A caller that turns ``WRITEABLE`` back
     on for an array it owns, after a channel took it, breaks that contract.
 
-    The timestamp order, column lengths and a finite positive period are
-    enforced at construction; the order's ``ValueError`` names the first
-    row that breaks it.  Finite values are enforced by loaders and reported
-    by :func:`validate_building`.
+    The timestamp order, finite values, column lengths and a finite positive
+    period are enforced at construction; the ``ValueError`` for the order or
+    for a NaN or infinite value names the first row that breaks it.
     """
 
     id: str
@@ -161,6 +162,12 @@ class Channel:
                     f"channel {self.id}: column {m.column_name} has length "
                     f"{v.size}, expected {self.timestamps.size}"
                 )
+            # NaN propagates through min and max, and an infinity is one of
+            # them; only a fault looks at the rows.
+            if v.size and not (math.isfinite(v.min()) and math.isfinite(v.max())):
+                row = int(np.argmin(np.isfinite(v)))
+                raise ValueError(f"channel {self.id}: {m.column_name} values must be finite, "
+                                 f"got {float(v[row])!r} at row {row}")
         check_period(self.nominal_period, f"channel {self.id}: nominal_period")
         if (row := first_out_of_order(self.timestamps)) is not None:
             t = self.timestamps.tolist()
@@ -604,19 +611,14 @@ class Violation:
 
 def validate_building(b: Building) -> list[Violation]:
     """Check the invariants a :class:`Channel` does not enforce (a valid
-    id, finite values, canonical labels, a wiring forest); returns an empty
-    list iff all hold.
+    id, canonical labels, a wiring forest); returns an empty list iff all
+    hold.  Timestamp order and finite values hold by construction.
 
     Violations are data, not errors: callers decide whether to proceed.
     """
     out: list[Violation] = []
     if b.id < 1:
         out.append(Violation(None, "invalid building id", f"id={b.id}"))
-    for role, name, c in b.channels():
-        for m, v in c.columns.items():
-            if not np.isfinite(v).all():
-                detail = f"column {m.column_name} contains NaN or infinity"
-                out.append(Violation(f"{role}/{name}", "non-finite values", detail))
     for name in b.appliances:
         if not is_canonical(name):
             out.append(

@@ -108,9 +108,6 @@ compares partial sums, so where rounding turns a strict partial difference
 into an exact tie of full sums it may keep a higher predecessor than the
 dense step would.
 
-Both decoders reject an aggregate with a NaN or infinite reading, naming
-how many there are and the index of the first.
-
 A decode returns N * T bytes: each appliance's states are a contiguous row
 of an (N, T) uint8 matrix (wider past 256 states) beside one power level
 per state.  A prediction holds no power series: ``levels[states]`` is
@@ -201,20 +198,6 @@ def _product_sum(per_appliance) -> np.ndarray:
     return total
 
 
-def _readings(aggregate: Channel, feature: Measurement) -> np.ndarray:
-    """The aggregate's ``feature`` values, which must all be finite: a NaN
-    would turn every later Viterbi score into NaN, and CO would map it to
-    an arbitrary combination."""
-    y = aggregate.values(feature)
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        raise ValueError(
-            f"{aggregate.id}: {bad.size} non-finite {feature.column_name} "
-            f"readings, the first at index {bad[0]}"
-        )
-    return y
-
-
 def state_powers(means: np.ndarray) -> np.ndarray:
     """The power level of each state, its mean floored at 0 W: what the
     decoders predict, and all ``pipeline.predictions_from_dataset`` reads back.
@@ -252,7 +235,7 @@ def disaggregate_co(
             f"({CO_COMBINATION_LIMIT}); filter to fewer appliances or states first"
         )
     totals = _product_sum(a.means for a in m.appliances)
-    states = _digits(_nearest_totals(totals, _readings(aggregate, feature)), sizes)
+    states = _digits(_nearest_totals(totals, aggregate.values(feature)), sizes)
     return _predictions_from_states(m, aggregate, states)
 
 
@@ -340,7 +323,7 @@ def disaggregate_fhmm(
             f"product state space {S} exceeds the limit ({FHMM_STATE_LIMIT}); "
             "filter to fewer appliances or states first"
         )
-    y = _readings(aggregate, feature)
+    y = aggregate.values(feature)
     kernel_type = _DenseStep if S <= _DENSE_MAX_STATES else _StagedStep
     return _predictions_from_states(m, aggregate, _decode(m, y, kernel_type))
 

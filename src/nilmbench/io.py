@@ -787,10 +787,14 @@ def _read_flat_file(path: Path, nominal_period: float, report: ImportReport) -> 
 # ---------------------------------------------------------------------------
 
 
+# Model JSON's ``algorithm`` tag -> the model type it names.
+MODEL_TYPES = {t.algorithm: t for t in (COModel, FHMMModel)}
+
+
 def export_model_json(model: COModel | FHMMModel) -> str:
     """Serialize a trained model, tagged with its type's ``algorithm``;
     floats survive a round trip exactly."""
-    if not isinstance(model, (COModel, FHMMModel)):
+    if not isinstance(model, tuple(MODEL_TYPES.values())):
         raise TypeError(f"cannot export {type(model).__name__}")
     payload = {
         "algorithm": model.algorithm,
@@ -828,7 +832,7 @@ def import_model_json(text: str) -> COModel | FHMMModel:
     entries = raw.get("appliances")
     if not entries:
         raise SchemaError("model JSON has no appliances")
-    model_type = next((t for t in (COModel, FHMMModel) if t.algorithm == algorithm), None)
+    model_type = MODEL_TYPES.get(algorithm) if isinstance(algorithm, str) else None
     if model_type is None:
         raise SchemaError(f"unknown algorithm {algorithm!r}")
     appliances = tuple(

@@ -65,15 +65,15 @@ from .training import COModel, FHMMModel, assign_states, learn_building_states, 
 
 
 def algorithms() -> dict[str, tuple]:
-    """Algorithm name, the model type's ``algorithm``, -> (trainer, decoder,
-    model type); ``trainer(b, states, feature)``.
+    """Algorithm name, the model type's ``algorithm``, -> (trainer, decoder);
+    ``trainer(b, states, feature)``.
 
     Built on each call from this module's bindings, so a tracer that rebinds
     ``train_co``, ``disaggregate_co`` etc. here sees the calls ``run`` makes.
     """
     return {
-        COModel.algorithm: (train_co, disaggregate_co, COModel),
-        FHMMModel.algorithm: (train_fhmm, disaggregate_fhmm, FHMMModel),
+        COModel.algorithm: (train_co, disaggregate_co),
+        FHMMModel.algorithm: (train_fhmm, disaggregate_fhmm),
     }
 
 
@@ -421,7 +421,7 @@ def run(cfg: RunConfig, raw_config: dict | None = None, quiet: bool = False) -> 
 
     reports: dict[str, MetricReport] = {}
     for alg in cfg.algorithms:
-        trainer, disaggregator, _ = algorithms()[alg]
+        trainer, disaggregator = algorithms()[alg]
         model = stage(f"train_{alg}", lambda: trainer(train_b, states, cfg.feature))
         write_model(model, out / f"model_{alg}.json")
         predictions = stage(

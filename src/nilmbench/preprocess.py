@@ -22,15 +22,13 @@ DEFAULT_MAX_GAP_FACTOR = 5.0
 def _mode(blocks: np.ndarray) -> np.ndarray:
     """Most frequent value of each row, by the rule of ``np.unique``.
 
-    Each row is sorted, NaN counts as equal to NaN, and the first element of
-    the earliest longest run is returned, so ties break toward the smaller
-    value and NaN (sorted last) loses every tie.
+    Each row is sorted and the first element of the earliest longest run is
+    returned, so ties break toward the smaller value.
     """
     s = np.sort(blocks, axis=1)
     pos = np.arange(s.shape[1])
-    nan = np.isnan(s)
     new_run = np.ones(s.shape, dtype=bool)
-    new_run[:, 1:] = (s[:, 1:] != s[:, :-1]) & ~(nan[:, 1:] & nan[:, :-1])
+    new_run[:, 1:] = s[:, 1:] != s[:, :-1]
     run_start = np.maximum.accumulate(np.where(new_run, pos, 0), axis=1)
     run_len = pos - run_start + 1
     longest = run_len.max(axis=1)
@@ -88,7 +86,10 @@ def normalize_voltage(c: Channel, v_nominal: float, beta: float = 2.0) -> Channe
     """Scale power by (v_nominal / v_observed) ** beta per row.
 
     beta=2 suits linear resistive loads; beta around 0.7 suits loads such as
-    fridges.  The voltage column is left untouched.
+    fridges.  The voltage column is left untouched.  A zero voltage, or a
+    negative one with a fractional ``beta``, makes a power that is not finite,
+    which :class:`Channel` refuses; filter voltages first
+    (:func:`filter_out_implausible`).
     """
     check_period(v_nominal, "v_nominal")
     check_finite(beta, "beta")

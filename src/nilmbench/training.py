@@ -180,8 +180,6 @@ def learn_states(
     if len(c) == 0:
         raise ValueError(f"channel {c.id} is empty")
     x = np.sort(c.values(feature))
-    if not (np.isfinite(x[0]) and np.isfinite(x[-1])):  # -inf sorts first, inf and NaN last
-        raise ValueError(f"channel {c.id}: values must be finite")
     n_distinct = 1 + np.count_nonzero(x[1:] != x[:-1])
     if n_distinct < K:
         warnings.warn(

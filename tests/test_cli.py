@@ -847,6 +847,27 @@ class TestPreprocessOpsInRun:
         assert got == pytest.approx(float(residual.var()), rel=1e-9)
         assert got != pytest.approx(plain, rel=1e-3)
 
+    def test_zero_voltage_fails_preprocess(self, tmp_path):
+        # Normalising by a 0 V reading makes an infinite power, which no
+        # channel holds: the run stops at the step, not at a later decode.
+        ds, _ = generate(replace(default_benchmark_spec(seed=4), duration=43200.0))
+        b = ds.buildings[1]
+        m = b.mains[0]
+        volts = np.full(len(m), 230.0)
+        volts[500] = 0.0
+        mains = mk_channel(m.timestamps, m.values(POWER_ACTIVE), period=m.nominal_period, cid=m.id, voltage=volts)
+        data = tmp_path / "data"
+        save_dataset_dir(replace(ds, buildings={1: replace(b, mains=(mains,))}), data)
+        cfg = base_config(tmp_path, dataset={"format": "dataset-dir", "path": str(data)},
+                          preprocess=[{"op": "normalize_voltage", "v_nominal": 230.0}])
+        raw = json.loads(cfg.read_text())
+        with pytest.raises(pipeline.StageFailure) as e:
+            pipeline.run(pipeline.RunConfig.from_dict(raw), raw_config=raw, quiet=True)
+        assert e.value.stage == "preprocess"
+        assert str(e.value) == ("stage 'preprocess' failed: channel mains_1: "
+                                "power_active values must be finite, got inf at row 500")
+        assert not list((tmp_path / "out").glob("model_*.json"))
+
     def test_interpolate_small_gaps_fills_dropout(self, tmp_path, unaligned_dir):
         plain = self.scored(self.run(tmp_path, unaligned_dir, []))
         step = {"op": "interpolate_small_gaps", "max_gap": 600.0}
@@ -1175,6 +1196,13 @@ class TestStatsWeather:
         weather.write_text("0,1.0\n", encoding="utf-8")
         assert run_cli("--quiet", "stats", "--input", str(synth_dir),
                        "--weather", str(weather)) == 2
+
+    def test_target_without_weather_is_config_error(self, tmp_path, synth_dir, capsys):
+        out = tmp_path / "stats"
+        assert run_cli("--quiet", "stats", "--input", str(synth_dir), "--correlate", "nosuch",
+                       "--output", str(out)) == 2
+        assert "--correlate needs --weather <file>" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSynthSpecInConfig:

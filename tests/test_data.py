@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,72 @@ class TestTimestampOrder:
     def test_rule_matches_loop(self, stamps):
         t = np.array(stamps, dtype=np.float64)
         assert first_out_of_order(t) == first_out_of_order_loop(t)
+
+
+COLUMNS = (POWER_ACTIVE, VOLTAGE, POWER_REACTIVE)
+
+
+def unchecked_channel(t, columns):
+    """A channel built around ``__post_init__``: what a stage would hand on
+    if construction did not check its values."""
+    c = object.__new__(Channel)
+    for name, value in (("id", "ch"), ("timestamps", t), ("columns", columns), ("nominal_period", 1.0)):
+        object.__setattr__(c, name, value)
+    return c
+
+
+def construction_peak(t, columns) -> int:
+    tracemalloc.start()
+    try:
+        Channel("ch", t, columns, 1.0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFiniteValues:
+    """Every column holds finite values, enforced at construction."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_first_non_finite_value_raises(self, data):
+        n = data.draw(st.integers(1, 30), label="rows")
+        finite = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n)
+        names = COLUMNS[: data.draw(st.integers(1, 3), label="columns")]
+        columns = {m: np.array(data.draw(finite, label=m.column_name)) for m in names}
+        for col, row, x in data.draw(st.lists(st.tuples(
+            st.integers(0, len(names) - 1), st.integers(0, n - 1), st.sampled_from([NAN, INF, -INF]),
+        ), min_size=1, max_size=4), label="faults"):
+            columns[names[col]][row] = x
+        m, row, x = next((m, i, x) for m, v in columns.items()
+                         for i, x in enumerate(v.tolist()) if not math.isfinite(x))
+        prefix = rf"^channel ch: {m.column_name} values must be finite, got {re.escape(repr(x))} at row "
+        t = np.arange(float(n))
+        with pytest.raises(ValueError, match=prefix + f"{row}$"):
+            Channel("ch", t, columns, 1.0)
+        with pytest.raises(ValueError, match=prefix + f"{row}$"):
+            mk_channel(t, np.zeros(n)).with_columns(columns)
+        # Rows taken from ``start`` on are numbered from 0 in the result.
+        start = data.draw(st.integers(0, row), label="start")
+        for selector in (slice(start, None), np.arange(start, n)):
+            with pytest.raises(ValueError, match=prefix + f"{row - start}$"):
+                unchecked_channel(t, columns).take(selector)
+
+    @pytest.mark.parametrize("values", [[1e308, 1e308], [-1e308, -1e308, 5.0], [1.7e308, 1.7e308, -1.7e308]])
+    def test_values_whose_sum_overflows_build(self, values):
+        c = mk_channel(np.arange(float(len(values))), values)
+        assert c.values(POWER_ACTIVE).tolist() == values
+        assert c.take(slice(1, None)).values(POWER_ACTIVE).tolist() == values[1:]
+
+    def test_a_passing_check_allocates_nothing(self, monkeypatch):
+        n = 10**6
+        t = frozen(np.arange(float(n)))
+        columns = {m: frozen(np.linspace(-1e3, 1e3, n)) for m in COLUMNS}
+        # The order check's own mask would hide a mask of the same size, and
+        # these stamps pass it.  The channel shares read-only input, so any
+        # growth is the value checks'.
+        monkeypatch.setattr("nilmbench.data.first_out_of_order", lambda t: None)
+        assert construction_peak(t, columns) <= construction_peak(t, {}) + 4096
 
 
 def frozen(values):
@@ -324,14 +391,14 @@ class TestValidateBuilding:
         assert validate_building(good) == []
 
     def test_nan_power_flagged(self):
-        c = Channel(
-            id="c",
-            timestamps=np.array([0.0, 1.0]),
-            columns={POWER_ACTIVE: np.array([1.0, np.nan])},
-            nominal_period=1.0,
-        )
-        violations = validate_building(mk_building(mains=[c]))
-        assert any(v.rule == "non-finite values" for v in violations)
+        # Finite values are a Channel invariant, so such a channel is never built.
+        with pytest.raises(ValueError, match=r"^channel c: power_active values must be finite, got nan at row 1$"):
+            Channel(
+                id="c",
+                timestamps=np.array([0.0, 1.0]),
+                columns={POWER_ACTIVE: np.array([1.0, np.nan])},
+                nominal_period=1.0,
+            )
 
     def test_wiring_must_root_at_mains(self):
         c = mk_channel([0.0, 1.0], [0.0, 0.0], cid="fridge")

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -453,7 +454,8 @@ class TestFHMM:
 @pytest.mark.parametrize("decode", [disaggregate_co, disaggregate_fhmm])
 def test_non_finite_aggregate_rejected(decode, bad):
     # Unchecked, a NaN makes every later FHMM step decode as all-off, and
-    # CO maps NaN and +-inf to a fixed combination.
+    # CO maps NaN and +-inf to a fixed combination.  No decoder sees one: a
+    # channel holds finite values only.
     rng = np.random.default_rng(6)
     apps = tuple(random_hmm(rng, f"a{n}", 2) for n in range(3))
     m = FHMMModel(appliances=apps, noise_variance=25.0)
@@ -461,7 +463,8 @@ def test_non_finite_aggregate_rejected(decode, bad):
         m = COModel(appliances=tuple(a.base for a in apps))
     y = rng.uniform(0.0, 1500.0, 200)
     y[[50, 120, 121]] = bad
-    with pytest.raises(ValueError, match="mains: 3 non-finite power_active readings, the first at index 50"):
+    want = rf"^channel mains: power_active values must be finite, got {re.escape(repr(bad))} at row 50$"
+    with pytest.raises(ValueError, match=want):
         decode(m, aggregate_channel(y))
 
 
